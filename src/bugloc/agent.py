@@ -11,10 +11,9 @@ from __future__ import annotations
 import json
 import logging
 import re
-import time
 from dataclasses import dataclass, field
 
-from .chat import ChatProvider, ChatProviderError, ChatTurn, ScriptExhaustedError
+from .chat import ChatProvider, ChatProviderError
 from .ioutil import SCHEMA_VERSION, atomic_write_text
 from .tools import TOOL_NAMES, ToolRegistry
 from .validation import InputValidationError
@@ -54,8 +53,6 @@ class AgentConfig:
     tool_whitelist: frozenset[str] = TOOL_NAMES
     run_seed: str = ""
     tool_result_char_cap: int | None = None  # None: results enter the context untruncated
-    provider_attempts: int = 3
-    provider_retry_delay: float = 1.0
 
     def __post_init__(self):
         if self.max_iterations < 1:
@@ -248,21 +245,6 @@ _CORRECTIVE = (
 )
 
 
-def _complete_with_retry(provider: ChatProvider, messages, schemas, config: AgentConfig) -> ChatTurn:
-    last: Exception | None = None
-    for attempt in range(1, config.provider_attempts + 1):
-        try:
-            return provider.complete(messages, schemas, config.temperature)
-        except ScriptExhaustedError:
-            raise  # deterministic; retrying cannot help
-        except ChatProviderError as exc:
-            last = exc
-            logger.warning("chat provider attempt %d failed: %s", attempt, exc)
-            if attempt < config.provider_attempts:
-                time.sleep(config.provider_retry_delay * attempt)
-    raise last  # type: ignore[misc]
-
-
 def run_localization(
     bug, tools: ToolRegistry, provider: ChatProvider, config: AgentConfig
 ) -> tuple[list[RawPrediction], AgentTranscript]:
@@ -286,7 +268,7 @@ def run_localization(
         if iteration == config.max_iterations:
             messages.append(ChatMessage(role=ROLE_SYSTEM, content=_FORCED_ANSWER))
         try:
-            turn = _complete_with_retry(provider, messages, schemas, config)
+            turn = provider.complete(messages, schemas, config.temperature)
         except ChatProviderError as exc:
             transcript.failure_reason = f"chat provider failure: {exc}"
             transcript.messages = messages

@@ -11,13 +11,19 @@ from __future__ import annotations
 import json
 import logging
 import os
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
 import requests
 
-from .ioutil import SCHEMA_VERSION, atomic_write_json, read_json
+from .ioutil import (
+    SCHEMA_VERSION,
+    RequestRejected,
+    RetriesExhausted,
+    atomic_write_json,
+    post_with_retry,
+    read_json,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -226,30 +232,18 @@ class RemoteChatProvider(ChatProvider):
         }
         if tool_schemas:
             payload["tools"] = self._wire_tools(tool_schemas)
-        last_error = "unknown"
-        for attempt in range(1, self.max_attempts + 1):
-            try:
-                response = self._session.post(
-                    f"{self.base_url}/chat/completions", json=payload, timeout=self.timeout
-                )
-            except requests.RequestException as exc:
-                last_error = str(exc)
-            else:
-                if response.status_code == 200:
-                    return self._parse(response.json())
-                if response.status_code in (408, 409, 429) or response.status_code >= 500:
-                    last_error = f"HTTP {response.status_code}"
-                else:
-                    raise ChatProviderError(
-                        f"chat provider {self.provider_id} rejected request: "
-                        f"HTTP {response.status_code}"
-                    )
-            if attempt < self.max_attempts:
-                time.sleep(self.retry_delay * attempt)
-        raise ChatProviderError(
-            f"chat provider {self.provider_id} failed after {self.max_attempts} attempts: "
-            f"{last_error}"
-        )
+        try:
+            response = post_with_retry(
+                self._session, f"{self.base_url}/chat/completions", payload,
+                self.timeout, self.max_attempts, self.retry_delay,
+            )
+        except RequestRejected as exc:
+            raise ChatProviderError(
+                f"chat provider {self.provider_id} rejected request: {exc}"
+            ) from None
+        except RetriesExhausted as exc:
+            raise ChatProviderError(f"chat provider {self.provider_id} {exc}") from None
+        return self._parse(response.json())
 
     def _parse(self, body) -> ChatTurn:
         try:
@@ -258,6 +252,12 @@ class RemoteChatProvider(ChatProvider):
             raise ChatProviderError(f"malformed chat response: {exc}") from None
         calls = message.get("tool_calls")
         if calls:
+            if len(calls) > 1:
+                dropped = [call.get("function", {}).get("name") for call in calls[1:]]
+                logger.warning(
+                    "chat provider %s returned %d tool calls; dispatching the first, dropping %s",
+                    self.provider_id, len(calls), dropped,
+                )
             fn = calls[0]["function"]
             try:
                 arguments = json.loads(fn.get("arguments") or "{}")

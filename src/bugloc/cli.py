@@ -7,25 +7,10 @@ import logging
 import sys
 from pathlib import Path
 
-from .code_index import (
-    Changeset,
-    ConfigurationError,
-    build_index,
-    diff_source_trees,
-    load_code_index,
-    save_code_index,
-    update_index,
-)
+from .code_index import Changeset, ConfigurationError
 from .config import MODES, RunConfig, build_chat_provider, build_embedding_provider, load_config
 from .dataset import load_bug_reports, split_chronological
 from .agent import write_transcript
-from .embedding import (
-    build_embedding_index,
-    load_embedding_index,
-    save_embedding_index,
-    update_embeddings,
-    EmbeddingUpdateError,
-)
 from .harness import (
     VersionStore,
     evaluate_technique,
@@ -101,18 +86,24 @@ def _make_localizer_factory(config, replay: str | None = None):
     return factory, embedding_provider
 
 
+def _version_store(config, embedding_provider, default_cache=None) -> VersionStore:
+    return VersionStore(
+        config.repo,
+        grammar=config.grammar,
+        embedding_provider=embedding_provider,
+        cache_dir=config.index_cache or default_cache,
+        chunk_limit=config.chunk_limit,
+    )
+
+
 def cmd_index(args) -> int:
     config = _config_from_args(args)
     if not config.repo:
         raise ConfigurationError("index needs --repo")
     provider = build_embedding_provider(config) if config.needs_embedding else None
-    out_dir = Path(config.index_cache or Path(config.out_dir) / "index-cache")
-    safe = args.version.replace("/", "_") or "_"
-    code_path = out_dir / f"{safe}.code.jsonl"
-    embed_path = out_dir / f"{safe}.embed.jsonl"
+    store = _version_store(config, provider, Path(config.out_dir) / "index-cache")
 
     changeset = None
-    prev = None
     if args.changeset:
         raw = read_json(args.changeset)
         changeset = Changeset(
@@ -121,40 +112,13 @@ def cmd_index(args) -> int:
             deleted=tuple(raw.get("deleted", [])),
             renamed=tuple((old, new) for old, new in raw.get("renamed", [])),
         )
-    if args.prev_version:
-        prev_code_path = out_dir / f"{args.prev_version.replace('/', '_')}.code.jsonl"
-        if not prev_code_path.exists():
-            raise ConfigurationError(f"no cached index for previous version {args.prev_version}")
-        prev_embed_path = out_dir / f"{args.prev_version.replace('/', '_')}.embed.jsonl"
-        prev = (
-            load_code_index(prev_code_path),
-            load_embedding_index(prev_embed_path) if provider and prev_embed_path.exists() else None,
-        )
+    if args.prev_version and not store.archive_paths(args.prev_version)[0].exists():
+        raise ConfigurationError(f"no cached index for previous version {args.prev_version}")
 
-    repo = Path(config.repo)
-    tree = repo / args.version if (repo / args.version).is_dir() else repo
-    if prev is not None:
-        if changeset is None:
-            prev_tree = repo / args.prev_version if (repo / args.prev_version).is_dir() else repo
-            changeset = diff_source_trees(prev_tree, tree)
-        code = update_index(prev[0], changeset, tree, args.version, config.grammar)
-        embed = None
-        if provider is not None and prev[1] is not None:
-            try:
-                embed = update_embeddings(prev[1], changeset, code, provider, config.chunk_limit)
-            except EmbeddingUpdateError as exc:
-                logger.error("%s", exc)
-                embed = exc.partial_index
-        elif provider is not None:
-            embed = build_embedding_index(code, provider, config.chunk_limit)
-    else:
-        code = build_index(tree, config.grammar, args.version)
-        embed = build_embedding_index(code, provider, config.chunk_limit) if provider else None
-
-    save_code_index(code, code_path, config.grammar)
+    code, embed = store.build(args.version, previous=args.prev_version, changeset=changeset)
+    code_path, embed_path = store.archive_paths(args.version)
     print(f"indexed {len(code.files)} files at version {args.version!r} -> {code_path}")
     if embed is not None:
-        save_embedding_index(embed, embed_path)
         print(f"embedded {len(embed)} chunks -> {embed_path}")
     return 0
 
@@ -165,13 +129,7 @@ def cmd_localize(args) -> int:
         raise ConfigurationError("localize needs --repo")
     bugs = load_bug_reports(args.bug)
     factory, embedding_provider = _make_localizer_factory(config, args.replay)
-    store = VersionStore(
-        config.repo,
-        grammar=config.grammar,
-        embedding_provider=embedding_provider,
-        cache_dir=config.index_cache or None,
-        chunk_limit=config.chunk_limit,
-    )
+    store = _version_store(config, embedding_provider)
     out_dir = Path(config.out_dir)
     exit_code = 0
     for bug in bugs:
@@ -210,13 +168,7 @@ def cmd_evaluate(args) -> int:
         raise ConfigurationError("chronological split left no evaluation bugs")
 
     factory, embedding_provider = _make_localizer_factory(config, args.replay)
-    store = VersionStore(
-        config.repo,
-        grammar=config.grammar,
-        embedding_provider=embedding_provider,
-        cache_dir=config.index_cache or None,
-        chunk_limit=config.chunk_limit,
-    )
+    store = _version_store(config, embedding_provider)
     technique = config.mode
     outcome = evaluate_technique(
         evaluation, factory, store, technique, runs=config.runs, workers=config.workers

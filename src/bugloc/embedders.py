@@ -12,13 +12,13 @@ import hashlib
 import json
 import logging
 import os
-import time
+import threading
 from pathlib import Path
 
 import numpy as np
 import requests
 
-from .ioutil import atomic_write_text
+from .ioutil import RequestRejected, RetriesExhausted, atomic_write_text, post_with_retry
 from .tokens import tokenize
 
 logger = logging.getLogger(__name__)
@@ -131,26 +131,18 @@ class RemoteEmbedder(EmbeddingProvider):
 
     def _post_batch(self, texts: list[str]) -> list[tuple[float, ...]]:
         payload = {"model": self.model, "input": texts}
-        last_error = "unknown"
-        for attempt in range(1, self.max_attempts + 1):
-            try:
-                response = self._session.post(
-                    f"{self.base_url}/embeddings", json=payload, timeout=self.timeout
-                )
-            except requests.RequestException as exc:
-                last_error = str(exc)
-            else:
-                if response.status_code == 200:
-                    return self._parse(response.json(), expected=len(texts))
-                if response.status_code in (408, 409, 429) or response.status_code >= 500:
-                    last_error = f"HTTP {response.status_code}"
-                else:
-                    raise ProviderContractError(
-                        f"provider {self.provider_id} rejected request: HTTP {response.status_code}"
-                    )
-            if attempt < self.max_attempts:
-                time.sleep(self.retry_delay * attempt)
-        raise RetriableProviderError(self.provider_id, self.max_attempts, last_error)
+        try:
+            response = post_with_retry(
+                self._session, f"{self.base_url}/embeddings", payload,
+                self.timeout, self.max_attempts, self.retry_delay,
+            )
+        except RequestRejected as exc:
+            raise ProviderContractError(
+                f"provider {self.provider_id} rejected request: {exc}"
+            ) from None
+        except RetriesExhausted as exc:
+            raise RetriableProviderError(self.provider_id, exc.attempts, exc.cause) from None
+        return self._parse(response.json(), expected=len(texts))
 
     def _parse(self, body, expected: int) -> list[tuple[float, ...]]:
         try:
@@ -184,6 +176,7 @@ class CachedEmbedder(EmbeddingProvider):
         self.cache_path = Path(cache_path) if cache_path else None
         self.calls_forwarded = 0
         self._cache: dict[str, tuple[float, ...]] = {}
+        self._lock = threading.Lock()  # guards _cache, calls_forwarded and the cache file
         if self.cache_path and self.cache_path.exists():
             raw = json.loads(self.cache_path.read_text(encoding="utf-8"))
             self._cache = {key: tuple(vec) for key, vec in raw.items()}
@@ -194,14 +187,18 @@ class CachedEmbedder(EmbeddingProvider):
 
     def embed_batch(self, texts: list[str]) -> list[tuple[float, ...]]:
         keys = [self._key(t) for t in texts]
-        missing = [i for i, key in enumerate(keys) if key not in self._cache]
+        with self._lock:
+            missing = [i for i, key in enumerate(keys) if key not in self._cache]
         if missing:
+            # Outside the lock, so threads wait on the provider concurrently.
             fetched = self.inner.embed_batch([texts[i] for i in missing])
-            self.calls_forwarded += 1
-            for i, vec in zip(missing, fetched):
-                self._cache[keys[i]] = vec
-            self._save()
-        return [self._cache[key] for key in keys]
+            with self._lock:
+                self.calls_forwarded += 1
+                for i, vec in zip(missing, fetched):
+                    self._cache[keys[i]] = vec
+                self._save()
+        with self._lock:
+            return [self._cache[key] for key in keys]
 
     def _save(self) -> None:
         if self.cache_path is None:

@@ -14,7 +14,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .code_index import CodeIndex, build_index, diff_source_trees, load_code_index, save_code_index, update_index
+from .code_index import Changeset, CodeIndex, build_index, diff_source_trees, load_code_index, save_code_index, update_index
 from .embedders import EmbeddingProvider
 from .embedding import (
     EmbeddingIndex,
@@ -65,66 +65,87 @@ class VersionStore:
             self._warned_flat = True
         return self.repo_root
 
-    def _archive_paths(self, version_id: str) -> tuple[Path, Path] | None:
+    def archive_paths(self, version_id: str) -> tuple[Path, Path] | None:
+        """(code archive, embedding archive) of `version_id`; None without a cache_dir."""
         if self.cache_dir is None:
             return None
         safe = version_id.replace("/", "_") or "_"
         return self.cache_dir / f"{safe}.code.jsonl", self.cache_dir / f"{safe}.embed.jsonl"
 
     def get(self, version_id: str) -> tuple[CodeIndex, EmbeddingIndex | None]:
+        """The memoized indexes, else the archived ones, else a build
+        incremental from the most recently built or loaded version."""
+        found = self._lookup(version_id)
+        if found is not None:
+            return found
+        return self.build(version_id, previous=self._last_version)
+
+    def _lookup(self, version_id: str) -> tuple[CodeIndex, EmbeddingIndex | None] | None:
         if version_id in self._built:
             return self._built[version_id]
-        archives = self._archive_paths(version_id)
-        if archives and archives[0].exists():
-            code = load_code_index(archives[0])
-            embed = None
-            if self.embedding_provider is not None and archives[1].exists():
-                embed = load_embedding_index(archives[1])
-            if embed is not None or self.embedding_provider is None:
-                self._built[version_id] = (code, embed)
-                self._last_version = version_id
-                return code, embed
-
-        tree = self.resolve_tree(version_id)
-        previous = self._built.get(self._last_version) if self._last_version else None
-        if previous is not None:
-            prev_tree = self.resolve_tree(self._last_version)
-            if prev_tree == tree:
-                # Same tree on disk: relabel rather than rebuild.
-                code = CodeIndex(
-                    version_id=version_id,
-                    files=previous[0].files,
-                    method_locator=previous[0].method_locator,
-                )
-                self._store(version_id, code, previous[1], archives)
-                return code, previous[1]
-            changeset = diff_source_trees(prev_tree, tree)
-            code = update_index(previous[0], changeset, tree, version_id, self.grammar)
-            embed = None
-            if self.embedding_provider is not None:
-                if previous[1] is not None:
-                    try:
-                        embed = update_embeddings(
-                            previous[1], changeset, code, self.embedding_provider, self.chunk_limit
-                        )
-                    except EmbeddingUpdateError as exc:
-                        logger.error("partial embedding update for %s: %s", version_id, exc)
-                        embed = exc.partial_index
-                else:
-                    embed = build_embedding_index(code, self.embedding_provider, self.chunk_limit)
-            self._store(version_id, code, embed, archives)
-            return code, embed
-
-        code = build_index(tree, self.grammar, version_id)
+        archives = self.archive_paths(version_id)
+        if archives is None or not archives[0].exists():
+            return None
+        provider = self.embedding_provider
+        if provider is not None and not archives[1].exists():
+            return None
+        code = load_code_index(archives[0])
         embed = None
-        if self.embedding_provider is not None:
-            embed = build_embedding_index(code, self.embedding_provider, self.chunk_limit)
-        self._store(version_id, code, embed, archives)
-        return code, embed
-
-    def _store(self, version_id, code, embed, archives) -> None:
+        if provider is not None:
+            embed = load_embedding_index(archives[1])
+            if (embed.provider_id, embed.dimension) != (provider.provider_id, provider.dimension):
+                logger.warning(
+                    "ignoring the archive of %s: it was embedded by %s (dimension %d), "
+                    "this run embeds with %s (dimension %d)",
+                    version_id, embed.provider_id, embed.dimension,
+                    provider.provider_id, provider.dimension,
+                )
+                return None
         self._built[version_id] = (code, embed)
         self._last_version = version_id
+        return code, embed
+
+    def build(
+        self, version_id: str, previous: str | None = None, changeset: Changeset | None = None
+    ) -> tuple[CodeIndex, EmbeddingIndex | None]:
+        """Build `version_id`'s indexes, memoize them and save their archives.
+
+        The build is incremental from `previous` when that version's indexes
+        can be looked up (memo or archive), and from scratch otherwise. The
+        changeset from `previous` is diffed from the two trees unless given.
+        """
+        tree = self.resolve_tree(version_id)
+        prev = self._lookup(previous) if previous else None
+        provider = self.embedding_provider
+        if prev is None:
+            code = build_index(tree, self.grammar, version_id)
+            embed = None if provider is None else build_embedding_index(code, provider, self.chunk_limit)
+        elif changeset is None and self.resolve_tree(previous) == tree:
+            # Same tree on disk: relabel rather than rebuild.
+            code = CodeIndex(
+                version_id=version_id,
+                files=prev[0].files,
+                method_locator=prev[0].method_locator,
+            )
+            embed = prev[1]
+        else:
+            if changeset is None:
+                changeset = diff_source_trees(self.resolve_tree(previous), tree)
+            code = update_index(prev[0], changeset, tree, version_id, self.grammar)
+            embed = None
+            if provider is not None:
+                try:
+                    embed = update_embeddings(prev[1], changeset, code, provider, self.chunk_limit)
+                except EmbeddingUpdateError as exc:
+                    logger.error("partial embedding update for %s: %s", version_id, exc)
+                    embed = exc.partial_index
+        self._store(version_id, code, embed)
+        return code, embed
+
+    def _store(self, version_id, code, embed) -> None:
+        self._built[version_id] = (code, embed)
+        self._last_version = version_id
+        archives = self.archive_paths(version_id)
         if archives:
             save_code_index(code, archives[0], self.grammar)
             if embed is not None:

@@ -1,13 +1,18 @@
-"""Small filesystem helpers: every output file is written atomically."""
+"""Small I/O helpers: every output file is written atomically, and every
+remote POST goes through one retry policy."""
 
 from __future__ import annotations
 
 import json
 import os
 import tempfile
+import time
 from pathlib import Path
 
+import requests
+
 SCHEMA_VERSION = 1
+RETRIABLE_STATUS = (408, 409, 429)  # and every 5xx
 
 
 def atomic_write_text(path: str | os.PathLike, text: str) -> None:
@@ -34,3 +39,40 @@ def atomic_write_json(path: str | os.PathLike, obj) -> None:
 def read_json(path: str | os.PathLike):
     with open(path, encoding="utf-8") as handle:
         return json.load(handle)
+
+
+class RequestRejected(Exception):
+    """The endpoint answered with a status that retrying cannot change."""
+
+
+class RetriesExhausted(Exception):
+    """Every attempt ended in a transport error or a retriable status."""
+
+    def __init__(self, attempts: int, cause: str):
+        super().__init__(f"failed after {attempts} attempts: {cause}")
+        self.attempts = attempts
+        self.cause = cause
+
+
+def post_with_retry(session, url: str, payload, timeout: float, attempts: int, delay: float):
+    """POST `payload` as JSON and return the first HTTP 200 response.
+
+    Makes at most `attempts` POSTs. Transport errors, 408/409/429 and 5xx are
+    retried after sleeping `delay * n` seconds following the n-th failure; any
+    other status raises RequestRejected at once.
+    """
+    cause = "unknown"
+    for attempt in range(1, attempts + 1):
+        try:
+            response = session.post(url, json=payload, timeout=timeout)
+        except requests.RequestException as exc:
+            cause = str(exc)
+        else:
+            if response.status_code == 200:
+                return response
+            cause = f"HTTP {response.status_code}"
+            if response.status_code < 500 and response.status_code not in RETRIABLE_STATUS:
+                raise RequestRejected(cause)
+        if attempt < attempts:
+            time.sleep(delay * attempt)
+    raise RetriesExhausted(attempts, cause)

@@ -13,6 +13,7 @@ from bugloc.chat import (
     ChatProviderError,
     ChatTurn,
     RecordingChatProvider,
+    RemoteChatProvider,
     ScriptedChatProvider,
     ToolCall,
     load_replay,
@@ -248,10 +249,37 @@ def test_provider_failure_is_per_bug_failure_not_crash(toolenv):
         def complete(self, messages, tool_schemas, temperature):
             raise ChatProviderError("socket down")
 
-    config = AgentConfig(provider_attempts=2, provider_retry_delay=0.0)
+    config = AgentConfig()
     predictions, transcript = run_localization(make_bug(), toolenv, Failing(), config)
     assert predictions == []
     assert "socket down" in transcript.failure_reason
+
+
+class _StatusSession:
+    """Answers every POST with one HTTP status and counts the POSTs."""
+
+    def __init__(self, status_code):
+        self.headers = {}
+        self.status_code = status_code
+        self.posts = 0
+
+    def post(self, url, json=None, timeout=None):
+        self.posts += 1
+        return self
+
+
+@pytest.mark.parametrize("status, posts", [(500, 3), (401, 1)])
+def test_remote_failure_posts_at_most_max_attempts(toolenv, monkeypatch, status, posts):
+    monkeypatch.setenv("TEST_CHAT_KEY", "secret")
+    session = _StatusSession(status)
+    provider = RemoteChatProvider(
+        "chat-model", "https://api.example", api_key_env="TEST_CHAT_KEY",
+        max_attempts=3, session=session, retry_delay=0.0,
+    )
+    predictions, transcript = run_localization(make_bug(), toolenv, provider, AgentConfig())
+    assert predictions == []
+    assert f"HTTP {status}" in transcript.failure_reason
+    assert session.posts == posts
 
 
 def test_tool_result_char_cap(toolenv):
@@ -344,7 +372,7 @@ def test_recording_provider_produces_replayable_file(tmp_path, toolenv):
 
 def test_scripted_provider_exhaustion_is_provider_error(toolenv):
     provider = ScriptedChatProvider([ChatTurn(tool_call=ToolCall("search_file", {"name": "A"}))])
-    config = AgentConfig(provider_attempts=1)
+    config = AgentConfig()
     predictions, transcript = run_localization(make_bug(), toolenv, provider, config)
     assert predictions == []
     assert "provider" in transcript.failure_reason

@@ -94,6 +94,21 @@ def test_tool_call_response(monkeypatch):
     assert turn.tool_call == ToolCall("search_file", {"name": "A.java"})
 
 
+def test_extra_tool_calls_are_logged_when_dropped(monkeypatch, caplog):
+    calls = [
+        {"function": {"name": name, "arguments": json.dumps({"name": "A.java"})}}
+        for name in ("search_file", "search_method", "get_method_body")
+    ]
+    body = {"choices": [{"message": {"tool_calls": calls}}]}
+    provider, _ = provider_with([_FakeResponse(200, body)], monkeypatch)
+    with caplog.at_level("WARNING", logger="bugloc.chat"):
+        turn = provider.complete(build_prompt(make_bug(), AgentConfig()), tool_schemas(), 1.0)
+    assert turn.tool_call == ToolCall("search_file", {"name": "A.java"})
+    [record] = caplog.records
+    assert "search_method" in record.getMessage()
+    assert "get_method_body" in record.getMessage()
+
+
 def test_retry_then_recover(monkeypatch):
     body = {"choices": [{"message": {"content": "ok"}}]}
     provider, session = provider_with(

@@ -1,5 +1,8 @@
+import json
 import math
 import random
+import sys
+import threading
 
 import pytest
 
@@ -223,6 +226,34 @@ def test_cached_embedder_avoids_refetch(tmp_path):
     provider2 = CachedEmbedder(inner2, cache_file)
     assert provider2.embed("hello world") == first
     assert inner2.batches == 0
+
+
+def test_cached_embedder_concurrent_misses(tmp_path):
+    cache_file = tmp_path / "cache.json"
+    CachedEmbedder(HashingEmbedder(8), cache_file).embed_batch([f"seed {i}" for i in range(3000)])
+    provider = CachedEmbedder(HashingEmbedder(8), cache_file)
+    errors = []
+
+    def work(worker):
+        try:
+            for i in range(30):
+                provider.embed(f"worker {worker} miss {i}")
+        except Exception as exc:  # recorded, so the assertion below names it
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(w,)) for w in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(json.loads(cache_file.read_text(encoding="utf-8"))) == 3120
 
 
 # --- index build / shortlist / update -------------------------------------

@@ -3,6 +3,7 @@ import pytest
 from bugloc.chat import ChatTurn, ScriptedChatProvider
 from bugloc.code_index import build_index
 from bugloc.embedders import HashingEmbedder
+from bugloc.embedding import load_embedding_index
 from bugloc.harness import (
     VersionStore,
     evaluate_technique,
@@ -71,6 +72,20 @@ def test_version_store_archives_cached(tmp_path):
     code, embed = store2.get("v1")
     assert set(code.files) == {"org/A.java", "org/B.java"}
     assert len(embed) > 0
+
+
+def test_version_store_rebuilds_archive_of_another_provider(tmp_path, caplog):
+    root = versioned_repo(tmp_path)
+    cache = tmp_path / "cache"
+    VersionStore(root, embedding_provider=HashingEmbedder(64), cache_dir=cache).get("v1")
+    provider = HashingEmbedder(128)
+    store = VersionStore(root, embedding_provider=provider, cache_dir=cache)
+    with caplog.at_level("WARNING", logger="bugloc.harness"):
+        code, embed = store.get("v1")
+    localizer = EmbeddingLocalizer(provider, top_n=10).fit(code, embed)
+    assert localizer.predict(bugs_for_eval()[0])[0] == "org/A.java"
+    assert "hashing-64" in caplog.text
+    assert load_embedding_index(cache / "v1.embed.jsonl").dimension == 128
 
 
 def bugs_for_eval():
