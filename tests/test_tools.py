@@ -242,3 +242,530 @@ def test_schemas_cover_registered_tools(repo_index):
         GET_METHOD_SIGNATURES,
         GET_METHOD_BODY,
     }
+
+
+# --- characterization: everything a model sees from each tool ------------------
+
+CHARACTERIZED_FILES = {
+    "org/eclipse/ui/JavaElementLabels.java": java_class(
+        "JavaElementLabels", {"updateLabel": "label = compute();", "getLabel": "return label;"}
+    ),
+    "org/apache/Catalina.java": java_class(
+        "Catalina", {"start": "server.begin();", "stop": "server.halt();"}
+    ),
+    "alt/pkg/Catalina.java": java_class("Catalina", {"boot": "init();"}),
+    "org/other/MyLabels.java": java_class("MyLabels", {"paint": "draw();", "render": "paint();"}),
+    "org/view/Shape.java": (
+        "abstract class Shape {\n"
+        "    abstract void render();\n"
+        "    void render(int scale) { draw(scale); }\n"
+        "}\n"
+    ),
+    "org/apache/Pump.java": java_class("Pump", {"stop": "valve.close();", "step": "tick();"}),
+    "broken/Bad.java": "class Bad { int foo( {",
+    "empty/Empty.java": "class Empty { }\n",
+}
+
+# (case id, registry kind, tool name, arguments). Registry kinds: "shortlist"
+# (all five tools, a three-file shortlist), "none" (candidate tool without a
+# shortlist), "empty" (an empty shortlist), "noembed" (no candidate tool).
+CHARACTERIZATION_CASES = [
+    ("file-exact", "shortlist", SEARCH_FILE, {"name": "JavaElementLabels.java"}),
+    ("file-case-insensitive", "shortlist", SEARCH_FILE, {"name": "javaelementlabels.java"}),
+    ("file-substring", "shortlist", SEARCH_FILE, {"name": "Labels"}),
+    ("file-shared-basename", "shortlist", SEARCH_FILE, {"name": "Catalina.java"}),
+    ("file-missing", "shortlist", SEARCH_FILE, {"name": "Missing.java"}),
+    ("file-empty-name", "shortlist", SEARCH_FILE, {"name": ""}),
+    ("file-none-name", "shortlist", SEARCH_FILE, {"name": None}),
+    ("method-exact", "shortlist", SEARCH_METHOD, {"name": "updateLabel"}),
+    ("method-exact-several", "shortlist", SEARCH_METHOD, {"name": "render"}),
+    ("method-fuzzy-several", "shortlist", SEARCH_METHOD, {"name": "rendr"}),
+    ("method-fuzzy-tie", "shortlist", SEARCH_METHOD, {"name": "stap"}),
+    ("method-missing", "shortlist", SEARCH_METHOD, {"name": "zzzzzzzzzz"}),
+    ("candidates-shortlist", "shortlist", GET_CANDIDATE_FILENAMES, {}),
+    ("candidates-no-shortlist", "none", GET_CANDIDATE_FILENAMES, {}),
+    ("candidates-empty-shortlist", "empty", GET_CANDIDATE_FILENAMES, {}),
+    ("candidates-noembed", "noembed", GET_CANDIDATE_FILENAMES, {}),
+    ("sigs-exact", "shortlist", GET_METHOD_SIGNATURES, {"fq_path": "org/apache/Catalina.java"}),
+    ("sigs-basename-fallback", "shortlist", GET_METHOD_SIGNATURES,
+     {"fq_path": "wrong/pkg/JavaElementLabels.java"}),
+    ("sigs-case-insensitive-fallback", "shortlist", GET_METHOD_SIGNATURES,
+     {"fq_path": "org/eclipse/ui/javaelementlabels.java"}),
+    ("sigs-substring-fallback", "shortlist", GET_METHOD_SIGNATURES, {"fq_path": "Shape"}),
+    ("sigs-substring-several", "shortlist", GET_METHOD_SIGNATURES, {"fq_path": "Labels"}),
+    ("sigs-shared-basename", "shortlist", GET_METHOD_SIGNATURES, {"fq_path": "x/Catalina.java"}),
+    ("sigs-missing", "shortlist", GET_METHOD_SIGNATURES, {"fq_path": "No.java"}),
+    ("sigs-unparsable", "shortlist", GET_METHOD_SIGNATURES, {"fq_path": "broken/Bad.java"}),
+    ("sigs-unparsable-fallback", "shortlist", GET_METHOD_SIGNATURES, {"fq_path": "Bad.java"}),
+    ("sigs-no-methods", "shortlist", GET_METHOD_SIGNATURES, {"fq_path": "empty/Empty.java"}),
+    ("sigs-no-methods-fallback", "shortlist", GET_METHOD_SIGNATURES, {"fq_path": "Empty.java"}),
+    ("sigs-none-path", "shortlist", GET_METHOD_SIGNATURES, {"fq_path": None}),
+    ("body-exact", "shortlist", GET_METHOD_BODY,
+     {"method": "start", "fq_path": "org/apache/Catalina.java"}),
+    ("body-abstract-and-overloaded", "shortlist", GET_METHOD_BODY,
+     {"method": "render", "fq_path": "org/view/Shape.java"}),
+    ("body-file-fuzzy", "shortlist", GET_METHOD_BODY,
+     {"method": "strat", "fq_path": "org/apache/Catalina.java"}),
+    ("body-file-fuzzy-overloaded", "shortlist", GET_METHOD_BODY,
+     {"method": "rendr", "fq_path": "org/view/Shape.java"}),
+    ("body-file-fuzzy-tie", "shortlist", GET_METHOD_BODY,
+     {"method": "stap", "fq_path": "org/apache/Pump.java"}),
+    ("body-fallback-exact", "shortlist", GET_METHOD_BODY,
+     {"method": "getLabel", "fq_path": "wrong/JavaElementLabels.java"}),
+    ("body-fallback-fuzzy-merged-note", "shortlist", GET_METHOD_BODY,
+     {"method": "updateLable", "fq_path": "wrong/JavaElementLabels.java"}),
+    ("body-distant-name", "shortlist", GET_METHOD_BODY,
+     {"method": "zzzzzzzzzz", "fq_path": "org/apache/Catalina.java"}),
+    ("body-fallback-distant-name", "shortlist", GET_METHOD_BODY,
+     {"method": "zzzzzzzzzz", "fq_path": "Pump.java"}),
+    ("body-unparsable", "shortlist", GET_METHOD_BODY,
+     {"method": "foo", "fq_path": "broken/Bad.java"}),
+    ("body-no-methods", "shortlist", GET_METHOD_BODY,
+     {"method": "run", "fq_path": "empty/Empty.java"}),
+    ("body-shared-basename", "shortlist", GET_METHOD_BODY,
+     {"method": "start", "fq_path": "x/Catalina.java"}),
+    ("body-missing-file", "shortlist", GET_METHOD_BODY, {"method": "start", "fq_path": "No.java"}),
+    ("body-global-exact-several", "shortlist", GET_METHOD_BODY, {"method": "render"}),
+    ("body-global-exact-overloads", "shortlist", GET_METHOD_BODY, {"method": "stop"}),
+    ("body-global-fuzzy-several", "shortlist", GET_METHOD_BODY, {"method": "rendr"}),
+    ("body-global-fuzzy-tie", "shortlist", GET_METHOD_BODY, {"method": "stap"}),
+    ("body-global-missing", "shortlist", GET_METHOD_BODY, {"method": "zzzzzzzzzz"}),
+    ("body-empty-path-is-global", "shortlist", GET_METHOD_BODY,
+     {"method": "boot", "fq_path": ""}),
+    ("body-none-path-is-global", "shortlist", GET_METHOD_BODY,
+     {"method": "boot", "fq_path": None}),
+    ("dispatch-unknown-tool", "shortlist", "made_up_tool", {}),
+    ("dispatch-unexpected-argument", "shortlist", SEARCH_FILE, {"wrong_arg": "x"}),
+    ("dispatch-missing-argument", "shortlist", GET_METHOD_BODY, {}),
+    ("dispatch-argument-to-candidates", "shortlist", GET_CANDIDATE_FILENAMES, {"k": 3}),
+]
+
+
+def characterization_registries(root):
+    index = build_index(write_tree(root, CHARACTERIZED_FILES), "java", "v1")
+    shortlist = Shortlist(
+        entries=(
+            ("org/apache/Catalina.java", 0.9),
+            ("org/view/Shape.java", 0.5),
+            ("empty/Empty.java", 0.1),
+        ),
+        k=3,
+    )
+    return {
+        "shortlist": make_tool_registry(index, shortlist=shortlist),
+        "none": make_tool_registry(index, shortlist=None),
+        "empty": make_tool_registry(index, shortlist=Shortlist(entries=(), k=3)),
+        "noembed": make_tool_registry(index, include_candidate_tool=False),
+    }
+
+
+@pytest.fixture(scope="module")
+def characterized_registries(tmp_path_factory):
+    return characterization_registries(tmp_path_factory.mktemp("characterized"))
+
+# The exact (ok, payload, note) of each case above: what a model is shown.
+# A refactor of the tools must leave every entry unchanged.
+CHARACTERIZED_RESULTS = {
+    "file-exact": (
+        True,
+        "org/eclipse/ui/JavaElementLabels.java",
+        None,
+    ),
+    "file-case-insensitive": (
+        True,
+        "org/eclipse/ui/JavaElementLabels.java",
+        "matched basename case-insensitively for 'javaelementlabels.java'",
+    ),
+    "file-substring": (
+        True,
+        (
+            "org/eclipse/ui/JavaElementLabels.java\n"
+            "org/other/MyLabels.java"
+        ),
+        "matched 'Labels' as a path substring",
+    ),
+    "file-shared-basename": (
+        True,
+        (
+            "alt/pkg/Catalina.java\n"
+            "org/apache/Catalina.java"
+        ),
+        None,
+    ),
+    "file-missing": (
+        True,
+        "No file matching 'Missing.java' was found.",
+        None,
+    ),
+    "file-empty-name": (
+        True,
+        (
+            "alt/pkg/Catalina.java\n"
+            "broken/Bad.java\n"
+            "empty/Empty.java\n"
+            "org/apache/Catalina.java\n"
+            "org/apache/Pump.java\n"
+            "org/eclipse/ui/JavaElementLabels.java\n"
+            "org/other/MyLabels.java\n"
+            "org/view/Shape.java"
+        ),
+        "matched '' as a path substring",
+    ),
+    "file-none-name": (
+        False,
+        "Tool 'search_file' failed: 'NoneType' object has no attribute 'lower'",
+        None,
+    ),
+    "method-exact": (
+        True,
+        "org/eclipse/ui/JavaElementLabels.java",
+        None,
+    ),
+    "method-exact-several": (
+        True,
+        (
+            "org/other/MyLabels.java\n"
+            "org/view/Shape.java"
+        ),
+        None,
+    ),
+    "method-fuzzy-several": (
+        True,
+        (
+            "No exact definition of 'rendr'. Closest method names:\n"
+            "render - org/other/MyLabels.java\n"
+            "render - org/view/Shape.java"
+        ),
+        "fuzzy-matched from 'rendr'",
+    ),
+    "method-fuzzy-tie": (
+        True,
+        (
+            "No exact definition of 'stap'. Closest method names:\n"
+            "step - org/apache/Pump.java\n"
+            "stop - org/apache/Catalina.java\n"
+            "stop - org/apache/Pump.java\n"
+            "start - org/apache/Catalina.java"
+        ),
+        "fuzzy-matched from 'stap'",
+    ),
+    "method-missing": (
+        True,
+        "No method named 'zzzzzzzzzz' was found in the code base.",
+        None,
+    ),
+    "candidates-shortlist": (
+        True,
+        (
+            "org/apache/Catalina.java\n"
+            "org/view/Shape.java\n"
+            "empty/Empty.java"
+        ),
+        None,
+    ),
+    "candidates-no-shortlist": (
+        False,
+        "Candidate filenames are not available in this run.",
+        None,
+    ),
+    "candidates-empty-shortlist": (
+        True,
+        "The candidate shortlist is empty.",
+        None,
+    ),
+    "candidates-noembed": (
+        False,
+        "Tool 'get_candidate_filenames' is not available in this run.",
+        None,
+    ),
+    "sigs-exact": (
+        True,
+        (
+            "start()\n"
+            "stop()"
+        ),
+        None,
+    ),
+    "sigs-basename-fallback": (
+        True,
+        (
+            "updateLabel()\n"
+            "getLabel()"
+        ),
+        "'wrong/pkg/JavaElementLabels.java' not found; using basename match org/eclipse/ui/JavaElementLabels.java",
+    ),
+    "sigs-case-insensitive-fallback": (
+        True,
+        (
+            "updateLabel()\n"
+            "getLabel()"
+        ),
+        "'org/eclipse/ui/javaelementlabels.java' not found; using basename match org/eclipse/ui/JavaElementLabels.java",
+    ),
+    "sigs-substring-fallback": (
+        True,
+        (
+            "render()\n"
+            "render(int)"
+        ),
+        "'Shape' not found; using basename match org/view/Shape.java",
+    ),
+    "sigs-substring-several": (
+        True,
+        (
+            "Multiple files match that name:\n"
+            "org/eclipse/ui/JavaElementLabels.java\n"
+            "org/other/MyLabels.java"
+        ),
+        "'Labels' not found; listing basename matches",
+    ),
+    "sigs-shared-basename": (
+        True,
+        (
+            "Multiple files match that name:\n"
+            "alt/pkg/Catalina.java\n"
+            "org/apache/Catalina.java"
+        ),
+        "'x/Catalina.java' not found; listing basename matches",
+    ),
+    "sigs-missing": (
+        True,
+        "No file matching 'No.java' was found.",
+        None,
+    ),
+    "sigs-unparsable": (
+        True,
+        "broken/Bad.java could not be parsed; no signatures available.",
+        None,
+    ),
+    "sigs-unparsable-fallback": (
+        True,
+        "broken/Bad.java could not be parsed; no signatures available.",
+        "'Bad.java' not found; using basename match broken/Bad.java",
+    ),
+    "sigs-no-methods": (
+        True,
+        "empty/Empty.java defines no methods.",
+        None,
+    ),
+    "sigs-no-methods-fallback": (
+        True,
+        "empty/Empty.java defines no methods.",
+        "'Empty.java' not found; using basename match empty/Empty.java",
+    ),
+    "sigs-none-path": (
+        False,
+        "Tool 'get_method_signatures_of_a_file' failed: 'NoneType' object has no attribute 'rsplit'",
+        None,
+    ),
+    "body-exact": (
+        True,
+        (
+            "start() in org/apache/Catalina.java:\n"
+            "void start() { server.begin(); }"
+        ),
+        None,
+    ),
+    "body-abstract-and-overloaded": (
+        True,
+        (
+            "render() in org/view/Shape.java:\n"
+            "<abstract method: no body>\n"
+            "\n"
+            "render(int) in org/view/Shape.java:\n"
+            "void render(int scale) { draw(scale); }"
+        ),
+        None,
+    ),
+    "body-file-fuzzy": (
+        True,
+        (
+            "start() in org/apache/Catalina.java:\n"
+            "void start() { server.begin(); }"
+        ),
+        "fuzzy-matched 'strat' to 'start'",
+    ),
+    "body-file-fuzzy-overloaded": (
+        True,
+        (
+            "render() in org/view/Shape.java:\n"
+            "<abstract method: no body>\n"
+            "\n"
+            "render(int) in org/view/Shape.java:\n"
+            "void render(int scale) { draw(scale); }"
+        ),
+        "fuzzy-matched 'rendr' to 'render'",
+    ),
+    "body-file-fuzzy-tie": (
+        True,
+        (
+            "step() in org/apache/Pump.java:\n"
+            "void step() { tick(); }"
+        ),
+        "fuzzy-matched 'stap' to 'step'",
+    ),
+    "body-fallback-exact": (
+        True,
+        (
+            "getLabel() in org/eclipse/ui/JavaElementLabels.java:\n"
+            "void getLabel() { return label; }"
+        ),
+        "'wrong/JavaElementLabels.java' not found; using basename match org/eclipse/ui/JavaElementLabels.java",
+    ),
+    "body-fallback-fuzzy-merged-note": (
+        True,
+        (
+            "updateLabel() in org/eclipse/ui/JavaElementLabels.java:\n"
+            "void updateLabel() { label = compute(); }"
+        ),
+        "'wrong/JavaElementLabels.java' not found; using basename match org/eclipse/ui/JavaElementLabels.java; fuzzy-matched 'updateLable' to 'updateLabel'",
+    ),
+    "body-distant-name": (
+        True,
+        (
+            "No method close to 'zzzzzzzzzz' in org/apache/Catalina.java. Available signatures:\n"
+            "start()\n"
+            "stop()"
+        ),
+        None,
+    ),
+    "body-fallback-distant-name": (
+        True,
+        (
+            "No method close to 'zzzzzzzzzz' in org/apache/Pump.java. Available signatures:\n"
+            "stop()\n"
+            "step()"
+        ),
+        "'Pump.java' not found; using basename match org/apache/Pump.java",
+    ),
+    "body-unparsable": (
+        True,
+        (
+            "No method close to 'foo' in broken/Bad.java. Available signatures:\n"
+            "<none>"
+        ),
+        None,
+    ),
+    "body-no-methods": (
+        True,
+        (
+            "No method close to 'run' in empty/Empty.java. Available signatures:\n"
+            "<none>"
+        ),
+        None,
+    ),
+    "body-shared-basename": (
+        True,
+        (
+            "Multiple files match that name:\n"
+            "alt/pkg/Catalina.java\n"
+            "org/apache/Catalina.java"
+        ),
+        "'x/Catalina.java' not found; listing basename matches",
+    ),
+    "body-missing-file": (
+        True,
+        "No file matching 'No.java' was found.",
+        None,
+    ),
+    "body-global-exact-several": (
+        True,
+        (
+            "render() in org/other/MyLabels.java:\n"
+            "void render() { paint(); }\n"
+            "\n"
+            "render() in org/view/Shape.java:\n"
+            "<abstract method: no body>\n"
+            "\n"
+            "render(int) in org/view/Shape.java:\n"
+            "void render(int scale) { draw(scale); }"
+        ),
+        None,
+    ),
+    "body-global-exact-overloads": (
+        True,
+        (
+            "stop() in org/apache/Catalina.java:\n"
+            "void stop() { server.halt(); }\n"
+            "\n"
+            "stop() in org/apache/Pump.java:\n"
+            "void stop() { valve.close(); }"
+        ),
+        None,
+    ),
+    "body-global-fuzzy-several": (
+        True,
+        (
+            "render() in org/other/MyLabels.java:\n"
+            "void render() { paint(); }\n"
+            "\n"
+            "render() in org/view/Shape.java:\n"
+            "<abstract method: no body>\n"
+            "\n"
+            "render(int) in org/view/Shape.java:\n"
+            "void render(int scale) { draw(scale); }"
+        ),
+        "fuzzy-matched 'rendr' to 'render'",
+    ),
+    "body-global-fuzzy-tie": (
+        True,
+        (
+            "step() in org/apache/Pump.java:\n"
+            "void step() { tick(); }"
+        ),
+        "fuzzy-matched 'stap' to 'step'",
+    ),
+    "body-global-missing": (
+        True,
+        "No method named 'zzzzzzzzzz' was found in the code base.",
+        None,
+    ),
+    "body-empty-path-is-global": (
+        True,
+        (
+            "boot() in alt/pkg/Catalina.java:\n"
+            "void boot() { init(); }"
+        ),
+        None,
+    ),
+    "body-none-path-is-global": (
+        True,
+        (
+            "boot() in alt/pkg/Catalina.java:\n"
+            "void boot() { init(); }"
+        ),
+        None,
+    ),
+    "dispatch-unknown-tool": (
+        False,
+        "Tool 'made_up_tool' is not available in this run.",
+        None,
+    ),
+    "dispatch-unexpected-argument": (
+        False,
+        "Invalid arguments for 'search_file': make_tool_registry.<locals>.search_file() got an unexpected keyword argument 'wrong_arg'",
+        None,
+    ),
+    "dispatch-missing-argument": (
+        False,
+        "Invalid arguments for 'get_method_body': make_tool_registry.<locals>.get_method_body() missing 1 required positional argument: 'method'",
+        None,
+    ),
+    "dispatch-argument-to-candidates": (
+        False,
+        "Invalid arguments for 'get_candidate_filenames': make_tool_registry.<locals>.get_candidate_filenames() got an unexpected keyword argument 'k'",
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "kind,tool,arguments,expected",
+    [
+        pytest.param(kind, tool, arguments, CHARACTERIZED_RESULTS[case_id], id=case_id)
+        for case_id, kind, tool, arguments in CHARACTERIZATION_CASES
+    ],
+)
+def test_tool_results_are_pinned(characterized_registries, kind, tool, arguments, expected):
+    result = characterized_registries[kind].dispatch(tool, dict(arguments))
+    assert (result.ok, result.payload, result.note) == expected
