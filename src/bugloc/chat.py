@@ -16,8 +16,10 @@ from pathlib import Path
 
 import requests
 
+from .code_index import ConfigurationError
 from .ioutil import (
     SCHEMA_VERSION,
+    MalformedResponse,
     RequestRejected,
     RetriesExhausted,
     atomic_write_json,
@@ -149,8 +151,6 @@ class RemoteChatProvider(ChatProvider):
     ):
         api_key = os.environ.get(api_key_env, "")
         if not api_key:
-            from .code_index import ConfigurationError
-
             raise ConfigurationError(
                 f"environment variable {api_key_env} is not set for chat provider {model!r}"
             )
@@ -233,7 +233,7 @@ class RemoteChatProvider(ChatProvider):
         if tool_schemas:
             payload["tools"] = self._wire_tools(tool_schemas)
         try:
-            response = post_with_retry(
+            body = post_with_retry(
                 self._session, f"{self.base_url}/chat/completions", payload,
                 self.timeout, self.max_attempts, self.retry_delay,
             )
@@ -243,7 +243,9 @@ class RemoteChatProvider(ChatProvider):
             ) from None
         except RetriesExhausted as exc:
             raise ChatProviderError(f"chat provider {self.provider_id} {exc}") from None
-        return self._parse(response.json())
+        except MalformedResponse as exc:
+            raise ChatProviderError(f"malformed chat response: {exc}") from None
+        return self._parse(body)
 
     def _parse(self, body) -> ChatTurn:
         try:

@@ -114,6 +114,13 @@ def cmd_index(args) -> int:
         )
     if args.prev_version and not store.archive_paths(args.prev_version)[0].exists():
         raise ConfigurationError(f"no cached index for previous version {args.prev_version}")
+    tree = store.resolve_tree(args.version)
+    if args.prev_version and changeset is None and store.resolve_tree(args.prev_version) == tree:
+        raise ConfigurationError(
+            f"versions {args.prev_version!r} and {args.version!r} both resolve to {tree}, "
+            "so nothing tells what changed between them: pass --changeset, "
+            "or index without --prev-version"
+        )
 
     code, embed = store.build(args.version, previous=args.prev_version, changeset=changeset)
     code_path, embed_path = store.archive_paths(args.version)

@@ -64,9 +64,6 @@ class Changeset:
                     raise ValueError(f"path appears twice in changeset: {path!r}")
                 seen.add(path)
 
-    def is_empty(self) -> bool:
-        return not (self.added or self.modified or self.deleted or self.renamed)
-
 
 @dataclass
 class CodeIndex:

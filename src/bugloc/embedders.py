@@ -18,7 +18,14 @@ from pathlib import Path
 import numpy as np
 import requests
 
-from .ioutil import RequestRejected, RetriesExhausted, atomic_write_text, post_with_retry
+from .code_index import ConfigurationError
+from .ioutil import (
+    MalformedResponse,
+    RequestRejected,
+    RetriesExhausted,
+    atomic_write_text,
+    post_with_retry,
+)
 from .tokens import tokenize
 
 logger = logging.getLogger(__name__)
@@ -107,8 +114,6 @@ class RemoteEmbedder(EmbeddingProvider):
     ):
         api_key = os.environ.get(api_key_env, "")
         if not api_key:
-            from .code_index import ConfigurationError
-
             raise ConfigurationError(
                 f"environment variable {api_key_env} is not set for embedding provider {model!r}"
             )
@@ -132,7 +137,7 @@ class RemoteEmbedder(EmbeddingProvider):
     def _post_batch(self, texts: list[str]) -> list[tuple[float, ...]]:
         payload = {"model": self.model, "input": texts}
         try:
-            response = post_with_retry(
+            body = post_with_retry(
                 self._session, f"{self.base_url}/embeddings", payload,
                 self.timeout, self.max_attempts, self.retry_delay,
             )
@@ -142,7 +147,9 @@ class RemoteEmbedder(EmbeddingProvider):
             ) from None
         except RetriesExhausted as exc:
             raise RetriableProviderError(self.provider_id, exc.attempts, exc.cause) from None
-        return self._parse(response.json(), expected=len(texts))
+        except MalformedResponse as exc:
+            raise ProviderContractError(f"malformed embedding response: {exc}") from None
+        return self._parse(body, expected=len(texts))
 
     def _parse(self, body, expected: int) -> list[tuple[float, ...]]:
         try:
@@ -174,9 +181,8 @@ class CachedEmbedder(EmbeddingProvider):
         self.dimension = inner.dimension
         self.max_batch_size = inner.max_batch_size
         self.cache_path = Path(cache_path) if cache_path else None
-        self.calls_forwarded = 0
         self._cache: dict[str, tuple[float, ...]] = {}
-        self._lock = threading.Lock()  # guards _cache, calls_forwarded and the cache file
+        self._lock = threading.Lock()  # guards _cache and the cache file
         if self.cache_path and self.cache_path.exists():
             raw = json.loads(self.cache_path.read_text(encoding="utf-8"))
             self._cache = {key: tuple(vec) for key, vec in raw.items()}
@@ -193,7 +199,6 @@ class CachedEmbedder(EmbeddingProvider):
             # Outside the lock, so threads wait on the provider concurrently.
             fetched = self.inner.embed_batch([texts[i] for i in missing])
             with self._lock:
-                self.calls_forwarded += 1
                 for i, vec in zip(missing, fetched):
                     self._cache[keys[i]] = vec
                 self._save()

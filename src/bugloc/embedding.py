@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .code_index import Changeset, CodeIndex, file_representation
+from .code_index import ArchiveFormatError, Changeset, CodeIndex, file_representation
 from .embedders import EmbeddingProvider
 from .ioutil import atomic_write_text
 from .tokens import token_spans
@@ -262,8 +262,6 @@ def save_embedding_index(eindex: EmbeddingIndex, path: str | Path) -> None:
 
 
 def load_embedding_index(path: str | Path) -> EmbeddingIndex:
-    from .code_index import ArchiveFormatError
-
     with open(path, encoding="utf-8") as handle:
         try:
             header = json.loads(handle.readline())

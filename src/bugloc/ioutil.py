@@ -45,6 +45,10 @@ class RequestRejected(Exception):
     """The endpoint answered with a status that retrying cannot change."""
 
 
+class MalformedResponse(Exception):
+    """The endpoint answered 200 with a body that is not JSON."""
+
+
 class RetriesExhausted(Exception):
     """Every attempt ended in a transport error or a retriable status."""
 
@@ -55,7 +59,8 @@ class RetriesExhausted(Exception):
 
 
 def post_with_retry(session, url: str, payload, timeout: float, attempts: int, delay: float):
-    """POST `payload` as JSON and return the first HTTP 200 response.
+    """POST `payload` as JSON and return the decoded JSON body of the first
+    HTTP 200 response; a body that is not JSON raises MalformedResponse.
 
     Makes at most `attempts` POSTs. Transport errors, 408/409/429 and 5xx are
     retried after sleeping `delay * n` seconds following the n-th failure; any
@@ -69,7 +74,10 @@ def post_with_retry(session, url: str, payload, timeout: float, attempts: int, d
             cause = str(exc)
         else:
             if response.status_code == 200:
-                return response
+                try:
+                    return response.json()
+                except ValueError as exc:  # requests' JSONDecodeError is a ValueError
+                    raise MalformedResponse(f"HTTP 200 body is not JSON: {exc}") from None
             cause = f"HTTP {response.status_code}"
             if response.status_code < 500 and response.status_code not in RETRIABLE_STATUS:
                 raise RequestRejected(cause)

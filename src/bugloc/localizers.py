@@ -19,7 +19,7 @@ from .embedders import EmbeddingProvider
 from .embedding import EmbeddingIndex, Shortlist, shortlist_files
 from .resolve import resolve_predictions, surviving_paths
 from .tools import GET_CANDIDATE_FILENAMES, TOOL_NAMES, make_tool_registry
-from .validation import check_is_fitted
+from .validation import check_is_fitted, require_bug_text
 from .vsm import VsmModel
 
 logger = logging.getLogger(__name__)
@@ -81,8 +81,6 @@ class VsmLocalizer(BaseLocalizer):
 
     def predict(self, bug) -> list[str]:
         check_is_fitted(self, ("model_",))
-        from .validation import require_bug_text
-
         return [path for path, _ in self.model_.score(require_bug_text(bug))][: self.top_n]
 
 
@@ -144,8 +142,6 @@ class AgentLocalizer(BaseLocalizer):
         temperature: float = 1.0,
         run_seed: str = "",
         tool_result_char_cap: int | None = None,
-        fuzzy_n: int = 5,
-        fuzzy_cap: int | None = None,
     ):
         self.chat_provider = chat_provider
         self.embedding_provider = embedding_provider
@@ -157,8 +153,6 @@ class AgentLocalizer(BaseLocalizer):
         self.temperature = temperature
         self.run_seed = run_seed
         self.tool_result_char_cap = tool_result_char_cap
-        self.fuzzy_n = fuzzy_n
-        self.fuzzy_cap = fuzzy_cap
         self.index_: CodeIndex | None = None
         self.embedding_index_: EmbeddingIndex | None = None
         self.transcripts_: list[AgentTranscript] = []
@@ -207,11 +201,7 @@ class AgentLocalizer(BaseLocalizer):
                 chunk_limit=self.chunk_limit,
             )
         registry = make_tool_registry(
-            self.index_,
-            shortlist=shortlist,
-            include_candidate_tool=self.use_candidate_tool,
-            fuzzy_n=self.fuzzy_n,
-            fuzzy_cap=self.fuzzy_cap,
+            self.index_, shortlist=shortlist, include_candidate_tool=self.use_candidate_tool
         )
         raw, transcript = run_localization(bug, registry, self.chat_provider, self.agent_config())
         self.transcripts_.append(transcript)

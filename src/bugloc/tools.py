@@ -97,22 +97,47 @@ def _match_files(index: CodeIndex, name: str) -> tuple[list[str], str | None]:
 
 
 def _overload_blocks(record: SourceFileRecord, method_name: str) -> list[str]:
-    blocks = []
-    for method in record.methods:
-        if method.name == method_name:
-            body = method.body if method.body else "<abstract method: no body>"
-            blocks.append(f"{method.signature} in {record.fq_path}:\n{body}")
-    return blocks
+    return [
+        f"{m.signature} in {record.fq_path}:\n{m.body or '<abstract method: no body>'}"
+        for m in record.methods
+        if m.name == method_name
+    ]
 
 
 def make_tool_registry(
     index: CodeIndex,
     shortlist: Shortlist | None = None,
     include_candidate_tool: bool = True,
-    fuzzy_n: int = 5,
-    fuzzy_cap: int | None = None,
 ) -> ToolRegistry:
     registry = ToolRegistry()
+
+    def resolve_file(fq_path: str) -> tuple[SourceFileRecord, str | None] | ToolResult:
+        """The record at fq_path, else the one file its basename matches, with
+        a note; when none or several match, the finished result instead."""
+        record = index.files.get(fq_path)
+        if record is not None:
+            return record, None
+        paths, _ = _match_files(index, fq_path.rsplit("/", 1)[-1])
+        if len(paths) == 1:
+            return index.files[paths[0]], f"'{fq_path}' not found; using basename match {paths[0]}"
+        if paths:
+            return ToolResult(
+                ok=True,
+                payload="Multiple files match that name:\n" + "\n".join(paths),
+                note=f"'{fq_path}' not found; listing basename matches",
+            )
+        return ToolResult(ok=True, payload=f"No file matching '{fq_path}' was found.")
+
+    def locate_method(name: str) -> tuple[list[tuple[str, str]], bool] | ToolResult:
+        """(method name, path) pairs defining `name`, else its fuzzy candidates,
+        and whether they are fuzzy; when neither exists, the finished result."""
+        paths = index.method_locator.get(name)
+        if paths:
+            return [(name, path) for path in paths], False
+        candidates = fuzzy_method_candidates(name, index)
+        if candidates:
+            return candidates, True
+        return ToolResult(ok=True, payload=f"No method named '{name}' was found in the code base.")
 
     def search_file(name: str) -> ToolResult:
         paths, note = _match_files(index, name)
@@ -121,21 +146,15 @@ def make_tool_registry(
         return ToolResult(ok=True, payload="\n".join(paths), note=note)
 
     def search_method(name: str) -> ToolResult:
-        paths = index.method_locator.get(name)
-        if paths:
-            return ToolResult(ok=True, payload="\n".join(paths))
-        candidates = fuzzy_method_candidates(name, index, n=fuzzy_n, cap=fuzzy_cap)
-        if not candidates:
-            return ToolResult(
-                ok=True, payload=f"No method named '{name}' was found in the code base."
-            )
+        found = locate_method(name)
+        if isinstance(found, ToolResult):
+            return found
+        matches, fuzzy = found
+        if not fuzzy:
+            return ToolResult(ok=True, payload="\n".join(path for _, path in matches))
         lines = [f"No exact definition of '{name}'. Closest method names:"]
-        lines += [f"{cand} - {path}" for cand, path in candidates]
-        return ToolResult(
-            ok=True,
-            payload="\n".join(lines),
-            note=f"fuzzy-matched from '{name}'",
-        )
+        lines += [f"{cand} - {path}" for cand, path in matches]
+        return ToolResult(ok=True, payload="\n".join(lines), note=f"fuzzy-matched from '{name}'")
 
     def get_candidate_filenames() -> ToolResult:
         if shortlist is None:
@@ -145,59 +164,46 @@ def make_tool_registry(
             return ToolResult(ok=True, payload="The candidate shortlist is empty.")
         return ToolResult(ok=True, payload="\n".join(paths))
 
-    def resolve_file(fq_path: str) -> tuple[SourceFileRecord | None, str | None, list[str]]:
-        record = index.files.get(fq_path)
-        if record is not None:
-            return record, None, []
-        basename = fq_path.rsplit("/", 1)[-1]
-        paths, note = _match_files(index, basename)
-        if len(paths) == 1:
-            return (
-                index.files[paths[0]],
-                f"'{fq_path}' not found; using basename match {paths[0]}",
-                paths,
-            )
-        return None, note, paths
-
     def get_method_signatures_of_a_file(fq_path: str) -> ToolResult:
-        record, note, near = resolve_file(fq_path)
-        if record is None:
-            if near:
-                return ToolResult(
-                    ok=True,
-                    payload="Multiple files match that name:\n" + "\n".join(near),
-                    note=f"'{fq_path}' not found; listing basename matches",
-                )
-            return ToolResult(ok=True, payload=f"No file matching '{fq_path}' was found.")
+        found = resolve_file(fq_path)
+        if isinstance(found, ToolResult):
+            return found
+        record, note = found
         if not record.parse_ok:
-            return ToolResult(
-                ok=True, payload=f"{record.fq_path} could not be parsed; no signatures available.",
-                note=note,
-            )
-        if not record.methods:
-            return ToolResult(ok=True, payload=f"{record.fq_path} defines no methods.", note=note)
-        return ToolResult(
-            ok=True, payload="\n".join(m.signature for m in record.methods), note=note
-        )
+            payload = f"{record.fq_path} could not be parsed; no signatures available."
+        elif not record.methods:
+            payload = f"{record.fq_path} defines no methods."
+        else:
+            payload = "\n".join(m.signature for m in record.methods)
+        return ToolResult(ok=True, payload=payload, note=note)
 
-    def body_from_file(record: SourceFileRecord, method: str, note: str | None) -> ToolResult:
+    def get_method_body(method: str, fq_path: str | None = None) -> ToolResult:
+        found = resolve_file(fq_path) if fq_path else locate_method(method)
+        if isinstance(found, ToolResult):
+            return found
+        if not fq_path:
+            matches, fuzzy = found
+            best = matches[0][0]
+            blocks = []
+            for name, path in matches:
+                if name == best:
+                    blocks.extend(_overload_blocks(index.files[path], best))
+            note = f"fuzzy-matched '{method}' to '{best}'" if fuzzy else None
+            return ToolResult(ok=True, payload="\n\n".join(blocks), note=note)
+        record, note = found
         blocks = _overload_blocks(record, method)
         if blocks:
             return ToolResult(ok=True, payload="\n\n".join(blocks), note=note)
-        names = sorted({m.name for m in record.methods})
-        cap = fuzzy_cap if fuzzy_cap is not None else default_distance_cap(method)
-        scored = sorted(
-            (damerau_levenshtein(method, name), name) for name in names
-        )
-        near = [name for distance, name in scored if distance <= cap]
-        if near:
-            best = near[0]
-            merged = f"fuzzy-matched '{method}' to '{best}'"
-            if note:
-                merged = f"{note}; {merged}"
-            return ToolResult(
-                ok=True, payload="\n\n".join(_overload_blocks(record, best)), note=merged
-            )
+        names = {m.name for m in record.methods}
+        if names:
+            distance, best = min((damerau_levenshtein(method, name), name) for name in names)
+            if distance <= default_distance_cap(method):
+                fuzzy_note = f"fuzzy-matched '{method}' to '{best}'"
+                return ToolResult(
+                    ok=True,
+                    payload="\n\n".join(_overload_blocks(record, best)),
+                    note=f"{note}; {fuzzy_note}" if note else fuzzy_note,
+                )
         available = "\n".join(m.signature for m in record.methods) or "<none>"
         return ToolResult(
             ok=True,
@@ -206,40 +212,6 @@ def make_tool_registry(
                 f"Available signatures:\n{available}"
             ),
             note=note,
-        )
-
-    def get_method_body(method: str, fq_path: str | None = None) -> ToolResult:
-        if fq_path:
-            record, note, near = resolve_file(fq_path)
-            if record is None:
-                if near:
-                    return ToolResult(
-                        ok=True,
-                        payload="Multiple files match that name:\n" + "\n".join(near),
-                        note=f"'{fq_path}' not found; listing basename matches",
-                    )
-                return ToolResult(ok=True, payload=f"No file matching '{fq_path}' was found.")
-            return body_from_file(record, method, note)
-        # Global lookup by method name.
-        paths = index.method_locator.get(method)
-        if paths:
-            blocks = []
-            for path in paths:
-                blocks.extend(_overload_blocks(index.files[path], method))
-            return ToolResult(ok=True, payload="\n\n".join(blocks))
-        candidates = fuzzy_method_candidates(method, index, n=fuzzy_n, cap=fuzzy_cap)
-        if not candidates:
-            return ToolResult(
-                ok=True, payload=f"No method named '{method}' was found in the code base."
-            )
-        best_name = candidates[0][0]
-        blocks = []
-        for _, path in [c for c in candidates if c[0] == best_name]:
-            blocks.extend(_overload_blocks(index.files[path], best_name))
-        return ToolResult(
-            ok=True,
-            payload="\n\n".join(blocks),
-            note=f"fuzzy-matched '{method}' to '{best_name}'",
         )
 
     registry.register(

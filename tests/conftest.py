@@ -6,6 +6,7 @@ import json
 from pathlib import Path
 
 import pytest
+import requests
 
 from bugloc.code_index import build_index
 from bugloc.dataset import BugReport
@@ -39,6 +40,14 @@ def two_file_repo(tmp_path):
     }
     root = write_tree(tmp_path / "repo", files)
     return build_index(root, "java", "v1"), root
+
+
+def html_response() -> requests.Response:
+    """An HTTP 200 whose body is not JSON, as a misrouted proxy sends it."""
+    response = requests.Response()
+    response.status_code = 200
+    response._content = b"<html><body>502 Bad Gateway</body></html>"
+    return response
 
 
 def make_bug(bug_id="bug-1", summary="a bug", description="it breaks", version="v1", truth=()):

@@ -23,7 +23,7 @@ from bugloc.code_index import build_index
 from bugloc.embedding import Shortlist
 from bugloc.tools import GET_CANDIDATE_FILENAMES, make_tool_registry
 from bugloc.validation import InputValidationError
-from conftest import final_answer, java_class, make_bug, write_tree
+from conftest import final_answer, html_response, java_class, make_bug, write_tree
 
 
 @pytest.fixture
@@ -280,6 +280,25 @@ def test_remote_failure_posts_at_most_max_attempts(toolenv, monkeypatch, status,
     assert predictions == []
     assert f"HTTP {status}" in transcript.failure_reason
     assert session.posts == posts
+
+
+class _HtmlSession(_StatusSession):
+    def post(self, url, json=None, timeout=None):
+        self.posts += 1
+        return html_response()
+
+
+def test_remote_non_json_body_is_per_bug_failure(toolenv, monkeypatch):
+    monkeypatch.setenv("TEST_CHAT_KEY", "secret")
+    session = _HtmlSession(200)
+    provider = RemoteChatProvider(
+        "chat-model", "https://api.example", api_key_env="TEST_CHAT_KEY",
+        session=session, retry_delay=0.0,
+    )
+    predictions, transcript = run_localization(make_bug(), toolenv, provider, AgentConfig())
+    assert predictions == []
+    assert "not JSON" in transcript.failure_reason
+    assert session.posts == 1
 
 
 def test_tool_result_char_cap(toolenv):

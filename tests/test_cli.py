@@ -154,6 +154,27 @@ def test_cmd_index_incremental_update(workspace):
     assert ("org/new/Fresh.java", 0) in v2_embed.records
 
 
+def test_cmd_index_flat_repo_prev_version_needs_changeset(workspace, capsys):
+    out = workspace / "out"
+    flat = workspace / "repo" / "v1"  # one tree, no per-version subdirectories
+    assert run_cli(
+        "index", "--repo", flat, "--version", "v1", "--mode", "embedding_only", "--out", out
+    ) == 0
+    write_tree(flat, {"org/B.java": java_class("B", {"go": "run();"})})
+    capsys.readouterr()
+    assert run_cli(
+        "index", "--repo", flat, "--version", "v2", "--prev-version", "v1",
+        "--mode", "embedding_only", "--out", out,
+    ) == 2
+    err = capsys.readouterr().err
+    assert "--changeset" in err and "without --prev-version" in err
+    assert not (out / "index-cache" / "v2.code.jsonl").exists()
+    assert run_cli(
+        "index", "--repo", flat, "--version", "v2", "--mode", "embedding_only", "--out", out
+    ) == 0
+    assert "org/B.java" in load_code_index(out / "index-cache" / "v2.code.jsonl").files
+
+
 # --- localize ----------------------------------------------------------------------
 
 

@@ -26,7 +26,7 @@ from bugloc.embedding import (
 )
 from bugloc.tokens import tokenize
 from bugloc.validation import InputValidationError
-from conftest import java_class, make_bug, write_tree
+from conftest import html_response, java_class, make_bug, write_tree
 
 
 # --- chunking -------------------------------------------------------------
@@ -200,6 +200,17 @@ def test_remote_embedder_dimension_mismatch_is_contract_error(monkeypatch):
     )
     with pytest.raises(ProviderContractError):
         provider.embed_batch(["x"])
+
+
+def test_remote_embedder_non_json_body_is_contract_error(monkeypatch):
+    monkeypatch.setenv("TEST_EMBED_KEY", "k")
+    session = _FakeSession([html_response()])
+    provider = RemoteEmbedder(
+        "m", 2, "https://api.example", api_key_env="TEST_EMBED_KEY", session=session
+    )
+    with pytest.raises(ProviderContractError, match="not JSON"):
+        provider.embed_batch(["x"])
+    assert session.calls == 1
 
 
 def test_cached_embedder_avoids_refetch(tmp_path):
