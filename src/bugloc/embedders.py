@@ -74,24 +74,30 @@ class HashingEmbedder(EmbeddingProvider):
             raise ValueError("dimension must be >= 1")
         self.dimension = dimension
         self.provider_id = f"hashing-{dimension}"
+        # token -> (bucket, sign); entries are pure functions of the token, so
+        # threads that race on one only ever write the same value
+        self._buckets: dict[str, tuple[int, float]] = {}
 
     def _bucket(self, token: str) -> tuple[int, float]:
-        digest = hashlib.md5(token.encode("utf-8")).digest()
-        bucket = int.from_bytes(digest[:4], "big") % self.dimension
-        sign = 1.0 if digest[4] & 1 else -1.0
-        return bucket, sign
+        hit = self._buckets.get(token)
+        if hit is None:
+            digest = hashlib.md5(token.lower().encode("utf-8")).digest()
+            bucket = int.from_bytes(digest[:4], "big") % self.dimension
+            hit = self._buckets[token] = (bucket, 1.0 if digest[4] & 1 else -1.0)
+        return hit
 
     def embed_batch(self, texts: list[str]) -> list[tuple[float, ...]]:
         out = []
         for text in texts:
-            vec = np.zeros(self.dimension, dtype=np.float64)
-            for token in tokenize(text):
-                bucket, sign = self._bucket(token.lower())
-                vec[bucket] += sign
+            pairs = np.array([self._bucket(token) for token in tokenize(text)]).reshape(-1, 2)
+            # sums of +-1.0 are exact integers, so the order of adding is free
+            vec = np.bincount(
+                pairs[:, 0].astype(np.intp), weights=pairs[:, 1], minlength=self.dimension
+            ).astype(np.float64, copy=False)
             norm = float(np.linalg.norm(vec))
             if norm > 0.0:
                 vec /= norm
-            out.append(tuple(float(x) for x in vec))
+            out.append(tuple(vec.tolist()))
         return out
 
 

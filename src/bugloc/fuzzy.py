@@ -7,6 +7,8 @@ twice (so d("ca","abc") is 3, where unrestricted Damerau-Levenshtein gives 2).
 
 from __future__ import annotations
 
+import numpy as np
+
 from .code_index import CodeIndex
 
 
@@ -36,17 +38,59 @@ def default_distance_cap(query: str) -> int:
     return max(2, -(-len(query) // 4))
 
 
+def osa_distances(query: str, names: list[str]) -> np.ndarray:
+    """OSA distance from query to each of names, equal to damerau_levenshtein.
+
+    The names are one padded int32 code-point matrix; the recurrence runs one
+    query character (DP row) at a time over all names at once, and each
+    name's distance is read at its own length column. Columns past a name's
+    end only ever feed columns further right, so padding never leaks in.
+    """
+    lengths = np.fromiter(map(len, names), dtype=np.intp, count=len(names))
+    width = int(lengths.max(initial=0))
+    codes = np.full((len(names), width), -1, dtype=np.int32)
+    # utf-32 gives one unit per code point, as len() counts them; a lone
+    # surrogate (possible in JSON-decoded text) is kept as its own code point
+    flat = "".join(names).encode("utf-32-le", "surrogatepass")
+    codes[np.arange(width) < lengths[:, None]] = np.frombuffer(flat, dtype="<i4")
+    columns = np.arange(width + 1, dtype=np.int32)
+    prev = np.tile(columns, (len(names), 1))
+    prev2 = prev_match = None
+    for i, char in enumerate(query, 1):
+        match = codes == ord(char)
+        cur = np.empty_like(prev)
+        cur[:, 0] = i
+        # deletion and substitution (cost 0 where the characters match)
+        np.minimum(prev[:, 1:] + 1, prev[:, :-1] + ~match, out=cur[:, 1:])
+        if prev_match is not None:
+            # adjacent transposition: query[i-2:i] == reversed name[j-2:j]
+            swap = match[:, :-1] & prev_match[:, 1:]
+            np.minimum(cur[:, 2:], prev2[:, :-2] + 1, out=cur[:, 2:], where=swap)
+        # insertion chain cur[j] = min(cur[j], cur[j-1] + 1), as a running minimum
+        cur = np.minimum.accumulate(cur - columns, axis=1) + columns
+        prev2, prev, prev_match = prev, cur, match
+    return prev[np.arange(len(names)), lengths]
+
+
 def fuzzy_method_candidates(
     query: str, index: CodeIndex, n: int = 5, cap: int | None = None
 ) -> list[tuple[str, str]]:
     """(method name, fq_path) pairs within edit distance cap of the query,
-    sorted by (distance, name, path) and truncated to n."""
+    sorted by (distance, name, path) and truncated to n.
+
+    Only names whose length is within cap of the query's are scored: the
+    length difference is a lower bound on the distance.
+    """
     if cap is None:
         cap = default_distance_cap(query)
-    scored: list[tuple[int, str, str]] = []
-    for name, paths in index.method_locator.items():
-        distance = damerau_levenshtein(query, name)
-        if distance <= cap:
-            scored.extend((distance, name, path) for path in paths)
+    names = [name for name in index.method_locator if abs(len(name) - len(query)) <= cap]
+    if not names:
+        return []
+    distances = osa_distances(query, names)
+    scored = [
+        (int(distances[k]), names[k], path)
+        for k in np.flatnonzero(distances <= cap)
+        for path in index.method_locator[names[k]]
+    ]
     scored.sort()
     return [(name, path) for _, name, path in scored[:n]]

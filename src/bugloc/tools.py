@@ -71,6 +71,9 @@ class ToolRegistry:
         fn = self._bindings.get(name)
         if fn is None:
             return ToolResult(ok=False, payload=f"Tool '{name}' is not available in this run.")
+        problem = self._mistyped(name, arguments)
+        if problem:
+            return ToolResult(ok=False, payload=f"Invalid arguments for '{name}': {problem}")
         try:
             return fn(**arguments)
         except TypeError as exc:
@@ -79,10 +82,26 @@ class ToolRegistry:
             logger.exception("tool %s failed", name)
             return ToolResult(ok=False, payload=f"Tool '{name}' failed: {exc}")
 
+    def _mistyped(self, name: str, arguments: dict) -> str | None:
+        """Why a value given for a string parameter of the schema is not a
+        string; an optional parameter given as null counts as absent."""
+        schema = self._schemas[name]
+        for key, value in arguments.items():
+            spec = schema["parameters"].get(key)
+            if spec is None or spec["type"] != "string" or isinstance(value, str):
+                continue
+            if value is None and key not in schema["required"]:
+                continue
+            return f"'{key}' must be a string, not {type(value).__name__}"
+        return None
+
 
 def _match_files(index: CodeIndex, name: str) -> tuple[list[str], str | None]:
     """search_file cascade: exact basename, then case-insensitive basename,
-    then substring of the full path. Returns (paths, fallback note)."""
+    then substring of the full path. Returns (paths, fallback note); an empty
+    name matches nothing."""
+    if not name:
+        return [], None
     exact = sorted(p for p, r in index.files.items() if r.basename == name)
     if exact:
         return exact, None

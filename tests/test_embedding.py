@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -134,6 +135,36 @@ def test_hashing_embedder_vectors_finite_and_normalized():
     vec = provider.embed("alpha beta gamma")
     assert all(math.isfinite(x) for x in vec)
     assert math.isclose(sum(x * x for x in vec), 1.0, rel_tol=1e-9)
+
+
+def _reference_hashing_vector(text: str, dimension: int) -> tuple[float, ...]:
+    """The embedder's definition, one MD5 per token and one add per token."""
+    vec = [0.0] * dimension
+    for token in tokenize(text):
+        digest = hashlib.md5(token.lower().encode("utf-8")).digest()
+        vec[int.from_bytes(digest[:4], "big") % dimension] += 1.0 if digest[4] & 1 else -1.0
+    norm = math.sqrt(sum(x * x for x in vec))
+    return tuple(x / norm for x in vec) if norm > 0.0 else tuple(vec)
+
+
+HASHING_TEXTS = [
+    "",
+    "{ ; }",
+    "void zoomOut() { scale(); }",
+    "Zoom zoom ZOOM zoomOut zoomout",
+    "alpha beta alpha gamma beta alpha",
+    "naïve café 😀 Ünïcode tokens",
+    " ".join(f"token{i % 37}" for i in range(600)),
+]
+
+
+def test_hashing_embedder_bits_independent_of_memo():
+    warm = HashingEmbedder(dimension=16)
+    warm.embed_batch(["zoom alpha unrelated words", "café token3 token5"])
+    fresh = HashingEmbedder(dimension=16).embed_batch(HASHING_TEXTS)
+    # repr tells 0.0 from 0 and -0.0, and shows every bit of a float
+    assert repr(warm.embed_batch(HASHING_TEXTS)) == repr(fresh)
+    assert repr(fresh) == repr([_reference_hashing_vector(t, 16) for t in HASHING_TEXTS])
 
 
 # --- remote embedder (fault injection) ------------------------------------

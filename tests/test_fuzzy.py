@@ -1,8 +1,16 @@
 import itertools
 import random
 
-from bugloc.code_index import build_index
-from bugloc.fuzzy import damerau_levenshtein, default_distance_cap, fuzzy_method_candidates
+import pytest
+
+import bugloc.fuzzy
+from bugloc.code_index import CodeIndex, build_index
+from bugloc.fuzzy import (
+    damerau_levenshtein,
+    default_distance_cap,
+    fuzzy_method_candidates,
+    osa_distances,
+)
 from conftest import java_class, write_tree
 from oracles import osa_distance_oracle
 
@@ -95,3 +103,105 @@ def test_candidates_sorted_and_truncated(tmp_path):
     distances = [damerau_levenshtein("nam0", name) for name, _ in candidates]
     assert distances == sorted(distances)
     assert candidates[0][0] == "nam0"
+
+
+# --- the vectorized kernel against the scalar DP ----------------------------
+
+AB_STRINGS = ["".join(p) for length in range(5) for p in itertools.product("ab", repeat=length)]
+
+
+def test_kernel_matches_scalar_on_all_short_ab_pairs():
+    for query in AB_STRINGS:
+        expected = [damerau_levenshtein(query, name) for name in AB_STRINGS]
+        assert osa_distances(query, AB_STRINGS).tolist() == expected, query
+
+
+def test_kernel_matches_scalar_on_random_unicode():
+    rng = random.Random(23)
+    # non-ASCII, astral (one code point, two UTF-16 units) and a lone surrogate
+    alphabet = ["a", "b", "c", "é", "ß", "😀", "𝔘", "\ud800"]
+
+    def word():
+        return "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 9)))
+
+    for _ in range(400):
+        query = word()
+        names = [word() for _ in range(rng.randint(1, 8))] + [""]
+        expected = [damerau_levenshtein(query, name) for name in names]
+        assert osa_distances(query, names).tolist() == expected, (query, names)
+
+
+# --- fuzzy_method_candidates against a brute-force reference ---------------
+
+
+def reference_candidates(query, locator, n=5, cap=None):
+    if cap is None:
+        cap = default_distance_cap(query)
+    scored = sorted(
+        (damerau_levenshtein(query, name), name, path)
+        for name, paths in locator.items()
+        for path in paths
+    )
+    return [(name, path) for distance, name, path in scored if distance <= cap][:n]
+
+
+@pytest.fixture(scope="module")
+def synthetic_index():
+    rng = random.Random(7)
+    stems = ["render", "update", "stop", "step", "getLabel", "setLabel", "paint"]
+    locator: dict[str, set[str]] = {}
+    for _ in range(300):
+        name = rng.choice(stems)
+        for _ in range(rng.randint(0, 2)):  # a few random edits
+            k = rng.randrange(len(name) + 1)
+            name = name[:k] + rng.choice("aeiopst") + name[k + 1:]
+        path = f"p{rng.randrange(6)}/C{rng.randrange(4)}.java"
+        locator.setdefault(name, set()).add(path)
+    # distance ties across several names, each defined in several paths
+    for name in ("stap", "stip", "stup"):
+        locator.setdefault(name, set()).update({"z/A.java", "a/Z.java", "m/M.java"})
+    locator = {name: tuple(sorted(paths)) for name, paths in sorted(locator.items())}
+    return CodeIndex(version_id="v0", method_locator=locator)
+
+
+FUZZY_QUERIES = [
+    ("stop", {}),
+    ("stop", {"n": 50}),
+    ("stap", {"n": 1}),
+    ("stxp", {"n": 12}),
+    ("rendr", {}),
+    ("updaet", {"n": 20}),
+    ("getLable", {"n": 3, "cap": 3}),
+    ("render", {"cap": 0}),
+    ("stap", {"cap": 0, "n": 10}),
+    ("", {}),
+    ("", {"cap": 4, "n": 100}),
+    ("thisQueryIsLongerThanEveryMethodName", {}),
+    ("thisQueryIsLongerThanEveryMethodName", {"cap": 40, "n": 7}),
+    ("😀ender", {"n": 8}),
+]
+
+
+@pytest.mark.parametrize("query,kwargs", FUZZY_QUERIES)
+def test_candidates_equal_brute_force(synthetic_index, query, kwargs):
+    expected = reference_candidates(query, synthetic_index.method_locator, **kwargs)
+    assert fuzzy_method_candidates(query, synthetic_index, **kwargs) == expected
+
+
+def test_synthetic_index_exercises_ties_and_truncation(synthetic_index):
+    locator = synthetic_index.method_locator
+    ties = reference_candidates("stxp", locator, n=1000)
+    distances = [damerau_levenshtein("stxp", name) for name, _ in ties]
+    assert distances.count(1) >= 9  # stap, stip, stup in three paths each, at least
+    assert len(reference_candidates("stop", locator, n=1000)) > 5
+    assert reference_candidates("thisQueryIsLongerThanEveryMethodName", locator) == []
+
+
+def test_candidates_never_call_the_scalar_distance(synthetic_index, monkeypatch):
+    expected = reference_candidates("updaet", synthetic_index.method_locator, n=20)
+
+    def scalar_distance(a, b):
+        raise AssertionError("fuzzy_method_candidates fell back to the per-name DP")
+
+    monkeypatch.setattr(bugloc.fuzzy, "damerau_levenshtein", scalar_distance)
+    assert fuzzy_method_candidates("updaet", synthetic_index, n=20) == expected

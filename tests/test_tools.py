@@ -300,6 +300,7 @@ CHARACTERIZATION_CASES = [
     ("sigs-no-methods", "shortlist", GET_METHOD_SIGNATURES, {"fq_path": "empty/Empty.java"}),
     ("sigs-no-methods-fallback", "shortlist", GET_METHOD_SIGNATURES, {"fq_path": "Empty.java"}),
     ("sigs-none-path", "shortlist", GET_METHOD_SIGNATURES, {"fq_path": None}),
+    ("sigs-trailing-slash", "shortlist", GET_METHOD_SIGNATURES, {"fq_path": "org/apache/"}),
     ("body-exact", "shortlist", GET_METHOD_BODY,
      {"method": "start", "fq_path": "org/apache/Catalina.java"}),
     ("body-abstract-and-overloaded", "shortlist", GET_METHOD_BODY,
@@ -325,6 +326,8 @@ CHARACTERIZATION_CASES = [
     ("body-shared-basename", "shortlist", GET_METHOD_BODY,
      {"method": "start", "fq_path": "x/Catalina.java"}),
     ("body-missing-file", "shortlist", GET_METHOD_BODY, {"method": "start", "fq_path": "No.java"}),
+    ("body-trailing-slash", "shortlist", GET_METHOD_BODY,
+     {"method": "start", "fq_path": "org/apache/"}),
     ("body-global-exact-several", "shortlist", GET_METHOD_BODY, {"method": "render"}),
     ("body-global-exact-overloads", "shortlist", GET_METHOD_BODY, {"method": "stop"}),
     ("body-global-fuzzy-several", "shortlist", GET_METHOD_BODY, {"method": "rendr"}),
@@ -399,21 +402,12 @@ CHARACTERIZED_RESULTS = {
     ),
     "file-empty-name": (
         True,
-        (
-            "alt/pkg/Catalina.java\n"
-            "broken/Bad.java\n"
-            "empty/Empty.java\n"
-            "org/apache/Catalina.java\n"
-            "org/apache/Pump.java\n"
-            "org/eclipse/ui/JavaElementLabels.java\n"
-            "org/other/MyLabels.java\n"
-            "org/view/Shape.java"
-        ),
-        "matched '' as a path substring",
+        "No file matching '' was found.",
+        None,
     ),
     "file-none-name": (
         False,
-        "Tool 'search_file' failed: 'NoneType' object has no attribute 'lower'",
+        "Invalid arguments for 'search_file': 'name' must be a string, not NoneType",
         None,
     ),
     "method-exact": (
@@ -555,7 +549,12 @@ CHARACTERIZED_RESULTS = {
     ),
     "sigs-none-path": (
         False,
-        "Tool 'get_method_signatures_of_a_file' failed: 'NoneType' object has no attribute 'rsplit'",
+        "Invalid arguments for 'get_method_signatures_of_a_file': 'fq_path' must be a string, not NoneType",
+        None,
+    ),
+    "sigs-trailing-slash": (
+        True,
+        "No file matching 'org/apache/' was found.",
         None,
     ),
     "body-exact": (
@@ -666,6 +665,11 @@ CHARACTERIZED_RESULTS = {
     "body-missing-file": (
         True,
         "No file matching 'No.java' was found.",
+        None,
+    ),
+    "body-trailing-slash": (
+        True,
+        "No file matching 'org/apache/' was found.",
         None,
     ),
     "body-global-exact-several": (
