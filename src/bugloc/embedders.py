@@ -3,7 +3,9 @@
 HashingEmbedder is the deterministic in-process provider used by tests and
 offline runs; RemoteEmbedder talks to an HTTPS batch endpoint; CachedEmbedder
 wraps any provider with a persistent (provider_id, content-hash) cache so
-re-runs cost zero provider calls.
+re-runs cost zero provider calls. The cache file is one JSON object, rewritten
+atomically once per provider call that misses; only the new entries are
+encoded, and appended to the file's text kept in memory.
 """
 
 from __future__ import annotations
@@ -188,10 +190,12 @@ class CachedEmbedder(EmbeddingProvider):
         self.max_batch_size = inner.max_batch_size
         self.cache_path = Path(cache_path) if cache_path else None
         self._cache: dict[str, tuple[float, ...]] = {}
-        self._lock = threading.Lock()  # guards _cache and the cache file
+        self._text = ["{"]  # the cache file's text, in pieces, without its closing "}"
+        self._lock = threading.Lock()  # guards _cache, _text and the cache file
         if self.cache_path and self.cache_path.exists():
-            raw = json.loads(self.cache_path.read_text(encoding="utf-8"))
-            self._cache = {key: tuple(vec) for key, vec in raw.items()}
+            text = self.cache_path.read_text(encoding="utf-8")
+            self._cache = {key: tuple(vec) for key, vec in json.loads(text).items()}
+            self._text = [text.rstrip()[:-1]]
 
     def _key(self, text: str) -> str:
         digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -200,21 +204,23 @@ class CachedEmbedder(EmbeddingProvider):
     def embed_batch(self, texts: list[str]) -> list[tuple[float, ...]]:
         keys = [self._key(t) for t in texts]
         with self._lock:
-            missing = [i for i, key in enumerate(keys) if key not in self._cache]
+            missing = {key: text for key, text in zip(keys, texts) if key not in self._cache}
         if missing:
             # Outside the lock, so threads wait on the provider concurrently.
-            fetched = self.inner.embed_batch([texts[i] for i in missing])
+            fetched = self.inner.embed_batch(list(missing.values()))
             with self._lock:
-                for i, vec in zip(missing, fetched):
-                    self._cache[keys[i]] = vec
-                self._save()
+                # Another thread may have cached some of these meanwhile.
+                new = [(key, vec) for key, vec in zip(missing, fetched) if key not in self._cache]
+                self._cache.update(new)
+                if new and self.cache_path is not None:
+                    self._save(new)
         with self._lock:
             return [self._cache[key] for key in keys]
 
-    def _save(self) -> None:
-        if self.cache_path is None:
-            return
-        atomic_write_text(
-            self.cache_path,
-            json.dumps({key: list(vec) for key, vec in self._cache.items()}),
-        )
+    def _save(self, new: list[tuple[str, tuple[float, ...]]]) -> None:
+        """Append `new`, the entries just added to the cache, to the text and
+        rewrite the file; the caller holds the lock."""
+        encoded = ", ".join(f"{json.dumps(key)}: {json.dumps(list(vec))}" for key, vec in new)
+        earlier = len(self._cache) > len(new)  # entries before these need a separator
+        self._text.append(f", {encoded}" if earlier else encoded)
+        atomic_write_text(self.cache_path, *self._text, "}")

@@ -2,7 +2,10 @@
 
 File representations are split into token-bounded chunks, embedded, and
 queried with a bug report; a file's score is the maximum cosine similarity
-over its chunks. Incremental updates mirror a from-scratch build.
+over its chunks. Incremental updates mirror a from-scratch build: the chunks
+of every refreshed file go to the provider in one call, and only if that call
+fails is each file sent on its own, so failures are still told per file. An
+index records the chunk limit it was built with, and so does its archive.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ class EmbeddingRecord:
 class EmbeddingIndex:
     dimension: int
     provider_id: str
+    chunk_limit: int | None = None  # None: unknown, as in archives written before it was recorded
     records: dict[tuple[str, int], EmbeddingRecord] = field(default_factory=dict)
 
     def add(self, record: EmbeddingRecord) -> None:
@@ -145,7 +149,7 @@ def _file_chunks(index: CodeIndex, fq_path: str, chunk_limit: int) -> list[Chunk
 def build_embedding_index(
     index: CodeIndex, provider: EmbeddingProvider, chunk_limit: int = DEFAULT_CHUNK_LIMIT
 ) -> EmbeddingIndex:
-    eindex = EmbeddingIndex(dimension=provider.dimension, provider_id=provider.provider_id)
+    eindex = EmbeddingIndex(provider.dimension, provider.provider_id, chunk_limit)
     all_chunks: list[Chunk] = []
     for fq_path in index.sorted_paths():
         all_chunks.extend(_file_chunks(index, fq_path, chunk_limit))
@@ -164,27 +168,41 @@ def update_embeddings(
     """Re-embed only what the changeset touched; untouched records carry over
     verbatim. `index` must already reflect the post-changeset repository.
 
-    Per-file provider failures are collected; if any occurred, an
-    EmbeddingUpdateError carrying the partial index is raised.
+    The refreshed files are embedded in one provider call. If it fails, each
+    file is retried in a call of its own; those failures are collected and, if
+    any occurred, an EmbeddingUpdateError carrying the partial index is raised.
     """
     changeset.validate()
-    out = EmbeddingIndex(dimension=eindex.dimension, provider_id=eindex.provider_id)
+    out = EmbeddingIndex(eindex.dimension, eindex.provider_id, chunk_limit)
     stale = set(changeset.deleted) | {old for old, _ in changeset.renamed}
     refresh = set(changeset.added) | set(changeset.modified) | {new for _, new in changeset.renamed}
     for key, record in eindex.records.items():
         if key[0] not in stale and key[0] not in refresh:
             out.records[key] = record
 
-    failures: dict[str, str] = {}
+    chunks: dict[str, list[Chunk]] = {}
     for fq_path in sorted(refresh):
         if fq_path not in index.files:
             logger.error("changeset path missing from code index, skipped: %s", fq_path)
             continue
+        chunks[fq_path] = _file_chunks(index, fq_path, chunk_limit)
+    failures: dict[str, str] = {}
+    records: list[EmbeddingRecord] = []
+    if chunks:
         try:
-            for record in _embed_chunks(_file_chunks(index, fq_path, chunk_limit), provider):
-                out.add(record)
-        except Exception as exc:  # provider failures must not lose other files
-            failures[fq_path] = str(exc)
+            records = _embed_chunks([c for cs in chunks.values() for c in cs], provider)
+        except Exception as batch_exc:  # provider failures must not lose other files
+            logger.warning(
+                "re-embedding %d file(s) in one call failed (%s); retrying one call per file",
+                len(chunks), batch_exc,
+            )
+            for fq_path, file_chunks in chunks.items():
+                try:
+                    records.extend(_embed_chunks(file_chunks, provider))
+                except Exception as exc:
+                    failures[fq_path] = str(exc)
+    for record in records:
+        out.add(record)
     if failures:
         raise EmbeddingUpdateError(out, failures)
     return out
@@ -240,6 +258,7 @@ def save_embedding_index(eindex: EmbeddingIndex, path: str | Path) -> None:
                 "format": EMBED_ARCHIVE_FORMAT,
                 "dimension": eindex.dimension,
                 "provider_id": eindex.provider_id,
+                "chunk_limit": eindex.chunk_limit,
                 "record_count": len(eindex),
             },
             sort_keys=True,
@@ -273,7 +292,7 @@ def load_embedding_index(path: str | Path) -> EmbeddingIndex:
             raise ArchiveFormatError(
                 f"unsupported archive format {header.get('format')!r} in {path}"
             )
-        eindex = EmbeddingIndex(dimension=header["dimension"], provider_id=header["provider_id"])
+        eindex = EmbeddingIndex(header["dimension"], header["provider_id"], header.get("chunk_limit"))
         for line in handle:
             if not line.strip():
                 continue

@@ -93,12 +93,13 @@ class VersionStore:
         embed = None
         if provider is not None:
             embed = load_embedding_index(archives[1])
-            if (embed.provider_id, embed.dimension) != (provider.provider_id, provider.dimension):
+            made_by = (embed.provider_id, embed.dimension, embed.chunk_limit)
+            if made_by != (provider.provider_id, provider.dimension, self.chunk_limit):
                 logger.warning(
-                    "ignoring the archive of %s: it was embedded by %s (dimension %d), "
-                    "this run embeds with %s (dimension %d)",
-                    version_id, embed.provider_id, embed.dimension,
-                    provider.provider_id, provider.dimension,
+                    "ignoring the archive of %s: it was embedded by %s (dimension %d, "
+                    "chunk limit %s), this run embeds with %s (dimension %d, chunk limit %d)",
+                    version_id, *made_by,
+                    provider.provider_id, provider.dimension, self.chunk_limit,
                 )
                 return None
         self._built[version_id] = (code, embed)

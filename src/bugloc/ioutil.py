@@ -15,14 +15,15 @@ SCHEMA_VERSION = 1
 RETRIABLE_STATUS = (408, 409, 429)  # and every 5xx
 
 
-def atomic_write_text(path: str | os.PathLike, text: str) -> None:
-    """Write via a temp file in the same directory, then rename."""
+def atomic_write_text(path: str | os.PathLike, *texts: str) -> None:
+    """Write `texts` one after another via a temp file in the same directory,
+    then rename; several pieces are written without joining them first."""
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(texts)
         os.replace(tmp, target)
     except BaseException:
         try:

@@ -1,9 +1,11 @@
 import hashlib
 import json
 import math
+import os
 import random
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -298,6 +300,66 @@ def test_cached_embedder_concurrent_misses(tmp_path):
     assert len(json.loads(cache_file.read_text(encoding="utf-8"))) == 3120
 
 
+def cache_json(provider):
+    """The cache file's text as a cache started empty must write it."""
+    return json.dumps({key: list(vec) for key, vec in provider._cache.items()})
+
+
+@pytest.fixture
+def replaced(monkeypatch):
+    """Target of every os.replace, that is of every atomic file write."""
+    targets = []
+    real = os.replace
+
+    def counting(src, dst, *args, **kwargs):
+        targets.append(Path(dst))
+        return real(src, dst, *args, **kwargs)
+
+    monkeypatch.setattr(os, "replace", counting)
+    return targets
+
+
+def test_cached_embedder_file_is_the_json_of_its_mapping(tmp_path):
+    cache_file = tmp_path / "cache.json"
+    provider = CachedEmbedder(HashingEmbedder(8), cache_file)
+    provider.embed_batch(["alpha beta", "gamma", "alpha beta"])  # a text repeated
+    provider.embed_batch(["gamma", "delta", "delta", "epsilon"])  # a hit, a repeat, misses
+    provider.embed("alpha beta")
+    assert len(provider._cache) == 4
+    assert cache_file.read_text(encoding="utf-8") == cache_json(provider)
+
+    reopened = CachedEmbedder(HashingEmbedder(8), cache_file)
+    reopened.embed_batch(["zeta", "alpha beta", "eta", "zeta"])
+    reopened.embed("theta")
+    assert len(reopened._cache) == 7
+    assert cache_file.read_text(encoding="utf-8") == cache_json(reopened)
+
+
+def test_cached_embedder_hits_do_not_write(tmp_path, replaced):
+    cache_file = tmp_path / "cache.json"
+    provider = CachedEmbedder(HashingEmbedder(8), cache_file)
+    provider.embed_batch(["one", "two"])
+    assert replaced == [cache_file]
+    provider.embed_batch(["two", "one", "two"])
+    CachedEmbedder(HashingEmbedder(8), cache_file).embed("one")
+    assert replaced == [cache_file]
+
+
+@pytest.mark.parametrize("seeded", [[], ["one", "two"]])
+def test_cached_embedder_appends_to_a_file_of_other_whitespace(tmp_path, seeded):
+    in_memory = CachedEmbedder(HashingEmbedder(8))
+    in_memory.embed_batch(seeded)
+    mapping = {key: list(vec) for key, vec in in_memory._cache.items()}
+    cache_file = tmp_path / "cache.json"
+    cache_file.write_text(json.dumps(mapping, indent=2) + "\n", encoding="utf-8")
+    provider = CachedEmbedder(HashingEmbedder(8), cache_file)
+    provider.embed_batch(["three", "one"])
+    provider.embed("four")
+    raw = json.loads(cache_file.read_text(encoding="utf-8"))
+    assert raw == {key: list(vec) for key, vec in provider._cache.items()}
+    assert len(raw) == len(set(seeded) | {"one", "three", "four"})
+
+
 # --- index build / shortlist / update -------------------------------------
 
 
@@ -465,6 +527,62 @@ def test_update_embeddings_partial_failure_returns_partial_index(tmp_path):
     assert set(err.value.failures) == {"B.java"}
     assert ("A.java", 0) in err.value.partial_index.records
     assert ("B.java", 0) not in err.value.partial_index.records
+
+
+class CountingEmbedder(HashingEmbedder):
+    """Records the number of texts of every embed_batch call; raises for a
+    batch holding a text that contains `fail_on`."""
+
+    def __init__(self, dimension, fail_on=None):
+        super().__init__(dimension)
+        self.calls = []
+        self.fail_on = fail_on
+
+    def embed_batch(self, texts):
+        self.calls.append(len(texts))
+        if self.fail_on is not None and any(self.fail_on in t for t in texts):
+            raise RetriableProviderError("flaky", 3, "down")
+        return super().embed_batch(texts)
+
+
+def test_update_embeddings_is_one_provider_call_and_one_cache_write(tmp_path, replaced):
+    files = {f"pkg/F{i}.java": java_class(f"F{i}", {f"m{i}": f"old{i}();"}) for i in range(50)}
+    root = write_tree(tmp_path / "r", files)
+    index = build_index(root, "java", "v0")
+    inner = CountingEmbedder(16)
+    cache_file = tmp_path / "cache.json"
+    provider = CachedEmbedder(inner, cache_file)
+    eindex = build_embedding_index(index, provider)
+    for i, path in enumerate(files):
+        (root / path).write_text(java_class(f"F{i}", {f"m{i}": f"new{i}();"}), encoding="utf-8")
+    changeset = Changeset(modified=tuple(files))
+    new_index = update_index(index, changeset, root, "v1")
+    inner.calls.clear()
+    replaced.clear()
+    updated = update_embeddings(eindex, changeset, new_index, provider)
+    assert inner.calls == [50]
+    assert replaced == [cache_file]
+    assert updated.records == build_embedding_index(new_index, HashingEmbedder(16)).records
+    assert cache_file.read_text(encoding="utf-8") == cache_json(provider)
+
+
+def test_update_embeddings_falls_back_to_one_call_per_file(tmp_path, caplog):
+    names = ("A", "B", "C")
+    root = write_tree(tmp_path / "r", {f"{n}.java": java_class(n, {"m": "x();"}) for n in names})
+    index = build_index(root, "java", "v0")
+    eindex = build_embedding_index(index, HashingEmbedder(8))
+    for n in names:
+        (root / f"{n}.java").write_text(java_class(n, {"m2": "y();"}), encoding="utf-8")
+    changeset = Changeset(modified=tuple(f"{n}.java" for n in names))
+    new_index = update_index(index, changeset, root, "v1")
+    flaky = CountingEmbedder(8, fail_on="B.java")
+    with caplog.at_level("WARNING", logger="bugloc.embedding"):
+        with pytest.raises(EmbeddingUpdateError) as err:
+            update_embeddings(eindex, changeset, new_index, flaky)
+    assert flaky.calls == [3, 1, 1, 1]
+    assert set(err.value.failures) == {"B.java"}
+    assert err.value.partial_index.paths() == {"A.java", "C.java"}
+    assert "retrying one call per file" in caplog.text
 
 
 def test_embedding_archive_roundtrip(tmp_path):

@@ -1,8 +1,10 @@
+import json
+
 import pytest
 
 from bugloc.chat import ChatTurn, ScriptedChatProvider
 from bugloc.code_index import build_index
-from bugloc.embedders import HashingEmbedder
+from bugloc.embedders import CachedEmbedder, HashingEmbedder
 from bugloc.embedding import load_embedding_index
 from bugloc.harness import (
     VersionStore,
@@ -88,6 +90,40 @@ def test_version_store_rebuilds_archive_of_another_provider(tmp_path, caplog):
     assert load_embedding_index(cache / "v1.embed.jsonl").dimension == 128
 
 
+def long_file_repo(tmp_path):
+    body = " ".join(f"call{i}();" for i in range(120))
+    write_tree(tmp_path / "repo" / "v1", {"org/Long.java": java_class("Long", {"run": body})})
+    return tmp_path / "repo"
+
+
+def test_version_store_rebuilds_archive_of_another_chunk_limit(tmp_path, caplog):
+    root = long_file_repo(tmp_path)
+    cache = tmp_path / "cache"
+    _, wide = VersionStore(root, embedding_provider=HashingEmbedder(32), cache_dir=cache).get("v1")
+    assert max(r.chunk.token_count for r in wide.records.values()) > 50
+    store = VersionStore(root, embedding_provider=HashingEmbedder(32), cache_dir=cache, chunk_limit=50)
+    with caplog.at_level("WARNING", logger="bugloc.harness"):
+        _, embed = store.get("v1")
+    assert max(r.chunk.token_count for r in embed.records.values()) <= 50
+    assert "chunk limit 300" in caplog.text
+    assert load_embedding_index(cache / "v1.embed.jsonl").chunk_limit == 50
+
+
+def test_version_store_rebuilds_archive_without_chunk_limit(tmp_path, caplog):
+    root = long_file_repo(tmp_path)
+    cache = tmp_path / "cache"
+    VersionStore(root, embedding_provider=HashingEmbedder(32), cache_dir=cache).get("v1")
+    archive = cache / "v1.embed.jsonl"
+    header, rest = archive.read_text(encoding="utf-8").split("\n", 1)
+    header = json.loads(header)
+    del header["chunk_limit"]
+    archive.write_text(json.dumps(header) + "\n" + rest, encoding="utf-8")
+    with caplog.at_level("WARNING", logger="bugloc.harness"):
+        VersionStore(root, embedding_provider=HashingEmbedder(32), cache_dir=cache).get("v1")
+    assert "chunk limit None" in caplog.text
+    assert load_embedding_index(archive).chunk_limit == 300
+
+
 def bugs_for_eval():
     return [
         make_bug("bug-a", "alphaword unique1", "", "v1", truth=["org/A.java"]),
@@ -165,6 +201,35 @@ def test_evaluate_concurrent_workers_match_sequential(tmp_path):
     )
     assert concurrent.report.accuracy_at == sequential.report.accuracy_at
     assert concurrent.report.per_bug == sequential.report.per_bug
+
+
+def test_evaluate_concurrent_workers_match_sequential_through_a_cache(tmp_path):
+    root = versioned_repo(tmp_path)
+    topics = [
+        ("alphaword unique1", "org/A.java", "v1"),
+        ("betaword unique2", "org/B.java", "v1"),
+        ("gammaword unique3", "org/C.java", "v2"),
+    ]
+    bugs = [
+        make_bug(f"bug-{i}", f"{text} report {i}", f"seen {i} times", version, truth=[path])
+        for i, (text, path, version) in enumerate(topics * 8)
+    ]
+    outcomes, caches = [], []
+    for workers in (1, 4):
+        # A fresh cache per run, so every query misses, under threads at workers=4.
+        cache_file = tmp_path / f"cache-{workers}.json"
+        provider = CachedEmbedder(HashingEmbedder(64), cache_file)
+        store = VersionStore(root, embedding_provider=provider)
+        outcomes.append(evaluate_technique(
+            bugs, lambda: EmbeddingLocalizer(provider), store, "embedding_only",
+            runs=2, workers=workers,
+        ))
+        caches.append(json.loads(cache_file.read_text(encoding="utf-8")))
+    sequential, concurrent = outcomes
+    assert sequential.failures == concurrent.failures == []
+    assert concurrent.report.accuracy_at == sequential.report.accuracy_at
+    assert concurrent.report.per_bug == sequential.report.per_bug
+    assert caches[0] == caches[1]
 
 
 def test_report_dict_roundtrip(tmp_path):
