@@ -30,7 +30,6 @@ from .embedding import (
     Shortlist,
     build_embedding_index,
     chunk_text,
-    cosine_similarity,
     load_embedding_index,
     save_embedding_index,
     shortlist_files,

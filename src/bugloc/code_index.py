@@ -27,7 +27,8 @@ class ConfigurationError(ValueError):
 
 
 class ArchiveFormatError(ValueError):
-    """Persisted archive has the wrong magic header or format version."""
+    """Persisted archive is not one whole archive of the expected magic and
+    format: another format version, a foreign or corrupt file, a cut-off body."""
 
 
 @dataclass(frozen=True)
@@ -70,6 +71,7 @@ class CodeIndex:
     version_id: str
     files: dict[str, SourceFileRecord] = field(default_factory=dict)
     method_locator: dict[str, tuple[str, ...]] = field(default_factory=dict)
+    grammar: str = "java"  # the grammar that parsed the files
 
     def sorted_paths(self) -> list[str]:
         return sorted(self.files)
@@ -121,7 +123,7 @@ def build_index(repo_root: str | Path, grammar: str = "java", version_id: str = 
     for path in paths:
         fq_path = path.relative_to(root).as_posix()
         files[fq_path] = _parse_file(path, fq_path, gram)
-    return CodeIndex(version_id=version_id, files=files, method_locator=_build_locator(files))
+    return CodeIndex(version_id, files, _build_locator(files), grammar)
 
 
 def file_representation(record: SourceFileRecord) -> str:
@@ -163,7 +165,7 @@ def update_index(
             continue
         files[fq_path] = _parse_file(disk, fq_path, gram)
 
-    return CodeIndex(version_id=new_version, files=files, method_locator=_build_locator(files))
+    return CodeIndex(new_version, files, _build_locator(files), grammar)
 
 
 def diff_source_trees(
@@ -208,7 +210,7 @@ def diff_source_trees(
     )
 
 
-def save_code_index(index: CodeIndex, path: str | Path, grammar: str = "java") -> None:
+def save_code_index(index: CodeIndex, path: str | Path) -> None:
     """Archive: one header line (magic, format, manifest), then one JSON record per file."""
     lines = [
         json.dumps(
@@ -216,7 +218,7 @@ def save_code_index(index: CodeIndex, path: str | Path, grammar: str = "java") -
                 "magic": ARCHIVE_MAGIC,
                 "format": ARCHIVE_FORMAT,
                 "version_id": index.version_id,
-                "grammar": grammar,
+                "grammar": index.grammar,
                 "file_count": len(index.files),
             },
             sort_keys=True,
@@ -246,36 +248,50 @@ def save_code_index(index: CodeIndex, path: str | Path, grammar: str = "java") -
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def load_code_index(path: str | Path) -> CodeIndex:
+def read_archive(path: str | Path, magic: str, fmt: int, count_key: str, parse) -> tuple[dict, list]:
+    """The header of a JSON-lines archive and `parse` of each body record.
+
+    Raises ArchiveFormatError unless the header names `magic` and `fmt`, every
+    body line decodes and parses, and there are header[count_key] of them, so
+    an old, foreign, corrupt or truncated archive is never trusted.
+    """
     with open(path, encoding="utf-8") as handle:
-        header_line = handle.readline()
         try:
-            header = json.loads(header_line)
-        except json.JSONDecodeError:
-            raise ArchiveFormatError(f"not a code index archive: {path}") from None
-        if header.get("magic") != ARCHIVE_MAGIC:
+            header = json.loads(handle.readline())
+        except ValueError:
+            raise ArchiveFormatError(f"no archive header in {path}") from None
+        if not isinstance(header, dict) or header.get("magic") != magic:
             raise ArchiveFormatError(f"bad magic header in {path}")
-        if header.get("format") != ARCHIVE_FORMAT:
+        if header.get("format") != fmt:
             raise ArchiveFormatError(
                 f"unsupported archive format {header.get('format')!r} in {path}"
             )
-        files: dict[str, SourceFileRecord] = {}
-        for line in handle:
-            if not line.strip():
-                continue
-            raw = json.loads(line)
-            files[raw["fq_path"]] = SourceFileRecord(
-                fq_path=raw["fq_path"],
-                basename=raw["basename"],
-                methods=tuple(
-                    MethodRecord(m["name"], m["signature"], m["body"], m["abstract"])
-                    for m in raw["methods"]
-                ),
-                parse_ok=raw["parse_ok"],
-            )
-    index = CodeIndex(
-        version_id=header["version_id"], files=files, method_locator=_build_locator(files)
+        try:
+            records = [parse(json.loads(line)) for line in handle if line.strip()]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ArchiveFormatError(f"unreadable record in {path}: {exc!r}") from None
+    if len(records) != header.get(count_key):
+        raise ArchiveFormatError(
+            f"{path} holds {len(records)} records, its header says {header.get(count_key)!r}"
+        )
+    return header, records
+
+
+def _parse_file_record(raw: dict) -> SourceFileRecord:
+    return SourceFileRecord(
+        fq_path=raw["fq_path"],
+        basename=raw["basename"],
+        methods=tuple(
+            MethodRecord(m["name"], m["signature"], m["body"], m["abstract"])
+            for m in raw["methods"]
+        ),
+        parse_ok=raw["parse_ok"],
     )
-    if len(files) != header.get("file_count"):
-        logger.warning("archive %s file count mismatch with manifest", path)
-    return index
+
+
+def load_code_index(path: str | Path) -> CodeIndex:
+    header, records = read_archive(
+        path, ARCHIVE_MAGIC, ARCHIVE_FORMAT, "file_count", _parse_file_record
+    )
+    files = {record.fq_path: record for record in records}
+    return CodeIndex(header["version_id"], files, _build_locator(files), header.get("grammar"))

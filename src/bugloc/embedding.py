@@ -1,23 +1,27 @@
-"""Chunk-level embedding index with cosine top-k retrieval.
+"""Chunk-level embedding index: one float64 matrix, searched exactly.
 
-File representations are split into token-bounded chunks, embedded, and
-queried with a bug report; a file's score is the maximum cosine similarity
-over its chunks. Incremental updates mirror a from-scratch build: the chunks
-of every refreshed file go to the provider in one call, and only if that call
-fails is each file sent on its own, so failures are still told per file. An
-index records the chunk limit it was built with, and so does its archive.
+File representations are split into token-bounded chunks, embedded, and kept
+as the rows of one matrix; a file's score is the maximum cosine similarity of
+its chunks to the query, ties by path. Updates mirror a from-scratch build:
+untouched rows carry over, and the chunks of every refreshed file go to the
+provider in one call; only if that fails is each file sent on its own, so
+failures are still told per file. An index and its archive record the chunk
+limit it was built with.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Mapping
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
-from .code_index import ArchiveFormatError, Changeset, CodeIndex, file_representation
+from .code_index import ArchiveFormatError, Changeset, CodeIndex, file_representation, read_archive
 from .embedders import EmbeddingProvider
 from .ioutil import atomic_write_text
 from .tokens import token_spans
@@ -46,31 +50,48 @@ class EmbeddingRecord:
     vector: tuple[float, ...]
 
 
-@dataclass
+@dataclass(eq=False)
 class EmbeddingIndex:
+    """Chunks sorted by (fq_path, seq) and, row for row, their vectors as one
+    read-only float64 matrix. Construction sorts, rejects duplicate keys and
+    vectors of another dimension, and works out once what queries need: the
+    row norms, and each file's path and first row."""
+
     dimension: int
     provider_id: str
     chunk_limit: int | None = None  # None: unknown, as in archives written before it was recorded
-    records: dict[tuple[str, int], EmbeddingRecord] = field(default_factory=dict)
+    chunks: Iterable[Chunk] = ()  # stored as a sorted tuple
+    vectors: np.ndarray = ()  # any (len(chunks), dimension) array-like
 
-    def add(self, record: EmbeddingRecord) -> None:
-        key = (record.chunk.fq_path, record.chunk.seq)
-        if key in self.records:
-            raise ValueError(f"duplicate embedding record for {key}")
-        if len(record.vector) != self.dimension:
-            raise ValueError(
-                f"record dimension {len(record.vector)} != index dimension {self.dimension}"
-            )
-        self.records[key] = record
+    def __post_init__(self):
+        chunks = list(self.chunks)
+        matrix = np.asarray(self.vectors, dtype=np.float64)
+        if (chunks or matrix.size) and matrix.shape != (len(chunks), self.dimension):
+            raise ValueError(f"vectors of shape {matrix.shape}, expected ({len(chunks)}, {self.dimension})")
+        order = sorted(range(len(chunks)), key=lambda i: (chunks[i].fq_path, chunks[i].seq))
+        self.chunks = tuple(chunks[i] for i in order)
+        self.vectors = matrix.reshape(-1, self.dimension)[order]
+        self.vectors.flags.writeable = False
+        keys = [(c.fq_path, c.seq) for c in self.chunks]
+        for key, following in zip(keys, keys[1:]):
+            if key == following:
+                raise ValueError(f"duplicate embedding record for {key}")
+        self.norms = np.sqrt(np.vecdot(self.vectors, self.vectors))  # np.linalg.norm of each row
+        starts = [i for i, key in enumerate(keys) if i == 0 or key[0] != keys[i - 1][0]]
+        self.file_starts = np.array(starts, dtype=np.intp)
+        self.file_paths = [keys[i][0] for i in starts]
+
+    @cached_property
+    def records(self) -> Mapping[tuple[str, int], EmbeddingRecord]:
+        """Read-only (fq_path, seq) -> EmbeddingRecord view, built on first use."""
+        rows = zip(self.chunks, self.vectors.tolist())
+        return MappingProxyType({(c.fq_path, c.seq): EmbeddingRecord(c, tuple(v)) for c, v in rows})
 
     def paths(self) -> set[str]:
-        return {path for path, _ in self.records}
-
-    def sorted_records(self) -> list[EmbeddingRecord]:
-        return [self.records[key] for key in sorted(self.records)]
+        return set(self.file_paths)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.chunks)
 
 
 @dataclass
@@ -118,28 +139,6 @@ def chunk_text(text: str, chunk_limit: int = DEFAULT_CHUNK_LIMIT, fq_path: str =
     return chunks
 
 
-def cosine_similarity(u, v) -> float:
-    """dot(u,v) / (|u||v|), clamped to [-1, 1]. Zero vectors are an error,
-    never silently zero."""
-    a = np.asarray(u, dtype=np.float64)
-    b = np.asarray(v, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    norm_a = float(np.linalg.norm(a))
-    norm_b = float(np.linalg.norm(b))
-    if norm_a == 0.0 or norm_b == 0.0:
-        raise ValueError("cosine similarity is undefined for a zero vector")
-    value = float(np.dot(a, b) / (norm_a * norm_b))
-    return max(-1.0, min(1.0, value))
-
-
-def _embed_chunks(
-    chunks: list[Chunk], provider: EmbeddingProvider
-) -> list[EmbeddingRecord]:
-    vectors = provider.embed_batch([c.text for c in chunks])
-    return [EmbeddingRecord(c, vec) for c, vec in zip(chunks, vectors)]
-
-
 def _file_chunks(index: CodeIndex, fq_path: str, chunk_limit: int) -> list[Chunk]:
     return chunk_text(
         file_representation(index.files[fq_path]), chunk_limit=chunk_limit, fq_path=fq_path
@@ -149,13 +148,9 @@ def _file_chunks(index: CodeIndex, fq_path: str, chunk_limit: int) -> list[Chunk
 def build_embedding_index(
     index: CodeIndex, provider: EmbeddingProvider, chunk_limit: int = DEFAULT_CHUNK_LIMIT
 ) -> EmbeddingIndex:
-    eindex = EmbeddingIndex(provider.dimension, provider.provider_id, chunk_limit)
-    all_chunks: list[Chunk] = []
-    for fq_path in index.sorted_paths():
-        all_chunks.extend(_file_chunks(index, fq_path, chunk_limit))
-    for record in _embed_chunks(all_chunks, provider):
-        eindex.add(record)
-    return eindex
+    chunks = [c for fq_path in index.sorted_paths() for c in _file_chunks(index, fq_path, chunk_limit)]
+    vectors = provider.embed_batch([c.text for c in chunks])
+    return EmbeddingIndex(provider.dimension, provider.provider_id, chunk_limit, chunks, vectors)
 
 
 def update_embeddings(
@@ -165,20 +160,22 @@ def update_embeddings(
     provider: EmbeddingProvider,
     chunk_limit: int = DEFAULT_CHUNK_LIMIT,
 ) -> EmbeddingIndex:
-    """Re-embed only what the changeset touched; untouched records carry over
-    verbatim. `index` must already reflect the post-changeset repository.
+    """Re-embed only what the changeset touched; untouched rows carry over
+    verbatim. `index` must already reflect the post-changeset repository, and
+    `chunk_limit` must be the one `eindex` was chunked with, when it is known.
 
     The refreshed files are embedded in one provider call. If it fails, each
     file is retried in a call of its own; those failures are collected and, if
     any occurred, an EmbeddingUpdateError carrying the partial index is raised.
     """
+    if eindex.chunk_limit is not None and eindex.chunk_limit != chunk_limit:
+        raise ValueError(
+            f"the index was chunked at {eindex.chunk_limit} tokens, not {chunk_limit}; rebuild it"
+        )
     changeset.validate()
-    out = EmbeddingIndex(eindex.dimension, eindex.provider_id, chunk_limit)
-    stale = set(changeset.deleted) | {old for old, _ in changeset.renamed}
     refresh = set(changeset.added) | set(changeset.modified) | {new for _, new in changeset.renamed}
-    for key, record in eindex.records.items():
-        if key[0] not in stale and key[0] not in refresh:
-            out.records[key] = record
+    dropped = refresh | set(changeset.deleted) | {old for old, _ in changeset.renamed}
+    keep = np.array([c.fq_path not in dropped for c in eindex.chunks], dtype=bool)
 
     chunks: dict[str, list[Chunk]] = {}
     for fq_path in sorted(refresh):
@@ -187,22 +184,24 @@ def update_embeddings(
             continue
         chunks[fq_path] = _file_chunks(index, fq_path, chunk_limit)
     failures: dict[str, str] = {}
-    records: list[EmbeddingRecord] = []
-    if chunks:
-        try:
-            records = _embed_chunks([c for cs in chunks.values() for c in cs], provider)
-        except Exception as batch_exc:  # provider failures must not lose other files
-            logger.warning(
-                "re-embedding %d file(s) in one call failed (%s); retrying one call per file",
-                len(chunks), batch_exc,
-            )
-            for fq_path, file_chunks in chunks.items():
-                try:
-                    records.extend(_embed_chunks(file_chunks, provider))
-                except Exception as exc:
-                    failures[fq_path] = str(exc)
-    for record in records:
-        out.add(record)
+    new_chunks = [c for cs in chunks.values() for c in cs]
+    try:
+        new_vectors = provider.embed_batch([c.text for c in new_chunks]) if new_chunks else []
+    except Exception as batch_exc:  # provider failures must not lose other files
+        logger.warning(
+            "re-embedding %d file(s) in one call failed (%s); retrying one call per file",
+            len(chunks), batch_exc,
+        )
+        new_chunks, new_vectors = [], []
+        for fq_path, file_chunks in chunks.items():
+            try:
+                new_vectors += provider.embed_batch([c.text for c in file_chunks])
+                new_chunks += file_chunks
+            except Exception as exc:
+                failures[fq_path] = str(exc)
+    kept = [c for c, k in zip(eindex.chunks, keep) if k]
+    vectors = np.concatenate([eindex.vectors[keep], np.reshape(new_vectors, (-1, eindex.dimension))])
+    out = EmbeddingIndex(eindex.dimension, eindex.provider_id, chunk_limit, kept + new_chunks, vectors)
     if failures:
         raise EmbeddingUpdateError(out, failures)
     return out
@@ -225,29 +224,31 @@ def shortlist_files(
     k: int = DEFAULT_SHORTLIST_K,
     chunk_limit: int = DEFAULT_CHUNK_LIMIT,
 ) -> Shortlist:
-    """Top-k files by maximum chunk cosine similarity to the bug text.
+    """Top-k files by maximum chunk cosine similarity to the bug text, ties
+    by ascending path; chunks with a zero vector are never scored.
 
-    Ties break by ascending path so the shortlist never depends on record
-    insertion order.
+    Each row's dot product is reduced on its own (`np.vecdot`), not in one
+    matrix-vector product, whose blocking may round a row differently at
+    another offset: equal vectors tie exactly wherever their rows sit.
     """
     if len(eindex) == 0:
         raise InputValidationError("embedding index is empty")
     text = require_bug_text(bug)
     query = embed_query(text, provider, chunk_limit=chunk_limit)
-    if float(np.linalg.norm(query)) == 0.0:
+    query_norm = float(np.linalg.norm(query))
+    if query_norm == 0.0:
         raise InputValidationError("bug text produced a zero embedding vector")
 
-    best: dict[str, float] = {}
-    for record in eindex.records.values():
-        vec = np.asarray(record.vector, dtype=np.float64)
-        if float(np.linalg.norm(vec)) == 0.0:
-            continue  # pathless empty chunk cannot be scored
-        score = cosine_similarity(query, vec)
-        path = record.chunk.fq_path
-        if path not in best or score > best[path]:
-            best[path] = score
-    ranked = sorted(best.items(), key=lambda item: (-item[1], item[0]))[:k]
-    return Shortlist(entries=tuple(ranked), k=k)
+    dots = np.vecdot(eindex.vectors, query)
+    with np.errstate(divide="ignore", invalid="ignore"):  # zero rows are masked next
+        cosines = np.clip(dots / (query_norm * eindex.norms), -1.0, 1.0)
+    cosines[eindex.norms == 0.0] = -np.inf
+    best = np.maximum.reduceat(cosines, eindex.file_starts)
+    scored = np.flatnonzero(best > -np.inf)
+    # file_paths ascend, so a stable sort on the score alone breaks ties by path
+    ranked = scored[np.argsort(-best[scored], kind="stable")][:k]
+    entries = zip([eindex.file_paths[i] for i in ranked], best[ranked].tolist())
+    return Shortlist(entries=tuple(entries), k=k)
 
 
 def save_embedding_index(eindex: EmbeddingIndex, path: str | Path) -> None:
@@ -264,15 +265,15 @@ def save_embedding_index(eindex: EmbeddingIndex, path: str | Path) -> None:
             sort_keys=True,
         )
     ]
-    for record in eindex.sorted_records():
+    for chunk, vector in zip(eindex.chunks, eindex.vectors.tolist()):
         lines.append(
             json.dumps(
                 {
-                    "fq_path": record.chunk.fq_path,
-                    "seq": record.chunk.seq,
-                    "text": record.chunk.text,
-                    "token_count": record.chunk.token_count,
-                    "vector": list(record.vector),
+                    "fq_path": chunk.fq_path,
+                    "seq": chunk.seq,
+                    "text": chunk.text,
+                    "token_count": chunk.token_count,
+                    "vector": vector,
                 },
                 sort_keys=True,
             )
@@ -280,23 +281,18 @@ def save_embedding_index(eindex: EmbeddingIndex, path: str | Path) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
+def _parse_record(raw: dict) -> tuple[Chunk, list[float]]:
+    return Chunk(raw["fq_path"], raw["seq"], raw["text"], raw["token_count"]), raw["vector"]
+
+
 def load_embedding_index(path: str | Path) -> EmbeddingIndex:
-    with open(path, encoding="utf-8") as handle:
-        try:
-            header = json.loads(handle.readline())
-        except json.JSONDecodeError:
-            raise ArchiveFormatError(f"not an embedding index archive: {path}") from None
-        if header.get("magic") != EMBED_ARCHIVE_MAGIC:
-            raise ArchiveFormatError(f"bad magic header in {path}")
-        if header.get("format") != EMBED_ARCHIVE_FORMAT:
-            raise ArchiveFormatError(
-                f"unsupported archive format {header.get('format')!r} in {path}"
-            )
-        eindex = EmbeddingIndex(header["dimension"], header["provider_id"], header.get("chunk_limit"))
-        for line in handle:
-            if not line.strip():
-                continue
-            raw = json.loads(line)
-            chunk = Chunk(raw["fq_path"], raw["seq"], raw["text"], raw["token_count"])
-            eindex.add(EmbeddingRecord(chunk, tuple(raw["vector"])))
-    return eindex
+    header, records = read_archive(
+        path, EMBED_ARCHIVE_MAGIC, EMBED_ARCHIVE_FORMAT, "record_count", _parse_record
+    )
+    chunks, vectors = zip(*records) if records else ((), ())
+    try:
+        return EmbeddingIndex(
+            header["dimension"], header["provider_id"], header.get("chunk_limit"), chunks, vectors
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ArchiveFormatError(f"unusable embedding index archive {path}: {exc}") from None

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .code_index import Changeset, CodeIndex, build_index, diff_source_trees, load_code_index, save_code_index, update_index
+from .code_index import ArchiveFormatError, Changeset, CodeIndex, build_index, diff_source_trees, load_code_index, save_code_index, update_index
 from .embedders import EmbeddingProvider
 from .embedding import (
     EmbeddingIndex,
@@ -89,22 +89,36 @@ class VersionStore:
         provider = self.embedding_provider
         if provider is not None and not archives[1].exists():
             return None
-        code = load_code_index(archives[0])
-        embed = None
-        if provider is not None:
-            embed = load_embedding_index(archives[1])
-            made_by = (embed.provider_id, embed.dimension, embed.chunk_limit)
-            if made_by != (provider.provider_id, provider.dimension, self.chunk_limit):
-                logger.warning(
-                    "ignoring the archive of %s: it was embedded by %s (dimension %d, "
-                    "chunk limit %s), this run embeds with %s (dimension %d, chunk limit %d)",
-                    version_id, *made_by,
-                    provider.provider_id, provider.dimension, self.chunk_limit,
-                )
-                return None
+        try:
+            code = load_code_index(archives[0])
+            embed = None if provider is None else load_embedding_index(archives[1])
+        except ArchiveFormatError as exc:
+            reason = str(exc)
+        else:
+            reason = self._mismatch(code, embed)
+        if reason is not None:
+            # The caller rebuilds the version and overwrites its archives.
+            logger.warning("ignoring the archive of %s: %s", version_id, reason)
+            return None
         self._built[version_id] = (code, embed)
         self._last_version = version_id
         return code, embed
+
+    def _mismatch(self, code: CodeIndex, embed: EmbeddingIndex | None) -> str | None:
+        """Why indexes loaded from an archive do not fit this store, if they do not."""
+        if code.grammar != self.grammar:
+            return f"it was parsed as {code.grammar!r}, this run parses {self.grammar!r}"
+        provider = self.embedding_provider
+        if embed is None:
+            return None
+        made_by = (embed.provider_id, embed.dimension, embed.chunk_limit)
+        if made_by == (provider.provider_id, provider.dimension, self.chunk_limit):
+            return None
+        return (
+            "it was embedded by %s (dimension %d, chunk limit %s), this run embeds with %s "
+            "(dimension %d, chunk limit %d)"
+            % (*made_by, provider.provider_id, provider.dimension, self.chunk_limit)
+        )
 
     def build(
         self, version_id: str, previous: str | None = None, changeset: Changeset | None = None
@@ -123,11 +137,7 @@ class VersionStore:
             embed = None if provider is None else build_embedding_index(code, provider, self.chunk_limit)
         elif changeset is None and self.resolve_tree(previous) == tree:
             # Same tree on disk: relabel rather than rebuild.
-            code = CodeIndex(
-                version_id=version_id,
-                files=prev[0].files,
-                method_locator=prev[0].method_locator,
-            )
+            code = replace(prev[0], version_id=version_id)
             embed = prev[1]
         else:
             if changeset is None:
@@ -148,7 +158,7 @@ class VersionStore:
         self._last_version = version_id
         archives = self.archive_paths(version_id)
         if archives:
-            save_code_index(code, archives[0], self.grammar)
+            save_code_index(code, archives[0])
             if embed is not None:
                 save_embedding_index(embed, archives[1])
 

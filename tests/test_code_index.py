@@ -236,6 +236,31 @@ def test_archive_roundtrip(tmp_path):
     assert loaded == index
 
 
+@pytest.mark.parametrize("cut", ["last line", "half of the last line"])
+def test_archive_rejects_a_truncated_body(tmp_path, cut):
+    write_tree(
+        tmp_path / "repo",
+        {"a/A.java": java_class("A", {"m": "x();"}), "b/B.java": java_class("B", {"n": "y();"})},
+    )
+    archive = tmp_path / "index.jsonl"
+    save_code_index(build_index(tmp_path / "repo", "java", "v7"), archive)
+    text = archive.read_text(encoding="utf-8")
+    body_end = text.rstrip("\n").rfind("\n") + 1
+    keep = body_end if cut == "last line" else (body_end + len(text)) // 2
+    archive.write_text(text[:keep], encoding="utf-8")
+    with pytest.raises(ArchiveFormatError):
+        load_code_index(archive)
+
+
+def test_archive_keeps_the_grammar(tmp_path):
+    write_tree(tmp_path / "repo", {"A.java": java_class("A", {"m": "x();"})})
+    index = build_index(tmp_path / "repo", "java", "v7")
+    assert index.grammar == "java"
+    archive = tmp_path / "index.jsonl"
+    save_code_index(index, archive)
+    assert load_code_index(archive).grammar == "java"
+
+
 def test_archive_rejects_wrong_magic(tmp_path):
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"magic": "something-else", "format": 1}\n', encoding="utf-8")

@@ -7,6 +7,7 @@ import sys
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bugloc.code_index import ArchiveFormatError, Changeset, build_index, update_index
@@ -18,10 +19,11 @@ from bugloc.embedders import (
     RetriableProviderError,
 )
 from bugloc.embedding import (
+    Chunk,
+    EmbeddingIndex,
     EmbeddingUpdateError,
     build_embedding_index,
     chunk_text,
-    cosine_similarity,
     load_embedding_index,
     save_embedding_index,
     shortlist_files,
@@ -80,30 +82,61 @@ def test_chunk_limit_must_be_positive():
         chunk_text("x", chunk_limit=0)
 
 
-# --- cosine ---------------------------------------------------------------
+# --- cosine scores of the shortlist ---------------------------------------
+
+
+class StubEmbedder(HashingEmbedder):
+    """Embeds every text as the one vector it is given."""
+
+    def __init__(self, vector):
+        super().__init__(dimension=len(vector))
+        self.vector = tuple(vector)
+
+    def embed_batch(self, texts):
+        return [self.vector for _ in texts]
+
+
+def stub_index(files: dict[str, list[list[float]]]) -> EmbeddingIndex:
+    """An index of one chunk per given vector, seq in list order."""
+    chunks = [Chunk(path, seq, f"{path}#{seq}", 1) for path, vs in files.items() for seq in range(len(vs))]
+    vectors = [v for vs in files.values() for v in vs]
+    return EmbeddingIndex(len(vectors[0]), "stub", 300, chunks, vectors)
+
+
+def stub_scores(files, query, k=50) -> dict[str, float]:
+    provider = StubEmbedder(query)
+    return dict(shortlist_files(make_bug(summary="query", description=""), stub_index(files), provider, k=k).entries)
 
 
 def test_cosine_self_similarity():
-    assert cosine_similarity([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) == pytest.approx(1.0)
+    assert stub_scores({"A.java": [[1.0, 2.0, 3.0]]}, [1.0, 2.0, 3.0])["A.java"] == pytest.approx(1.0)
 
 
 def test_cosine_orthogonal():
-    assert cosine_similarity([1.0, 0.0], [0.0, 1.0]) == 0.0
+    assert stub_scores({"A.java": [[1.0, 0.0]]}, [0.0, 1.0]) == {"A.java": 0.0}
 
 
 def test_cosine_closed_form():
     # closed form: 1/sqrt(2)
-    assert cosine_similarity([1.0, 0.0], [1.0, 1.0]) == pytest.approx(2**-0.5, abs=1e-9)
+    assert stub_scores({"A.java": [[1.0, 1.0]]}, [1.0, 0.0])["A.java"] == pytest.approx(2**-0.5, abs=1e-9)
+
+
+def test_cosine_of_a_file_is_its_best_chunk():
+    scores = stub_scores({"A.java": [[0.0, 1.0], [1.0, 1.0], [-1.0, 0.0]]}, [1.0, 0.0])
+    assert scores["A.java"] == pytest.approx(2**-0.5, abs=1e-9)
 
 
 def test_cosine_zero_vector_is_error():
-    with pytest.raises(ValueError):
-        cosine_similarity([0.0, 0.0], [1.0, 0.0])
+    with pytest.raises(InputValidationError, match="zero embedding"):
+        stub_scores({"A.java": [[1.0, 0.0]]}, [0.0, 0.0])
+    # a zero chunk is never scored, and a file of zero chunks is never listed
+    files = {"A.java": [[0.0, 0.0], [0.0, 1.0]], "Empty.java": [[0.0, 0.0]], "B.java": [[1.0, 0.0]]}
+    assert stub_scores(files, [1.0, 0.0]) == {"B.java": 1.0, "A.java": 0.0}
 
 
 def test_cosine_dimension_mismatch():
-    with pytest.raises(ValueError):
-        cosine_similarity([1.0], [1.0, 2.0])
+    with pytest.raises(ValueError, match="dimension"):
+        stub_scores({"A.java": [[1.0, 0.0, 0.0]]}, [1.0, 0.0])
 
 
 def test_cosine_symmetry_and_scale_invariance():
@@ -112,9 +145,50 @@ def test_cosine_symmetry_and_scale_invariance():
         u = [rng.uniform(-1, 1) for _ in range(8)]
         v = [rng.uniform(-1, 1) for _ in range(8)]
         alpha = rng.uniform(0.01, 100)
-        assert cosine_similarity(u, v) == pytest.approx(cosine_similarity(v, u), abs=1e-12)
-        scaled = [alpha * x for x in u]
-        assert cosine_similarity(scaled, v) == pytest.approx(cosine_similarity(u, v), abs=1e-12)
+        score = stub_scores({"A.java": [u]}, v)["A.java"]
+        assert stub_scores({"A.java": [v]}, u)["A.java"] == pytest.approx(score, abs=1e-12)
+        # scaling the index vector or the query changes nothing
+        assert stub_scores({"A.java": [[alpha * x for x in u]]}, v)["A.java"] == pytest.approx(score, abs=1e-12)
+        assert stub_scores({"A.java": [u]}, [alpha * x for x in v])["A.java"] == pytest.approx(score, abs=1e-12)
+
+
+@pytest.mark.parametrize("dimension", [16, 25, 31, 33, 48, 64, 100, 128])
+def test_shortlist_equal_vectors_tie_exactly_at_any_row_offset(dimension):
+    # Every file holds the same best vector, after 0-6 worse chunks, so that
+    # vector sits at many row offsets; its score must be bit-equal in every
+    # row, and the files rank by path alone.
+    rng = np.random.default_rng(dimension)
+    query = rng.standard_normal(dimension)
+    shared = (query + rng.standard_normal(dimension)).tolist()
+    files = {
+        f"pkg/F{i:03d}.java": [(-query + rng.standard_normal(dimension)).tolist() for _ in range(i % 7)] + [shared]
+        for i in range(120)
+    }
+    provider = StubEmbedder(query.tolist())
+    shortlist = shortlist_files(make_bug(summary="query", description=""), stub_index(files), provider, k=200)
+    assert shortlist.paths() == sorted(files)
+    assert len({score for _, score in shortlist.entries}) == 1
+
+
+def test_index_rejects_duplicate_keys_and_other_dimensions():
+    chunk = Chunk("A.java", 0, "a", 1)
+    with pytest.raises(ValueError, match="duplicate"):
+        EmbeddingIndex(2, "stub", 300, [chunk, chunk], [[1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match=r"expected \(1, 2\)"):
+        EmbeddingIndex(2, "stub", 300, [chunk], [[1.0, 0.0, 0.0]])
+    with pytest.raises(ValueError):
+        EmbeddingIndex(2, "stub", 300, [chunk], [])
+
+
+def test_index_records_are_a_read_only_view_of_the_matrix():
+    index = stub_index({"B.java": [[0.5, 1.5]], "A.java": [[1.0, 0.0], [0.0, 2.0]]})
+    assert [(c.fq_path, c.seq) for c in index.chunks] == [("A.java", 0), ("A.java", 1), ("B.java", 0)]
+    assert index.records[("A.java", 1)].vector == (0.0, 2.0)
+    assert list(index.records) == [("A.java", 0), ("A.java", 1), ("B.java", 0)]
+    with pytest.raises(TypeError):
+        index.records[("C.java", 0)] = index.records[("A.java", 0)]
+    with pytest.raises(ValueError):
+        index.vectors[0, 0] = 9.0
 
 
 # --- hashing embedder -----------------------------------------------------
@@ -426,12 +500,14 @@ def test_shortlist_insertion_order_irrelevant(tmp_path):
     index = build_index(root, "java", "v0")
     provider = HashingEmbedder(dimension=64)
     eindex = build_embedding_index(index, provider)
-    shuffled = type(eindex)(dimension=eindex.dimension, provider_id=eindex.provider_id)
-    for key in sorted(eindex.records, reverse=True):
-        shuffled.records[key] = eindex.records[key]
+    reversed_index = EmbeddingIndex(
+        eindex.dimension, eindex.provider_id, eindex.chunk_limit,
+        reversed(eindex.chunks), eindex.vectors[::-1],
+    )
+    assert reversed_index.records == eindex.records
     bug = make_bug(summary="zoomOut meterchart dial")
     assert shortlist_files(bug, eindex, provider).entries == shortlist_files(
-        bug, shuffled, provider
+        bug, reversed_index, provider
     ).entries
 
 
@@ -445,8 +521,6 @@ def test_shortlist_empty_bug_text_rejected(tmp_path):
 
 
 def test_shortlist_empty_index_rejected():
-    from bugloc.embedding import EmbeddingIndex
-
     with pytest.raises(InputValidationError):
         shortlist_files(make_bug(), EmbeddingIndex(8, "hashing-8"), HashingEmbedder(8))
 
@@ -499,8 +573,22 @@ def test_update_embeddings_rename_matches_rebuild(tmp_path):
     updated = update_embeddings(eindex, changeset, new_index, provider)
     rebuilt = build_embedding_index(new_index, provider)
     assert updated.records == rebuilt.records
-    # Untouched file's record object is reused verbatim.
-    assert updated.records[("K.java", 0)] is eindex.records[("K.java", 0)]
+    # The untouched file's row is carried over bit for bit.
+    def row(ei, key):
+        return ei.vectors[ei.chunks.index(ei.records[key].chunk)].tobytes()
+
+    assert row(updated, ("K.java", 0)) == row(eindex, ("K.java", 0))
+
+
+def test_update_embeddings_rejects_another_chunk_limit(tmp_path):
+    root = write_tree(tmp_path / "r", {"A.java": java_class("A", {"m": "x();"})})
+    index = build_index(root, "java", "v0")
+    provider = HashingEmbedder(dimension=8)
+    eindex = build_embedding_index(index, provider, chunk_limit=300)
+    with pytest.raises(ValueError, match="chunked at 300"):
+        update_embeddings(eindex, Changeset(modified=("A.java",)), index, provider, chunk_limit=50)
+    unknown = EmbeddingIndex(8, provider.provider_id, None, eindex.chunks, eindex.vectors)
+    assert len(update_embeddings(unknown, Changeset(), index, provider, chunk_limit=50)) == len(eindex)
 
 
 def test_update_embeddings_partial_failure_returns_partial_index(tmp_path):
@@ -603,3 +691,30 @@ def test_embedding_archive_rejects_wrong_magic(tmp_path):
     bad.write_text('{"magic": "nope", "format": 1}\n', encoding="utf-8")
     with pytest.raises(ArchiveFormatError):
         load_embedding_index(bad)
+
+
+def saved_archive(tmp_path):
+    root = planted_repo(tmp_path, n_files=3)
+    eindex = build_embedding_index(build_index(root, "java", "v0"), HashingEmbedder(dimension=16))
+    archive = tmp_path / "embed.jsonl"
+    save_embedding_index(eindex, archive)
+    return archive
+
+
+@pytest.mark.parametrize("cut", ["last line", "half of the last line"])
+def test_embedding_archive_rejects_a_truncated_body(tmp_path, cut):
+    archive = saved_archive(tmp_path)
+    text = archive.read_text(encoding="utf-8")
+    body_end = text.rstrip("\n").rfind("\n") + 1
+    keep = body_end if cut == "last line" else (body_end + len(text)) // 2
+    archive.write_text(text[:keep], encoding="utf-8")
+    with pytest.raises(ArchiveFormatError):
+        load_embedding_index(archive)
+
+
+def test_embedding_archive_rejects_rows_of_another_dimension(tmp_path):
+    archive = saved_archive(tmp_path)
+    header, rest = archive.read_text(encoding="utf-8").split("\n", 1)
+    archive.write_text(header.replace('"dimension": 16', '"dimension": 8') + "\n" + rest, encoding="utf-8")
+    with pytest.raises(ArchiveFormatError, match=r"expected \(\d+, 8\)"):
+        load_embedding_index(archive)

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
+from bugloc import java_parser
 from bugloc.chat import ChatTurn, ScriptedChatProvider
-from bugloc.code_index import build_index
+from bugloc.code_index import build_index, load_code_index
 from bugloc.embedders import CachedEmbedder, HashingEmbedder
 from bugloc.embedding import load_embedding_index
 from bugloc.harness import (
@@ -122,6 +123,71 @@ def test_version_store_rebuilds_archive_without_chunk_limit(tmp_path, caplog):
         VersionStore(root, embedding_provider=HashingEmbedder(32), cache_dir=cache).get("v1")
     assert "chunk limit None" in caplog.text
     assert load_embedding_index(archive).chunk_limit == 300
+
+
+def test_version_store_rebuilds_archive_of_another_format(tmp_path, caplog):
+    root = versioned_repo(tmp_path)
+    cache = tmp_path / "cache"
+    VersionStore(root, embedding_provider=HashingEmbedder(16), cache_dir=cache).get("v1")
+    archive = cache / "v1.embed.jsonl"
+    header, rest = archive.read_text(encoding="utf-8").split("\n", 1)
+    archive.write_text(json.dumps(dict(json.loads(header), format=0)) + "\n" + rest, encoding="utf-8")
+    with caplog.at_level("WARNING", logger="bugloc.harness"):
+        _, embed = VersionStore(root, embedding_provider=HashingEmbedder(16), cache_dir=cache).get("v1")
+    assert "ignoring the archive of v1: unsupported archive format 0" in caplog.text
+    assert embed.paths() == {"org/A.java", "org/B.java"}
+    assert load_embedding_index(archive).records == embed.records
+
+
+@pytest.mark.parametrize("archive_name", ["v1.code.jsonl", "v1.embed.jsonl"])
+def test_version_store_rebuilds_truncated_archive(tmp_path, caplog, archive_name):
+    root = versioned_repo(tmp_path)
+    cache = tmp_path / "cache"
+    VersionStore(root, embedding_provider=HashingEmbedder(16), cache_dir=cache).get("v1")
+    archive = cache / archive_name
+    whole = archive.read_bytes()
+    archive.write_bytes(whole[: whole.rstrip(b"\n").rfind(b"\n") + 1])
+    with caplog.at_level("WARNING", logger="bugloc.harness"):
+        code, _ = VersionStore(root, embedding_provider=HashingEmbedder(16), cache_dir=cache).get("v1")
+    assert "ignoring the archive of v1" in caplog.text
+    assert set(code.files) == {"org/A.java", "org/B.java"}
+    assert archive.read_bytes() == whole
+
+
+class MethodlessGrammar(java_parser.JavaGrammar):
+    """Indexes Java files but finds no methods in them."""
+
+    name = "java-methodless"
+
+    def parse(self, text):
+        return java_parser.ParseResult(methods=[], ok=True)
+
+
+@pytest.fixture
+def methodless_grammar(monkeypatch):
+    """MethodlessGrammar registered in a registry this test alone sees."""
+    monkeypatch.setattr(java_parser, "_GRAMMARS", dict(java_parser._GRAMMARS))
+    java_parser.register_grammar(MethodlessGrammar())
+
+
+def test_version_store_rebuilds_archive_of_another_grammar(tmp_path, caplog, methodless_grammar):
+    root = versioned_repo(tmp_path)
+    cache = tmp_path / "cache"
+    code, _ = VersionStore(root, "java-methodless", cache_dir=cache).get("v1")
+    assert not code.files["org/A.java"].methods
+    with caplog.at_level("WARNING", logger="bugloc.harness"):
+        code, _ = VersionStore(root, "java", cache_dir=cache).get("v1")
+    assert "ignoring the archive of v1: it was parsed as 'java-methodless'" in caplog.text
+    assert [m.name for m in code.files["org/A.java"].methods] == ["alpha"]
+    assert load_code_index(cache / "v1.code.jsonl").grammar == "java"
+
+
+def test_version_store_relabel_keeps_the_grammar(tmp_path, methodless_grammar):
+    root = write_tree(tmp_path / "flat", {"A.java": java_class("A", {"m": "x();"})})
+    store = VersionStore(root, "java-methodless", cache_dir=tmp_path / "cache")
+    store.get("rev-1")
+    assert store.get("rev-2")[0].grammar == "java-methodless"
+    assert load_code_index(tmp_path / "cache" / "rev-2.code.jsonl").grammar == "java-methodless"
 
 
 def bugs_for_eval():
