@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import logging
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .chat import ChatProvider, ChatProviderError
@@ -50,7 +51,6 @@ class AgentConfig:
     max_iterations: int = 10
     final_list_size: int = 10
     temperature: float = 1.0
-    tool_whitelist: frozenset[str] = TOOL_NAMES
     run_seed: str = ""
     tool_result_char_cap: int | None = None  # None: results enter the context untruncated
 
@@ -115,12 +115,12 @@ def _answer_format(final_list_size: int) -> str:
     )
 
 
-def build_system_prompt(config: AgentConfig) -> str:
-    tools = [name for name in sorted(TOOL_NAMES) if name in config.tool_whitelist]
+def build_system_prompt(config: AgentConfig, tool_names: Iterable[str]) -> str:
+    tools = sorted(tool_names)
     search_steps = [
         _TOOL_GUIDANCE[name]
         for name in ("search_file", "search_method", "get_candidate_filenames")
-        if name in config.tool_whitelist
+        if name in tools
     ]
     search_steps.insert(
         min(2, len(search_steps)),
@@ -130,7 +130,7 @@ def build_system_prompt(config: AgentConfig) -> str:
     analysis_steps = [
         _TOOL_GUIDANCE[name]
         for name in ("get_method_signatures_of_a_file", "get_method_body")
-        if name in config.tool_whitelist
+        if name in tools
     ]
 
     def bullets(items):
@@ -189,15 +189,16 @@ def build_system_prompt(config: AgentConfig) -> str:
     )
 
 
-def build_prompt(bug, config: AgentConfig) -> list[ChatMessage]:
-    """System message with the workflow framing, then the bug report itself."""
+def build_prompt(bug, config: AgentConfig, tool_names: Iterable[str] = TOOL_NAMES) -> list[ChatMessage]:
+    """System message with the workflow framing for the tools named, then the
+    bug report itself."""
     summary = (bug.summary or "").strip()
     description = (bug.description or "").strip()
     if not summary and not description:
         raise InputValidationError(f"bug report {bug.bug_id} has neither summary nor description")
     bug_message = f"Bug report {bug.bug_id}\nSummary: {summary}\nDescription: {description}"
     return [
-        ChatMessage(role=ROLE_SYSTEM, content=build_system_prompt(config)),
+        ChatMessage(role=ROLE_SYSTEM, content=build_system_prompt(config, tool_names)),
         ChatMessage(role=ROLE_SYSTEM, content=bug_message),
     ]
 
@@ -250,18 +251,19 @@ def run_localization(
 ) -> tuple[list[RawPrediction], AgentTranscript]:
     """Run the loop until the model answers or the iteration budget is spent.
 
-    Always returns a transcript; a failed bug yields an empty prediction list,
-    an empty raw_final_answer, and a failure_reason. Never raises for per-bug
+    The model is offered the tools of `tools`, no other. Always returns a
+    transcript; a failed bug yields an empty prediction list, an empty
+    raw_final_answer, and a failure_reason. Never raises for per-bug
     conditions.
     """
     transcript = AgentTranscript(bug_id=bug.bug_id, run_seed=config.run_seed)
     try:
-        messages = build_prompt(bug, config)
+        messages = build_prompt(bug, config, tools.names())
     except InputValidationError as exc:
         transcript.failure_reason = str(exc)
         return [], transcript
     transcript.messages = messages
-    schemas = [s for s in tools.schemas() if s["name"] in config.tool_whitelist]
+    schemas = tools.schemas()
 
     reprompted = False
     for iteration in range(1, config.max_iterations + 1):
@@ -281,11 +283,7 @@ def run_localization(
             messages.append(
                 ChatMessage(role=ROLE_MODEL, content="", tool_call=(name, arguments))
             )
-            if name not in config.tool_whitelist:
-                rendered = f"Tool '{name}' is not available in this run."
-            else:
-                result = tools.dispatch(name, arguments)
-                rendered = result.render()
+            rendered = tools.dispatch(name, arguments).render()
             cap = config.tool_result_char_cap
             if cap is not None and len(rendered) > cap:
                 rendered = rendered[:cap] + "\n[truncated]"

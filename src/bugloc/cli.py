@@ -68,7 +68,6 @@ def _make_localizer_factory(config, replay: str | None = None):
             provider=embedding_provider,
             shortlist_k=config.shortlist_k,
             top_n=config.final_list_size,
-            chunk_limit=config.chunk_limit,
         )
         return factory, embedding_provider
     chat_provider = build_chat_provider(config, replay)
@@ -77,7 +76,6 @@ def _make_localizer_factory(config, replay: str | None = None):
         embedding_provider=embedding_provider,
         use_candidate_tool=(mode == "genloc"),
         shortlist_k=config.shortlist_k,
-        chunk_limit=config.chunk_limit,
         max_iterations=config.max_iterations,
         final_list_size=config.final_list_size,
         temperature=config.temperature,

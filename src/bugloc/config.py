@@ -77,10 +77,6 @@ class RunConfig:
             raise ConfigurationError(f"unknown embedding provider kind {self.embedding.kind!r}")
 
     @property
-    def needs_chat(self) -> bool:
-        return self.mode in ("genloc", "noembed")
-
-    @property
     def needs_embedding(self) -> bool:
         return self.mode in ("genloc", "embedding_only")
 

@@ -6,7 +6,7 @@ its chunks to the query, ties by path. Updates mirror a from-scratch build:
 untouched rows carry over, and the chunks of every refreshed file go to the
 provider in one call; only if that fails is each file sent on its own, so
 failures are still told per file. An index and its archive record the chunk
-limit it was built with.
+limit it was built with, and updates and queries chunk at that limit.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ class EmbeddingIndex:
 
     dimension: int
     provider_id: str
-    chunk_limit: int | None = None  # None: unknown, as in archives written before it was recorded
+    chunk_limit: int = DEFAULT_CHUNK_LIMIT
     chunks: Iterable[Chunk] = ()  # stored as a sorted tuple
     vectors: np.ndarray = ()  # any (len(chunks), dimension) array-like
 
@@ -154,24 +154,16 @@ def build_embedding_index(
 
 
 def update_embeddings(
-    eindex: EmbeddingIndex,
-    changeset: Changeset,
-    index: CodeIndex,
-    provider: EmbeddingProvider,
-    chunk_limit: int = DEFAULT_CHUNK_LIMIT,
+    eindex: EmbeddingIndex, changeset: Changeset, index: CodeIndex, provider: EmbeddingProvider
 ) -> EmbeddingIndex:
-    """Re-embed only what the changeset touched; untouched rows carry over
-    verbatim. `index` must already reflect the post-changeset repository, and
-    `chunk_limit` must be the one `eindex` was chunked with, when it is known.
+    """Re-embed only what the changeset touched, chunked at `eindex`'s chunk
+    limit; untouched rows carry over verbatim. `index` must already reflect
+    the post-changeset repository.
 
     The refreshed files are embedded in one provider call. If it fails, each
     file is retried in a call of its own; those failures are collected and, if
     any occurred, an EmbeddingUpdateError carrying the partial index is raised.
     """
-    if eindex.chunk_limit is not None and eindex.chunk_limit != chunk_limit:
-        raise ValueError(
-            f"the index was chunked at {eindex.chunk_limit} tokens, not {chunk_limit}; rebuild it"
-        )
     changeset.validate()
     refresh = set(changeset.added) | set(changeset.modified) | {new for _, new in changeset.renamed}
     dropped = refresh | set(changeset.deleted) | {old for old, _ in changeset.renamed}
@@ -182,7 +174,7 @@ def update_embeddings(
         if fq_path not in index.files:
             logger.error("changeset path missing from code index, skipped: %s", fq_path)
             continue
-        chunks[fq_path] = _file_chunks(index, fq_path, chunk_limit)
+        chunks[fq_path] = _file_chunks(index, fq_path, eindex.chunk_limit)
     failures: dict[str, str] = {}
     new_chunks = [c for cs in chunks.values() for c in cs]
     try:
@@ -201,7 +193,7 @@ def update_embeddings(
                 failures[fq_path] = str(exc)
     kept = [c for c, k in zip(eindex.chunks, keep) if k]
     vectors = np.concatenate([eindex.vectors[keep], np.reshape(new_vectors, (-1, eindex.dimension))])
-    out = EmbeddingIndex(eindex.dimension, eindex.provider_id, chunk_limit, kept + new_chunks, vectors)
+    out = EmbeddingIndex(eindex.dimension, eindex.provider_id, eindex.chunk_limit, kept + new_chunks, vectors)
     if failures:
         raise EmbeddingUpdateError(out, failures)
     return out
@@ -218,14 +210,11 @@ def embed_query(text: str, provider: EmbeddingProvider, chunk_limit: int = DEFAU
 
 
 def shortlist_files(
-    bug,
-    eindex: EmbeddingIndex,
-    provider: EmbeddingProvider,
-    k: int = DEFAULT_SHORTLIST_K,
-    chunk_limit: int = DEFAULT_CHUNK_LIMIT,
+    bug, eindex: EmbeddingIndex, provider: EmbeddingProvider, k: int = DEFAULT_SHORTLIST_K
 ) -> Shortlist:
     """Top-k files by maximum chunk cosine similarity to the bug text, ties
-    by ascending path; chunks with a zero vector are never scored.
+    by ascending path; chunks with a zero vector are never scored. The bug
+    text is chunked at the index's chunk limit.
 
     Each row's dot product is reduced on its own (`np.vecdot`), not in one
     matrix-vector product, whose blocking may round a row differently at
@@ -234,7 +223,7 @@ def shortlist_files(
     if len(eindex) == 0:
         raise InputValidationError("embedding index is empty")
     text = require_bug_text(bug)
-    query = embed_query(text, provider, chunk_limit=chunk_limit)
+    query = embed_query(text, provider, chunk_limit=eindex.chunk_limit)
     query_norm = float(np.linalg.norm(query))
     if query_norm == 0.0:
         raise InputValidationError("bug text produced a zero embedding vector")
@@ -292,7 +281,7 @@ def load_embedding_index(path: str | Path) -> EmbeddingIndex:
     chunks, vectors = zip(*records) if records else ((), ())
     try:
         return EmbeddingIndex(
-            header["dimension"], header["provider_id"], header.get("chunk_limit"), chunks, vectors
+            header["dimension"], header["provider_id"], header["chunk_limit"], chunks, vectors
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ArchiveFormatError(f"unusable embedding index archive {path}: {exc}") from None

@@ -26,6 +26,7 @@ from .embedding import (
 )
 from .dataset import BugReport
 from .ioutil import SCHEMA_VERSION, atomic_write_json, atomic_write_text
+from .java_parser import get_grammar
 from .localizers import BaseLocalizer, LocalizationFailure
 from .metrics import DataError, EvalReport, LocalizationResult, aggregate_runs, build_report
 
@@ -141,12 +142,13 @@ class VersionStore:
             embed = prev[1]
         else:
             if changeset is None:
-                changeset = diff_source_trees(self.resolve_tree(previous), tree)
+                extensions = get_grammar(self.grammar).extensions
+                changeset = diff_source_trees(self.resolve_tree(previous), tree, extensions)
             code = update_index(prev[0], changeset, tree, version_id, self.grammar)
             embed = None
             if provider is not None:
                 try:
-                    embed = update_embeddings(prev[1], changeset, code, provider, self.chunk_limit)
+                    embed = update_embeddings(prev[1], changeset, code, provider)
                 except EmbeddingUpdateError as exc:
                     logger.error("partial embedding update for %s: %s", version_id, exc)
                     embed = exc.partial_index
@@ -184,6 +186,8 @@ def evaluate_technique(
     `make_localizer` is a zero-argument factory; one instance is fitted per
     repository version and reused across that version's bugs. A per-bug
     failure is recorded as an empty ranked list (a miss), never a crash.
+    Failures come in (run, bug) order and transcripts in bug order, whatever
+    the number of workers.
     """
     if not bugs:
         raise DataError("no bugs to evaluate")
@@ -205,34 +209,39 @@ def evaluate_technique(
         localizer_for(bug.version_id)
 
     failures: list[dict] = []
-    transcripts: list = []
     run_reports: list[EvalReport] = []
     for run_id in range(1, runs + 1):
 
-        def localize(bug: BugReport) -> LocalizationResult:
+        def localize(bug: BugReport) -> tuple[LocalizationResult, dict | None]:
             localizer = localizer_for(bug.version_id)
+            failure = None
             try:
                 paths = localizer.predict(bug)
-            except LocalizationFailure as exc:
-                failures.append({"bug_id": bug.bug_id, "run_id": run_id, "reason": str(exc)})
-                paths = []
             except Exception as exc:
-                logger.exception("bug %s failed in run %d", bug.bug_id, run_id)
-                failures.append({"bug_id": bug.bug_id, "run_id": run_id, "reason": str(exc)})
+                if not isinstance(exc, LocalizationFailure):
+                    logger.exception("bug %s failed in run %d", bug.bug_id, run_id)
+                failure = {"bug_id": bug.bug_id, "run_id": run_id, "reason": str(exc)}
                 paths = []
-            return LocalizationResult.from_ranking(
+            result = LocalizationResult.from_ranking(
                 bug.bug_id, technique, run_id, paths, ground_truths[bug.bug_id]
             )
+            return result, failure
 
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(localize, bugs))
+                outcomes = list(pool.map(localize, bugs))
         else:
-            results = [localize(bug) for bug in bugs]
-        run_reports.append(build_report(results, ground_truths, technique))
+            outcomes = [localize(bug) for bug in bugs]
+        failures += [failure for _, failure in outcomes if failure is not None]
+        run_reports.append(build_report([result for result, _ in outcomes], ground_truths, technique))
 
-    for localizer in fitted.values():
-        transcripts.extend(getattr(localizer, "transcripts_", []))
+    position = {bug.bug_id: i for i, bug in enumerate(bugs)}
+    # Threads append in the order they finish; each run's bugs finish before
+    # the next run starts, so a stable sort keeps each bug's runs in order.
+    transcripts = sorted(
+        (t for localizer in fitted.values() for t in getattr(localizer, "transcripts_", [])),
+        key=lambda transcript: position[transcript.bug_id],
+    )
     report = aggregate_runs(run_reports)
     return RunOutcome(report=report, run_reports=run_reports, failures=failures, transcripts=transcripts)
 

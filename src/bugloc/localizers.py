@@ -18,7 +18,7 @@ from .code_index import CodeIndex, file_representation
 from .embedders import EmbeddingProvider
 from .embedding import EmbeddingIndex, Shortlist, shortlist_files
 from .resolve import resolve_predictions, surviving_paths
-from .tools import GET_CANDIDATE_FILENAMES, TOOL_NAMES, make_tool_registry
+from .tools import make_tool_registry
 from .validation import check_is_fitted, require_bug_text
 from .vsm import VsmModel
 
@@ -94,12 +94,10 @@ class EmbeddingLocalizer(BaseLocalizer):
         provider: EmbeddingProvider,
         shortlist_k: int = 50,
         top_n: int = 10,
-        chunk_limit: int = 300,
     ):
         self.provider = provider
         self.shortlist_k = shortlist_k
         self.top_n = top_n
-        self.chunk_limit = chunk_limit
         self.embedding_index_: EmbeddingIndex | None = None
 
     def fit(self, code_index: CodeIndex, embedding_index: EmbeddingIndex | None = None):
@@ -110,13 +108,7 @@ class EmbeddingLocalizer(BaseLocalizer):
 
     def shortlist(self, bug) -> Shortlist:
         check_is_fitted(self, ("embedding_index_",))
-        return shortlist_files(
-            bug,
-            self.embedding_index_,
-            self.provider,
-            k=self.shortlist_k,
-            chunk_limit=self.chunk_limit,
-        )
+        return shortlist_files(bug, self.embedding_index_, self.provider, k=self.shortlist_k)
 
     def predict(self, bug) -> list[str]:
         return self.shortlist(bug).paths()[: self.top_n]
@@ -126,8 +118,9 @@ class AgentLocalizer(BaseLocalizer):
     """Full pipeline: optional embedding shortlist, the tool-calling reasoning
     loop, then resolution of raw claims against the code index.
 
-    With use_candidate_tool=False the candidate-filenames tool disappears from
-    both the prompt and dispatch, and no embedding provider is needed.
+    With use_candidate_tool=False no shortlist is made, so the
+    candidate-filenames tool is absent from the prompt and from dispatch, and
+    no embedding provider is needed.
     """
 
     def __init__(
@@ -136,7 +129,6 @@ class AgentLocalizer(BaseLocalizer):
         embedding_provider: EmbeddingProvider | None = None,
         use_candidate_tool: bool = True,
         shortlist_k: int = 50,
-        chunk_limit: int = 300,
         max_iterations: int = 10,
         final_list_size: int = 10,
         temperature: float = 1.0,
@@ -147,7 +139,6 @@ class AgentLocalizer(BaseLocalizer):
         self.embedding_provider = embedding_provider
         self.use_candidate_tool = use_candidate_tool
         self.shortlist_k = shortlist_k
-        self.chunk_limit = chunk_limit
         self.max_iterations = max_iterations
         self.final_list_size = final_list_size
         self.temperature = temperature
@@ -162,14 +153,10 @@ class AgentLocalizer(BaseLocalizer):
         return "genloc" if self.use_candidate_tool else "noembed"
 
     def agent_config(self) -> AgentConfig:
-        whitelist = set(TOOL_NAMES)
-        if not self.use_candidate_tool:
-            whitelist.discard(GET_CANDIDATE_FILENAMES)
         return AgentConfig(
             max_iterations=self.max_iterations,
             final_list_size=self.final_list_size,
             temperature=self.temperature,
-            tool_whitelist=frozenset(whitelist),
             run_seed=self.run_seed,
             tool_result_char_cap=self.tool_result_char_cap,
         )
@@ -194,15 +181,9 @@ class AgentLocalizer(BaseLocalizer):
         shortlist = None
         if self.use_candidate_tool:
             shortlist = shortlist_files(
-                bug,
-                self.embedding_index_,
-                self.embedding_provider,
-                k=self.shortlist_k,
-                chunk_limit=self.chunk_limit,
+                bug, self.embedding_index_, self.embedding_provider, k=self.shortlist_k
             )
-        registry = make_tool_registry(
-            self.index_, shortlist=shortlist, include_candidate_tool=self.use_candidate_tool
-        )
+        registry = make_tool_registry(self.index_, shortlist=shortlist)
         raw, transcript = run_localization(bug, registry, self.chat_provider, self.agent_config())
         self.transcripts_.append(transcript)
         if transcript.failure_reason is not None:

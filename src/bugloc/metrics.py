@@ -36,17 +36,13 @@ class LocalizationResult:
         ranked_paths: Sequence[str],
         ground_truth: Iterable[str],
     ) -> "LocalizationResult":
-        truth = set(ground_truth)
-        first_hit = None
-        for position, path in enumerate(ranked_paths, start=1):
-            if path in truth:
-                first_hit = position
-                break
+        first_hit = _first_hit(ranked_paths, set(ground_truth))
         return cls(bug_id, technique, run_id, tuple(ranked_paths), first_hit)
 
 
-def _first_hit(result: LocalizationResult, truth: set) -> int | None:
-    for position, path in enumerate(result.ranked_paths, start=1):
+def _first_hit(ranked_paths: Sequence[str], truth: set) -> int | None:
+    """1-based rank of the first path in `truth`; None when there is none."""
+    for position, path in enumerate(ranked_paths, start=1):
         if path in truth:
             return position
     return None
@@ -73,7 +69,7 @@ def accuracy_at_k(
         raise MetricError("accuracy is undefined for an empty result set")
     hits = 0
     for result in results:
-        rank = _first_hit(result, _truth_for(result, ground_truths))
+        rank = _first_hit(result.ranked_paths, _truth_for(result, ground_truths))
         if rank is not None and rank <= k:
             hits += 1
     return hits / len(results)
@@ -90,7 +86,7 @@ def mrr_at_k(
         raise MetricError("MRR is undefined for an empty result set")
     total = 0.0
     for result in results:
-        rank = _first_hit(result, _truth_for(result, ground_truths))
+        rank = _first_hit(result.ranked_paths, _truth_for(result, ground_truths))
         if rank is not None and rank <= k:
             total += 1.0 / rank
     return total / len(results)
@@ -196,7 +192,7 @@ def overlap_analysis(
     for technique, results in per_technique.items():
         hits: set[str] = set()
         for result in results:
-            rank = _first_hit(result, _truth_for(result, ground_truths))
+            rank = _first_hit(result.ranked_paths, _truth_for(result, ground_truths))
             if rank is not None and rank <= k:
                 hits.add(result.bug_id)
         localized[technique] = hits

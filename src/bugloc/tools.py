@@ -42,10 +42,11 @@ class ToolResult:
 
 
 class ToolRegistry:
-    """Name -> callable bindings plus the argument schemas shown to the model.
+    """Name -> callable bindings plus the argument schemas shown to the model:
+    the one record of which tools a run offers.
 
     Only the five exploration tools are registrable; the candidate-filenames
-    tool is simply absent when embeddings are disabled.
+    tool is registered exactly when a run has a shortlist.
     """
 
     def __init__(self):
@@ -123,11 +124,9 @@ def _overload_blocks(record: SourceFileRecord, method_name: str) -> list[str]:
     ]
 
 
-def make_tool_registry(
-    index: CodeIndex,
-    shortlist: Shortlist | None = None,
-    include_candidate_tool: bool = True,
-) -> ToolRegistry:
+def make_tool_registry(index: CodeIndex, shortlist: Shortlist | None = None) -> ToolRegistry:
+    """The tools over `index`; get_candidate_filenames is among them exactly
+    when a shortlist is given."""
     registry = ToolRegistry()
 
     def resolve_file(fq_path: str) -> tuple[SourceFileRecord, str | None] | ToolResult:
@@ -176,8 +175,6 @@ def make_tool_registry(
         return ToolResult(ok=True, payload="\n".join(lines), note=f"fuzzy-matched from '{name}'")
 
     def get_candidate_filenames() -> ToolResult:
-        if shortlist is None:
-            return ToolResult(ok=False, payload="Candidate filenames are not available in this run.")
         paths = shortlist.paths()
         if not paths:
             return ToolResult(ok=True, payload="The candidate shortlist is empty.")
@@ -254,7 +251,7 @@ def make_tool_registry(
             "required": ["name"],
         },
     )
-    if include_candidate_tool:
+    if shortlist is not None:
         registry.register(
             GET_CANDIDATE_FILENAMES,
             get_candidate_filenames,

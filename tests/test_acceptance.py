@@ -386,14 +386,12 @@ def test_criterion_7_end_to_end_replay(tmp_path):
             registry = make_tool_registry(
                 index,
                 shortlist=shortlist_files(bug, eindex, provider, k=50) if with_candidates else None,
-                include_candidate_tool=with_candidates,
             )
-            whitelist = set(registry.names())
             predictions, transcript = run_localization(
                 bug,
                 registry,
                 ScriptedChatProvider(turns),
-                AgentConfig(tool_whitelist=frozenset(whitelist)),
+                AgentConfig(),
             )
             assert transcript.failure_reason is None, (name, transcript.failure_reason)
             assert transcript.iterations_used == expected_iterations, name

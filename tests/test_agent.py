@@ -84,11 +84,9 @@ def test_prompt_limits_follow_config():
     assert "maximum limit of 4 iterations" in text
 
 
-def test_prompt_whitelist_filters_tool_descriptions():
-    whitelist = frozenset(
-        {"search_file", "search_method", "get_method_signatures_of_a_file", "get_method_body"}
-    )
-    text = build_prompt(make_bug(), AgentConfig(tool_whitelist=whitelist))[0].content
+def test_prompt_whitelist_filters_tool_descriptions(two_file_repo):
+    registry = make_tool_registry(two_file_repo[0], shortlist=None)
+    text = build_prompt(make_bug(), AgentConfig(), registry.names())[0].content
     assert GET_CANDIDATE_FILENAMES not in text
     assert "search_file" in text
 
@@ -204,15 +202,15 @@ def test_forced_instruction_lets_scripted_stall_answer_at_ten(toolenv):
     assert predictions
 
 
-def test_non_whitelisted_tool_reported_unavailable(toolenv):
-    config = AgentConfig(tool_whitelist=frozenset({"search_file", "search_method"}))
+def test_non_whitelisted_tool_reported_unavailable(two_file_repo):
+    registry = make_tool_registry(two_file_repo[0], shortlist=None)
     provider = ScriptedChatProvider(
         [
             ChatTurn(tool_call=ToolCall(GET_CANDIDATE_FILENAMES, {})),
             ChatTurn(content=final_answer(["org/chart/AutoScale.java"])),
         ]
     )
-    predictions, transcript = run_localization(make_bug(), toolenv, provider, config)
+    predictions, transcript = run_localization(make_bug(), registry, provider, AgentConfig())
     tool_message = next(m for m in transcript.messages if m.role == "tool")
     assert "not available" in tool_message.tool_result
     assert predictions
@@ -353,7 +351,7 @@ def test_tool_call_closure(toolenv):
     _, transcript = run_localization(make_bug(), toolenv, provider, config)
     for message in transcript.messages:
         if message.tool_call is not None:
-            assert message.tool_call[0] in config.tool_whitelist
+            assert message.tool_call[0] in toolenv
 
 
 # --- replay files ------------------------------------------------------------

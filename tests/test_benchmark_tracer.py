@@ -15,7 +15,7 @@ def test_tracer_installs_counts_and_uninstalls(monkeypatch, two_file_repo):
     tracer = tracer_module.Tracer()
     try:
         tracer_module.install(tracer)
-        registry = localizers.make_tool_registry(two_file_repo[0], include_candidate_tool=False)
+        registry = localizers.make_tool_registry(two_file_repo[0], shortlist=None)
         registry.dispatch(tools.SEARCH_METHOD, {"name": "strat"})
         registry.dispatch(
             tools.GET_METHOD_BODY, {"method": "stpo", "fq_path": "org/apache/Catalina.java"}

@@ -1,14 +1,17 @@
 import json
+import time
 
 import pytest
 
+from bugloc import cli
+from bugloc.chat import ChatProvider, ChatTurn, ToolCall
 from bugloc.cli import main
 from bugloc.config import load_config
 from bugloc.code_index import ConfigurationError, load_code_index
 from bugloc.dataset import save_bug_reports
 from bugloc.embedding import load_embedding_index
 from bugloc.ioutil import read_json
-from conftest import java_class, make_bug, write_replay, write_tree
+from conftest import final_answer, java_class, make_bug, write_replay, write_tree
 
 
 @pytest.fixture
@@ -314,6 +317,59 @@ def test_cmd_evaluate_genloc_scripted(workspace):
     assert report["accuracy_at"]["5"] == 1.0
     transcripts = list((out / "transcripts").glob("*.json"))
     assert len(transcripts) == 6  # 2 bugs x 3 runs, all persisted
+
+
+class StaggeredChat(ChatProvider):
+    """One candidate-tool call, then the answer; each turn of bug `e-<i>` is
+    delayed the longer the smaller i, so threads finish in reverse order. The
+    bugs in `failing` never give a parseable answer."""
+
+    provider_id = "staggered"
+
+    def __init__(self, n_bugs: int, failing: set[str]):
+        self.n_bugs = n_bugs
+        self.failing = failing
+
+    def complete(self, messages, tool_schemas, temperature):
+        bug_id = messages[1].content.split("\n", 1)[0].removeprefix("Bug report ")
+        time.sleep(0.01 * (self.n_bugs - int(bug_id.removeprefix("e-"))))
+        if not any(m.role == "tool" for m in messages):
+            return ChatTurn(tool_call=ToolCall("get_candidate_filenames", {}))
+        if bug_id in self.failing:
+            return ChatTurn(content="no ranked list")
+        return ChatTurn(content=final_answer(["org/chart/AutoScale.java"]))
+
+
+def test_cmd_evaluate_output_does_not_depend_on_workers(workspace, monkeypatch):
+    n_bugs = 6
+    bugs = [
+        make_bug(f"e-{i}", f"meterchart dial {i}", "", "v1", truth=["org/chart/AutoScale.java"])
+        for i in range(n_bugs)
+    ]
+    save_bug_reports(bugs, workspace / "six.jsonl")
+    chat = StaggeredChat(n_bugs, failing={"e-0", "e-1"})
+    monkeypatch.setattr(cli, "build_chat_provider", lambda config, replay=None: chat)
+    outputs = []
+    for workers in (1, 4):
+        config = workspace / f"workers-{workers}.yaml"
+        config.write_text(f"workers: {workers}\n", encoding="utf-8")
+        out = workspace / f"out-{workers}"
+        code = run_cli(
+            "evaluate", "--config", config, "--repo", workspace / "repo",
+            "--dataset", workspace / "six.jsonl", "--train-fraction", 0,
+            "--technique", "genloc", "--runs", 2, "--out", out,
+        )
+        assert code == 1  # the failing bugs are recorded, and reported by the exit code
+        transcripts = {p.name: p.read_bytes() for p in (out / "transcripts").iterdir()}
+        outputs.append(((out / "report-genloc.json").read_bytes(), transcripts))
+    (report_1, transcripts_1), (report_4, transcripts_4) = outputs
+    failures = json.loads(report_1)["failures"]
+    assert [(f["run_id"], f["bug_id"]) for f in failures] == [
+        (1, "e-0"), (1, "e-1"), (2, "e-0"), (2, "e-1")
+    ]
+    assert report_4 == report_1
+    assert sorted(transcripts_1) == sorted(f"e-{i // 2}-{i}.json" for i in range(2 * n_bugs))
+    assert transcripts_4 == transcripts_1
 
 
 def test_cmd_evaluate_vsm(workspace):

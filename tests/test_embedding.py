@@ -580,15 +580,19 @@ def test_update_embeddings_rename_matches_rebuild(tmp_path):
     assert row(updated, ("K.java", 0)) == row(eindex, ("K.java", 0))
 
 
-def test_update_embeddings_rejects_another_chunk_limit(tmp_path):
-    root = write_tree(tmp_path / "r", {"A.java": java_class("A", {"m": "x();"})})
+def test_update_embeddings_keeps_the_index_chunk_limit(tmp_path):
+    body = " ".join(f"call{i}();" for i in range(120))
+    root = write_tree(tmp_path / "r", {"A.java": java_class("A", {"m": body})})
     index = build_index(root, "java", "v0")
     provider = HashingEmbedder(dimension=8)
-    eindex = build_embedding_index(index, provider, chunk_limit=300)
-    with pytest.raises(ValueError, match="chunked at 300"):
-        update_embeddings(eindex, Changeset(modified=("A.java",)), index, provider, chunk_limit=50)
-    unknown = EmbeddingIndex(8, provider.provider_id, None, eindex.chunks, eindex.vectors)
-    assert len(update_embeddings(unknown, Changeset(), index, provider, chunk_limit=50)) == len(eindex)
+    eindex = build_embedding_index(index, provider, chunk_limit=50)
+    write_tree(root, {"A.java": java_class("A", {"m": body + " more();"})})
+    changeset = Changeset(modified=("A.java",))
+    new_index = update_index(index, changeset, root, "v1")
+    updated = update_embeddings(eindex, changeset, new_index, provider)
+    assert updated.chunk_limit == 50
+    assert max(c.token_count for c in updated.chunks) == 50
+    assert updated.records == build_embedding_index(new_index, provider, chunk_limit=50).records
 
 
 def test_update_embeddings_partial_failure_returns_partial_index(tmp_path):

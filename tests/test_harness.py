@@ -6,7 +6,7 @@ from bugloc import java_parser
 from bugloc.chat import ChatTurn, ScriptedChatProvider
 from bugloc.code_index import build_index, load_code_index
 from bugloc.embedders import CachedEmbedder, HashingEmbedder
-from bugloc.embedding import load_embedding_index
+from bugloc.embedding import build_embedding_index, load_embedding_index
 from bugloc.harness import (
     VersionStore,
     evaluate_technique,
@@ -121,7 +121,7 @@ def test_version_store_rebuilds_archive_without_chunk_limit(tmp_path, caplog):
     archive.write_text(json.dumps(header) + "\n" + rest, encoding="utf-8")
     with caplog.at_level("WARNING", logger="bugloc.harness"):
         VersionStore(root, embedding_provider=HashingEmbedder(32), cache_dir=cache).get("v1")
-    assert "chunk limit None" in caplog.text
+    assert "unusable embedding index archive" in caplog.text and "'chunk_limit'" in caplog.text
     assert load_embedding_index(archive).chunk_limit == 300
 
 
@@ -163,11 +163,25 @@ class MethodlessGrammar(java_parser.JavaGrammar):
         return java_parser.ParseResult(methods=[], ok=True)
 
 
+class KotlinFilesAsJava(java_parser.JavaGrammar):
+    """Parses .kt files, and only those, by the Java rules."""
+
+    name = "kt-as-java"
+
+    def __init__(self):
+        super().__init__(extensions=(".kt",))
+
+
 @pytest.fixture
-def methodless_grammar(monkeypatch):
-    """MethodlessGrammar registered in a registry this test alone sees."""
+def register_grammar(monkeypatch):
+    """`register_grammar` into a registry this test alone sees."""
     monkeypatch.setattr(java_parser, "_GRAMMARS", dict(java_parser._GRAMMARS))
-    java_parser.register_grammar(MethodlessGrammar())
+    return java_parser.register_grammar
+
+
+@pytest.fixture
+def methodless_grammar(register_grammar):
+    register_grammar(MethodlessGrammar())
 
 
 def test_version_store_rebuilds_archive_of_another_grammar(tmp_path, caplog, methodless_grammar):
@@ -188,6 +202,22 @@ def test_version_store_relabel_keeps_the_grammar(tmp_path, methodless_grammar):
     store.get("rev-1")
     assert store.get("rev-2")[0].grammar == "java-methodless"
     assert load_code_index(tmp_path / "cache" / "rev-2.code.jsonl").grammar == "java-methodless"
+
+
+def test_version_store_incremental_build_diffs_the_grammar_files(tmp_path, register_grammar):
+    register_grammar(KotlinFilesAsJava())
+    root = tmp_path / "repo"
+    v1 = {"org/A.kt": java_class("A", {"alpha": "a();"})}
+    write_tree(root / "v1", v1)
+    write_tree(root / "v2", {**v1, "org/B.kt": java_class("B", {"beta": "b();", "gamma": "c();"})})
+    provider = HashingEmbedder(16)
+    store = VersionStore(root, "kt-as-java", embedding_provider=provider)
+    store.get("v1")
+    code, embed = store.get("v2")
+    fresh = build_index(root / "v2", "kt-as-java", "v2")
+    assert sorted(fresh.files) == ["org/A.kt", "org/B.kt"]
+    assert code == fresh
+    assert embed.records == build_embedding_index(fresh, provider).records
 
 
 def bugs_for_eval():

@@ -1,0 +1,68 @@
+"""Pins every value a caller can set: config fields, localizer parameters and
+the parameters of the library entry points that take settings. A change that
+adds or removes a knob edits the list here, in plain view."""
+
+import dataclasses
+import inspect
+
+import pytest
+
+from bugloc.agent import AgentConfig, build_prompt
+from bugloc.config import ChatSettings, EmbeddingSettings, RunConfig
+from bugloc.embedding import shortlist_files, update_embeddings
+from bugloc.harness import VersionStore
+from bugloc.localizers import AgentLocalizer, EmbeddingLocalizer, VsmLocalizer
+from bugloc.tools import make_tool_registry
+
+CONFIG_FIELDS = {
+    RunConfig: [
+        "mode", "grammar", "chunk_limit", "shortlist_k", "max_iterations", "final_list_size",
+        "temperature", "runs", "workers", "tool_result_char_cap", "repo", "dataset",
+        "index_cache", "out_dir", "chat", "embedding",
+    ],
+    ChatSettings: ["kind", "model", "base_url", "api_key_env", "replay_path", "max_attempts"],
+    EmbeddingSettings: [
+        "kind", "dimension", "model", "base_url", "api_key_env", "max_batch_size",
+        "max_attempts", "cache_path",
+    ],
+    AgentConfig: [
+        "max_iterations", "final_list_size", "temperature", "run_seed", "tool_result_char_cap",
+    ],
+}
+
+LOCALIZER_PARAMS = {
+    VsmLocalizer: ["top_n"],
+    EmbeddingLocalizer: ["provider", "shortlist_k", "top_n"],
+    AgentLocalizer: [
+        "chat_provider", "embedding_provider", "use_candidate_tool", "shortlist_k",
+        "max_iterations", "final_list_size", "temperature", "run_seed", "tool_result_char_cap",
+    ],
+}
+
+FUNCTION_PARAMS = {
+    shortlist_files: ["bug", "eindex", "provider", "k"],
+    update_embeddings: ["eindex", "changeset", "index", "provider"],
+    make_tool_registry: ["index", "shortlist"],
+    build_prompt: ["bug", "config", "tool_names"],
+    VersionStore.__init__: [
+        "self", "repo_root", "grammar", "embedding_provider", "cache_dir", "chunk_limit",
+    ],
+}
+
+
+@pytest.mark.parametrize("cls", list(CONFIG_FIELDS), ids=lambda c: c.__name__)
+def test_config_fields_are_pinned(cls):
+    assert [f.name for f in dataclasses.fields(cls)] == CONFIG_FIELDS[cls]
+
+
+@pytest.mark.parametrize("cls", list(LOCALIZER_PARAMS), ids=lambda c: c.__name__)
+def test_localizer_params_are_pinned(cls):
+    required = {"provider": None, "chat_provider": None}
+    names = inspect.signature(cls).parameters
+    localizer = cls(**{k: v for k, v in required.items() if k in names})
+    assert list(localizer.get_params()) == LOCALIZER_PARAMS[cls]
+
+
+@pytest.mark.parametrize("fn", list(FUNCTION_PARAMS), ids=lambda f: f.__qualname__)
+def test_function_params_are_pinned(fn):
+    assert list(inspect.signature(fn).parameters) == FUNCTION_PARAMS[fn]

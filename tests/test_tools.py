@@ -118,7 +118,7 @@ def test_candidates_passthrough_in_shortlist_order(repo_index):
 
 
 def test_candidates_absent_in_noembed_mode(repo_index):
-    registry = registry_for(repo_index, include_candidate_tool=False)
+    registry = registry_for(repo_index, shortlist=None)
     assert GET_CANDIDATE_FILENAMES not in registry
     result = registry.dispatch(GET_CANDIDATE_FILENAMES, {})
     assert not result.ok
@@ -358,7 +358,7 @@ def characterization_registries(root):
         "shortlist": make_tool_registry(index, shortlist=shortlist),
         "none": make_tool_registry(index, shortlist=None),
         "empty": make_tool_registry(index, shortlist=Shortlist(entries=(), k=3)),
-        "noembed": make_tool_registry(index, include_candidate_tool=False),
+        "noembed": make_tool_registry(index, shortlist=None),
     }
 
 
@@ -459,7 +459,7 @@ CHARACTERIZED_RESULTS = {
     ),
     "candidates-no-shortlist": (
         False,
-        "Candidate filenames are not available in this run.",
+        "Tool 'get_candidate_filenames' is not available in this run.",
         None,
     ),
     "candidates-empty-shortlist": (
