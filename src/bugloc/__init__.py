@@ -36,7 +36,7 @@ from .embedding import (
     update_embeddings,
 )
 from .fuzzy import damerau_levenshtein, fuzzy_method_candidates
-from .localizers import AgentLocalizer, BaseLocalizer, EmbeddingLocalizer, LocalizationFailure, VsmLocalizer
+from .localizers import AgentLocalizer, BaseLocalizer, EmbeddingLocalizer, LocalizationFailure, Prediction, VsmLocalizer
 from .metrics import (
     EvalReport,
     LocalizationResult,

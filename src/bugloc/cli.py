@@ -10,7 +10,7 @@ from pathlib import Path
 from .code_index import Changeset, ConfigurationError
 from .config import MODES, RunConfig, build_chat_provider, build_embedding_provider, load_config
 from .dataset import load_bug_reports, split_chronological
-from .agent import write_transcript
+from .agent import AgentConfig, write_transcript
 from .harness import (
     VersionStore,
     evaluate_technique,
@@ -71,15 +71,15 @@ def _make_localizer_factory(config, replay: str | None = None):
         )
         return factory, embedding_provider
     chat_provider = build_chat_provider(config, replay)
-    factory = lambda: AgentLocalizer(
-        chat_provider=chat_provider,
-        embedding_provider=embedding_provider,
-        use_candidate_tool=(mode == "genloc"),
-        shortlist_k=config.shortlist_k,
+    agent_config = AgentConfig(
         max_iterations=config.max_iterations,
         final_list_size=config.final_list_size,
         temperature=config.temperature,
         tool_result_char_cap=config.tool_result_char_cap,
+    )
+    # noembed has no embedding provider, hence no candidate tool
+    factory = lambda: AgentLocalizer(
+        chat_provider, embedding_provider, config.shortlist_k, agent_config
     )
     return factory, embedding_provider
 
@@ -141,18 +141,20 @@ def cmd_localize(args) -> int:
         code, embed = store.get(bug.version_id)
         localizer = factory().fit(code, embed)
         try:
-            paths = localizer.predict(bug)
+            prediction = localizer.predict(bug)
         except (LocalizationFailure, InputValidationError) as exc:
             print(f"bug {bug.bug_id}: localization failed: {exc}", file=sys.stderr)
-            paths = None
+            prediction, transcript = None, getattr(exc, "transcript", None)
             exit_code = 1
-        for transcript in getattr(localizer, "transcripts_", []):
+        else:
+            transcript = prediction.transcript
+        if transcript is not None:
             write_transcript(transcript, out_dir / f"transcript-{bug.bug_id}.json")
-        if paths is not None:
+        if prediction is not None:
             print(f"bug {bug.bug_id}:")
-            for rank, path in enumerate(paths, start=1):
+            for rank, path in enumerate(prediction.paths, start=1):
                 print(f"  {rank}. {path}")
-            if not paths:
+            if not prediction.paths:
                 print("  (no verified files)")
     return exit_code
 

@@ -75,6 +75,11 @@ class RunConfig:
             raise ConfigurationError(f"unknown chat provider kind {self.chat.kind!r}")
         if self.mode != "noembed" and self.embedding.kind not in ("hashing", "remote"):
             raise ConfigurationError(f"unknown embedding provider kind {self.embedding.kind!r}")
+        for name in ("shortlist_k", "final_list_size", "chunk_limit", "max_iterations", "runs",
+                     "workers"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ConfigurationError(f"{name} must be at least 1, got {value}")
 
     @property
     def needs_embedding(self) -> bool:

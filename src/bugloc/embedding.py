@@ -220,6 +220,8 @@ def shortlist_files(
     matrix-vector product, whose blocking may round a row differently at
     another offset: equal vectors tie exactly wherever their rows sit.
     """
+    if k < 1:
+        raise ValueError(f"shortlist size must be at least 1, got {k}")
     if len(eindex) == 0:
         raise InputValidationError("embedding index is empty")
     text = require_bug_text(bug)

@@ -14,6 +14,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+from .agent import AgentTranscript
 from .code_index import ArchiveFormatError, Changeset, CodeIndex, build_index, diff_source_trees, load_code_index, save_code_index, update_index
 from .embedders import EmbeddingProvider
 from .embedding import (
@@ -96,7 +97,7 @@ class VersionStore:
         except ArchiveFormatError as exc:
             reason = str(exc)
         else:
-            reason = self._mismatch(code, embed)
+            reason = self._mismatch(version_id, code, embed)
         if reason is not None:
             # The caller rebuilds the version and overwrites its archives.
             logger.warning("ignoring the archive of %s: %s", version_id, reason)
@@ -105,8 +106,13 @@ class VersionStore:
         self._last_version = version_id
         return code, embed
 
-    def _mismatch(self, code: CodeIndex, embed: EmbeddingIndex | None) -> str | None:
+    def _mismatch(
+        self, version_id: str, code: CodeIndex, embed: EmbeddingIndex | None
+    ) -> str | None:
         """Why indexes loaded from an archive do not fit this store, if they do not."""
+        if code.version_id != version_id:
+            # archive_paths maps "/" to "_", so two versions can share a file name
+            return f"it holds version {code.version_id!r}"
         if code.grammar != self.grammar:
             return f"it was parsed as {code.grammar!r}, this run parses {self.grammar!r}"
         provider = self.embedding_provider
@@ -184,10 +190,11 @@ def evaluate_technique(
     """Localize every bug `runs` times and aggregate.
 
     `make_localizer` is a zero-argument factory; one instance is fitted per
-    repository version and reused across that version's bugs. A per-bug
-    failure is recorded as an empty ranked list (a miss), never a crash.
-    Failures come in (run, bug) order and transcripts in bug order, whatever
-    the number of workers.
+    repository version and reused across that version's bugs, and its
+    `predict` is called once per bug and run. A per-bug failure is recorded
+    as an empty ranked list (a miss), never a crash. Failures come in
+    (run, bug) order and transcripts in (bug, run) order, whatever the
+    number of workers.
     """
     if not bugs:
         raise DataError("no bugs to evaluate")
@@ -196,52 +203,47 @@ def evaluate_technique(
             raise DataError(f"bug {bug.bug_id} has no ground truth; cannot evaluate")
     ground_truths = {bug.bug_id: set(bug.ground_truth) for bug in bugs}
 
-    fitted: dict[str, BaseLocalizer] = {}
-
-    def localizer_for(version_id: str) -> BaseLocalizer:
-        if version_id not in fitted:
-            code, embed = store.get(version_id)
-            fitted[version_id] = make_localizer().fit(code, embed)
-        return fitted[version_id]
-
-    # Fit sequentially so incremental index builds stay ordered.
+    # Fit sequentially, in bug order, so incremental index builds stay ordered.
+    localizers: dict[str, BaseLocalizer] = {}
     for bug in bugs:
-        localizer_for(bug.version_id)
+        if bug.version_id not in localizers:
+            code, embed = store.get(bug.version_id)
+            localizers[bug.version_id] = make_localizer().fit(code, embed)
 
     failures: list[dict] = []
     run_reports: list[EvalReport] = []
+    run_transcripts: list[list] = []  # per run, each bug's transcript or None
     for run_id in range(1, runs + 1):
 
-        def localize(bug: BugReport) -> tuple[LocalizationResult, dict | None]:
-            localizer = localizer_for(bug.version_id)
-            failure = None
+        def localize(bug: BugReport) -> tuple[list[str], AgentTranscript | None, str | None]:
+            """(ranked paths, transcript, failure reason) of one bug in this run."""
             try:
-                paths = localizer.predict(bug)
+                prediction = localizers[bug.version_id].predict(bug)
+            except LocalizationFailure as exc:
+                return [], exc.transcript, str(exc)
             except Exception as exc:
-                if not isinstance(exc, LocalizationFailure):
-                    logger.exception("bug %s failed in run %d", bug.bug_id, run_id)
-                failure = {"bug_id": bug.bug_id, "run_id": run_id, "reason": str(exc)}
-                paths = []
-            result = LocalizationResult.from_ranking(
-                bug.bug_id, technique, run_id, paths, ground_truths[bug.bug_id]
-            )
-            return result, failure
+                logger.exception("bug %s failed in run %d", bug.bug_id, run_id)
+                return [], None, str(exc)
+            return prediction.paths, prediction.transcript, None
 
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 outcomes = list(pool.map(localize, bugs))
         else:
             outcomes = [localize(bug) for bug in bugs]
-        failures += [failure for _, failure in outcomes if failure is not None]
-        run_reports.append(build_report([result for result, _ in outcomes], ground_truths, technique))
+        results = [
+            LocalizationResult.from_ranking(bug.bug_id, technique, run_id, paths, ground_truths[bug.bug_id])
+            for bug, (paths, _, _) in zip(bugs, outcomes)
+        ]
+        failures += [
+            {"bug_id": bug.bug_id, "run_id": run_id, "reason": reason}
+            for bug, (_, _, reason) in zip(bugs, outcomes)
+            if reason is not None
+        ]
+        run_reports.append(build_report(results, ground_truths, technique))
+        run_transcripts.append([transcript for _, transcript, _ in outcomes])
 
-    position = {bug.bug_id: i for i, bug in enumerate(bugs)}
-    # Threads append in the order they finish; each run's bugs finish before
-    # the next run starts, so a stable sort keeps each bug's runs in order.
-    transcripts = sorted(
-        (t for localizer in fitted.values() for t in getattr(localizer, "transcripts_", [])),
-        key=lambda transcript: position[transcript.bug_id],
-    )
+    transcripts = [t for per_bug in zip(*run_transcripts) for t in per_bug if t is not None]
     report = aggregate_runs(run_reports)
     return RunOutcome(report=report, run_reports=run_reports, failures=failures, transcripts=transcripts)
 

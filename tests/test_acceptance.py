@@ -472,10 +472,10 @@ def test_criterion_9_ablation_behavior(tmp_path):
             ChatTurn(content=final_answer(["org/chart/AutoScale.java"])),
         ]
     )
-    localizer = AgentLocalizer(chat_provider=chat, use_candidate_tool=False).fit(index)
-    paths = localizer.predict(bug)
-    assert paths == ["org/chart/AutoScale.java"]
-    transcript = localizer.transcripts_[0]
+    localizer = AgentLocalizer(chat_provider=chat).fit(index)
+    prediction = localizer.predict(bug)
+    assert prediction.paths == ["org/chart/AutoScale.java"]
+    transcript = prediction.transcript
     assert GET_CANDIDATE_FILENAMES not in transcript.messages[0].content
     tool_message = next(m for m in transcript.messages if m.role == "tool")
     assert "not available" in tool_message.tool_result
@@ -483,7 +483,7 @@ def test_criterion_9_ablation_behavior(tmp_path):
     # embedding_only: output is exactly the shortlist's top-10 prefix
     embedding_localizer = EmbeddingLocalizer(provider, shortlist_k=50, top_n=10).fit(index, eindex)
     expected = shortlist_files(bug, eindex, provider, k=50).paths()[:10]
-    assert embedding_localizer.predict(bug) == expected
+    assert embedding_localizer.predict(bug).paths == expected
     _ok("9 ablation behavior (noembed prompt+dispatch; embedding_only = shortlist prefix)")
 
 

@@ -76,6 +76,26 @@ def test_config_rejects_unknown_mode(tmp_path):
         load_config(cfg_file)
 
 
+@pytest.mark.parametrize(
+    "setting", ["shortlist_k", "final_list_size", "chunk_limit", "max_iterations", "runs", "workers"]
+)
+@pytest.mark.parametrize("value", [0, -1])
+def test_config_rejects_integer_settings_below_one(setting, value):
+    with pytest.raises(ConfigurationError, match=f"{setting} must be at least 1"):
+        load_config(None, {setting: value})
+
+
+def test_negative_shortlist_k_exits_before_indexing(workspace, capsys):
+    out = workspace / "out"
+    code = run_cli(
+        "index", "--repo", workspace / "repo", "--version", "v1", "--mode", "embedding_only",
+        "--shortlist-k", "-1", "--out", out,
+    )
+    assert code == 2
+    assert "shortlist_k must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_remote_provider_without_key_fails_fast(tmp_path, monkeypatch, workspace):
     monkeypatch.delenv("BUGLOC_EMBED_API_KEY", raising=False)
     cfg_file = tmp_path / "cfg.yaml"

@@ -481,6 +481,19 @@ def test_shortlist_k_larger_than_corpus(tmp_path):
     assert len(shortlist.entries) == 3
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_shortlist_rejects_k_below_one(tmp_path, k):
+    root = write_tree(
+        tmp_path / "r",
+        {f"F{i}.java": java_class(f"F{i}", {"m": "x();"}) for i in range(5)},
+    )
+    index = build_index(root, "java", "v0")
+    provider = HashingEmbedder(dimension=32)
+    eindex = build_embedding_index(index, provider)
+    with pytest.raises(ValueError, match="at least 1"):
+        shortlist_files(make_bug(), eindex, provider, k=k)
+
+
 def test_shortlist_scores_sorted_and_ties_by_path(tmp_path):
     body = java_class("Same", {"m": "identical();"})
     root = write_tree(tmp_path / "r", {"b/Same.java": body, "a/Same.java": body})

@@ -86,9 +86,25 @@ def test_version_store_rebuilds_archive_of_another_provider(tmp_path, caplog):
     with caplog.at_level("WARNING", logger="bugloc.harness"):
         code, embed = store.get("v1")
     localizer = EmbeddingLocalizer(provider, top_n=10).fit(code, embed)
-    assert localizer.predict(bugs_for_eval()[0])[0] == "org/A.java"
+    assert localizer.predict(bugs_for_eval()[0]).paths[0] == "org/A.java"
     assert "hashing-64" in caplog.text
     assert load_embedding_index(cache / "v1.embed.jsonl").dimension == 128
+
+
+def test_version_store_rebuilds_archive_of_another_version(tmp_path, caplog):
+    # "rel/1" and "rel_1" share an archive file name, as "/" becomes "_"
+    root = tmp_path / "repo"
+    write_tree(root / "rel" / "1", {"org/A.java": java_class("A", {"alpha": "a();"})})
+    write_tree(root / "rel_1", {"org/B.java": java_class("B", {"beta": "b();"})})
+    cache = tmp_path / "cache"
+    VersionStore(root, embedding_provider=HashingEmbedder(16), cache_dir=cache).get("rel/1")
+    store = VersionStore(root, embedding_provider=HashingEmbedder(16), cache_dir=cache)
+    with caplog.at_level("WARNING", logger="bugloc.harness"):
+        code, embed = store.get("rel_1")
+    assert "it holds version 'rel/1'" in caplog.text
+    assert (code.version_id, list(code.files)) == ("rel_1", ["org/B.java"])
+    assert embed.file_paths == ["org/B.java"]
+    assert load_code_index(cache / "rel_1.code.jsonl").version_id == "rel_1"
 
 
 def long_file_repo(tmp_path):

@@ -1,5 +1,6 @@
 import pytest
 
+from bugloc.agent import AgentConfig
 from bugloc.chat import ChatTurn, ScriptedChatProvider, ToolCall
 from bugloc.code_index import build_index
 from bugloc.embedders import HashingEmbedder
@@ -38,28 +39,16 @@ def scripted(*turns):
 # --- estimator protocol ---------------------------------------------------------
 
 
-def test_get_params_roundtrip():
-    localizer = VsmLocalizer(top_n=7)
-    assert localizer.get_params() == {"top_n": 7}
-    localizer.set_params(top_n=3)
-    assert localizer.top_n == 3
-
-
-def test_set_params_rejects_unknown():
-    with pytest.raises(ValueError):
-        VsmLocalizer().set_params(bogus=1)
-
-
 def test_agent_localizer_params_include_configuration(corpus):
     _, _, provider = corpus
-    localizer = AgentLocalizer(
-        chat_provider=scripted(), embedding_provider=provider, shortlist_k=25
-    )
-    params = localizer.get_params()
-    assert params["shortlist_k"] == 25
-    assert params["use_candidate_tool"] is True
-    localizer.set_params(shortlist_k=10)
-    assert localizer.get_params()["shortlist_k"] == 10
+    chat = scripted()
+    config = AgentConfig(max_iterations=4, final_list_size=5)
+    localizer = AgentLocalizer(chat, embedding_provider=provider, shortlist_k=25, config=config)
+    assert localizer.chat_provider is chat
+    assert localizer.embedding_provider is provider
+    assert localizer.shortlist_k == 25
+    assert localizer.config is config
+    assert AgentLocalizer(chat).config == AgentConfig()
 
 
 def test_predict_before_fit_raises(corpus):
@@ -69,7 +58,7 @@ def test_predict_before_fit_raises(corpus):
     with pytest.raises(NotFittedError):
         EmbeddingLocalizer(provider).predict(make_bug())
     with pytest.raises(NotFittedError):
-        AgentLocalizer(chat_provider=scripted(), use_candidate_tool=False).predict(make_bug())
+        AgentLocalizer(chat_provider=scripted()).predict(make_bug())
 
 
 def test_embedding_localizer_requires_embedding_index(corpus):
@@ -81,11 +70,9 @@ def test_embedding_localizer_requires_embedding_index(corpus):
 def test_agent_localizer_genloc_requires_embedding_pieces(corpus):
     index, eindex, provider = corpus
     with pytest.raises(ValueError):
-        AgentLocalizer(chat_provider=scripted()).fit(index, None)
-    with pytest.raises(ValueError):
-        AgentLocalizer(chat_provider=scripted(), embedding_provider=None).fit(index, eindex)
+        AgentLocalizer(chat_provider=scripted(), embedding_provider=provider).fit(index, None)
     # noembed mode needs neither
-    AgentLocalizer(chat_provider=scripted(), use_candidate_tool=False).fit(index, None)
+    AgentLocalizer(chat_provider=scripted()).fit(index, None)
 
 
 # --- technique behavior -----------------------------------------------------------
@@ -95,7 +82,7 @@ def test_vsm_localizer_ranks_planted_file(corpus):
     index, _, _ = corpus
     localizer = VsmLocalizer().fit(index)
     bug = make_bug(summary="meterchart dial zoomstep")
-    assert localizer.predict(bug)[0] == "org/chart/AutoScale.java"
+    assert localizer.predict(bug).paths[0] == "org/chart/AutoScale.java"
 
 
 def test_embedding_localizer_equals_shortlist_prefix(corpus):
@@ -103,7 +90,7 @@ def test_embedding_localizer_equals_shortlist_prefix(corpus):
     localizer = EmbeddingLocalizer(provider, shortlist_k=50, top_n=2).fit(index, eindex)
     bug = make_bug(summary="meterchart dial zoomstep")
     expected = shortlist_files(bug, eindex, provider, k=50).paths()[:2]
-    assert localizer.predict(bug) == expected
+    assert localizer.predict(bug).paths == expected
 
 
 def test_agent_localizer_full_pipeline(corpus):
@@ -114,18 +101,21 @@ def test_agent_localizer_full_pipeline(corpus):
     )
     localizer = AgentLocalizer(chat_provider=chat, embedding_provider=provider).fit(index, eindex)
     bug = make_bug(summary="meterchart dial zoomstep")
-    paths = localizer.predict(bug)
-    assert paths == ["org/chart/AutoScale.java"]  # bogus claim dropped by the resolver
-    assert localizer.technique == "genloc"
-    assert len(localizer.transcripts_) == 1
+    prediction = localizer.predict(bug)
+    assert prediction.paths == ["org/chart/AutoScale.java"]  # bogus claim dropped by the resolver
+    transcript = prediction.transcript
+    assert GET_CANDIDATE_FILENAMES in transcript.messages[0].content
+    tool_message = next(m for m in transcript.messages if m.role == "tool")
+    assert tool_message.tool_result.startswith("org/chart/AutoScale.java")
 
 
 def test_agent_localizer_resolves_near_miss_paths(corpus):
     index, eindex, provider = corpus
     chat = scripted(ChatTurn(content=final_answer(["wrong/pkg/AutoScale.java"])))
     localizer = AgentLocalizer(chat_provider=chat, embedding_provider=provider).fit(index, eindex)
-    assert localizer.predict(make_bug()) == ["org/chart/AutoScale.java"]
-    assert localizer.last_resolved_[0].resolution == "basename_jaccard"
+    prediction = localizer.predict(make_bug())
+    assert prediction.paths == ["org/chart/AutoScale.java"]
+    assert prediction.resolved[0].resolution == "basename_jaccard"
 
 
 def test_noembed_localizer_reports_candidate_tool_unavailable(corpus):
@@ -134,11 +124,10 @@ def test_noembed_localizer_reports_candidate_tool_unavailable(corpus):
         ChatTurn(tool_call=ToolCall(GET_CANDIDATE_FILENAMES, {})),
         ChatTurn(content=final_answer(["org/io/Reader.java"])),
     )
-    localizer = AgentLocalizer(chat_provider=chat, use_candidate_tool=False).fit(index)
-    paths = localizer.predict(make_bug())
-    assert paths == ["org/io/Reader.java"]
-    assert localizer.technique == "noembed"
-    transcript = localizer.transcripts_[0]
+    localizer = AgentLocalizer(chat_provider=chat).fit(index)
+    prediction = localizer.predict(make_bug())
+    assert prediction.paths == ["org/io/Reader.java"]
+    transcript = prediction.transcript
     tool_message = next(m for m in transcript.messages if m.role == "tool")
     assert "not available" in tool_message.tool_result
     # prompt omits the tool as well
@@ -150,9 +139,25 @@ def test_agent_localizer_failure_raises_with_transcript(corpus):
     chat = ScriptedChatProvider(
         [ChatTurn(tool_call=ToolCall("search_file", {"name": "A"}))], repeat_last=True
     )
-    localizer = AgentLocalizer(chat_provider=chat, use_candidate_tool=False).fit(index)
+    localizer = AgentLocalizer(chat_provider=chat).fit(index)
     with pytest.raises(LocalizationFailure) as err:
         localizer.predict(make_bug())
-    assert err.value.transcript is not None
+    assert err.value.transcript is not None  # the transcript survives the failure
     assert err.value.transcript.iterations_used == 10
-    assert localizer.transcripts_  # transcript persisted despite the failure
+
+
+def test_predict_leaves_the_localizer_unchanged(corpus):
+    index, eindex, provider = corpus
+    chat = ScriptedChatProvider(
+        [ChatTurn(content=final_answer(["org/chart/AutoScale.java"]))], repeat_last=True
+    )
+    bug = make_bug(summary="meterchart dial zoomstep")
+    for localizer in (
+        VsmLocalizer().fit(index),
+        EmbeddingLocalizer(provider).fit(index, eindex),
+        AgentLocalizer(chat_provider=chat, embedding_provider=provider).fit(index, eindex),
+    ):
+        before = dict(vars(localizer))
+        first = localizer.predict(bug)
+        assert dict(vars(localizer)) == before
+        assert localizer.predict(bug) == first

@@ -33,10 +33,7 @@ CONFIG_FIELDS = {
 LOCALIZER_PARAMS = {
     VsmLocalizer: ["top_n"],
     EmbeddingLocalizer: ["provider", "shortlist_k", "top_n"],
-    AgentLocalizer: [
-        "chat_provider", "embedding_provider", "use_candidate_tool", "shortlist_k",
-        "max_iterations", "final_list_size", "temperature", "run_seed", "tool_result_char_cap",
-    ],
+    AgentLocalizer: ["chat_provider", "embedding_provider", "shortlist_k", "config"],
 }
 
 FUNCTION_PARAMS = {
@@ -57,10 +54,7 @@ def test_config_fields_are_pinned(cls):
 
 @pytest.mark.parametrize("cls", list(LOCALIZER_PARAMS), ids=lambda c: c.__name__)
 def test_localizer_params_are_pinned(cls):
-    required = {"provider": None, "chat_provider": None}
-    names = inspect.signature(cls).parameters
-    localizer = cls(**{k: v for k, v in required.items() if k in names})
-    assert list(localizer.get_params()) == LOCALIZER_PARAMS[cls]
+    assert list(inspect.signature(cls).parameters) == LOCALIZER_PARAMS[cls]
 
 
 @pytest.mark.parametrize("fn", list(FUNCTION_PARAMS), ids=lambda f: f.__qualname__)
