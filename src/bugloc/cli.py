@@ -11,18 +11,20 @@ from .code_index import Changeset, ConfigurationError
 from .config import MODES, RunConfig, build_chat_provider, build_embedding_provider, load_config
 from .dataset import load_bug_reports, split_chronological
 from .agent import AgentConfig, write_transcript
+from .embedders import EmbeddingProviderError
 from .harness import (
     VersionStore,
     evaluate_technique,
+    fit_localizers,
     format_report_table,
+    localize_bug,
     report_from_dict,
     report_to_dict,
     write_report_files,
 )
 from .ioutil import atomic_write_json, read_json
-from .localizers import AgentLocalizer, EmbeddingLocalizer, LocalizationFailure, VsmLocalizer
+from .localizers import AgentLocalizer, EmbeddingLocalizer, VsmLocalizer
 from .metrics import DataError, overlap_analysis
-from .validation import InputValidationError
 
 logger = logging.getLogger(__name__)
 
@@ -137,32 +139,24 @@ def cmd_localize(args) -> int:
     store = _version_store(config, embedding_provider)
     out_dir = Path(config.out_dir)
     exit_code = 0
-    for bug in bugs:
-        code, embed = store.get(bug.version_id)
-        localizer = factory().fit(code, embed)
-        try:
-            prediction = localizer.predict(bug)
-        except (LocalizationFailure, InputValidationError) as exc:
-            print(f"bug {bug.bug_id}: localization failed: {exc}", file=sys.stderr)
-            prediction, transcript = None, getattr(exc, "transcript", None)
-            exit_code = 1
-        else:
-            transcript = prediction.transcript
+    for bug, localizer in zip(bugs, fit_localizers(bugs, factory, store)):
+        paths, transcript, reason = localize_bug(localizer, bug)
         if transcript is not None:
             write_transcript(transcript, out_dir / f"transcript-{bug.bug_id}.json")
-        if prediction is not None:
-            print(f"bug {bug.bug_id}:")
-            for rank, path in enumerate(prediction.paths, start=1):
-                print(f"  {rank}. {path}")
-            if not prediction.paths:
-                print("  (no verified files)")
+        if reason is not None:
+            print(f"bug {bug.bug_id}: localization failed: {reason}", file=sys.stderr)
+            exit_code = 1
+            continue
+        print(f"bug {bug.bug_id}:")
+        for rank, path in enumerate(paths, start=1):
+            print(f"  {rank}. {path}")
+        if not paths:
+            print("  (no verified files)")
     return exit_code
 
 
 def cmd_evaluate(args) -> int:
     config = _config_from_args(args)
-    if args.technique:
-        config.mode = args.technique
     if not config.repo:
         raise ConfigurationError("evaluate needs --repo")
     dataset_path = args.dataset or config.dataset
@@ -262,11 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_eval)
     p_eval.add_argument("--dataset", help="dataset file (JSON lines)")
     p_eval.add_argument(
-        "--technique",
-        choices=MODES + ("vsm",),
-        help="technique to evaluate (defaults to the configured mode)",
-    )
-    p_eval.add_argument(
         "--train-fraction", dest="train_fraction", type=float, default=0.6,
         help="chronological share used as historical data (default 0.6)",
     )
@@ -290,7 +279,7 @@ def main(argv=None) -> int:
     )
     try:
         return args.fn(args)
-    except (ConfigurationError, FileNotFoundError, DataError, ValueError) as exc:
+    except (ConfigurationError, EmbeddingProviderError, FileNotFoundError, DataError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

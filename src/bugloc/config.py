@@ -12,7 +12,7 @@ import yaml
 
 from .code_index import ConfigurationError
 
-MODES = ("genloc", "embedding_only", "noembed")
+MODES = ("genloc", "embedding_only", "noembed", "vsm")
 
 _ENV_RE = re.compile(r"\$\{([A-Za-z_][A-Za-z0-9_]*)\}")
 
@@ -71,9 +71,9 @@ class RunConfig:
     def validate(self) -> None:
         if self.mode not in MODES:
             raise ConfigurationError(f"unknown mode {self.mode!r}; expected one of {MODES}")
-        if self.mode != "embedding_only" and self.chat.kind not in ("scripted", "remote"):
+        if self.mode in ("genloc", "noembed") and self.chat.kind not in ("scripted", "remote"):
             raise ConfigurationError(f"unknown chat provider kind {self.chat.kind!r}")
-        if self.mode != "noembed" and self.embedding.kind not in ("hashing", "remote"):
+        if self.needs_embedding and self.embedding.kind not in ("hashing", "remote"):
             raise ConfigurationError(f"unknown embedding provider kind {self.embedding.kind!r}")
         for name in ("shortlist_k", "final_list_size", "chunk_limit", "max_iterations", "runs",
                      "workers"):

@@ -4,9 +4,9 @@ File representations are split into token-bounded chunks, embedded, and kept
 as the rows of one matrix; a file's score is the maximum cosine similarity of
 its chunks to the query, ties by path. Updates mirror a from-scratch build:
 untouched rows carry over, and the chunks of every refreshed file go to the
-provider in one call; only if that fails is each file sent on its own, so
-failures are still told per file. An index and its archive record the chunk
-limit it was built with, and updates and queries chunk at that limit.
+provider in one call, whose error propagates as a build's does. An index and
+its archive record the chunk limit it was built with, and updates and queries
+chunk at that limit.
 """
 
 from __future__ import annotations
@@ -103,16 +103,6 @@ class Shortlist:
         return [path for path, _ in self.entries]
 
 
-class EmbeddingUpdateError(Exception):
-    """Some files could not be re-embedded; the partial index is attached."""
-
-    def __init__(self, partial_index: EmbeddingIndex, failures: dict[str, str]):
-        summary = "; ".join(f"{path}: {err}" for path, err in sorted(failures.items()))
-        super().__init__(f"embedding update failed for {len(failures)} file(s): {summary}")
-        self.partial_index = partial_index
-        self.failures = failures
-
-
 def chunk_text(text: str, chunk_limit: int = DEFAULT_CHUNK_LIMIT, fq_path: str = "") -> list[Chunk]:
     """Greedy left-to-right packing into chunks of at most chunk_limit tokens.
 
@@ -160,43 +150,25 @@ def update_embeddings(
     limit; untouched rows carry over verbatim. `index` must already reflect
     the post-changeset repository.
 
-    The refreshed files are embedded in one provider call. If it fails, each
-    file is retried in a call of its own; those failures are collected and, if
-    any occurred, an EmbeddingUpdateError carrying the partial index is raised.
+    The refreshed files are embedded in one provider call. Like
+    build_embedding_index, the update either returns the whole new index or
+    raises that call's error.
     """
     changeset.validate()
     refresh = set(changeset.added) | set(changeset.modified) | {new for _, new in changeset.renamed}
     dropped = refresh | set(changeset.deleted) | {old for old, _ in changeset.renamed}
     keep = np.array([c.fq_path not in dropped for c in eindex.chunks], dtype=bool)
 
-    chunks: dict[str, list[Chunk]] = {}
+    new_chunks: list[Chunk] = []
     for fq_path in sorted(refresh):
         if fq_path not in index.files:
             logger.error("changeset path missing from code index, skipped: %s", fq_path)
             continue
-        chunks[fq_path] = _file_chunks(index, fq_path, eindex.chunk_limit)
-    failures: dict[str, str] = {}
-    new_chunks = [c for cs in chunks.values() for c in cs]
-    try:
-        new_vectors = provider.embed_batch([c.text for c in new_chunks]) if new_chunks else []
-    except Exception as batch_exc:  # provider failures must not lose other files
-        logger.warning(
-            "re-embedding %d file(s) in one call failed (%s); retrying one call per file",
-            len(chunks), batch_exc,
-        )
-        new_chunks, new_vectors = [], []
-        for fq_path, file_chunks in chunks.items():
-            try:
-                new_vectors += provider.embed_batch([c.text for c in file_chunks])
-                new_chunks += file_chunks
-            except Exception as exc:
-                failures[fq_path] = str(exc)
+        new_chunks += _file_chunks(index, fq_path, eindex.chunk_limit)
+    new_vectors = provider.embed_batch([c.text for c in new_chunks]) if new_chunks else []
     kept = [c for c, k in zip(eindex.chunks, keep) if k]
     vectors = np.concatenate([eindex.vectors[keep], np.reshape(new_vectors, (-1, eindex.dimension))])
-    out = EmbeddingIndex(eindex.dimension, eindex.provider_id, eindex.chunk_limit, kept + new_chunks, vectors)
-    if failures:
-        raise EmbeddingUpdateError(out, failures)
-    return out
+    return EmbeddingIndex(eindex.dimension, eindex.provider_id, eindex.chunk_limit, kept + new_chunks, vectors)
 
 
 def embed_query(text: str, provider: EmbeddingProvider, chunk_limit: int = DEFAULT_CHUNK_LIMIT):

@@ -13,13 +13,13 @@ import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from urllib.parse import quote
 
 from .agent import AgentTranscript
 from .code_index import ArchiveFormatError, Changeset, CodeIndex, build_index, diff_source_trees, load_code_index, save_code_index, update_index
 from .embedders import EmbeddingProvider
 from .embedding import (
     EmbeddingIndex,
-    EmbeddingUpdateError,
     build_embedding_index,
     load_embedding_index,
     save_embedding_index,
@@ -30,6 +30,7 @@ from .ioutil import SCHEMA_VERSION, atomic_write_json, atomic_write_text
 from .java_parser import get_grammar
 from .localizers import BaseLocalizer, LocalizationFailure
 from .metrics import DataError, EvalReport, LocalizationResult, aggregate_runs, build_report
+from .validation import InputValidationError
 
 logger = logging.getLogger(__name__)
 
@@ -68,10 +69,12 @@ class VersionStore:
         return self.repo_root
 
     def archive_paths(self, version_id: str) -> tuple[Path, Path] | None:
-        """(code archive, embedding archive) of `version_id`; None without a cache_dir."""
+        """(code archive, embedding archive) of `version_id`; None without a
+        cache_dir. The file names are the percent-encoded id, so distinct ids
+        get distinct names; the empty id gets "%", which encoding never yields."""
         if self.cache_dir is None:
             return None
-        safe = version_id.replace("/", "_") or "_"
+        safe = quote(version_id, safe="") or "%"
         return self.cache_dir / f"{safe}.code.jsonl", self.cache_dir / f"{safe}.embed.jsonl"
 
     def get(self, version_id: str) -> tuple[CodeIndex, EmbeddingIndex | None]:
@@ -111,7 +114,7 @@ class VersionStore:
     ) -> str | None:
         """Why indexes loaded from an archive do not fit this store, if they do not."""
         if code.version_id != version_id:
-            # archive_paths maps "/" to "_", so two versions can share a file name
+            # a file copied or renamed by hand names another version
             return f"it holds version {code.version_id!r}"
         if code.grammar != self.grammar:
             return f"it was parsed as {code.grammar!r}, this run parses {self.grammar!r}"
@@ -135,6 +138,7 @@ class VersionStore:
         The build is incremental from `previous` when that version's indexes
         can be looked up (memo or archive), and from scratch otherwise. The
         changeset from `previous` is diffed from the two trees unless given.
+        A build that raises memoizes nothing and writes no archive.
         """
         tree = self.resolve_tree(version_id)
         prev = self._lookup(previous) if previous else None
@@ -151,13 +155,7 @@ class VersionStore:
                 extensions = get_grammar(self.grammar).extensions
                 changeset = diff_source_trees(self.resolve_tree(previous), tree, extensions)
             code = update_index(prev[0], changeset, tree, version_id, self.grammar)
-            embed = None
-            if provider is not None:
-                try:
-                    embed = update_embeddings(prev[1], changeset, code, provider)
-                except EmbeddingUpdateError as exc:
-                    logger.error("partial embedding update for %s: %s", version_id, exc)
-                    embed = exc.partial_index
+            embed = None if provider is None else update_embeddings(prev[1], changeset, code, provider)
         self._store(version_id, code, embed)
         return code, embed
 
@@ -169,6 +167,34 @@ class VersionStore:
             save_code_index(code, archives[0])
             if embed is not None:
                 save_embedding_index(embed, archives[1])
+
+
+def fit_localizers(bugs: list[BugReport], make_localizer, store: VersionStore) -> list[BaseLocalizer]:
+    """Each bug's localizer: one `make_localizer()` per version, fitted on
+    that version's indexes. Versions are fitted in bug order, so incremental
+    index builds stay ordered."""
+    by_version: dict[str, BaseLocalizer] = {}
+    for bug in bugs:
+        if bug.version_id not in by_version:
+            by_version[bug.version_id] = make_localizer().fit(*store.get(bug.version_id))
+    return [by_version[bug.version_id] for bug in bugs]
+
+
+def localize_bug(
+    localizer: BaseLocalizer, bug: BugReport
+) -> tuple[list[str], AgentTranscript | None, str | None]:
+    """(ranked paths, transcript, failure reason) of one `predict` call. A
+    failure is an empty list and a reason, never an exception: a
+    LocalizationFailure or an invalid input is told by its message alone, any
+    other error is logged with its traceback as well."""
+    try:
+        prediction = localizer.predict(bug)
+    except (LocalizationFailure, InputValidationError) as exc:
+        return [], getattr(exc, "transcript", None), str(exc)
+    except Exception as exc:
+        logger.exception("bug %s failed", bug.bug_id)
+        return [], None, str(exc)
+    return prediction.paths, prediction.transcript, None
 
 
 @dataclass
@@ -203,34 +229,16 @@ def evaluate_technique(
             raise DataError(f"bug {bug.bug_id} has no ground truth; cannot evaluate")
     ground_truths = {bug.bug_id: set(bug.ground_truth) for bug in bugs}
 
-    # Fit sequentially, in bug order, so incremental index builds stay ordered.
-    localizers: dict[str, BaseLocalizer] = {}
-    for bug in bugs:
-        if bug.version_id not in localizers:
-            code, embed = store.get(bug.version_id)
-            localizers[bug.version_id] = make_localizer().fit(code, embed)
-
+    fitted = fit_localizers(bugs, make_localizer, store)
     failures: list[dict] = []
     run_reports: list[EvalReport] = []
     run_transcripts: list[list] = []  # per run, each bug's transcript or None
     for run_id in range(1, runs + 1):
-
-        def localize(bug: BugReport) -> tuple[list[str], AgentTranscript | None, str | None]:
-            """(ranked paths, transcript, failure reason) of one bug in this run."""
-            try:
-                prediction = localizers[bug.version_id].predict(bug)
-            except LocalizationFailure as exc:
-                return [], exc.transcript, str(exc)
-            except Exception as exc:
-                logger.exception("bug %s failed in run %d", bug.bug_id, run_id)
-                return [], None, str(exc)
-            return prediction.paths, prediction.transcript, None
-
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                outcomes = list(pool.map(localize, bugs))
+                outcomes = list(pool.map(localize_bug, fitted, bugs))
         else:
-            outcomes = [localize(bug) for bug in bugs]
+            outcomes = list(map(localize_bug, fitted, bugs))
         results = [
             LocalizationResult.from_ranking(bug.bug_id, technique, run_id, paths, ground_truths[bug.bug_id])
             for bug, (paths, _, _) in zip(bugs, outcomes)

@@ -39,6 +39,12 @@ class Prediction:
     resolved: list[ResolvedPrediction] | None = None
 
 
+def _check_top_n(top_n: int) -> int:
+    if top_n < 1:
+        raise ValueError(f"top_n must be at least 1, got {top_n}")
+    return top_n
+
+
 class BaseLocalizer:
     """fit once per repository version, then predict per bug."""
 
@@ -53,7 +59,7 @@ class VsmLocalizer(BaseLocalizer):
     """TF-IDF cosine ranking over file representations."""
 
     def __init__(self, top_n: int = 10):
-        self.top_n = top_n
+        self.top_n = _check_top_n(top_n)
         self.index_: CodeIndex | None = None
         self.model_: VsmModel | None = None
 
@@ -82,7 +88,7 @@ class EmbeddingLocalizer(BaseLocalizer):
     ):
         self.provider = provider
         self.shortlist_k = shortlist_k
-        self.top_n = top_n
+        self.top_n = _check_top_n(top_n)
         self.embedding_index_: EmbeddingIndex | None = None
 
     def fit(self, code_index: CodeIndex, embedding_index: EmbeddingIndex | None = None):

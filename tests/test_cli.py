@@ -3,12 +3,13 @@ import time
 
 import pytest
 
-from bugloc import cli
+from bugloc import cli, localizers
 from bugloc.chat import ChatProvider, ChatTurn, ToolCall
 from bugloc.cli import main
 from bugloc.config import load_config
 from bugloc.code_index import ConfigurationError, load_code_index
 from bugloc.dataset import save_bug_reports
+from bugloc.embedders import HashingEmbedder, RetriableProviderError
 from bugloc.embedding import load_embedding_index
 from bugloc.ioutil import read_json
 from conftest import final_answer, java_class, make_bug, write_replay, write_tree
@@ -113,6 +114,26 @@ def test_remote_provider_without_key_fails_fast(tmp_path, monkeypatch, workspace
 
 
 # --- index ------------------------------------------------------------------------
+
+
+class BrokenEmbedder(HashingEmbedder):
+    def embed_batch(self, texts):
+        raise RetriableProviderError(self.provider_id, 3, "HTTP 500")
+
+
+def test_cmd_index_provider_failure_is_one_error_line(workspace, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "build_embedding_provider", lambda config: BrokenEmbedder(16))
+    out = workspace / "out"
+    code = run_cli(
+        "index", "--repo", workspace / "repo", "--version", "v1", "--mode", "embedding_only",
+        "--out", out,
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "error: provider 'hashing-16' failed after 3 attempt(s): HTTP 500"
+    ]
+    assert not (out / "index-cache" / "v1.code.jsonl").exists()
 
 
 def test_cmd_index_writes_archives(workspace):
@@ -249,6 +270,40 @@ def test_cmd_localize_noembed_unavailable_tool_in_transcript(workspace, capsys):
     assert any("not available" in (m["tool_result"] or "") for m in tool_messages)
 
 
+def test_cmd_localize_vsm(workspace, capsys):
+    code = run_cli(
+        "localize", "--repo", workspace / "repo", "--bug", workspace / "bugs.jsonl",
+        "--mode", "vsm", "--out", workspace / "out",
+    )
+    assert code == 0
+    assert "1. org/chart/AutoScale.java" in capsys.readouterr().out
+
+
+def test_cmd_localize_goes_on_after_a_bug_that_raises(workspace, capsys, monkeypatch):
+    bugs = [
+        make_bug("b-0", "updateLabel label value", "", "v1", truth=["org/ui/Labels.java"]),
+        make_bug("b-1", "meterchart dial zoomstep", "", "v1", truth=["org/chart/AutoScale.java"]),
+    ]
+    save_bug_reports(bugs, workspace / "two.jsonl")
+    shortlist = localizers.shortlist_files
+
+    def failing_for_b0(bug, *args, **kwargs):
+        if bug.bug_id == "b-0":
+            raise RetriableProviderError("hashing-64", 3, "HTTP 500")
+        return shortlist(bug, *args, **kwargs)
+
+    monkeypatch.setattr(localizers, "shortlist_files", failing_for_b0)
+    code = run_cli(
+        "localize", "--repo", workspace / "repo", "--bug", workspace / "two.jsonl",
+        "--mode", "embedding_only", "--out", workspace / "out",
+    )
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "bug b-0: localization failed" in captured.err and "HTTP 500" in captured.err
+    assert "b-0" not in captured.out
+    assert "bug b-1:\n  1. org/chart/AutoScale.java" in captured.out
+
+
 def test_cmd_localize_failure_nonzero_exit_transcript_written(workspace, capsys):
     replay = write_replay(
         workspace / "replay.json",
@@ -298,7 +353,7 @@ def test_cmd_evaluate_embedding_only(workspace, capsys):
     out = workspace / "out"
     code = run_cli(
         "evaluate", "--repo", workspace / "repo", "--dataset", dataset,
-        "--technique", "embedding_only", "--runs", 2, "--out", out,
+        "--mode", "embedding_only", "--runs", 2, "--out", out,
     )
     assert code == 0
     report = read_json(out / "report-embedding_only.json")
@@ -327,7 +382,7 @@ def test_cmd_evaluate_genloc_scripted(workspace):
     )
     code = run_cli(
         "evaluate", "--repo", workspace / "repo", "--dataset", dataset,
-        "--technique", "genloc", "--replay", replay, "--runs", 3, "--out", out,
+        "--mode", "genloc", "--replay", replay, "--runs", 3, "--out", out,
     )
     assert code == 0
     report = read_json(out / "report-genloc.json")
@@ -377,7 +432,7 @@ def test_cmd_evaluate_output_does_not_depend_on_workers(workspace, monkeypatch):
         code = run_cli(
             "evaluate", "--config", config, "--repo", workspace / "repo",
             "--dataset", workspace / "six.jsonl", "--train-fraction", 0,
-            "--technique", "genloc", "--runs", 2, "--out", out,
+            "--mode", "genloc", "--runs", 2, "--out", out,
         )
         assert code == 1  # the failing bugs are recorded, and reported by the exit code
         transcripts = {p.name: p.read_bytes() for p in (out / "transcripts").iterdir()}
@@ -397,11 +452,24 @@ def test_cmd_evaluate_vsm(workspace):
     out = workspace / "out-vsm"
     code = run_cli(
         "evaluate", "--repo", workspace / "repo", "--dataset", dataset,
-        "--technique", "vsm", "--runs", 1, "--out", out,
+        "--mode", "vsm", "--runs", 1, "--out", out,
     )
     assert code == 0
     report = read_json(out / "report-vsm.json")
     assert report["accuracy_at"]["1"] == 1.0
+
+
+def test_cmd_evaluate_vsm_from_the_config_file(workspace):
+    dataset = eval_dataset(workspace)
+    config = workspace / "vsm.yaml"
+    config.write_text("mode: vsm\nruns: 1\n", encoding="utf-8")
+    out = workspace / "out-vsm"
+    code = run_cli(
+        "evaluate", "--config", config, "--repo", workspace / "repo", "--dataset", dataset,
+        "--out", out,
+    )
+    assert code == 0
+    assert read_json(out / "report-vsm.json")["technique"] == "vsm"
 
 
 def test_cmd_localize_bit_reproducible(workspace):
@@ -458,7 +526,7 @@ def test_cmd_compare_single_technique_clean_error(workspace, capsys):
     out = workspace / "out-single"
     assert run_cli(
         "evaluate", "--repo", workspace / "repo", "--dataset", dataset,
-        "--technique", "vsm", "--runs", 1, "--out", out,
+        "--mode", "vsm", "--runs", 1, "--out", out,
     ) == 0
     code = run_cli("compare", out / "report-vsm.json", "--dataset", dataset)
     assert code == 2
@@ -471,11 +539,11 @@ def test_cmd_compare_overlap_table(workspace, capsys):
     out_b = workspace / "out-b"
     assert run_cli(
         "evaluate", "--repo", workspace / "repo", "--dataset", dataset,
-        "--technique", "embedding_only", "--runs", 1, "--out", out_a,
+        "--mode", "embedding_only", "--runs", 1, "--out", out_a,
     ) == 0
     assert run_cli(
         "evaluate", "--repo", workspace / "repo", "--dataset", dataset,
-        "--technique", "vsm", "--runs", 1, "--out", out_b,
+        "--mode", "vsm", "--runs", 1, "--out", out_b,
     ) == 0
     code = run_cli(
         "compare", out_a / "report-embedding_only.json", out_b / "report-vsm.json",

@@ -21,7 +21,6 @@ from bugloc.embedders import (
 from bugloc.embedding import (
     Chunk,
     EmbeddingIndex,
-    EmbeddingUpdateError,
     build_embedding_index,
     chunk_text,
     load_embedding_index,
@@ -608,32 +607,6 @@ def test_update_embeddings_keeps_the_index_chunk_limit(tmp_path):
     assert updated.records == build_embedding_index(new_index, provider, chunk_limit=50).records
 
 
-def test_update_embeddings_partial_failure_returns_partial_index(tmp_path):
-    root = write_tree(
-        tmp_path / "r",
-        {"A.java": java_class("A", {"a": "x();"}), "B.java": java_class("B", {"b": "y();"})},
-    )
-    index = build_index(root, "java", "v0")
-    good = HashingEmbedder(dimension=8)
-    eindex = build_embedding_index(index, good)
-
-    class Flaky(HashingEmbedder):
-        def embed_batch(self, texts):
-            if any("B.java" in t for t in texts):
-                raise RetriableProviderError("flaky", 3, "down")
-            return super().embed_batch(texts)
-
-    (root / "A.java").write_text(java_class("A", {"a2": "z();"}), encoding="utf-8")
-    (root / "B.java").write_text(java_class("B", {"b2": "w();"}), encoding="utf-8")
-    changeset = Changeset(modified=("A.java", "B.java"))
-    new_index = update_index(index, changeset, root, "v1")
-    with pytest.raises(EmbeddingUpdateError) as err:
-        update_embeddings(eindex, changeset, new_index, Flaky(dimension=8))
-    assert set(err.value.failures) == {"B.java"}
-    assert ("A.java", 0) in err.value.partial_index.records
-    assert ("B.java", 0) not in err.value.partial_index.records
-
-
 class CountingEmbedder(HashingEmbedder):
     """Records the number of texts of every embed_batch call; raises for a
     batch holding a text that contains `fail_on`."""
@@ -671,7 +644,7 @@ def test_update_embeddings_is_one_provider_call_and_one_cache_write(tmp_path, re
     assert cache_file.read_text(encoding="utf-8") == cache_json(provider)
 
 
-def test_update_embeddings_falls_back_to_one_call_per_file(tmp_path, caplog):
+def test_update_embeddings_raises_the_error_of_its_one_provider_call(tmp_path):
     names = ("A", "B", "C")
     root = write_tree(tmp_path / "r", {f"{n}.java": java_class(n, {"m": "x();"}) for n in names})
     index = build_index(root, "java", "v0")
@@ -681,13 +654,44 @@ def test_update_embeddings_falls_back_to_one_call_per_file(tmp_path, caplog):
     changeset = Changeset(modified=tuple(f"{n}.java" for n in names))
     new_index = update_index(index, changeset, root, "v1")
     flaky = CountingEmbedder(8, fail_on="B.java")
-    with caplog.at_level("WARNING", logger="bugloc.embedding"):
-        with pytest.raises(EmbeddingUpdateError) as err:
-            update_embeddings(eindex, changeset, new_index, flaky)
-    assert flaky.calls == [3, 1, 1, 1]
-    assert set(err.value.failures) == {"B.java"}
-    assert err.value.partial_index.paths() == {"A.java", "C.java"}
-    assert "retrying one call per file" in caplog.text
+    with pytest.raises(RetriableProviderError):
+        update_embeddings(eindex, changeset, new_index, flaky)
+    assert flaky.calls == [3]
+
+
+class _StatusSession(_FakeSession):
+    """Answers every POST with the same status."""
+
+    def __init__(self, status):
+        super().__init__([])
+        self.status = status
+
+    def post(self, url, json=None, timeout=None):
+        self.calls += 1
+        return _FakeResponse(self.status)
+
+
+@pytest.mark.parametrize(
+    "status, error, posts", [(500, RetriableProviderError, 3), (400, ProviderContractError, 1)]
+)
+def test_update_embeddings_retries_only_in_the_transport(tmp_path, monkeypatch, status, error, posts):
+    monkeypatch.setenv("TEST_EMBED_KEY", "k")
+    files = {f"pkg/F{i}.java": java_class(f"F{i}", {f"m{i}": f"old{i}();"}) for i in range(50)}
+    root = write_tree(tmp_path / "r", files)
+    index = build_index(root, "java", "v0")
+    eindex = build_embedding_index(index, HashingEmbedder(8))
+    for i, path in enumerate(files):
+        (root / path).write_text(java_class(f"F{i}", {f"m{i}": f"new{i}();"}), encoding="utf-8")
+    changeset = Changeset(modified=tuple(files))
+    new_index = update_index(index, changeset, root, "v1")
+    session = _StatusSession(status)
+    provider = RemoteEmbedder(
+        "m", 8, "https://api.example", api_key_env="TEST_EMBED_KEY",
+        max_attempts=3, session=session, retry_delay=0.0,
+    )
+    with pytest.raises(error):
+        update_embeddings(eindex, changeset, new_index, provider)
+    assert session.calls == posts
 
 
 def test_embedding_archive_roundtrip(tmp_path):

@@ -1,11 +1,12 @@
 import json
+import shutil
 
 import pytest
 
-from bugloc import java_parser
+from bugloc import harness, java_parser
 from bugloc.chat import ChatTurn, ScriptedChatProvider
 from bugloc.code_index import build_index, load_code_index
-from bugloc.embedders import CachedEmbedder, HashingEmbedder
+from bugloc.embedders import CachedEmbedder, HashingEmbedder, RetriableProviderError
 from bugloc.embedding import build_embedding_index, load_embedding_index
 from bugloc.harness import (
     VersionStore,
@@ -91,13 +92,21 @@ def test_version_store_rebuilds_archive_of_another_provider(tmp_path, caplog):
     assert load_embedding_index(cache / "v1.embed.jsonl").dimension == 128
 
 
-def test_version_store_rebuilds_archive_of_another_version(tmp_path, caplog):
-    # "rel/1" and "rel_1" share an archive file name, as "/" becomes "_"
+def two_look_alike_versions(tmp_path):
     root = tmp_path / "repo"
     write_tree(root / "rel" / "1", {"org/A.java": java_class("A", {"alpha": "a();"})})
     write_tree(root / "rel_1", {"org/B.java": java_class("B", {"beta": "b();"})})
+    return root
+
+
+def test_version_store_rebuilds_archive_of_another_version(tmp_path, caplog):
+    root = two_look_alike_versions(tmp_path)
     cache = tmp_path / "cache"
-    VersionStore(root, embedding_provider=HashingEmbedder(16), cache_dir=cache).get("rel/1")
+    store = VersionStore(root, embedding_provider=HashingEmbedder(16), cache_dir=cache)
+    store.get("rel/1")
+    # an archive pair copied under another version's names
+    for source, target in zip(store.archive_paths("rel/1"), store.archive_paths("rel_1")):
+        shutil.copyfile(source, target)
     store = VersionStore(root, embedding_provider=HashingEmbedder(16), cache_dir=cache)
     with caplog.at_level("WARNING", logger="bugloc.harness"):
         code, embed = store.get("rel_1")
@@ -105,6 +114,54 @@ def test_version_store_rebuilds_archive_of_another_version(tmp_path, caplog):
     assert (code.version_id, list(code.files)) == ("rel_1", ["org/B.java"])
     assert embed.file_paths == ["org/B.java"]
     assert load_code_index(cache / "rel_1.code.jsonl").version_id == "rel_1"
+
+
+def test_version_store_archive_names_are_distinct(tmp_path):
+    store = VersionStore(tmp_path, cache_dir=tmp_path / "cache")
+    ids = ["rel/1", "rel_1", "rel%2F1", "", "_"]
+    names = {path.name for version_id in ids for path in store.archive_paths(version_id)}
+    assert len(names) == 2 * len(ids)
+    assert [p.name for p in store.archive_paths("v1")] == ["v1.code.jsonl", "v1.embed.jsonl"]
+
+
+def test_version_store_look_alike_versions_load_their_own_archives(tmp_path, caplog, monkeypatch):
+    root = two_look_alike_versions(tmp_path)
+    cache = tmp_path / "cache"
+    for version_id in ("rel/1", "rel_1"):
+        VersionStore(root, embedding_provider=HashingEmbedder(16), cache_dir=cache).get(version_id)
+    monkeypatch.setattr(harness, "build_index", None)  # a second round must not build
+    with caplog.at_level("WARNING", logger="bugloc.harness"):
+        for version_id, path in (("rel/1", "org/A.java"), ("rel_1", "org/B.java")):
+            store = VersionStore(root, embedding_provider=HashingEmbedder(16), cache_dir=cache)
+            code, embed = store.get(version_id)
+            assert (code.version_id, list(code.files), embed.file_paths) == (version_id, [path], [path])
+    assert "ignoring the archive" not in caplog.text
+
+
+class SwitchableEmbedder(HashingEmbedder):
+    """Raises for any batch while `broken` is set."""
+
+    broken = False
+
+    def embed_batch(self, texts):
+        if self.broken:
+            raise RetriableProviderError(self.provider_id, 3, "HTTP 500")
+        return super().embed_batch(texts)
+
+
+def test_version_store_failed_update_leaves_no_index(tmp_path):
+    root = versioned_repo(tmp_path)
+    cache = tmp_path / "cache"
+    provider = SwitchableEmbedder(16)
+    store = VersionStore(root, embedding_provider=provider, cache_dir=cache)
+    store.get("v1")
+    provider.broken = True
+    for _ in range(2):  # nothing memoized: the second get tries again
+        with pytest.raises(RetriableProviderError):
+            store.get("v2")
+    assert not any(path.exists() for path in store.archive_paths("v2"))
+    code, embed = VersionStore(root, embedding_provider=HashingEmbedder(16), cache_dir=cache).get("v2")
+    assert embed.paths() == set(code.files) == {"org/A.java", "org/B.java", "org/C.java"}
 
 
 def long_file_repo(tmp_path):

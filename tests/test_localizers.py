@@ -67,6 +67,16 @@ def test_embedding_localizer_requires_embedding_index(corpus):
         EmbeddingLocalizer(provider).fit(index, None)
 
 
+@pytest.mark.parametrize("top_n", [0, -1])
+@pytest.mark.parametrize(
+    "make", [VsmLocalizer, lambda top_n: EmbeddingLocalizer(HashingEmbedder(8), top_n=top_n)],
+    ids=["vsm", "embedding_only"],
+)
+def test_localizer_rejects_top_n_below_one(make, top_n):
+    with pytest.raises(ValueError, match=f"top_n must be at least 1, got {top_n}"):
+        make(top_n)
+
+
 def test_agent_localizer_genloc_requires_embedding_pieces(corpus):
     index, eindex, provider = corpus
     with pytest.raises(ValueError):

@@ -1,12 +1,15 @@
-"""Pins every value a caller can set: config fields, localizer parameters and
-the parameters of the library entry points that take settings. A change that
-adds or removes a knob edits the list here, in plain view."""
+"""Pins every value a caller can set: config fields, localizer parameters,
+the parameters of the library entry points that take settings, and the
+command line's options. A change that adds or removes a knob edits the list
+here, in plain view."""
 
+import argparse
 import dataclasses
 import inspect
 
 import pytest
 
+from bugloc import cli
 from bugloc.agent import AgentConfig, build_prompt
 from bugloc.config import ChatSettings, EmbeddingSettings, RunConfig
 from bugloc.embedding import shortlist_files, update_embeddings
@@ -46,6 +49,19 @@ FUNCTION_PARAMS = {
     ],
 }
 
+COMMON_OPTIONS = [
+    "-h", "--help", "--config", "--mode", "--runs", "--shortlist-k", "--chunk-limit",
+    "--max-iterations", "--provider", "--replay", "--out", "--repo", "--index-cache", "-v",
+    "--verbose",
+]
+
+CLI_OPTIONS = {  # positional arguments by their name
+    "index": COMMON_OPTIONS + ["--version", "--prev-version", "--changeset"],
+    "localize": COMMON_OPTIONS + ["--bug"],
+    "evaluate": COMMON_OPTIONS + ["--dataset", "--train-fraction"],
+    "compare": ["-h", "--help", "results", "--dataset", "--k", "--out", "-v", "--verbose"],
+}
+
 
 @pytest.mark.parametrize("cls", list(CONFIG_FIELDS), ids=lambda c: c.__name__)
 def test_config_fields_are_pinned(cls):
@@ -60,3 +76,12 @@ def test_localizer_params_are_pinned(cls):
 @pytest.mark.parametrize("fn", list(FUNCTION_PARAMS), ids=lambda f: f.__qualname__)
 def test_function_params_are_pinned(fn):
     assert list(inspect.signature(fn).parameters) == FUNCTION_PARAMS[fn]
+
+
+def test_cli_options_are_pinned():
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    assert {
+        name: [option for action in sub._actions for option in action.option_strings or [action.dest]]
+        for name, sub in commands.items()
+    } == CLI_OPTIONS
