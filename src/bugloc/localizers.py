@@ -60,14 +60,12 @@ class VsmLocalizer(BaseLocalizer):
 
     def __init__(self, top_n: int = 10):
         self.top_n = _check_top_n(top_n)
-        self.index_: CodeIndex | None = None
         self.model_: VsmModel | None = None
 
     def fit(self, code_index: CodeIndex, embedding_index: EmbeddingIndex | None = None):
         corpus = {
             path: file_representation(record) for path, record in code_index.files.items()
         }
-        self.index_ = code_index
         self.model_ = VsmModel(corpus)
         return self
 

@@ -8,7 +8,9 @@ from pathlib import Path
 import pytest
 
 from bugloc import EmbeddingIndex, HashingEmbedder, build_embedding_index, build_index, load_bug_reports, shortlist_files
+from bugloc.code_index import file_representation
 from bugloc.embedding import embed_query
+from bugloc.vsm import VsmModel
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -35,6 +37,18 @@ def test_shortlist_reference_agrees_with_shortlist_files(bench):
         want, _ = reference.rank(embed_query(checks.bug_query(bug), embedder), 20)
         assert [path for path, _ in got] == [path for path, _ in want]
         assert all(abs(a - b) <= checks.SCORE_TOL for (_, a), (_, b) in zip(got, want))
+
+
+def test_vsm_reference_agrees_with_vsm_model(bench):
+    checks, code, _, _, bugs = bench
+    reference = checks.VsmReference(code)
+    model = VsmModel({path: file_representation(record) for path, record in code.files.items()})
+    for bug in bugs:
+        text = checks.bug_query(bug)
+        got = model.score(text)
+        want, scores = reference.rank(text, len(got))
+        assert checks.same_order([path for path, _ in got], want, scores)
+        assert all(abs(score - scores[path]) <= checks.SCORE_TOL for path, score in got)
 
 
 def test_index_differences_of_an_index_with_itself_is_empty(bench):
