@@ -1,8 +1,9 @@
 """Versioned model of a source repository: files, method signatures, bodies.
 
 A CodeIndex is built from a directory snapshot, updated incrementally with a
-Changeset, and persisted as a single versioned archive. Indexes are value
-objects: updates return a new index and reuse records for untouched files.
+Changeset, and persisted as a manifest over content-addressed record objects.
+Indexes are value objects: updates return a new index and reuse records for
+untouched files.
 """
 
 from __future__ import annotations
@@ -10,16 +11,20 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .ioutil import atomic_write_text
+from .ioutil import atomic_write_bytes, atomic_write_text
 from .java_parser import Grammar, get_grammar
 
 logger = logging.getLogger(__name__)
 
 ARCHIVE_MAGIC = "bugloc-code-index"
-ARCHIVE_FORMAT = 1
+ARCHIVE_FORMAT = 2
+OBJECTS_DIR = "objects"  # beside the manifests
+_DIGEST = re.compile("[0-9a-f]{64}")
 
 
 class ConfigurationError(ValueError):
@@ -28,7 +33,8 @@ class ConfigurationError(ValueError):
 
 class ArchiveFormatError(ValueError):
     """Persisted archive is not one whole archive of the expected magic and
-    format: another format version, a foreign or corrupt file, a cut-off body."""
+    format: another format version, a foreign or corrupt file, a cut-off
+    body, a missing or damaged pack of objects."""
 
 
 @dataclass(frozen=True)
@@ -210,50 +216,171 @@ def diff_source_trees(
     )
 
 
-def save_code_index(index: CodeIndex, path: str | Path) -> None:
-    """Archive: one header line (magic, format, manifest), then one JSON record per file."""
-    lines = [
-        json.dumps(
-            {
-                "magic": ARCHIVE_MAGIC,
-                "format": ARCHIVE_FORMAT,
-                "version_id": index.version_id,
-                "grammar": index.grammar,
-                "file_count": len(index.files),
-            },
-            sort_keys=True,
-        )
-    ]
-    for fq_path in index.sorted_paths():
-        record = index.files[fq_path]
-        lines.append(
-            json.dumps(
-                {
-                    "fq_path": record.fq_path,
-                    "basename": record.basename,
-                    "parse_ok": record.parse_ok,
-                    "methods": [
-                        {
-                            "name": m.name,
-                            "signature": m.signature,
-                            "body": m.body,
-                            "abstract": m.abstract,
-                        }
-                        for m in record.methods
-                    ],
-                },
-                sort_keys=True,
-            )
-        )
+class ObjectPool:
+    """Content-addressed objects, each named by the sha256 of its bytes, kept
+    in packs: files under `directory`, beside the manifests that list them.
+
+    A save stores the objects the pool does not hold yet as one new pack,
+    itself named by the sha256 of its bytes, so a first save makes one file,
+    not one per source file. Values read or written through a pool are
+    interned by key for the life of the pool, so every index that holds a
+    file's content holds the same record, chunks and rows. A pack that is
+    missing, fails its digest or holds an object that does not decode is an
+    ArchiveFormatError; a damaged pack is unlinked and its objects are
+    forgotten, so that the next save writes them again.
+    """
+
+    def __init__(self, directory: str | Path):
+        self.directory = Path(directory)
+        self._values: dict[str, object] = {}  # key -> interned value
+        self._keys: dict[int, str] = {}  # id(value) -> key of each interned value
+        self._read: set[str] = set()  # names of the packs read
+        self._pack_of: dict[str, str] = {}  # key -> name of a pack on disk that holds it
+        self._unread: dict[str, bytes] = {}  # key -> bytes read from a pack, not decoded yet
+        self._new: dict[str, bytes] = {}  # key -> bytes of an object in no pack yet
+
+    def read(self, packs) -> None:
+        """Make the objects of the packs a manifest names available."""
+        if not isinstance(packs, list):
+            raise ArchiveFormatError(f"no list of packs: {packs!r}")
+        for name in packs:
+            if name in self._read:
+                continue
+            if not (isinstance(name, str) and _DIGEST.fullmatch(name)):  # it becomes a path
+                raise ArchiveFormatError(f"{name!r} is not a pack name")
+            path = os.path.join(self.directory, name)
+            try:
+                with open(path, "rb") as handle:
+                    data = handle.read()
+            except FileNotFoundError:
+                raise ArchiveFormatError(f"pack {name} is missing") from None
+            try:
+                if hashlib.sha256(data).hexdigest() != name:
+                    raise ValueError("its bytes do not match its digest")
+                objects = _split_pack(data)
+            except (TypeError, ValueError) as exc:
+                os.unlink(path)
+                raise ArchiveFormatError(f"pack {name} is damaged: {exc}") from None
+            self._read.add(name)
+            for key, data in objects.items():
+                self._pack_of.setdefault(key, name)
+                if key not in self._values:
+                    self._unread[key] = data
+
+    def get(self, key: str, decode):
+        """The value of object `key`: passed to `decode` on first use, the
+        interned value after."""
+        value = self._values.get(key)
+        if value is not None:
+            return value
+        data = self._unread.pop(key, None)
+        if data is None:
+            raise ArchiveFormatError(f"object {key} is in none of the packs read")
+        try:
+            value = decode(data)
+        except (KeyError, TypeError, ValueError) as exc:
+            self._drop(self._pack_of[key])
+            raise ArchiveFormatError(f"object {key} is damaged: {exc}") from None
+        return self._intern(key, value)
+
+    def put(self, data: bytes) -> str:
+        """The key of `data`, kept for the next pack unless it is stored."""
+        key = hashlib.sha256(data).hexdigest()
+        if key not in self._pack_of:
+            self._new.setdefault(key, data)
+        return key
+
+    def key(self, value, encode) -> str:
+        """The key of `value`'s object, stored by `put(encode(value))` unless
+        `value` is interned and stored already."""
+        key = self._keys.get(id(value))
+        if key is None or not (key in self._pack_of or key in self._new):
+            key = self.put(encode(value))
+            self._intern(key, value)
+        return key
+
+    def pack(self, keys) -> list[str]:
+        """Write the objects put since the last pack as one new pack, if there
+        are any; the sorted names of the packs that hold `keys`."""
+        if self._new:
+            data = _join_pack(self._new)
+            name = hashlib.sha256(data).hexdigest()
+            path = os.path.join(self.directory, name)
+            if not os.path.exists(path):
+                atomic_write_bytes(path, data)
+            for key in self._new:
+                self._pack_of[key] = name
+            self._new = {}
+        return sorted({self._pack_of[key] for key in keys})
+
+    def _intern(self, key: str, value):
+        interned = self._values.setdefault(key, value)
+        self._keys[id(interned)] = key
+        return interned
+
+    def _drop(self, pack: str) -> None:
+        (self.directory / pack).unlink(missing_ok=True)
+        self._read.discard(pack)
+        for key in [key for key, name in self._pack_of.items() if name == pack]:
+            del self._pack_of[key]
+            self._unread.pop(key, None)
+
+
+def _join_pack(objects: dict[str, bytes]) -> bytes:
+    """A pack: a JSON line of [key, length] per object, then their bytes."""
+    index = [[key, len(data)] for key, data in objects.items()]
+    return json.dumps(index, separators=(",", ":")).encode() + b"\n" + b"".join(objects.values())
+
+
+def _split_pack(data: bytes) -> dict[str, bytes]:
+    head, _, body = data.partition(b"\n")
+    objects, offset = {}, 0
+    for key, length in json.loads(head):
+        objects[key] = body[offset : offset + length]
+        offset += length
+    if offset != len(body):
+        raise ValueError(f"its index covers {offset} of its {len(body)} bytes")
+    return objects
+
+
+def _encode_record(record: SourceFileRecord) -> bytes:
+    """A record object: the JSON list [fq_path, basename, parse_ok, methods],
+    each method a list [name, signature, body, abstract]."""
+    methods = [[m.name, m.signature, m.body, m.abstract] for m in record.methods]
+    fields = [record.fq_path, record.basename, record.parse_ok, methods]
+    return json.dumps(fields, separators=(",", ":")).encode("utf-8")
+
+
+def _decode_record(data: bytes) -> SourceFileRecord:
+    fq_path, basename, parse_ok, methods = json.loads(data)
+    return SourceFileRecord(fq_path, basename, tuple(MethodRecord(*m) for m in methods), parse_ok)
+
+
+def archive_pool(path: str | Path, pool: ObjectPool | None) -> ObjectPool:
+    """`pool`, or a fresh pool of the objects directory beside manifest `path`."""
+    return pool if pool is not None else ObjectPool(Path(path).parent / OBJECTS_DIR)
+
+
+def write_manifest(path: str | Path, header: dict, entries: list, pool: ObjectPool) -> None:
+    """The objects put into `pool` as a new pack, then the manifest: the
+    header with the packs that hold its objects, and one JSON list
+    `[fq_path, key, ...]` per file."""
+    header = dict(header, packs=pool.pack([key for entry in entries for key in entry[1:]]))
+    lines = [json.dumps(header, sort_keys=True)] + [json.dumps(entry) for entry in entries]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def read_archive(path: str | Path, magic: str, fmt: int, count_key: str, parse) -> tuple[dict, list]:
-    """The header of a JSON-lines archive and `parse` of each body record.
+def read_manifest(
+    path: str | Path, magic: str, fmt: int, width: int, pool: ObjectPool
+) -> tuple[dict, list]:
+    """The header of a manifest and its entries, each a list of `width`
+    strings: a path, then object keys. The packs the header names are read
+    into `pool`.
 
     Raises ArchiveFormatError unless the header names `magic` and `fmt`, every
-    body line decodes and parses, and there are header[count_key] of them, so
-    an old, foreign, corrupt or truncated archive is never trusted.
+    entry decodes and has that shape, the paths ascend strictly (so none is
+    repeated) and there are header["file_count"] entries, so an old, foreign,
+    corrupt, edited or truncated manifest is never trusted.
     """
     with open(path, encoding="utf-8") as handle:
         try:
@@ -267,31 +394,55 @@ def read_archive(path: str | Path, magic: str, fmt: int, count_key: str, parse) 
                 f"unsupported archive format {header.get('format')!r} in {path}"
             )
         try:
-            records = [parse(json.loads(line)) for line in handle if line.strip()]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ArchiveFormatError(f"unreadable record in {path}: {exc!r}") from None
-    if len(records) != header.get(count_key):
+            entries = [json.loads(line) for line in handle if line.strip()]
+        except ValueError as exc:
+            raise ArchiveFormatError(f"unreadable entry in {path}: {exc!r}") from None
+    for entry in entries:
+        shaped = isinstance(entry, list) and len(entry) == width
+        if not (shaped and all(isinstance(part, str) for part in entry)):
+            raise ArchiveFormatError(f"malformed entry in {path}: {entry!r}")
+    for entry, following in zip(entries, entries[1:]):
+        if entry[0] >= following[0]:
+            raise ArchiveFormatError(f"{path} lists {following[0]!r} out of order or twice")
+    if len(entries) != header.get("file_count"):
         raise ArchiveFormatError(
-            f"{path} holds {len(records)} records, its header says {header.get(count_key)!r}"
+            f"{path} holds {len(entries)} entries, its header says {header.get('file_count')!r}"
         )
-    return header, records
+    pool.read(header.get("packs"))
+    return header, entries
 
 
-def _parse_file_record(raw: dict) -> SourceFileRecord:
-    return SourceFileRecord(
-        fq_path=raw["fq_path"],
-        basename=raw["basename"],
-        methods=tuple(
-            MethodRecord(m["name"], m["signature"], m["body"], m["abstract"])
-            for m in raw["methods"]
-        ),
-        parse_ok=raw["parse_ok"],
-    )
+def save_code_index(index: CodeIndex, path: str | Path, pool: ObjectPool | None = None) -> None:
+    """Write the records not stored yet as a pack, then the manifest: a
+    header (magic, format, version, grammar, file count, packs) and one
+    `[fq_path, record key]` line per file in path order."""
+    pool = archive_pool(path, pool)
+    header = {
+        "magic": ARCHIVE_MAGIC,
+        "format": ARCHIVE_FORMAT,
+        "version_id": index.version_id,
+        "grammar": index.grammar,
+        "file_count": len(index.files),
+    }
+    entries = [[p, store_record(pool, index.files[p])] for p in index.sorted_paths()]
+    write_manifest(path, header, entries, pool)
 
 
-def load_code_index(path: str | Path) -> CodeIndex:
-    header, records = read_archive(
-        path, ARCHIVE_MAGIC, ARCHIVE_FORMAT, "file_count", _parse_file_record
-    )
-    files = {record.fq_path: record for record in records}
+def store_record(pool: ObjectPool, record: SourceFileRecord) -> str:
+    """The key of `record`'s object, kept for the next pack unless stored."""
+    return pool.key(record, _encode_record)
+
+
+def load_record(pool: ObjectPool, fq_path: str, key: str) -> SourceFileRecord:
+    """The record object `key`, which a manifest lists under `fq_path`."""
+    record = pool.get(key, _decode_record)
+    if record.fq_path != fq_path:
+        raise ArchiveFormatError(f"object {key} holds {record.fq_path!r}, not {fq_path!r}")
+    return record
+
+
+def load_code_index(path: str | Path, pool: ObjectPool | None = None) -> CodeIndex:
+    pool = archive_pool(path, pool)
+    header, entries = read_manifest(path, ARCHIVE_MAGIC, ARCHIVE_FORMAT, 2, pool)
+    files = {fq_path: load_record(pool, fq_path, key) for fq_path, key in entries}
     return CodeIndex(header["version_id"], files, _build_locator(files), header.get("grammar"))

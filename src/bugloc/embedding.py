@@ -6,7 +6,8 @@ its chunks to the query, ties by path. Updates mirror a from-scratch build:
 untouched rows carry over, and the chunks of every refreshed file go to the
 provider in one call, whose error propagates as a build's does. An index and
 its archive record the chunk limit it was built with, and updates and queries
-chunk at that limit.
+chunk at that limit. An index also holds the code records its chunks were
+cut from, so that its archive can name them and re-make the chunk text.
 """
 
 from __future__ import annotations
@@ -14,16 +15,18 @@ from __future__ import annotations
 import json
 import logging
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from types import MappingProxyType
 
 import numpy as np
 
-from .code_index import ArchiveFormatError, Changeset, CodeIndex, file_representation, read_archive
+from .code_index import (
+    ArchiveFormatError, Changeset, CodeIndex, ObjectPool, SourceFileRecord, archive_pool,
+    file_representation, load_record, read_manifest, store_record, write_manifest,
+)
 from .embedders import EmbeddingProvider
-from .ioutil import atomic_write_text
 from .tokens import token_spans
 from .validation import InputValidationError, require_bug_text
 
@@ -33,7 +36,7 @@ DEFAULT_CHUNK_LIMIT = 300
 DEFAULT_SHORTLIST_K = 50
 
 EMBED_ARCHIVE_MAGIC = "bugloc-embedding-index"
-EMBED_ARCHIVE_FORMAT = 1
+EMBED_ARCHIVE_FORMAT = 2
 
 
 @dataclass(frozen=True)
@@ -55,13 +58,15 @@ class EmbeddingIndex:
     """Chunks sorted by (fq_path, seq) and, row for row, their vectors as one
     read-only float64 matrix. Construction sorts, rejects duplicate keys and
     vectors of another dimension, and works out once what queries need: the
-    row norms, and each file's path and first row."""
+    row norms, and each file's path and first row. `sources` maps each path
+    to the code record its chunks were cut from; an archive needs it."""
 
     dimension: int
     provider_id: str
     chunk_limit: int = DEFAULT_CHUNK_LIMIT
     chunks: Iterable[Chunk] = ()  # stored as a sorted tuple
     vectors: np.ndarray = ()  # any (len(chunks), dimension) array-like
+    sources: Mapping[str, SourceFileRecord] = field(default_factory=dict)
 
     def __post_init__(self):
         chunks = list(self.chunks)
@@ -140,7 +145,9 @@ def build_embedding_index(
 ) -> EmbeddingIndex:
     chunks = [c for fq_path in index.sorted_paths() for c in _file_chunks(index, fq_path, chunk_limit)]
     vectors = provider.embed_batch([c.text for c in chunks])
-    return EmbeddingIndex(provider.dimension, provider.provider_id, chunk_limit, chunks, vectors)
+    return EmbeddingIndex(
+        provider.dimension, provider.provider_id, chunk_limit, chunks, vectors, index.files
+    )
 
 
 def update_embeddings(
@@ -168,7 +175,9 @@ def update_embeddings(
     new_vectors = provider.embed_batch([c.text for c in new_chunks]) if new_chunks else []
     kept = [c for c, k in zip(eindex.chunks, keep) if k]
     vectors = np.concatenate([eindex.vectors[keep], np.reshape(new_vectors, (-1, eindex.dimension))])
-    return EmbeddingIndex(eindex.dimension, eindex.provider_id, eindex.chunk_limit, kept + new_chunks, vectors)
+    return EmbeddingIndex(
+        eindex.dimension, eindex.provider_id, eindex.chunk_limit, kept + new_chunks, vectors, index.files
+    )
 
 
 def embed_query(text: str, provider: EmbeddingProvider, chunk_limit: int = DEFAULT_CHUNK_LIMIT):
@@ -214,48 +223,95 @@ def shortlist_files(
     return Shortlist(entries=tuple(entries), k=k)
 
 
-def save_embedding_index(eindex: EmbeddingIndex, path: str | Path) -> None:
-    lines = [
-        json.dumps(
-            {
-                "magic": EMBED_ARCHIVE_MAGIC,
-                "format": EMBED_ARCHIVE_FORMAT,
-                "dimension": eindex.dimension,
-                "provider_id": eindex.provider_id,
-                "chunk_limit": eindex.chunk_limit,
-                "record_count": len(eindex),
-            },
-            sort_keys=True,
-        )
-    ]
-    for chunk, vector in zip(eindex.chunks, eindex.vectors.tolist()):
-        lines.append(
-            json.dumps(
-                {
-                    "fq_path": chunk.fq_path,
-                    "seq": chunk.seq,
-                    "text": chunk.text,
-                    "token_count": chunk.token_count,
-                    "vector": vector,
-                },
-                sort_keys=True,
-            )
-        )
-    atomic_write_text(path, "\n".join(lines) + "\n")
+def _chunk_spans(text: str, chunks: Iterable[Chunk]) -> list[list[int]]:
+    """[start, end, token_count] of each chunk of `text`, in order. Only
+    whitespace lies between two chunks and each starts with a token, so a
+    chunk's first match at or after the end of the one before is itself."""
+    spans, end = [], 0
+    for chunk in chunks:
+        start = text.find(chunk.text, end)
+        if start < 0:
+            raise ValueError(f"chunk {chunk.seq} of {chunk.fq_path} is not in its source record")
+        end = start + len(chunk.text)
+        spans.append([start, end, chunk.token_count])
+    return spans
 
 
-def _parse_record(raw: dict) -> tuple[Chunk, list[float]]:
-    return Chunk(raw["fq_path"], raw["seq"], raw["text"], raw["token_count"]), raw["vector"]
+def _encode_vectors(record_key: str, spans: list[list[int]], rows: np.ndarray) -> bytes:
+    """A vector object: a JSON header line (the record the chunks were cut
+    from, each chunk's span in its representation, the dimension), then the
+    rows as little-endian float64 bytes."""
+    header = {"record": record_key, "chunks": spans, "dimension": rows.shape[1]}
+    head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    return head + b"\n" + rows.astype("<f8", copy=False).tobytes()
 
 
-def load_embedding_index(path: str | Path) -> EmbeddingIndex:
-    header, records = read_archive(
-        path, EMBED_ARCHIVE_MAGIC, EMBED_ARCHIVE_FORMAT, "record_count", _parse_record
+def _decode_vectors(data: bytes, record_key: str, record: SourceFileRecord):
+    """The chunks and read-only rows of a vector object cut from `record`."""
+    head, _, body = data.partition(b"\n")
+    header = json.loads(head)
+    if header["record"] != record_key:
+        raise ValueError(f"it holds the rows of record {header['record']!r}")
+    dimension, spans = header["dimension"], header["chunks"]
+    if dimension < 1 or len(body) % (8 * dimension):
+        raise ValueError(f"its {len(body)} bytes of rows are not whole {dimension}-dimensional vectors")
+    rows = np.frombuffer(body, dtype="<f8").reshape(-1, dimension)
+    if len(rows) != len(spans):
+        raise ValueError(f"it holds {len(rows)} rows for {len(spans)} chunks")
+    text = file_representation(record)
+    chunks = tuple(
+        Chunk(record.fq_path, seq, text[start:end], tokens)
+        for seq, (start, end, tokens) in enumerate(spans)
     )
-    chunks, vectors = zip(*records) if records else ((), ())
+    return chunks, rows
+
+
+def save_embedding_index(
+    eindex: EmbeddingIndex, path: str | Path, pool: ObjectPool | None = None, version_id: str = ""
+) -> None:
+    """Write each file's vector object and source record, those not stored
+    yet, as a pack, then the manifest: a header (magic, format, version,
+    provider, dimension, chunk limit, file count, packs) and one
+    `[fq_path, record key, vector key]` line per file in path order."""
+    pool = archive_pool(path, pool)
+    records = [eindex.sources[fq_path] for fq_path in eindex.file_paths]
+    header = {
+        "magic": EMBED_ARCHIVE_MAGIC,
+        "format": EMBED_ARCHIVE_FORMAT,
+        "version_id": version_id,
+        "dimension": eindex.dimension,
+        "provider_id": eindex.provider_id,
+        "chunk_limit": eindex.chunk_limit,
+        "file_count": len(eindex.file_paths),
+    }
+    bounds = [*eindex.file_starts.tolist(), len(eindex)]
+    entries = []
+    for record, start, end in zip(records, bounds, bounds[1:]):
+        record_key = store_record(pool, record)
+        spans = _chunk_spans(file_representation(record), eindex.chunks[start:end])
+        vector_key = pool.put(_encode_vectors(record_key, spans, eindex.vectors[start:end]))
+        entries.append([record.fq_path, record_key, vector_key])
+    write_manifest(path, header, entries, pool)
+
+
+def load_embedding_index(path: str | Path, pool: ObjectPool | None = None) -> EmbeddingIndex:
+    """The index a manifest lists: its records and vector objects read
+    through `pool`, the rows joined by one concatenation in path order."""
+    pool = archive_pool(path, pool)
+    header, entries = read_manifest(path, EMBED_ARCHIVE_MAGIC, EMBED_ARCHIVE_FORMAT, 3, pool)
     try:
-        return EmbeddingIndex(
-            header["dimension"], header["provider_id"], header["chunk_limit"], chunks, vectors
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        made_by = header["dimension"], header["provider_id"], header["chunk_limit"]
+    except KeyError as exc:
+        raise ArchiveFormatError(f"unusable embedding index archive {path}: {exc}") from None
+    sources: dict[str, SourceFileRecord] = {}
+    chunks: list[Chunk] = []
+    blocks = []
+    for fq_path, record_key, vector_key in entries:
+        record = sources[fq_path] = load_record(pool, fq_path, record_key)
+        file_chunks, rows = pool.get(vector_key, lambda data: _decode_vectors(data, record_key, record))
+        chunks += file_chunks
+        blocks.append(rows)
+    try:
+        return EmbeddingIndex(*made_by, chunks, np.concatenate(blocks) if blocks else (), sources)
+    except (TypeError, ValueError) as exc:
         raise ArchiveFormatError(f"unusable embedding index archive {path}: {exc}") from None

@@ -16,7 +16,10 @@ from pathlib import Path
 from urllib.parse import quote
 
 from .agent import AgentTranscript
-from .code_index import ArchiveFormatError, Changeset, CodeIndex, build_index, diff_source_trees, load_code_index, save_code_index, update_index
+from .code_index import (
+    OBJECTS_DIR, ArchiveFormatError, Changeset, CodeIndex, ObjectPool, build_index, diff_source_trees,
+    load_code_index, save_code_index, update_index,
+)
 from .embedders import EmbeddingProvider
 from .embedding import (
     EmbeddingIndex,
@@ -36,7 +39,14 @@ logger = logging.getLogger(__name__)
 
 
 class VersionStore:
-    """Builds, caches, and persists (CodeIndex, EmbeddingIndex) per version."""
+    """Builds, caches, and persists (CodeIndex, EmbeddingIndex) per version.
+
+    With a cache_dir, each version's archive pair is two manifests over the
+    content-addressed objects in `<cache_dir>/objects`, which one pool reads
+    and writes for the life of the store: a version shares the records,
+    chunks and rows of every other version loaded or built here that holds
+    the same file, and a save writes only the objects not stored yet.
+    """
 
     def __init__(
         self,
@@ -50,6 +60,7 @@ class VersionStore:
         self.grammar = grammar
         self.embedding_provider = embedding_provider
         self.cache_dir = Path(cache_dir) if cache_dir else None
+        self.objects = ObjectPool(self.cache_dir / OBJECTS_DIR) if self.cache_dir else None
         self.chunk_limit = chunk_limit
         self._built: dict[str, tuple[CodeIndex, EmbeddingIndex | None]] = {}
         self._last_version: str | None = None
@@ -95,8 +106,8 @@ class VersionStore:
         if provider is not None and not archives[1].exists():
             return None
         try:
-            code = load_code_index(archives[0])
-            embed = None if provider is None else load_embedding_index(archives[1])
+            code = load_code_index(archives[0], pool=self.objects)
+            embed = None if provider is None else load_embedding_index(archives[1], pool=self.objects)
         except ArchiveFormatError as exc:
             reason = str(exc)
         else:
@@ -122,13 +133,16 @@ class VersionStore:
         if embed is None:
             return None
         made_by = (embed.provider_id, embed.dimension, embed.chunk_limit)
-        if made_by == (provider.provider_id, provider.dimension, self.chunk_limit):
-            return None
-        return (
-            "it was embedded by %s (dimension %d, chunk limit %s), this run embeds with %s "
-            "(dimension %d, chunk limit %d)"
-            % (*made_by, provider.provider_id, provider.dimension, self.chunk_limit)
-        )
+        if made_by != (provider.provider_id, provider.dimension, self.chunk_limit):
+            return (
+                "it was embedded by %s (dimension %d, chunk limit %s), this run embeds with %s "
+                "(dimension %d, chunk limit %d)"
+                % (*made_by, provider.provider_id, provider.dimension, self.chunk_limit)
+            )
+        if embed.sources != code.files:
+            # say, a save cut short between the two manifests
+            return "its embedding archive was made from other files than its code archive"
+        return None
 
     def build(
         self, version_id: str, previous: str | None = None, changeset: Changeset | None = None
@@ -164,9 +178,9 @@ class VersionStore:
         self._last_version = version_id
         archives = self.archive_paths(version_id)
         if archives:
-            save_code_index(code, archives[0])
+            save_code_index(code, archives[0], pool=self.objects)
             if embed is not None:
-                save_embedding_index(embed, archives[1])
+                save_embedding_index(embed, archives[1], pool=self.objects, version_id=version_id)
 
 
 def fit_localizers(bugs: list[BugReport], make_localizer, store: VersionStore) -> list[BaseLocalizer]:

@@ -18,12 +18,21 @@ RETRIABLE_STATUS = (408, 409, 429)  # and every 5xx
 def atomic_write_text(path: str | os.PathLike, *texts: str) -> None:
     """Write `texts` one after another via a temp file in the same directory,
     then rename; several pieces are written without joining them first."""
+    _atomic_write(path, texts, "w", encoding="utf-8")
+
+
+def atomic_write_bytes(path: str | os.PathLike, data: bytes) -> None:
+    """Write `data` via a temp file in the same directory, then rename."""
+    _atomic_write(path, (data,), "wb")
+
+
+def _atomic_write(path, pieces, mode: str, **open_args) -> None:
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.writelines(texts)
+        with os.fdopen(fd, mode, **open_args) as handle:
+            handle.writelines(pieces)
         os.replace(tmp, target)
     except BaseException:
         try:

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -5,11 +7,14 @@ import pytest
 from bugloc.code_index import (
     ArchiveFormatError,
     Changeset,
+    CodeIndex,
     ConfigurationError,
+    ObjectPool,
     build_index,
     diff_source_trees,
     file_representation,
     load_code_index,
+    load_record,
     save_code_index,
     update_index,
 )
@@ -250,6 +255,84 @@ def test_archive_rejects_a_truncated_body(tmp_path, cut):
     archive.write_text(text[:keep], encoding="utf-8")
     with pytest.raises(ArchiveFormatError):
         load_code_index(archive)
+
+
+def two_file_archive(tmp_path):
+    write_tree(
+        tmp_path / "repo",
+        {"org/A.java": java_class("A", {"m": "x();"}), "org/B.java": java_class("B", {"n": "y();"})},
+    )
+    archive = tmp_path / "index.jsonl"
+    save_code_index(build_index(tmp_path / "repo", "java", "v7"), archive)
+    return archive
+
+
+@pytest.mark.parametrize("edit", ["repeated", "unsorted"])
+def test_archive_rejects_a_repeated_or_unsorted_path(tmp_path, edit):
+    archive = two_file_archive(tmp_path)
+    header, a_line, b_line = archive.read_text(encoding="utf-8").splitlines()
+    body = [a_line, a_line] if edit == "repeated" else [b_line, a_line]
+    archive.write_text("\n".join([header, *body]) + "\n", encoding="utf-8")
+    with pytest.raises(ArchiveFormatError, match="out of order or twice"):
+        load_code_index(archive)
+
+
+def test_archive_rejects_a_pack_cut_at_any_length_and_unlinks_it(tmp_path):
+    archive = two_file_archive(tmp_path)
+    (name,) = json.loads(archive.read_text(encoding="utf-8").splitlines()[0])["packs"]
+    path = tmp_path / "objects" / name
+    whole = path.read_bytes()
+    for cut in range(len(whole)):
+        path.write_bytes(whole[:cut])
+        with pytest.raises(ArchiveFormatError, match=f"pack {name} is damaged"):
+            load_code_index(archive)
+        assert not path.exists()
+    with pytest.raises(ArchiveFormatError, match=f"pack {name} is missing"):
+        load_code_index(archive)
+
+
+def test_archive_rejects_a_pack_name_that_is_not_a_digest(tmp_path):
+    archive = two_file_archive(tmp_path)
+    text = archive.read_text(encoding="utf-8")
+    (name,) = json.loads(text.splitlines()[0])["packs"]
+    archive.write_text(text.replace(name, "../index.jsonl"), encoding="utf-8")
+    with pytest.raises(ArchiveFormatError, match="is not a pack name"):
+        load_code_index(archive)
+    assert archive.exists()
+
+
+def test_archive_through_one_pool_stores_a_record_once(tmp_path):
+    archive = two_file_archive(tmp_path)
+    pool = ObjectPool(tmp_path / "objects")
+    index = load_code_index(archive, pool=pool)
+    write_tree(tmp_path / "repo", {"org/B.java": java_class("B", {"n": "z();"})})
+    changed = update_index(index, Changeset(modified=("org/B.java",)), tmp_path / "repo", "v8")
+    save_code_index(changed, tmp_path / "v8.jsonl", pool=pool)
+    packs = sorted((tmp_path / "objects").iterdir(), key=lambda p: len(p.read_bytes()))
+    assert [len(json.loads(p.read_bytes().split(b"\n")[0])) for p in packs] == [1, 2]
+    assert load_code_index(tmp_path / "v8.jsonl") == changed
+
+
+def test_a_pool_stores_again_the_records_of_a_pack_it_dropped(tmp_path):
+    archive = two_file_archive(tmp_path)
+    header, a_line, b_line = archive.read_text(encoding="utf-8").splitlines()
+    (name,) = json.loads(header)["packs"]
+    head, body = (tmp_path / "objects" / name).read_bytes().split(b"\n", 1)
+    index = json.loads(head)  # [[A's key, length], [B's key, length]]
+    a_bytes = body[: index[0][1]]
+    bad = json.dumps([index[0], [index[1][0], 2]]).encode() + b"\n" + a_bytes + b"[]"
+    bad_name = hashlib.sha256(bad).hexdigest()
+    (tmp_path / "objects" / bad_name).write_bytes(bad)
+    archive.write_text(
+        "\n".join([header.replace(name, bad_name), a_line, b_line]) + "\n", encoding="utf-8"
+    )
+    pool = ObjectPool(tmp_path / "objects")
+    with pytest.raises(ArchiveFormatError, match=f"object {index[1][0]} is damaged"):
+        load_code_index(archive, pool=pool)  # A decodes, then B does not
+    assert not (tmp_path / "objects" / bad_name).exists()
+    a_record = load_record(pool, "org/A.java", index[0][0])  # interned, in no pack now
+    save_code_index(CodeIndex("v9", {"org/A.java": a_record}), tmp_path / "v9.jsonl", pool=pool)
+    assert load_code_index(tmp_path / "v9.jsonl").files == {"org/A.java": a_record}
 
 
 def test_archive_keeps_the_grammar(tmp_path):

@@ -707,6 +707,34 @@ def test_embedding_archive_roundtrip(tmp_path):
     assert loaded.provider_id == eindex.provider_id
 
 
+def test_embedding_archive_roundtrip_of_many_chunks_per_file(tmp_path):
+    root = planted_repo(tmp_path, n_files=4)
+    index = build_index(root, "java", "v0")
+    eindex = build_embedding_index(index, HashingEmbedder(dimension=8), chunk_limit=3)
+    assert len(eindex) > 3 * len(index.files)
+    save_embedding_index(eindex, tmp_path / "embed.jsonl")
+    loaded = load_embedding_index(tmp_path / "embed.jsonl")
+    assert loaded.chunks == eindex.chunks
+    assert np.array_equal(loaded.vectors, eindex.vectors)
+    assert loaded.sources == index.files
+    assert loaded.chunk_limit == 3
+
+
+def test_embedding_archive_rejects_vector_objects_of_two_dimensions(tmp_path):
+    index = build_index(planted_repo(tmp_path, n_files=2), "java", "v0")
+    lines = {}
+    for dimension in (8, 16):
+        archive = tmp_path / f"embed{dimension}.jsonl"
+        save_embedding_index(build_embedding_index(index, HashingEmbedder(dimension)), archive)
+        lines[dimension] = archive.read_text(encoding="utf-8").splitlines()
+    header = json.loads(lines[16][0])
+    header["packs"] = sorted(set(header["packs"]) | set(json.loads(lines[8][0])["packs"]))
+    mixed = tmp_path / "mixed.jsonl"
+    mixed.write_text("\n".join([json.dumps(header), lines[16][1], *lines[8][2:]]) + "\n", encoding="utf-8")
+    with pytest.raises(ArchiveFormatError, match="unusable embedding index archive"):
+        load_embedding_index(mixed)
+
+
 def test_embedding_archive_rejects_wrong_magic(tmp_path):
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"magic": "nope", "format": 1}\n', encoding="utf-8")

@@ -1,5 +1,10 @@
+import gc
+import hashlib
 import json
+import os
 import shutil
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -225,6 +230,192 @@ def test_version_store_rebuilds_truncated_archive(tmp_path, caplog, archive_name
     assert "ignoring the archive of v1" in caplog.text
     assert set(code.files) == {"org/A.java", "org/B.java"}
     assert archive.read_bytes() == whole
+
+
+def manifest_entries(path):
+    """The [fq_path, key, ...] lines of a manifest."""
+    return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()[1:]]
+
+
+def get_fresh(root, cache, version_id, caplog):
+    """`version_id` from a fresh store, with the store's warnings in `caplog`."""
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="bugloc.harness"):
+        return VersionStore(root, embedding_provider=HashingEmbedder(16), cache_dir=cache).get(version_id)
+
+
+def test_version_store_rebuilds_an_embedding_manifest_of_another_version(tmp_path, caplog):
+    root = versioned_repo(tmp_path)
+    cache = tmp_path / "cache"
+    store = VersionStore(root, embedding_provider=HashingEmbedder(16), cache_dir=cache)
+    store.get("v1")
+    store.get("v2")
+    v1_embed, v2_embed = store.archive_paths("v1")[1], store.archive_paths("v2")[1]
+    whole = v1_embed.read_bytes()
+    shutil.copyfile(v2_embed, v1_embed)
+    code, embed = get_fresh(root, cache, "v1", caplog)
+    assert "ignoring the archive of v1: its embedding archive was made from other files" in caplog.text
+    assert embed.file_paths == sorted(code.files) == ["org/A.java", "org/B.java"]
+    assert v1_embed.read_bytes() == whole
+
+
+def test_version_store_rebuilds_a_save_cut_between_its_two_manifests(tmp_path, caplog, monkeypatch):
+    root = versioned_repo(tmp_path)
+    cache = tmp_path / "cache"
+    VersionStore(root, embedding_provider=HashingEmbedder(16), cache_dir=cache).get("v1")
+    write_tree(root / "v1", {"org/A.java": java_class("A", {"alpha": "alphaword edited();"})})
+
+    def crash(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(harness, "save_embedding_index", crash)
+    with pytest.raises(KeyboardInterrupt):  # after the code manifest, before the other
+        VersionStore(root, embedding_provider=HashingEmbedder(16), cache_dir=cache).build("v1")
+    monkeypatch.undo()
+    code, embed = get_fresh(root, cache, "v1", caplog)
+    assert "its embedding archive was made from other files than its code archive" in caplog.text
+    assert "edited" in code.files["org/A.java"].methods[0].body
+    assert embed.sources == code.files
+    assert "edited" in embed.chunks[0].text
+    get_fresh(root, cache, "v1", caplog)
+    assert "ignoring" not in caplog.text
+
+
+def pack_index(path):
+    """The [key, length] of each object in a pack."""
+    return json.loads(path.read_bytes().split(b"\n", 1)[0])
+
+
+def pack_holding(cache, key):
+    """The pack in `cache` that holds object `key`."""
+    (path,) = [p for p in (cache / "objects").iterdir() if key in dict(pack_index(p))]
+    return path
+
+
+def damage(path, how):
+    data = path.read_bytes()
+    if how == "missing":
+        path.unlink()
+    elif how == "flipped":
+        path.write_bytes(data[:-1] + bytes([data[-1] ^ 0x20]))
+    else:
+        path.write_bytes(data[: int(how.removeprefix("cut at "))])
+
+
+@pytest.mark.parametrize("how", ["missing", "cut at 0", "cut at 1", "cut at 40", "flipped"])
+@pytest.mark.parametrize("column", [1, 2], ids=["record object", "vector object"])
+def test_version_store_rebuilds_a_damaged_pack(tmp_path, caplog, monkeypatch, how, column):
+    root = versioned_repo(tmp_path)
+    cache = tmp_path / "cache"
+    VersionStore(root, embedding_provider=HashingEmbedder(16), cache_dir=cache).get("v1")
+    path = pack_holding(cache, manifest_entries(cache / "v1.embed.jsonl")[1][column])
+    whole = path.read_bytes()
+    damage(path, how)
+    code, embed = get_fresh(root, cache, "v1", caplog)
+    assert f"ignoring the archive of v1: pack {path.name} is " in caplog.text
+    assert embed.paths() == set(code.files) == {"org/A.java", "org/B.java"}
+    assert path.read_bytes() == whole  # unlinked, then written again
+    monkeypatch.setattr(harness, "build_index", None)  # the next store only loads
+    get_fresh(root, cache, "v1", caplog)
+    assert "ignoring" not in caplog.text
+
+
+def test_version_store_rebuilds_a_vector_object_of_partial_rows(tmp_path, caplog, monkeypatch):
+    root = versioned_repo(tmp_path)
+    cache = tmp_path / "cache"
+    VersionStore(root, embedding_provider=HashingEmbedder(16), cache_dir=cache).get("v1")
+    manifest = cache / "v1.embed.jsonl"
+    text = manifest.read_text(encoding="utf-8")
+    key = manifest_entries(manifest)[0][2]
+    pack = pack_holding(cache, key)
+    head, body = pack.read_bytes().split(b"\n", 1)
+    objects, offset = {}, 0
+    for object_key, length in json.loads(head):
+        objects[object_key] = body[offset : offset + length]
+        offset += length
+    objects[key] = objects[key][:-8]  # a whole number of float64s, not of rows
+    index = [[object_key, len(data)] for object_key, data in objects.items()]
+    bad = json.dumps(index).encode() + b"\n" + b"".join(objects.values())
+    bad_name = hashlib.sha256(bad).hexdigest()
+    (cache / "objects" / bad_name).write_bytes(bad)
+    manifest.write_text(text.replace(pack.name, bad_name), encoding="utf-8")
+    get_fresh(root, cache, "v1", caplog)
+    assert f"object {key} is damaged" in caplog.text
+    assert "not whole 16-dimensional vectors" in caplog.text
+    assert not (cache / "objects" / bad_name).exists()
+    assert manifest.read_text(encoding="utf-8") == text
+    monkeypatch.setattr(harness, "build_index", None)
+    get_fresh(root, cache, "v1", caplog)
+    assert "ignoring" not in caplog.text
+
+
+def chain_of_versions(root, n_versions, n_files):
+    """Version k differs from version k - 1 in file k only."""
+    def source(i, edit):
+        methods = {f"step{j}": f"value{j} = compute{i}x{j}(input{edit}); log(value{j});" for j in range(6)}
+        return java_class(f"C{i}", methods)
+
+    files = {f"org/p{i % 3}/C{i}.java": source(i, 0) for i in range(n_files)}
+    versions = []
+    for k in range(n_versions):
+        if k:
+            files[f"org/p{k % 3}/C{k}.java"] = source(k, k)
+        versions.append(f"v{k}")
+        write_tree(root / f"v{k}", files)
+    return versions
+
+
+def test_version_store_versions_loaded_from_archives_share_their_files(tmp_path, monkeypatch):
+    root, cache = tmp_path / "repo", tmp_path / "cache"
+    versions = chain_of_versions(root, 9, 40)
+    building = VersionStore(root, embedding_provider=HashingEmbedder(16), cache_dir=cache)
+    for version in versions:
+        building.get(version)
+    del building
+    monkeypatch.setattr(harness, "build_index", None)  # every version is loaded
+    monkeypatch.setattr(harness, "update_index", None)
+    store = VersionStore(root, embedding_provider=HashingEmbedder(16), cache_dir=cache)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        traced = [tracemalloc.get_traced_memory()[0]]
+        loaded = []
+        for version in versions:
+            loaded.append(store.get(version))
+            traced.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    first = traced[1] - traced[0]
+    added = [after - before for before, after in zip(traced[1:], traced[2:])]
+    assert max(added) <= first / 4, (first, added)
+    (code0, embed0), (code1, embed1) = loaded[:2]
+    assert code1.files["org/p2/C2.java"] is code0.files["org/p2/C2.java"]
+    assert code1.files["org/p1/C1.java"] != code0.files["org/p1/C1.java"]
+    assert all(a is b for a, b in zip(embed0.chunks[-10:], embed1.chunks[-10:]))
+
+
+def test_version_store_one_file_update_writes_its_objects_and_two_manifests(tmp_path, monkeypatch):
+    root, cache = tmp_path / "repo", tmp_path / "cache"
+    versions = chain_of_versions(root, 2, 12)
+    store = VersionStore(root, embedding_provider=HashingEmbedder(16), cache_dir=cache)
+    store.get(versions[0])
+    written = []
+    replace = os.replace
+
+    def counting(src, dst):
+        written.append(Path(dst))
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", counting)
+    store.get(versions[1])
+    code_manifest, embed_manifest = store.archive_paths(versions[1])
+    ((_, record_key, vector_key),) = [
+        entry for entry in manifest_entries(embed_manifest) if entry[0] == "org/p1/C1.java"
+    ]
+    code_pack, manifest, embed_pack, last = written
+    assert (manifest, last) == (code_manifest, embed_manifest)
+    assert [key for key, _ in pack_index(code_pack)] == [record_key]
+    assert [key for key, _ in pack_index(embed_pack)] == [vector_key]
 
 
 class MethodlessGrammar(java_parser.JavaGrammar):
