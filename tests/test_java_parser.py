@@ -1,4 +1,11 @@
+import hashlib
+import importlib
+import json
+import random
+from pathlib import Path
+
 from bugloc.java_parser import JavaGrammar, get_grammar
+from conftest import java_class
 
 import pytest
 
@@ -260,3 +267,60 @@ def test_grammar_extension_set_is_configurable(tmp_path):
     (tmp_path / "B.jsp").write_text("class B { void n() { y(); } }", encoding="utf-8")
     index = build_index(tmp_path, "java-jsp", "v0")
     assert set(index.files) == {"A.java", "B.jsp"}
+
+
+# --- golden parse: results pinned as one digest -----------------------------
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+# Fragments a mutant gets inserted at random offsets.
+MUTATIONS = (
+    "{", "}", "(", ")", ";", '"', "'", "/*", "*/", "//", '"""', "\\", "@A(", "->",
+    "new X() {", "class L {", "enum E {", "record R(int a) {",
+)
+GOLDEN_MUTANTS = 3000
+GOLDEN_DIGEST = "46a114590e3d968e3ed27794a8dc63bcbc96516e47cac059552826415113acc8"
+
+
+def _golden_sources() -> list[str]:
+    """Generated benchmark classes of three seeds, the classes of the
+    acceptance suite, and seeded mutants of both."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(str(PERFBENCH))
+        gen = importlib.import_module("gen")
+    sources = []
+    for seed in (1, 3, 7):
+        tree = gen.generate(seed, 40, 1).trees[0]
+        sources += [tree[path] for path in sorted(tree)]
+    sources += [
+        java_class("AutoScale", {"zoomOut": "scale /= step;", "render": "draw();"}),
+        java_class("BcelClassWeaver", {"weave": "transform();", "weaveClass": "apply();"}),
+        java_class("Helper", {"assist": "help();"}),
+        java_class("Planted", {"zoomOut": "meterchart dialscale renderfail;"}),
+    ]
+    sources += [
+        java_class(f"File{i}", {f"method{i}": f"word{i} shared{i % 7};", "common": "c();"})
+        for i in range(50)
+    ]
+    rng = random.Random(2026)
+    originals = list(sources)
+    for _ in range(GOLDEN_MUTANTS):
+        text = rng.choice(originals)
+        if rng.random() < 0.25:
+            start = rng.randrange(len(text))
+            text = text[:start] + text[start + rng.randint(1, 40):]
+        else:
+            for _ in range(rng.randint(1, 4)):
+                at = rng.randrange(len(text) + 1)
+                text = text[:at] + rng.choice(MUTATIONS) + text[at:]
+        sources.append(text)
+    return sources
+
+
+def test_golden_parse_results_are_unchanged():
+    digest = hashlib.sha256()
+    for text in _golden_sources():
+        result = GRAMMAR.parse(text)
+        methods = [[m.name, m.signature, m.body, m.abstract] for m in result.methods]
+        digest.update(json.dumps([result.ok, methods]).encode() + b"\n")
+    assert digest.hexdigest() == GOLDEN_DIGEST
