@@ -238,6 +238,7 @@ class ObjectPool:
         self._pack_of: dict[str, str] = {}  # key -> name of a pack on disk that holds it
         self._unread: dict[str, bytes] = {}  # key -> bytes read from a pack, not decoded yet
         self._new: dict[str, bytes] = {}  # key -> bytes of an object in no pack yet
+        self._made_from: dict[str, str] = {}  # key -> key of the object last interned as made from it
 
     def read(self, packs) -> None:
         """Make the objects of the packs a manifest names available."""
@@ -267,37 +268,47 @@ class ObjectPool:
                 if key not in self._values:
                     self._unread[key] = data
 
-    def get(self, key: str, decode):
+    def get(self, key: str, decode, source: str | None = None):
         """The value of object `key`: passed to `decode` on first use, the
-        interned value after."""
+        interned value after. `source` is the key of the object it was made
+        from, if any (see `made_from`)."""
         value = self._values.get(key)
-        if value is not None:
-            return value
-        data = self._unread.pop(key, None)
-        if data is None:
-            raise ArchiveFormatError(f"object {key} is in none of the packs read")
-        try:
-            value = decode(data)
-        except (KeyError, TypeError, ValueError) as exc:
-            self._drop(self._pack_of[key])
-            raise ArchiveFormatError(f"object {key} is damaged: {exc}") from None
-        return self._intern(key, value)
+        if value is None:
+            data = self._unread.pop(key, None)
+            if data is None:
+                raise ArchiveFormatError(f"object {key} is in none of the packs read")
+            try:
+                value = decode(data)
+            except (KeyError, TypeError, ValueError) as exc:
+                self._drop(self._pack_of[key])
+                raise ArchiveFormatError(f"object {key} is damaged: {exc}") from None
+        return self._intern(key, value, source)
 
-    def put(self, data: bytes) -> str:
-        """The key of `data`, kept for the next pack unless it is stored."""
+    def put(self, data: bytes, value=None, source: str | None = None) -> str:
+        """The key of `data`, kept for the next pack unless it is stored; a
+        `value` given is interned as its value, made from object `source`."""
         key = hashlib.sha256(data).hexdigest()
         if key not in self._pack_of:
             self._new.setdefault(key, data)
+        if value is not None:
+            self._intern(key, value, source)
         return key
 
     def key(self, value, encode) -> str:
         """The key of `value`'s object, stored by `put(encode(value))` unless
         `value` is interned and stored already."""
         key = self._keys.get(id(value))
-        if key is None or not (key in self._pack_of or key in self._new):
-            key = self.put(encode(value))
-            self._intern(key, value)
+        if key is None or not self._stored(key):
+            key = self.put(encode(value), value)
         return key
+
+    def made_from(self, source: str):
+        """The key and interned value of the object last read or stored as
+        made from object `source`, if it is stored; else None."""
+        key = self._made_from.get(source)
+        if key is None or not self._stored(key):
+            return None
+        return key, self._values[key]
 
     def pack(self, keys) -> list[str]:
         """Write the objects put since the last pack as one new pack, if there
@@ -313,9 +324,14 @@ class ObjectPool:
             self._new = {}
         return sorted({self._pack_of[key] for key in keys})
 
-    def _intern(self, key: str, value):
+    def _stored(self, key: str) -> bool:
+        return key in self._pack_of or key in self._new
+
+    def _intern(self, key: str, value, source: str | None = None):
         interned = self._values.setdefault(key, value)
         self._keys[id(interned)] = key
+        if source is not None:
+            self._made_from[source] = key
         return interned
 
     def _drop(self, pack: str) -> None:

@@ -266,13 +266,31 @@ def _decode_vectors(data: bytes, record_key: str, record: SourceFileRecord):
     return chunks, rows
 
 
+def _vector_key(
+    pool: ObjectPool, record_key: str, record: SourceFileRecord, chunks: tuple[Chunk, ...], rows: np.ndarray
+) -> str:
+    """The key of the vector object of one file's chunks and rows. The object
+    the pool last read or stored as made from the same record is reused, not
+    encoded again, when its chunks are equal and its rows equal byte for
+    byte: then it would encode to the same bytes. The rows interned are a
+    view of the index's matrix, which the pool keeps alive."""
+    stored = pool.made_from(record_key)
+    if stored is not None:
+        key, (stored_chunks, stored_rows) = stored
+        if stored_chunks == chunks and stored_rows.tobytes() == rows.tobytes():
+            return key
+    spans = _chunk_spans(file_representation(record), chunks)
+    return pool.put(_encode_vectors(record_key, spans, rows), (chunks, rows), source=record_key)
+
+
 def save_embedding_index(
     eindex: EmbeddingIndex, path: str | Path, pool: ObjectPool | None = None, version_id: str = ""
 ) -> None:
     """Write each file's vector object and source record, those not stored
     yet, as a pack, then the manifest: a header (magic, format, version,
     provider, dimension, chunk limit, file count, packs) and one
-    `[fq_path, record key, vector key]` line per file in path order."""
+    `[fq_path, record key, vector key]` line per file in path order. A file
+    whose chunks and rows the pool holds already is not encoded again."""
     pool = archive_pool(path, pool)
     records = [eindex.sources[fq_path] for fq_path in eindex.file_paths]
     header = {
@@ -288,8 +306,7 @@ def save_embedding_index(
     entries = []
     for record, start, end in zip(records, bounds, bounds[1:]):
         record_key = store_record(pool, record)
-        spans = _chunk_spans(file_representation(record), eindex.chunks[start:end])
-        vector_key = pool.put(_encode_vectors(record_key, spans, eindex.vectors[start:end]))
+        vector_key = _vector_key(pool, record_key, record, eindex.chunks[start:end], eindex.vectors[start:end])
         entries.append([record.fq_path, record_key, vector_key])
     write_manifest(path, header, entries, pool)
 
@@ -308,7 +325,9 @@ def load_embedding_index(path: str | Path, pool: ObjectPool | None = None) -> Em
     blocks = []
     for fq_path, record_key, vector_key in entries:
         record = sources[fq_path] = load_record(pool, fq_path, record_key)
-        file_chunks, rows = pool.get(vector_key, lambda data: _decode_vectors(data, record_key, record))
+        file_chunks, rows = pool.get(
+            vector_key, lambda data: _decode_vectors(data, record_key, record), source=record_key
+        )
         chunks += file_chunks
         blocks.append(rows)
     try:

@@ -1,15 +1,20 @@
 """Grammar-based extraction of method declarations from source files.
 
 Grammars are pluggable per language; the built-in one covers Java. It is a
-single-pass lexer plus a brace-context scanner rather than a full parser:
-file-level bug localization only needs method names, canonical signatures,
-and verbatim bodies, attributed to the file they appear in (including
-methods of nested and anonymous classes).
+brace-context scanner rather than a full parser: file-level bug localization
+only needs method names, canonical signatures, and verbatim bodies,
+attributed to the file they appear in (including methods of nested and
+anonymous classes). The scanner lexes only where it reads tokens: type
+bodies (the file root, classes, enums, records, interfaces, anonymous
+classes) are lexed segment by segment, while method bodies, initializers and
+blocks are skimmed from one brace, parenthesis or semicolon to the next,
+over literals and comments, and lexed only where a type may begin.
 """
 
 from __future__ import annotations
 
 import logging
+import re
 from dataclasses import dataclass
 
 logger = logging.getLogger(__name__)
@@ -26,6 +31,27 @@ _NON_METHOD_NAMES = {
 _WORD = "word"
 _PUNCT = "punct"
 _STR = "str"
+
+
+# What the scanner stops at, found as _lex finds it: a brace or semicolon; a
+# parenthesis, or a balanced pair that holds none of the other stops; a whole
+# comment or string, char or text-block literal, or the opening characters of
+# one that does not close. Every alternative begins with a fixed character,
+# so the engine skips ahead to the next candidate.
+_SKIM = re.compile(
+    r"\{|\}|;|\([^(){};\"'/]*\)|\(|\)"
+    r"|//[^\n]*"
+    r"|/\*[\s\S]*?\*/"
+    r'|"""[\s\S]*?"""'
+    r'|"(?!"")[^"\\\n]*(?:\\[\s\S][^"\\\n]*)*"'
+    r"|'[^'\\\n]*(?:\\[\s\S][^'\\\n]*)*'"
+    r'|/\*|"|\''
+)
+
+# A '{' outside a type body opens a type only after one of these words (a
+# type keyword, or "new" of an anonymous class); a segment without any of
+# them as a substring opens a block.
+_TYPE_HINT = re.compile("new|class|interface|enum|record")
 
 
 class LexError(ValueError):
@@ -56,29 +82,30 @@ class Grammar:
         raise NotImplementedError
 
 
-def _lex(text: str) -> list[tuple[str, str, int, int]]:
-    """Tokenize to (kind, value, start, end); comments are dropped, string and
-    char literals become single opaque tokens so braces inside them are inert."""
+def _lex(text: str, start: int, end: int) -> list[tuple[str, str, int, int]]:
+    """Tokenize text[start:end] to (kind, value, start, end), offsets into
+    `text`; comments are dropped, string and char literals become single
+    opaque tokens so braces inside them are inert."""
     toks: list[tuple[str, str, int, int]] = []
-    i, n = 0, len(text)
+    i, n = start, end
     while i < n:
         c = text[i]
         if c.isspace():
             i += 1
             continue
         if c == "/" and i + 1 < n and text[i + 1] == "/":
-            j = text.find("\n", i)
+            j = text.find("\n", i, n)
             i = n if j < 0 else j + 1
             continue
         if c == "/" and i + 1 < n and text[i + 1] == "*":
-            j = text.find("*/", i + 2)
+            j = text.find("*/", i + 2, n)
             if j < 0:
                 raise LexError("unterminated block comment")
             i = j + 2
             continue
         if c == '"':
             if text.startswith('"""', i):
-                j = text.find('"""', i + 3)
+                j = text.find('"""', i + 3, n)
                 if j < 0:
                     raise LexError("unterminated text block")
                 toks.append((_STR, text[i : j + 3], i, j + 3))
@@ -335,21 +362,21 @@ class JavaGrammar(Grammar):
 
     def parse(self, text: str) -> ParseResult:
         try:
-            toks = _lex(text)
+            return self._scan(text)
         except LexError as exc:
             logger.debug("lex failure: %s", exc)
             return ParseResult([], ok=False)
 
+    def _scan(self, text: str) -> ParseResult:
         collected: list[tuple[int, ParsedMethod]] = []
         # The file root behaves like a type body so bare top-level methods
         # (common in fixtures and snippets) are still recognized.
         stack: list[_Ctx] = [_Ctx("type")]
-        seg_start = 0
+        seg_start = 0  # offset just past the last brace or semicolon
         paren_depth = 0
 
-        for i, (kind, val, s, e) in enumerate(toks):
-            if kind != _PUNCT:
-                continue
+        for match in _SKIM.finditer(text):
+            val = match.group()
             if val == "(":
                 paren_depth += 1
                 continue
@@ -358,28 +385,33 @@ class JavaGrammar(Grammar):
                 if paren_depth < 0:
                     return ParseResult([], ok=False)
                 continue
-            if val not in "{};":
-                continue
-            seg = toks[seg_start:i]
+            if len(val) > 1:
+                if val == "/*":
+                    raise LexError(f"unterminated block comment at offset {match.start()}")
+                continue  # a comment, literal or balanced pair of parentheses
+            pos = match.start()
+            top = stack[-1]
             if val == "{":
-                stack.append(self._classify(seg, stack[-1]))
+                if top.kind == "type" or _TYPE_HINT.search(text, seg_start, pos):
+                    stack.append(self._classify(_lex(text, seg_start, pos), top))
+                else:
+                    stack.append(_Ctx("block"))
             elif val == "}":
                 if len(stack) == 1:
                     return ParseResult([], ok=False)
                 ctx = stack.pop()
                 if ctx.kind == "method" and ctx.header is not None:
-                    body = text[ctx.decl_start : e]
+                    body = text[ctx.decl_start : pos + 1]
                     sig = _canonical_signature(ctx.header.name, ctx.header.param_toks)
                     collected.append(
                         (ctx.decl_start, ParsedMethod(ctx.header.name, sig, body))
                     )
-            else:  # ";"
-                top = stack[-1]
+            elif val == ";":
                 if top.kind == "type":
                     if top.enum_constants:
                         top.enum_constants = False
                     else:
-                        header = _match_method_header(seg, terminator=";")
+                        header = _match_method_header(_lex(text, seg_start, pos), terminator=";")
                         if header is not None:
                             sig = _canonical_signature(header.name, header.param_toks)
                             collected.append(
@@ -388,7 +420,9 @@ class JavaGrammar(Grammar):
                                     ParsedMethod(header.name, sig, "", abstract=True),
                                 )
                             )
-            seg_start = i + 1
+            else:  # the opening quote of a literal that does not close
+                raise LexError(f"unterminated literal at offset {pos}")
+            seg_start = pos + 1
 
         if len(stack) != 1 or paren_depth != 0:
             return ParseResult([], ok=False)

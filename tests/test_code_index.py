@@ -335,6 +335,28 @@ def test_a_pool_stores_again_the_records_of_a_pack_it_dropped(tmp_path):
     assert load_code_index(tmp_path / "v9.jsonl").files == {"org/A.java": a_record}
 
 
+def test_a_pool_forgets_what_was_made_from_an_object_of_a_pack_it_dropped(tmp_path):
+    writer = ObjectPool(tmp_path / "objects")
+    good = writer.put(b"rows", "rows", source="record")
+    assert writer.made_from("record") == (good, "rows")
+    bad = writer.put(b"damaged")
+    (name,) = writer.pack([good, bad])
+    pool = ObjectPool(tmp_path / "objects")
+    pool.read([name])
+    assert pool.made_from("record") is None
+    assert pool.get(good, bytes.decode, source="record") == "rows"
+    assert pool.made_from("record") == (good, "rows")
+    with pytest.raises(ArchiveFormatError, match=f"object {bad} is damaged"):
+        pool.get(bad, lambda data: json.loads(data))
+    assert pool.made_from("record") is None  # its pack is gone, so it must be stored again
+    assert pool.put(b"rows") == good
+    packs = pool.pack([good])
+    assert packs != [name]
+    reader = ObjectPool(tmp_path / "objects")
+    reader.read(packs)
+    assert reader.get(good, bytes.decode) == "rows"
+
+
 def test_archive_keeps_the_grammar(tmp_path):
     write_tree(tmp_path / "repo", {"A.java": java_class("A", {"m": "x();"})})
     index = build_index(tmp_path / "repo", "java", "v7")

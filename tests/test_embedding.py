@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bugloc.code_index import ArchiveFormatError, Changeset, build_index, update_index
+from bugloc import embedding
+from bugloc.code_index import ArchiveFormatError, Changeset, ObjectPool, build_index, update_index
 from bugloc.embedders import (
     CachedEmbedder,
     HashingEmbedder,
@@ -718,6 +719,73 @@ def test_embedding_archive_roundtrip_of_many_chunks_per_file(tmp_path):
     assert np.array_equal(loaded.vectors, eindex.vectors)
     assert loaded.sources == index.files
     assert loaded.chunk_limit == 3
+
+
+def counted_encodes(monkeypatch) -> list[str]:
+    """The record keys of the vector objects `save_embedding_index` encodes."""
+    encoded = []
+    encode = embedding._encode_vectors
+
+    def counting(record_key, spans, rows):
+        encoded.append(record_key)
+        return encode(record_key, spans, rows)
+
+    monkeypatch.setattr(embedding, "_encode_vectors", counting)
+    return encoded
+
+
+@pytest.mark.parametrize("start", ["built", "loaded"])
+def test_embedding_save_encodes_only_the_vector_object_of_an_updated_file(tmp_path, monkeypatch, start):
+    root = planted_repo(tmp_path, n_files=5)
+    provider = HashingEmbedder(dimension=16)
+    index = build_index(root, "java", "v0")
+    eindex = build_embedding_index(index, provider)
+    pool = ObjectPool(tmp_path / "objects")
+    save_embedding_index(eindex, tmp_path / "v0.jsonl", pool=pool)
+    if start == "loaded":
+        pool = ObjectPool(tmp_path / "objects")
+        eindex = load_embedding_index(tmp_path / "v0.jsonl", pool=pool)
+        index = build_index(root, "java", "v0")
+    encoded = counted_encodes(monkeypatch)
+    write_tree(root, {"pkg/File2.java": java_class("File2", {"method2": "changed();"})})
+    changeset = Changeset(modified=("pkg/File2.java",))
+    index = update_index(index, changeset, root, "v1")
+    updated = update_embeddings(eindex, changeset, index, provider)
+    save_embedding_index(updated, tmp_path / "v1.jsonl", pool=pool)
+    assert len(encoded) == 1
+    save_embedding_index(updated, tmp_path / "v1-again.jsonl", pool=pool)
+    assert len(encoded) == 1
+    assert (tmp_path / "v1.jsonl").read_bytes() == (tmp_path / "v1-again.jsonl").read_bytes()
+    fresh = EmbeddingIndex(16, provider.provider_id, chunks=updated.chunks, vectors=updated.vectors, sources=index.files)
+    save_embedding_index(fresh, tmp_path / "fresh" / "v1.jsonl")  # a pool of its own encodes every file
+    assert len(encoded) == 1 + len(index.files)
+    entries = [(path / "v1.jsonl").read_text(encoding="utf-8").splitlines()[1:] for path in (tmp_path, tmp_path / "fresh")]
+    assert entries[0] == entries[1]
+
+
+@pytest.mark.parametrize("change", ["row", "chunk"])
+def test_embedding_save_encodes_a_file_whose_rows_or_chunks_changed(tmp_path, monkeypatch, change):
+    index = build_index(planted_repo(tmp_path, n_files=3), "java", "v0")
+    eindex = build_embedding_index(index, HashingEmbedder(dimension=8))
+    pool = ObjectPool(tmp_path / "objects")
+    save_embedding_index(eindex, tmp_path / "v0.jsonl", pool=pool)
+    vectors, chunks = eindex.vectors.copy(), list(eindex.chunks)
+    first = eindex.file_starts[1]
+    if change == "row":
+        vectors[first, 0] += 1.0
+    else:  # the same rows, one chunk's token count edited
+        chunks[first] = Chunk(chunks[first].fq_path, 0, chunks[first].text, chunks[first].token_count + 1)
+    changed = EmbeddingIndex(8, eindex.provider_id, chunks=chunks, vectors=vectors, sources=eindex.sources)
+    encoded = counted_encodes(monkeypatch)
+    save_embedding_index(changed, tmp_path / "v1.jsonl", pool=pool)
+    assert len(encoded) == 1
+    before, after = (
+        [json.loads(line) for line in (tmp_path / name).read_text(encoding="utf-8").splitlines()[1:]]
+        for name in ("v0.jsonl", "v1.jsonl")
+    )
+    assert [a[2] == b[2] for a, b in zip(before, after)] == [i != 1 for i in range(len(before))]
+    loaded = load_embedding_index(tmp_path / "v1.jsonl")
+    assert loaded.chunks == tuple(chunks) and np.array_equal(loaded.vectors, vectors)
 
 
 def test_embedding_archive_rejects_vector_objects_of_two_dimensions(tmp_path):

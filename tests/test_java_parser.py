@@ -4,6 +4,7 @@ import json
 import random
 from pathlib import Path
 
+from bugloc import java_parser
 from bugloc.java_parser import JavaGrammar, get_grammar
 from conftest import java_class
 
@@ -279,6 +280,8 @@ MUTATIONS = (
     "new X() {", "class L {", "enum E {", "record R(int a) {",
 )
 GOLDEN_MUTANTS = 3000
+# Computed with the parser that lexed whole files, before bodies were skimmed;
+# it also depends on perfbench/gen.py, so a change to the generator moves it.
 GOLDEN_DIGEST = "46a114590e3d968e3ed27794a8dc63bcbc96516e47cac059552826415113acc8"
 
 
@@ -324,3 +327,184 @@ def test_golden_parse_results_are_unchanged():
         methods = [[m.name, m.signature, m.body, m.abstract] for m in result.methods]
         digest.update(json.dumps([result.ok, methods]).encode() + b"\n")
     assert digest.hexdigest() == GOLDEN_DIGEST
+
+
+# --- method bodies are skimmed, not lexed: the traps of skimming ------------
+
+
+def bodies(result):
+    return {m.name: m.body for m in result.methods}
+
+
+def test_for_header_semicolons_inside_a_body():
+    src = """
+    class A {
+        void loop(int n) {
+            for (int i = 0; i < n; i++) { step(i); }
+            for (;;) { if (done()) { break; } }
+            for (String s : names) { use(s); }
+        }
+        void after() { }
+    }
+    """
+    result = GRAMMAR.parse(src)
+    assert result.ok
+    assert names(result) == ["loop", "after"]
+    assert bodies(result)["loop"].endswith("for (String s : names) { use(s); }\n        }")
+
+
+def test_array_initializers_inside_a_body():
+    src = """
+    class A {
+        int[] f() {
+            int[] a = {1, 2};
+            int[][] grid = new int[][] { {1}, {2, 3} };
+            String[] s = new String[] {"}", "{"};
+            return new int[] { a[0] };
+        }
+        void g() { }
+    }
+    """
+    result = GRAMMAR.parse(src)
+    assert result.ok
+    assert names(result) == ["f", "g"]
+
+
+def test_block_lambdas_inside_a_body():
+    src = """
+    class A {
+        void f() {
+            run(() -> { go(); });
+            items.forEach(x -> { if (x) { y(); } });
+            Supplier<Runnable> s = () -> () -> { deep(); };
+        }
+        void g() { }
+    }
+    """
+    result = GRAMMAR.parse(src)
+    assert result.ok
+    assert names(result) == ["f", "g"]
+
+
+def test_anonymous_classes_as_arguments_and_chained():
+    src = """
+    class A {
+        void submitAll() {
+            pool.submit(new Callable<V>() { public V call() { return v; } },
+                        new Runnable() { public void run() { work(); } });
+            new Task() { void first() { } }.start(new Step() { void second() { } });
+            Object o = new Object() { @Override public String toString() { return "{"; } };
+        }
+        void last() { }
+    }
+    """
+    result = GRAMMAR.parse(src)
+    assert result.ok
+    assert names(result) == ["submitAll", "call", "run", "first", "second", "toString", "last"]
+    assert bodies(result)["toString"] == '@Override public String toString() { return "{"; }'
+
+
+def test_local_types_declared_inside_a_method():
+    src = """
+    class A {
+        void outer() {
+            class Local { void lm() { a(); } }
+            record Pair(int a, int b) { int sum() { return a + b; } }
+            enum Mode { ON, OFF; boolean on() { return this == ON; } }
+            interface Hook { void fire(); default void skip() { } }
+            new Local().lm();
+        }
+        void after() { }
+    }
+    """
+    result = GRAMMAR.parse(src)
+    assert result.ok
+    assert names(result) == ["outer", "lm", "sum", "on", "fire", "skip", "after"]
+    assert [m.name for m in result.methods if m.abstract] == ["fire"]
+
+
+def test_identifiers_that_contain_a_type_keyword_open_blocks(monkeypatch):
+    segments = []
+    lex = java_parser._lex
+
+    def recording(text, start=0, end=None):
+        segments.append(text[start:end])
+        return lex(text, start, end)
+
+    monkeypatch.setattr(java_parser, "_lex", recording)
+    src = """
+    class A {
+        void check() {
+            if (renewal.subclassOf(records)) { step(); }
+            while (newer) { records++; }
+        }
+        void after() { }
+    }
+    """
+    result = GRAMMAR.parse(src)
+    assert result.ok
+    assert names(result) == ["check", "after"]
+    assert any("subclassOf" in seg for seg in segments)
+    assert any("newer" in seg for seg in segments)
+
+
+def test_braces_and_quotes_in_literals_and_comments_inside_a_body():
+    src = '''
+    class A {
+        void f() {
+            String s = "{ \\" } (";
+            char c = '}'; char q = '"'; char e = '\\''; char b = '\\\\';
+            String t = """
+                { " } ) ' \\n still text
+                """;
+            // } { ) ' "
+            /* } { ( " ' */
+            String u = "\\\\";
+        }
+        void g() { }
+    }
+    '''
+    result = GRAMMAR.parse(src)
+    assert result.ok
+    assert names(result) == ["f", "g"]
+
+
+@pytest.mark.parametrize(
+    "statement",
+    [
+        'String s = "open;\n',
+        "char c = 'x;\n",
+        'String t = """ never closed;',
+        "/* never closed",
+        'String s = "ends in a backslash\\',
+        "char c = '\\",
+        'String t = """";',
+        "g());",
+    ],
+    ids=[
+        "string", "char", "text-block", "block-comment", "string-escape-at-end", "char-escape-at-end",
+        "text-block-of-one-quote", "stray-paren",
+    ],
+)
+def test_lex_errors_and_stray_parens_inside_a_body_fail_the_file(statement):
+    result = GRAMMAR.parse("class A {\n void f() {\n  { " + statement + "\n }\n}\n void g() { } }")
+    assert not result.ok
+    assert result.methods == []
+
+
+def test_lexer_sees_a_small_part_of_a_long_method(monkeypatch):
+    lexed = []
+    lex = java_parser._lex
+
+    def counting(text, start=0, end=None):
+        lexed.append(len(text[start:end]))
+        return lex(text, start, end)
+
+    monkeypatch.setattr(java_parser, "_lex", counting)
+    statements = "\n".join(
+        f'        if (x{i} > {i}) {{ call{i}(a, "s{i}"); }} else {{ y = f(y, {i}); }}' for i in range(2000)
+    )
+    src = f"class Big {{\n    int state;\n    void huge(int a) {{\n{statements}\n    }}\n}}\n"
+    result = GRAMMAR.parse(src)
+    assert result.ok and names(result) == ["huge"]
+    assert sum(lexed) < len(src) / 10
