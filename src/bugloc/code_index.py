@@ -14,8 +14,10 @@ import logging
 import os
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
+from .fuzzy import NameTable
 from .ioutil import atomic_write_bytes, atomic_write_text
 from .java_parser import Grammar, get_grammar
 
@@ -81,6 +83,28 @@ class CodeIndex:
 
     def sorted_paths(self) -> list[str]:
         return sorted(self.files)
+
+    # Lookup tables, built on first use and held for the life of the index.
+    # They are not fields, so equality, repr and archives never see them.
+
+    @cached_property
+    def name_table(self) -> NameTable:
+        """The method names, as the fuzzy search's bag filter reads them."""
+        return NameTable(list(self.method_locator))
+
+    @cached_property
+    def paths_by_lower_basename(self) -> dict[str, tuple[str, ...]]:
+        """Lowercased basename -> the sorted paths of the files whose
+        basename lowercases to it."""
+        paths: dict[str, list[str]] = {}
+        for fq_path in self.sorted_paths():
+            paths.setdefault(self.files[fq_path].basename.lower(), []).append(fq_path)
+        return {basename: tuple(group) for basename, group in paths.items()}
+
+    def paths_named(self, basename: str) -> list[str]:
+        """The sorted paths of the files whose basename is `basename`."""
+        paths = self.paths_by_lower_basename.get(basename.lower(), ())
+        return [p for p in paths if self.files[p].basename == basename]
 
 
 def _build_locator(files: dict[str, SourceFileRecord]) -> dict[str, tuple[str, ...]]:

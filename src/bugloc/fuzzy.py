@@ -3,13 +3,23 @@
 Uses the optimal-string-alignment variant of Damerau-Levenshtein: inserts,
 deletes, substitutions, and adjacent transpositions, with no substring edited
 twice (so d("ca","abc") is 3, where unrestricted Damerau-Levenshtein gives 2).
+
+A global search first filters an index's method names exactly by bag
+distance, max(|A∖B|, |B∖A|) over the two strings' character multisets: an
+insertion, deletion or substitution changes it by at most one and a
+transposition not at all, so it never exceeds the OSA distance (Bartolini,
+Ciaccia & Patella, SPIRE 2002). Only the names within the cap on that bound
+go through the vectorized OSA pass.
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from .code_index import CodeIndex
+if TYPE_CHECKING:
+    from .code_index import CodeIndex
 
 
 def damerau_levenshtein(a: str, b: str) -> int:
@@ -38,6 +48,48 @@ def default_distance_cap(query: str) -> int:
     return max(2, -(-len(query) // 4))
 
 
+def _lengths(names: list[str]) -> np.ndarray:
+    return np.fromiter(map(len, names), dtype=np.intp, count=len(names))
+
+
+def _code_points(text: str) -> np.ndarray:
+    """The code points of text as int32, one per character as len() counts
+    them; a lone surrogate (possible in JSON-decoded text) is kept as its own
+    code point."""
+    return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<i4")
+
+
+class NameTable:
+    """The method names of one index, with what the bag filter reads: their
+    lengths, and how often each character of their alphabet occurs in each
+    name (one row per character, one column per name)."""
+
+    def __init__(self, names: list[str]):
+        self.names = names
+        self.lengths = _lengths(names)
+        self.alphabet, columns = np.unique(_code_points("".join(names)), return_inverse=True)
+        cells = columns * len(names) + np.repeat(np.arange(len(names)), self.lengths)
+        counts = np.bincount(cells, minlength=len(self.alphabet) * len(names))
+        # int32 halves what an index holds; no name is 2**31 characters long
+        self.counts = counts.astype(np.int32).reshape(len(self.alphabet), len(names))
+
+    def within(self, query: str, cap: int) -> list[str]:
+        """The names whose bag distance from query is at most cap.
+
+        With `common` the size of the multiset intersection, the bag distance
+        is max(len(query), len(name)) - common; a query character outside the
+        alphabet adds nothing to `common`.
+        """
+        codes = _code_points(query)
+        slots = np.searchsorted(self.alphabet, codes)
+        known = slots < len(self.alphabet)
+        known[known] = self.alphabet[slots[known]] == codes[known]
+        chars, wanted = np.unique(slots[known], return_counts=True)
+        common = np.minimum(self.counts[chars], wanted[:, None]).sum(axis=0)
+        bag = np.maximum(self.lengths, len(query)) - common
+        return [self.names[k] for k in np.flatnonzero(bag <= cap)]
+
+
 def osa_distances(query: str, names: list[str]) -> np.ndarray:
     """OSA distance from query to each of names, equal to damerau_levenshtein.
 
@@ -46,13 +98,10 @@ def osa_distances(query: str, names: list[str]) -> np.ndarray:
     name's distance is read at its own length column. Columns past a name's
     end only ever feed columns further right, so padding never leaks in.
     """
-    lengths = np.fromiter(map(len, names), dtype=np.intp, count=len(names))
+    lengths = _lengths(names)
     width = int(lengths.max(initial=0))
     codes = np.full((len(names), width), -1, dtype=np.int32)
-    # utf-32 gives one unit per code point, as len() counts them; a lone
-    # surrogate (possible in JSON-decoded text) is kept as its own code point
-    flat = "".join(names).encode("utf-32-le", "surrogatepass")
-    codes[np.arange(width) < lengths[:, None]] = np.frombuffer(flat, dtype="<i4")
+    codes[np.arange(width) < lengths[:, None]] = _code_points("".join(names))
     columns = np.arange(width + 1, dtype=np.int32)
     prev = np.tile(columns, (len(names), 1))
     prev2 = prev_match = None
@@ -78,12 +127,12 @@ def fuzzy_method_candidates(
     """(method name, fq_path) pairs within edit distance cap of the query,
     sorted by (distance, name, path) and truncated to n.
 
-    Only names whose length is within cap of the query's are scored: the
-    length difference is a lower bound on the distance.
+    Only names within cap of the query by bag distance, a lower bound on the
+    OSA distance, are scored; the index's name table is built on first use.
     """
     if cap is None:
         cap = default_distance_cap(query)
-    names = [name for name in index.method_locator if abs(len(name) - len(query)) <= cap]
+    names = index.name_table.within(query, cap)
     if not names:
         return []
     distances = osa_distances(query, names)

@@ -33,6 +33,10 @@ _PUNCT = "punct"
 _STR = "str"
 
 
+# A text block ends at its first `"""` that no backslash escapes.
+_TEXT_BLOCK = r'"""[^"\\]*(?:(?:\\[\s\S]|"(?!""))[^"\\]*)*"""'
+_TEXT_BLOCK_RE = re.compile(_TEXT_BLOCK)
+
 # What the scanner stops at, found as _lex finds it: a brace or semicolon; a
 # parenthesis, or a balanced pair that holds none of the other stops; a whole
 # comment or string, char or text-block literal, or the opening characters of
@@ -42,7 +46,7 @@ _SKIM = re.compile(
     r"\{|\}|;|\([^(){};\"'/]*\)|\(|\)"
     r"|//[^\n]*"
     r"|/\*[\s\S]*?\*/"
-    r'|"""[\s\S]*?"""'
+    r"|" + _TEXT_BLOCK +
     r'|"(?!"")[^"\\\n]*(?:\\[\s\S][^"\\\n]*)*"'
     r"|'[^'\\\n]*(?:\\[\s\S][^'\\\n]*)*'"
     r'|/\*|"|\''
@@ -105,11 +109,11 @@ def _lex(text: str, start: int, end: int) -> list[tuple[str, str, int, int]]:
             continue
         if c == '"':
             if text.startswith('"""', i):
-                j = text.find('"""', i + 3, n)
-                if j < 0:
+                block = _TEXT_BLOCK_RE.match(text, i, n)
+                if block is None:
                     raise LexError("unterminated text block")
-                toks.append((_STR, text[i : j + 3], i, j + 3))
-                i = j + 3
+                toks.append((_STR, block.group(), i, block.end()))
+                i = block.end()
                 continue
             j = i + 1
             while j < n:

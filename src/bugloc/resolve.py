@@ -52,10 +52,6 @@ def resolve_predictions(
     surviving list is truncated to final_size. Dropped entries stay in the
     output (rank None) so the outcome of each claim is visible.
     """
-    by_basename: dict[str, list[str]] = {}
-    for fq_path, record in index.files.items():
-        by_basename.setdefault(record.basename, []).append(fq_path)
-
     out: list[ResolvedPrediction] = []
     kept_paths: set[str] = set()
     kept = 0
@@ -67,13 +63,13 @@ def resolve_predictions(
             resolved, resolution = claim, RESOLUTION_EXACT
         else:
             basename = claim.rsplit("/", 1)[-1]
-            candidates = by_basename.get(basename, [])
+            candidates = index.paths_named(basename)
             if candidates:
                 claim_tokens = path_token_set(claim)
-                # max() keeps the first of equal keys, so sorting first makes
-                # the ascending path win ties.
+                # max() keeps the first of equal keys, and the candidates are
+                # sorted, so the ascending path wins ties.
                 resolved = max(
-                    sorted(candidates),
+                    candidates,
                     key=lambda path: jaccard_similarity(claim_tokens, path_token_set(path)),
                 )
                 resolution = RESOLUTION_JACCARD

@@ -103,11 +103,11 @@ def _match_files(index: CodeIndex, name: str) -> tuple[list[str], str | None]:
     name matches nothing."""
     if not name:
         return [], None
-    exact = sorted(p for p, r in index.files.items() if r.basename == name)
+    exact = index.paths_named(name)
     if exact:
         return exact, None
     lowered = name.lower()
-    ci = sorted(p for p, r in index.files.items() if r.basename.lower() == lowered)
+    ci = list(index.paths_by_lower_basename.get(lowered, ()))
     if ci:
         return ci, f"matched basename case-insensitively for '{name}'"
     sub = sorted(p for p in index.files if lowered in p.lower())

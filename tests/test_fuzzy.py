@@ -1,11 +1,17 @@
+import gc
 import itertools
 import random
+import sys
+import threading
+import weakref
+from collections import Counter
 
 import pytest
 
 import bugloc.fuzzy
-from bugloc.code_index import CodeIndex, build_index
+from bugloc.code_index import Changeset, CodeIndex, build_index, update_index
 from bugloc.fuzzy import (
+    NameTable,
     damerau_levenshtein,
     default_distance_cap,
     fuzzy_method_candidates,
@@ -205,3 +211,111 @@ def test_candidates_never_call_the_scalar_distance(synthetic_index, monkeypatch)
 
     monkeypatch.setattr(bugloc.fuzzy, "damerau_levenshtein", scalar_distance)
     assert fuzzy_method_candidates("updaet", synthetic_index, n=20) == expected
+
+
+# --- the bag-distance filter -----------------------------------------------
+
+
+def bag_distance(a, b):
+    """max(|A - B|, |B - A|) over the strings' character multisets."""
+    ca, cb = Counter(a), Counter(b)
+    return max(sum((ca - cb).values()), sum((cb - ca).values()))
+
+
+def test_bag_filter_is_exact_and_never_exceeds_the_osa_distance():
+    rng = random.Random(31)
+    # astral characters and a lone surrogate; the query also draws from
+    # characters that no name holds, so they are outside the table's alphabet
+    in_names = ["a", "b", "c", "é", "😀", "𝔘", "\ud800"]
+    query_only = ["x", "ß", "🙂", "\udfff"]
+
+    def word(alphabet):
+        return "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 9)))
+
+    for _ in range(300):
+        names = [word(in_names) for _ in range(rng.randint(1, 8))] + [""]
+        query = word(in_names + query_only)
+        table = NameTable(names)
+        for name in names:
+            assert bag_distance(query, name) <= damerau_levenshtein(query, name), (query, name)
+        for cap in range(-1, 11):
+            expected = [name for name in names if bag_distance(query, name) <= cap]
+            assert table.within(query, cap) == expected, (query, names, cap)
+
+
+def test_filter_sends_few_names_to_the_osa_pass(synthetic_index, monkeypatch):
+    # fuzzy.names_scanned in the benchmark counts every name of the index,
+    # so only a count at the kernel shows what the filter leaves
+    expected = reference_candidates("updaet", synthetic_index.method_locator, n=1000)
+    received = []
+    kernel = bugloc.fuzzy.osa_distances
+
+    def counting(query, names):
+        received.append(list(names))
+        return kernel(query, names)
+
+    monkeypatch.setattr(bugloc.fuzzy, "osa_distances", counting)
+    assert fuzzy_method_candidates("updaet", synthetic_index, n=1000) == expected
+    assert len(received) == 1
+    assert {name for name, _ in expected} <= set(received[0])
+    assert len(received[0]) * 5 < len(synthetic_index.method_locator)
+
+
+def test_an_index_builds_one_name_table_that_dies_with_it(tmp_path, monkeypatch):
+    built = []
+    init = NameTable.__init__
+
+    def counting(self, names):
+        built.append(weakref.ref(self))
+        init(self, names)
+
+    monkeypatch.setattr(NameTable, "__init__", counting)
+    root = write_tree(
+        tmp_path / "repo",
+        {"a/A.java": java_class("A", {"updateLabel": "x();", "refresh": "y();"})},
+    )
+    index = build_index(root, "java", "v0")
+    for query in ("updateLable", "refrsh", "zoomOt", "updateLable"):
+        fuzzy_method_candidates(query, index)
+    assert len(built) == 1 and built[0]() is index.name_table
+    # the table is no field: equality and repr do not see it
+    assert index == build_index(root, "java", "v0")
+    assert "name_table" not in repr(index)
+
+    (root / "b").mkdir()
+    (root / "b/B.java").write_text(java_class("B", {"zoomOut": "w();"}), encoding="utf-8")
+    updated = update_index(index, Changeset(added=("b/B.java",)), root, "v1")
+    assert fuzzy_method_candidates("zoomOt", updated) == [("zoomOut", "b/B.java")]
+    assert fuzzy_method_candidates("zoomOt", index) == []
+    assert len(built) == 2 and built[1]() is updated.name_table
+
+    del index
+    gc.collect()
+    assert built[0]() is None
+    assert built[1]() is updated.name_table
+
+
+def test_threads_searching_one_fresh_index_get_the_reference_results(synthetic_index):
+    locator = synthetic_index.method_locator
+    queries = ["stop", "updaet", "rendr", "getLable", "stxp", "😀ender"]
+    expected = {q: reference_candidates(q, locator, n=50) for q in queries}
+    results, interval = [], sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            index = CodeIndex(version_id="v0", method_locator=locator)  # no table yet
+            threads = [
+                threading.Thread(
+                    target=lambda q=q: results.append((q, fuzzy_method_candidates(q, index, n=50)))
+                )
+                for q in queries * 2
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(results) == 3 * 2 * len(queries)
+    assert all(found == expected[q] for q, found in results)

@@ -508,3 +508,29 @@ def test_lexer_sees_a_small_part_of_a_long_method(monkeypatch):
     result = GRAMMAR.parse(src)
     assert result.ok and names(result) == ["huge"]
     assert sum(lexed) < len(src) / 10
+
+
+ESCAPED_QUOTES = 'String s = """\n    a \\""" b\n    """;'
+
+
+def test_an_escaped_triple_quote_does_not_end_a_text_block():
+    # a field is lexed whole; in a method body the skimming pattern reads it
+    in_field = GRAMMAR.parse("class A {\n  " + ESCAPED_QUOTES + "\n  void f() { }\n}\n")
+    assert in_field.ok and names(in_field) == ["f"]
+    in_body = GRAMMAR.parse("class A {\n  void f() { " + ESCAPED_QUOTES + " }\n  void g() { }\n}\n")
+    assert in_body.ok and names(in_body) == ["f", "g"]
+    assert '\\""" b' in in_body.methods[0].body
+
+
+@pytest.mark.parametrize(
+    "src",
+    [
+        'class A {\n  String s = """\n    a \\""";\n  void f() { }\n}\n',
+        'class A {\n  void f() { String s = """\n    a \\"""; }\n  void g() { }\n}\n',
+    ],
+    ids=["field", "body"],
+)
+def test_a_text_block_ending_in_an_escaped_triple_quote_is_unterminated(src):
+    result = GRAMMAR.parse(src)
+    assert not result.ok
+    assert result.methods == []

@@ -160,3 +160,18 @@ def test_soundness_order_idempotence_random_sweep(tmp_path):
         again_survivors = [r for r in again if r.rank is not None]
         assert [s.fq_path for s in again_survivors] == [s.fq_path for s in survivors]
         assert all(r.resolution == RESOLUTION_EXACT for r in again_survivors)
+
+
+def test_basename_match_is_case_sensitive(tmp_path):
+    files = {
+        "a/Title.java": java_class("Title", {"draw": "a();"}),
+        "b/title.java": java_class("title", {"draw": "b();"}),
+        "c/TITLE.java": java_class("TITLE", {"draw": "c();"}),
+    }
+    index = fixture_index(tmp_path, files)
+    resolved = resolve_predictions(raw("x/title.java", "x/Title.java", "x/TiTle.java"), index)
+    assert [(r.fq_path, r.rank, r.resolution) for r in resolved] == [
+        ("b/title.java", 1, RESOLUTION_JACCARD),
+        ("a/Title.java", 2, RESOLUTION_JACCARD),
+        ("x/TiTle.java", None, RESOLUTION_DROPPED),
+    ]

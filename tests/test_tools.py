@@ -10,6 +10,7 @@ from bugloc.tools import (
     SEARCH_METHOD,
     ToolRegistry,
     ToolResult,
+    _match_files,
     make_tool_registry,
 )
 from conftest import java_class, write_tree
@@ -773,3 +774,36 @@ CHARACTERIZED_RESULTS = {
 def test_tool_results_are_pinned(characterized_registries, kind, tool, arguments, expected):
     result = characterized_registries[kind].dispatch(tool, dict(arguments))
     assert (result.ok, result.payload, result.note) == expected
+
+
+def cascade_by_scanning(index, name):
+    """search_file's cascade over every file, as a reference."""
+    if not name:
+        return [], None
+    exact = sorted(p for p, r in index.files.items() if r.basename == name)
+    if exact:
+        return exact, None
+    lowered = name.lower()
+    ci = sorted(p for p, r in index.files.items() if r.basename.lower() == lowered)
+    if ci:
+        return ci, f"matched basename case-insensitively for '{name}'"
+    sub = sorted(p for p in index.files if lowered in p.lower())
+    if sub:
+        return sub, f"matched '{name}' as a path substring"
+    return [], None
+
+
+def test_file_matches_equal_a_scan_of_every_file(tmp_path):
+    files = {
+        path: java_class("X", {"go": "x();"})
+        for path in (
+            "z/Foo.java", "a/Foo.java", "b/foo.java", "c/FOO.java", "Foo.java",
+            "d/Bar.java", "e/Straße.java", "f/STRASSE.java",
+        )
+    }
+    index = build_index(write_tree(tmp_path / "repo", files), "java", "v1")
+    for name in (
+        "Foo.java", "foo.java", "FOO.JAVA", "fOo.java", "Bar.java", "bar.java", "BAR.java",
+        "Straße.java", "strasse.java", "ar.ja", "a/", "java", "", "Missing.java", "z/Foo.java",
+    ):
+        assert _match_files(index, name) == cascade_by_scanning(index, name), name
