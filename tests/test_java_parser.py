@@ -534,3 +534,15 @@ def test_a_text_block_ending_in_an_escaped_triple_quote_is_unterminated(src):
     result = GRAMMAR.parse(src)
     assert not result.ok
     assert result.methods == []
+
+
+def test_non_ascii_identifiers_and_separators():
+    # U+3000 separates tokens and "²" is part of a word: the lexer reads
+    # Unicode whitespace and alphanumerics, not only ASCII ones
+    src = "class Ä { void grüße(int ä, Straße s) { x(); }\n　int x²() { return 1; } }"
+    result = GRAMMAR.parse(src)
+    assert result.ok
+    assert [(m.name, m.signature, m.body, m.abstract) for m in result.methods] == [
+        ("grüße", "grüße(int,Straße)", "void grüße(int ä, Straße s) { x(); }", False),
+        ("x²", "x²()", "int x²() { return 1; }", False),
+    ]
