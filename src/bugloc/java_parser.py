@@ -8,16 +8,14 @@ anonymous classes). The scanner lexes only where it reads tokens: type
 bodies (the file root, classes, enums, records, interfaces, anonymous
 classes) are lexed segment by segment, while method bodies, initializers and
 blocks are skimmed from one brace, parenthesis or semicolon to the next,
-over literals and comments, and lexed only where a type may begin.
+over literals and comments, and lexed only where a type may begin. One set
+of comment and literal rules serves both the skim and the segment lexer.
 """
 
 from __future__ import annotations
 
-import logging
 import re
 from dataclasses import dataclass
-
-logger = logging.getLogger(__name__)
 
 _TYPE_KEYWORDS = {"class", "interface", "enum", "record"}
 
@@ -32,34 +30,35 @@ _WORD = "word"
 _PUNCT = "punct"
 _STR = "str"
 
-
-# A text block ends at its first `"""` that no backslash escapes.
-_TEXT_BLOCK = r'"""[^"\\]*(?:(?:\\[\s\S]|"(?!""))[^"\\]*)*"""'
-_TEXT_BLOCK_RE = re.compile(_TEXT_BLOCK)
-
-# What the scanner stops at, found as _lex finds it: a brace or semicolon; a
-# parenthesis, or a balanced pair that holds none of the other stops; a whole
-# comment or string, char or text-block literal, or the opening characters of
-# one that does not close. Every alternative begins with a fixed character,
-# so the engine skips ahead to the next candidate.
-_SKIM = re.compile(
-    r"\{|\}|;|\([^(){};\"'/]*\)|\(|\)"
-    r"|//[^\n]*"
-    r"|/\*[\s\S]*?\*/"
-    r"|" + _TEXT_BLOCK +
+# Java's comments, and its text-block, string and char literals. A backslash
+# skips the next character, and a text block ends at its first `"""` that no
+# backslash escapes.
+_COMMENT = r"//[^\n]*|/\*[\s\S]*?\*/"
+_LITERAL = (
+    r'"""[^"\\]*(?:(?:\\[\s\S]|"(?!""))[^"\\]*)*"""'
     r'|"(?!"")[^"\\\n]*(?:\\[\s\S][^"\\\n]*)*"'
     r"|'[^'\\\n]*(?:\\[\s\S][^'\\\n]*)*'"
-    r'|/\*|"|\''
 )
+
+# What the scanner stops at: a brace or semicolon; a parenthesis, or a
+# balanced pair that holds none of the other stops; a whole comment or
+# literal, or the opening characters of one that does not close. Every
+# alternative begins with a fixed character, so the engine skips ahead to the
+# next candidate.
+_SKIM = re.compile(
+    r"\{|\}|;|\([^(){};\"'/]*\)|\(|\)|" + _COMMENT + "|" + _LITERAL + r"|/\*|\"|'"
+)
+
+# The tokens of a segment: whitespace and comments (dropped), a literal, a
+# word, or any other single character. The skim has already matched every
+# comment and literal of a segment whole, so none is unterminated here.
+_TOKEN = re.compile(r"\s+|" + _COMMENT + "|(" + _LITERAL + r")|(\w+)|(\S)")
+_TOKEN_KINDS = (None, _STR, _WORD, _PUNCT)
 
 # A '{' outside a type body opens a type only after one of these words (a
 # type keyword, or "new" of an anonymous class); a segment without any of
 # them as a substring opens a block.
 _TYPE_HINT = re.compile("new|class|interface|enum|record")
-
-
-class LexError(ValueError):
-    """Source text cannot be tokenized (unterminated literal or comment)."""
 
 
 @dataclass(frozen=True)
@@ -90,72 +89,11 @@ def _lex(text: str, start: int, end: int) -> list[tuple[str, str, int, int]]:
     """Tokenize text[start:end] to (kind, value, start, end), offsets into
     `text`; comments are dropped, string and char literals become single
     opaque tokens so braces inside them are inert."""
-    toks: list[tuple[str, str, int, int]] = []
-    i, n = start, end
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c == "/" and i + 1 < n and text[i + 1] == "/":
-            j = text.find("\n", i, n)
-            i = n if j < 0 else j + 1
-            continue
-        if c == "/" and i + 1 < n and text[i + 1] == "*":
-            j = text.find("*/", i + 2, n)
-            if j < 0:
-                raise LexError("unterminated block comment")
-            i = j + 2
-            continue
-        if c == '"':
-            if text.startswith('"""', i):
-                block = _TEXT_BLOCK_RE.match(text, i, n)
-                if block is None:
-                    raise LexError("unterminated text block")
-                toks.append((_STR, block.group(), i, block.end()))
-                i = block.end()
-                continue
-            j = i + 1
-            while j < n:
-                if text[j] == "\\":
-                    j += 2
-                    continue
-                if text[j] == '"':
-                    break
-                if text[j] == "\n":
-                    raise LexError("unterminated string literal")
-                j += 1
-            if j >= n:
-                raise LexError("unterminated string literal")
-            toks.append((_STR, text[i : j + 1], i, j + 1))
-            i = j + 1
-            continue
-        if c == "'":
-            j = i + 1
-            while j < n:
-                if text[j] == "\\":
-                    j += 2
-                    continue
-                if text[j] == "'":
-                    break
-                if text[j] == "\n":
-                    raise LexError("unterminated char literal")
-                j += 1
-            if j >= n:
-                raise LexError("unterminated char literal")
-            toks.append((_STR, text[i : j + 1], i, j + 1))
-            i = j + 1
-            continue
-        if c.isalnum() or c == "_":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append((_WORD, text[i:j], i, j))
-            i = j
-            continue
-        toks.append((_PUNCT, c, i, i + 1))
-        i += 1
-    return toks
+    return [
+        (_TOKEN_KINDS[m.lastindex], m.group(), m.start(), m.end())
+        for m in _TOKEN.finditer(text, start, end)
+        if m.lastindex
+    ]
 
 
 def _strip_annotations(seg: list[tuple[str, str, int, int]]) -> list[tuple[str, str, int, int]]:
@@ -346,11 +284,18 @@ def _canonical_signature(name: str, param_toks: list[tuple[str, str, int, int]])
     return f"{name}({','.join(types)})"
 
 
+def _bodiless(header: _MethodHeader) -> tuple[int, ParsedMethod]:
+    """An abstract or native method or an annotation member, keyed by the
+    offset of its name."""
+    sig = _canonical_signature(header.name, header.param_toks)
+    return header.name_pos, ParsedMethod(header.name, sig, "", abstract=True)
+
+
 @dataclass
 class _Ctx:
     kind: str  # "type" | "method" | "block"
     enum_constants: bool = False
-    header: _MethodHeader | None = None
+    header: _MethodHeader | None = None  # a method's, or an array default's member
     decl_start: int = -1  # offset of the declaration's first token
 
 
@@ -365,13 +310,6 @@ class JavaGrammar(Grammar):
         self.extensions = extensions
 
     def parse(self, text: str) -> ParseResult:
-        try:
-            return self._scan(text)
-        except LexError as exc:
-            logger.debug("lex failure: %s", exc)
-            return ParseResult([], ok=False)
-
-    def _scan(self, text: str) -> ParseResult:
         collected: list[tuple[int, ParsedMethod]] = []
         # The file root behaves like a type body so bare top-level methods
         # (common in fixtures and snippets) are still recognized.
@@ -390,8 +328,8 @@ class JavaGrammar(Grammar):
                     return ParseResult([], ok=False)
                 continue
             if len(val) > 1:
-                if val == "/*":
-                    raise LexError(f"unterminated block comment at offset {match.start()}")
+                if val == "/*":  # a block comment that does not close
+                    return ParseResult([], ok=False)
                 continue  # a comment, literal or balanced pair of parentheses
             pos = match.start()
             top = stack[-1]
@@ -404,12 +342,14 @@ class JavaGrammar(Grammar):
                 if len(stack) == 1:
                     return ParseResult([], ok=False)
                 ctx = stack.pop()
-                if ctx.kind == "method" and ctx.header is not None:
+                if ctx.kind == "method":
                     body = text[ctx.decl_start : pos + 1]
                     sig = _canonical_signature(ctx.header.name, ctx.header.param_toks)
                     collected.append(
                         (ctx.decl_start, ParsedMethod(ctx.header.name, sig, body))
                     )
+                elif ctx.header is not None:  # an annotation member's array default
+                    collected.append(_bodiless(ctx.header))
             elif val == ";":
                 if top.kind == "type":
                     if top.enum_constants:
@@ -417,15 +357,9 @@ class JavaGrammar(Grammar):
                     else:
                         header = _match_method_header(_lex(text, seg_start, pos), terminator=";")
                         if header is not None:
-                            sig = _canonical_signature(header.name, header.param_toks)
-                            collected.append(
-                                (
-                                    header.name_pos,
-                                    ParsedMethod(header.name, sig, "", abstract=True),
-                                )
-                            )
+                            collected.append(_bodiless(header))
             else:  # the opening quote of a literal that does not close
-                raise LexError(f"unterminated literal at offset {pos}")
+                return ParseResult([], ok=False)
             seg_start = pos + 1
 
         if len(stack) != 1 or paren_depth != 0:
@@ -450,6 +384,9 @@ class JavaGrammar(Grammar):
                 while start_idx < len(seg) and seg[start_idx][1] == ")":
                     start_idx += 1
                 return _Ctx("method", header=header, decl_start=seg[start_idx][2])
+            # `int[] v() default {1, 2};`: an annotation member whose default
+            # value is an array, recorded when the array closes
+            return _Ctx("block", header=_match_method_header(seg, terminator=";"))
         return _Ctx("block")
 
 

@@ -238,6 +238,15 @@ def test_switch_expressions_and_text_blocks():
     assert names(result) == ["pick"]
 
 
+def test_annotation_members_with_array_defaults_are_recorded():
+    src = "@interface A { int[] v() default {1, 2}; C[] cs() default { @C(1), @C(2) }; String s(); }"
+    result = GRAMMAR.parse(src)
+    assert result.ok
+    assert [(m.signature, m.body, m.abstract) for m in result.methods] == [
+        ("v()", "", True), ("cs()", "", True), ("s()", "", True),
+    ]
+
+
 def test_native_method_stored_bodyless():
     src = "class A { public synchronized native void nativeOp(int flags); }"
     result = GRAMMAR.parse(src)
@@ -469,25 +478,34 @@ def test_braces_and_quotes_in_literals_and_comments_inside_a_body():
     assert names(result) == ["f", "g"]
 
 
+UNCLOSED_OR_STRAY = {
+    "string": 'String s = "open;\n',
+    "char": "char c = 'x;\n",
+    "text-block": 'String t = """ never closed;',
+    "block-comment": "/* never closed",
+    "string-escape-at-end": 'String s = "ends in a backslash\\',
+    "char-escape-at-end": "char c = '\\",
+    "text-block-of-one-quote": 'String t = """";',
+    "stray-paren": "g());",
+}
+# Each statement inside a method body, where it is skimmed, and at class
+# level as a field, where the skim rejects it before its segment is lexed.
+PLACEMENTS = {
+    "": lambda statement: "class A {\n void f() {\n  { " + statement + "\n }\n}\n void g() { } }",
+    "-at-class-level": lambda statement: "class A {\n " + statement + "\n void g() { } }",
+}
+
+
 @pytest.mark.parametrize(
-    "statement",
+    "src",
     [
-        'String s = "open;\n',
-        "char c = 'x;\n",
-        'String t = """ never closed;',
-        "/* never closed",
-        'String s = "ends in a backslash\\',
-        "char c = '\\",
-        'String t = """";',
-        "g());",
-    ],
-    ids=[
-        "string", "char", "text-block", "block-comment", "string-escape-at-end", "char-escape-at-end",
-        "text-block-of-one-quote", "stray-paren",
+        pytest.param(place(statement), id=case + suffix)
+        for suffix, place in PLACEMENTS.items()
+        for case, statement in UNCLOSED_OR_STRAY.items()
     ],
 )
-def test_lex_errors_and_stray_parens_inside_a_body_fail_the_file(statement):
-    result = GRAMMAR.parse("class A {\n void f() {\n  { " + statement + "\n }\n}\n void g() { } }")
+def test_lex_errors_and_stray_parens_inside_a_body_fail_the_file(src):
+    result = GRAMMAR.parse(src)
     assert not result.ok
     assert result.methods == []
 
