@@ -273,7 +273,6 @@ def run_localization(
             turn = provider.complete(messages, schemas, config.temperature)
         except ChatProviderError as exc:
             transcript.failure_reason = f"chat provider failure: {exc}"
-            transcript.messages = messages
             return [], transcript
 
         transcript.iterations_used = iteration
@@ -299,16 +298,13 @@ def run_localization(
                 messages.append(ChatMessage(role=ROLE_SYSTEM, content=_CORRECTIVE))
                 continue
             transcript.failure_reason = f"unparseable final answer: {exc}"
-            transcript.messages = messages
             return [], transcript
         transcript.raw_final_answer = turn.content
-        transcript.messages = messages
         return predictions, transcript
 
     transcript.failure_reason = (
         f"no final answer after {config.max_iterations} iterations"
     )
-    transcript.messages = messages
     return [], transcript
 
 

@@ -132,8 +132,16 @@ def _parse_file(path: Path, fq_path: str, grammar: Grammar) -> SourceFileRecord:
     return SourceFileRecord(fq_path, basename, methods, parse_ok=True)
 
 
+def source_paths(root: Path, extensions: tuple[str, ...]) -> list[str]:
+    """The '/'-separated paths, relative to `root`, of the files under it
+    whose suffix is one of `extensions`, in the order of their `Path`s."""
+    paths = sorted(p for p in root.rglob("*") if p.is_file() and p.suffix in extensions)
+    return [p.relative_to(root).as_posix() for p in paths]
+
+
 def build_index(repo_root: str | Path, grammar: str = "java", version_id: str = "") -> CodeIndex:
-    """Parse every file matching the grammar's extensions under repo_root.
+    """Parse every file matching the grammar's extensions under repo_root:
+    the update of the empty index that adds them all.
 
     Unparsable files are recorded with parse_ok=False rather than skipped;
     a missing repo_root is fatal.
@@ -145,15 +153,8 @@ def build_index(repo_root: str | Path, grammar: str = "java", version_id: str = 
         gram = get_grammar(grammar)
     except ValueError as exc:
         raise ConfigurationError(str(exc)) from None
-
-    files: dict[str, SourceFileRecord] = {}
-    paths = sorted(
-        p for p in root.rglob("*") if p.is_file() and p.suffix in gram.extensions
-    )
-    for path in paths:
-        fq_path = path.relative_to(root).as_posix()
-        files[fq_path] = _parse_file(path, fq_path, gram)
-    return CodeIndex(version_id, files, _build_locator(files), grammar)
+    added = Changeset(added=tuple(source_paths(root, gram.extensions)))
+    return update_index(CodeIndex(version_id, grammar=grammar), added, root, version_id, grammar)
 
 
 def file_representation(record: SourceFileRecord) -> str:
@@ -208,11 +209,8 @@ def diff_source_trees(
     """
 
     def digest_tree(root: Path) -> dict[str, str]:
-        out: dict[str, str] = {}
-        for path in sorted(p for p in root.rglob("*") if p.is_file() and p.suffix in extensions):
-            rel = path.relative_to(root).as_posix()
-            out[rel] = hashlib.sha256(path.read_bytes()).hexdigest()
-        return out
+        paths = source_paths(root, extensions)
+        return {rel: hashlib.sha256((root / rel).read_bytes()).hexdigest() for rel in paths}
 
     old = digest_tree(Path(old_root))
     new = digest_tree(Path(new_root))

@@ -1,11 +1,12 @@
-"""Embedding providers behind one interface.
+"""Embedding providers behind one interface, which embeds a batch of texts
+as one `(len(texts), dimension)` float64 matrix, a row per text.
 
 HashingEmbedder is the deterministic in-process provider used by tests and
 offline runs; RemoteEmbedder talks to an HTTPS batch endpoint; CachedEmbedder
-wraps any provider with a persistent (provider_id, content-hash) cache so
-re-runs cost zero provider calls. The cache file is one JSON object, rewritten
-atomically once per provider call that misses; only the new entries are
-encoded, and appended to the file's text kept in memory.
+wraps any provider with a persistent (provider_id, content-hash) cache of one
+row per text, so re-runs cost zero provider calls. The cache file is one JSON
+object, rewritten atomically once per provider call that misses; only the new
+entries are encoded, and appended to the file's text kept in memory.
 """
 
 from __future__ import annotations
@@ -55,12 +56,12 @@ class EmbeddingProvider:
     dimension: int = 0
     max_batch_size: int = 64
 
-    def embed_batch(self, texts: list[str]) -> list[tuple[float, ...]]:
-        """Accepts any number of texts; implementations slice into transport
-        batches themselves."""
+    def embed_batch(self, texts: list[str]) -> np.ndarray:
+        """Any number of texts, which implementations slice into transport
+        batches themselves, as a new (len(texts), dimension) float64 matrix."""
         raise NotImplementedError
 
-    def embed(self, text: str) -> tuple[float, ...]:
+    def embed(self, text: str) -> np.ndarray:
         return self.embed_batch([text])[0]
 
 
@@ -88,18 +89,15 @@ class HashingEmbedder(EmbeddingProvider):
             hit = self._buckets[token] = (bucket, 1.0 if digest[4] & 1 else -1.0)
         return hit
 
-    def embed_batch(self, texts: list[str]) -> list[tuple[float, ...]]:
-        out = []
-        for text in texts:
+    def embed_batch(self, texts: list[str]) -> np.ndarray:
+        out = np.zeros((len(texts), self.dimension))
+        for vec, text in zip(out, texts):
             pairs = np.array([self._bucket(token) for token in tokenize(text)]).reshape(-1, 2)
             # sums of +-1.0 are exact integers, so the order of adding is free
-            vec = np.bincount(
-                pairs[:, 0].astype(np.intp), weights=pairs[:, 1], minlength=self.dimension
-            ).astype(np.float64, copy=False)
+            vec[:] = np.bincount(pairs[:, 0].astype(np.intp), weights=pairs[:, 1], minlength=self.dimension)
             norm = float(np.linalg.norm(vec))
             if norm > 0.0:
                 vec /= norm
-            out.append(tuple(vec.tolist()))
         return out
 
 
@@ -136,13 +134,14 @@ class RemoteEmbedder(EmbeddingProvider):
         self._session = session or requests.Session()
         self._session.headers["Authorization"] = f"Bearer {api_key}"
 
-    def embed_batch(self, texts: list[str]) -> list[tuple[float, ...]]:
-        out: list[tuple[float, ...]] = []
-        for start in range(0, len(texts), self.max_batch_size):
-            out.extend(self._post_batch(texts[start : start + self.max_batch_size]))
-        return out
+    def embed_batch(self, texts: list[str]) -> np.ndarray:
+        batches = [
+            self._post_batch(texts[start : start + self.max_batch_size])
+            for start in range(0, len(texts), self.max_batch_size)
+        ]
+        return np.concatenate([np.empty((0, self.dimension)), *batches])
 
-    def _post_batch(self, texts: list[str]) -> list[tuple[float, ...]]:
+    def _post_batch(self, texts: list[str]) -> np.ndarray:
         payload = {"model": self.model, "input": texts}
         try:
             body = post_with_retry(
@@ -159,24 +158,18 @@ class RemoteEmbedder(EmbeddingProvider):
             raise ProviderContractError(f"malformed embedding response: {exc}") from None
         return self._parse(body, expected=len(texts))
 
-    def _parse(self, body, expected: int) -> list[tuple[float, ...]]:
+    def _parse(self, body, expected: int) -> np.ndarray:
         try:
-            rows = body["data"]
-            vectors = [tuple(float(x) for x in row["embedding"]) for row in rows]
-        except (KeyError, TypeError, ValueError) as exc:
+            vectors = np.array([row["embedding"] for row in body["data"]], dtype=np.float64)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ProviderContractError(f"malformed embedding response: {exc}") from None
-        if len(vectors) != expected:
+        if vectors.shape != (expected, self.dimension):
             raise ProviderContractError(
-                f"provider returned {len(vectors)} vectors for {expected} inputs"
+                f"provider {self.provider_id} returned vectors of shape {vectors.shape} "
+                f"for {expected} inputs of declared dimension {self.dimension}"
             )
-        for vec in vectors:
-            if len(vec) != self.dimension:
-                raise ProviderContractError(
-                    f"provider {self.provider_id} returned dimension {len(vec)}, "
-                    f"declared {self.dimension}"
-                )
-            if not all(np.isfinite(vec)):
-                raise ProviderContractError("provider returned a non-finite vector")
+        if not np.isfinite(vectors).all():  # a JSON null reads as NaN
+            raise ProviderContractError("provider returned a non-finite vector")
         return vectors
 
 
@@ -189,19 +182,19 @@ class CachedEmbedder(EmbeddingProvider):
         self.dimension = inner.dimension
         self.max_batch_size = inner.max_batch_size
         self.cache_path = Path(cache_path) if cache_path else None
-        self._cache: dict[str, tuple[float, ...]] = {}
+        self._cache: dict[str, np.ndarray] = {}  # key -> one float64 row
         self._text = ["{"]  # the cache file's text, in pieces, without its closing "}"
         self._lock = threading.Lock()  # guards _cache, _text and the cache file
         if self.cache_path and self.cache_path.exists():
             text = self.cache_path.read_text(encoding="utf-8")
-            self._cache = {key: tuple(vec) for key, vec in json.loads(text).items()}
+            self._cache = {key: np.array(vec, dtype=np.float64) for key, vec in json.loads(text).items()}
             self._text = [text.rstrip()[:-1]]
 
     def _key(self, text: str) -> str:
         digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
         return f"{self.provider_id}:{digest}"
 
-    def embed_batch(self, texts: list[str]) -> list[tuple[float, ...]]:
+    def embed_batch(self, texts: list[str]) -> np.ndarray:
         keys = [self._key(t) for t in texts]
         with self._lock:
             missing = {key: text for key, text in zip(keys, texts) if key not in self._cache}
@@ -215,12 +208,13 @@ class CachedEmbedder(EmbeddingProvider):
                 if new and self.cache_path is not None:
                     self._save(new)
         with self._lock:
-            return [self._cache[key] for key in keys]
+            # a new matrix, so a caller that writes into it leaves the cache as it is
+            return np.array([self._cache[key] for key in keys]).reshape(len(keys), self.dimension)
 
-    def _save(self, new: list[tuple[str, tuple[float, ...]]]) -> None:
+    def _save(self, new: list[tuple[str, np.ndarray]]) -> None:
         """Append `new`, the entries just added to the cache, to the text and
         rewrite the file; the caller holds the lock."""
-        encoded = ", ".join(f"{json.dumps(key)}: {json.dumps(list(vec))}" for key, vec in new)
+        encoded = ", ".join(f"{json.dumps(key)}: {json.dumps(vec.tolist())}" for key, vec in new)
         earlier = len(self._cache) > len(new)  # entries before these need a separator
         self._text.append(f", {encoded}" if earlier else encoded)
         atomic_write_text(self.cache_path, *self._text, "}")

@@ -2,12 +2,13 @@
 
 File representations are split into token-bounded chunks, embedded, and kept
 as the rows of one matrix; a file's score is the maximum cosine similarity of
-its chunks to the query, ties by path. Updates mirror a from-scratch build:
-untouched rows carry over, and the chunks of every refreshed file go to the
-provider in one call, whose error propagates as a build's does. An index and
-its archive record the chunk limit it was built with, and updates and queries
-chunk at that limit. An index also holds the code records its chunks were
-cut from, so that its archive can name them and re-make the chunk text.
+its chunks to the query, ties by path. A from-scratch build is the update of
+the empty index that adds every file: untouched rows carry over, and the
+chunks of every refreshed file go to the provider in one call, whose error
+propagates. An index and its archive record the chunk limit it was built
+with, and updates and queries chunk at that limit. An index also holds the
+code records its chunks were cut from, so that its archive can name them and
+re-make the chunk text.
 """
 
 from __future__ import annotations
@@ -134,20 +135,12 @@ def chunk_text(text: str, chunk_limit: int = DEFAULT_CHUNK_LIMIT, fq_path: str =
     return chunks
 
 
-def _file_chunks(index: CodeIndex, fq_path: str, chunk_limit: int) -> list[Chunk]:
-    return chunk_text(
-        file_representation(index.files[fq_path]), chunk_limit=chunk_limit, fq_path=fq_path
-    )
-
-
 def build_embedding_index(
     index: CodeIndex, provider: EmbeddingProvider, chunk_limit: int = DEFAULT_CHUNK_LIMIT
 ) -> EmbeddingIndex:
-    chunks = [c for fq_path in index.sorted_paths() for c in _file_chunks(index, fq_path, chunk_limit)]
-    vectors = provider.embed_batch([c.text for c in chunks])
-    return EmbeddingIndex(
-        provider.dimension, provider.provider_id, chunk_limit, chunks, vectors, index.files
-    )
+    """The update of the empty index that adds every file of `index`."""
+    empty = EmbeddingIndex(provider.dimension, provider.provider_id, chunk_limit)
+    return update_embeddings(empty, Changeset(added=tuple(index.files)), index, provider)
 
 
 def update_embeddings(
@@ -157,9 +150,9 @@ def update_embeddings(
     limit; untouched rows carry over verbatim. `index` must already reflect
     the post-changeset repository.
 
-    The refreshed files are embedded in one provider call. Like
-    build_embedding_index, the update either returns the whole new index or
-    raises that call's error.
+    The refreshed files are embedded in one provider call, none when there
+    are none; the update either returns the whole new index or raises that
+    call's error.
     """
     changeset.validate()
     refresh = set(changeset.added) | set(changeset.modified) | {new for _, new in changeset.renamed}
@@ -171,23 +164,21 @@ def update_embeddings(
         if fq_path not in index.files:
             logger.error("changeset path missing from code index, skipped: %s", fq_path)
             continue
-        new_chunks += _file_chunks(index, fq_path, eindex.chunk_limit)
-    new_vectors = provider.embed_batch([c.text for c in new_chunks]) if new_chunks else []
+        new_chunks += chunk_text(file_representation(index.files[fq_path]), eindex.chunk_limit, fq_path)
     kept = [c for c, k in zip(eindex.chunks, keep) if k]
-    vectors = np.concatenate([eindex.vectors[keep], np.reshape(new_vectors, (-1, eindex.dimension))])
+    vectors = eindex.vectors[keep]
+    if new_chunks:
+        vectors = np.concatenate([vectors, provider.embed_batch([c.text for c in new_chunks])])
     return EmbeddingIndex(
         eindex.dimension, eindex.provider_id, eindex.chunk_limit, kept + new_chunks, vectors, index.files
     )
 
 
 def embed_query(text: str, provider: EmbeddingProvider, chunk_limit: int = DEFAULT_CHUNK_LIMIT):
-    """Embed query text; text longer than the chunk limit is chunked and the
-    per-chunk vectors are averaged."""
+    """The mean of the vectors of the query text's chunks, cut at the chunk
+    limit; the mean of one vector is that vector, up to the sign of a zero."""
     chunks = chunk_text(text, chunk_limit=chunk_limit)
-    if len(chunks) == 1:
-        return np.asarray(provider.embed(chunks[0].text), dtype=np.float64)
-    vectors = provider.embed_batch([c.text for c in chunks])
-    return np.mean(np.asarray(vectors, dtype=np.float64), axis=0)
+    return provider.embed_batch([c.text for c in chunks]).mean(axis=0)
 
 
 def shortlist_files(

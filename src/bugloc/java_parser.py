@@ -85,23 +85,26 @@ class Grammar:
         raise NotImplementedError
 
 
-def _lex(text: str, start: int, end: int) -> list[tuple[str, str, int, int]]:
-    """Tokenize text[start:end] to (kind, value, start, end), offsets into
-    `text`; comments are dropped, string and char literals become single
-    opaque tokens so braces inside them are inert."""
+_Token = tuple[str, str, int]  # (kind, value, offset of its first character)
+
+
+def _lex(text: str, start: int, end: int) -> list[_Token]:
+    """Tokenize text[start:end] to (kind, value, start), offsets into `text`;
+    comments are dropped, string and char literals become single opaque
+    tokens so braces inside them are inert."""
     return [
-        (_TOKEN_KINDS[m.lastindex], m.group(), m.start(), m.end())
+        (_TOKEN_KINDS[m.lastindex], m.group(), m.start())
         for m in _TOKEN.finditer(text, start, end)
         if m.lastindex
     ]
 
 
-def _strip_annotations(seg: list[tuple[str, str, int, int]]) -> list[tuple[str, str, int, int]]:
+def _strip_annotations(seg: list[_Token]) -> list[_Token]:
     """Drop @Name and @Name(...) groups; keep '@interface' (a type keyword)."""
-    out: list[tuple[str, str, int, int]] = []
+    out: list[_Token] = []
     i = 0
     while i < len(seg):
-        kind, val, _, _ = seg[i]
+        kind, val, _ = seg[i]
         if kind == _PUNCT and val == "@":
             if i + 1 < len(seg) and seg[i + 1][1] == "interface":
                 out.append(seg[i])
@@ -127,12 +130,12 @@ def _strip_annotations(seg: list[tuple[str, str, int, int]]) -> list[tuple[str, 
     return out
 
 
-def _has_type_keyword(seg: list[tuple[str, str, int, int]]) -> bool:
+def _has_type_keyword(seg: list[_Token]) -> bool:
     # Depth is clamped at zero: a segment may begin mid-expression with
     # unmatched ")" tokens (e.g. after an annotation whose array argument
     # opened a brace context), and those must not hide a type keyword.
     depth = 0
-    for kind, val, _, _ in seg:
+    for kind, val, _ in seg:
         if kind == _PUNCT:
             if val == "(":
                 depth += 1
@@ -143,7 +146,7 @@ def _has_type_keyword(seg: list[tuple[str, str, int, int]]) -> bool:
     return False
 
 
-def _is_anonymous_class_header(seg: list[tuple[str, str, int, int]]) -> bool:
+def _is_anonymous_class_header(seg: list[_Token]) -> bool:
     """True for segments ending ``new Name ( ... )`` right before a '{'."""
     if not seg or seg[-1][1] != ")":
         return False
@@ -174,12 +177,12 @@ def _is_anonymous_class_header(seg: list[tuple[str, str, int, int]]) -> bool:
 @dataclass
 class _MethodHeader:
     name: str
-    param_toks: list[tuple[str, str, int, int]]
+    param_toks: list[_Token]
     name_pos: int
 
 
 def _match_method_header(
-    seg: list[tuple[str, str, int, int]], terminator: str
+    seg: list[_Token], terminator: str
 ) -> _MethodHeader | None:
     """Match ``[modifiers/type] name ( params ) [throws .../default ...]``.
 
@@ -190,7 +193,7 @@ def _match_method_header(
     if not seg:
         return None
     depth = 0
-    for kind, val, _, _ in seg:
+    for kind, val, _ in seg:
         if kind == _PUNCT:
             if val in "([":
                 depth += 1
@@ -235,7 +238,7 @@ def _match_method_header(
                 break
     if open_idx is None or open_idx == 0:
         return None
-    kind, name, start, _ = seg[open_idx - 1]
+    kind, name, start = seg[open_idx - 1]
     if kind != _WORD or name in _NON_METHOD_NAMES or name in _TYPE_KEYWORDS:
         return None
     if name[0].isdigit():
@@ -243,11 +246,11 @@ def _match_method_header(
     return _MethodHeader(name=name, param_toks=seg[open_idx + 1 : close], name_pos=start)
 
 
-def _canonical_signature(name: str, param_toks: list[tuple[str, str, int, int]]) -> str:
+def _canonical_signature(name: str, param_toks: list[_Token]) -> str:
     """``name(paramType1,paramType2,...)`` — type names only, whitespace collapsed."""
     params: list[list[tuple[str, str]]] = [[]]
     depth = 0
-    for kind, val, _, _ in param_toks:
+    for kind, val, _ in param_toks:
         if kind == _PUNCT:
             if val in "(<[":
                 depth += 1
@@ -367,9 +370,9 @@ class JavaGrammar(Grammar):
         collected.sort(key=lambda item: item[0])
         return ParseResult([m for _, m in collected], ok=True)
 
-    def _classify(self, seg: list[tuple[str, str, int, int]], parent: _Ctx) -> _Ctx:
+    def _classify(self, seg: list[_Token], parent: _Ctx) -> _Ctx:
         if _has_type_keyword(seg):
-            is_enum = any(k == _WORD and v == "enum" for k, v, _, _ in seg)
+            is_enum = any(k == _WORD and v == "enum" for k, v, _ in seg)
             return _Ctx("type", enum_constants=is_enum)
         if _is_anonymous_class_header(seg):
             return _Ctx("type")

@@ -142,7 +142,7 @@ def build_report(
     )
 
 
-def aggregate_runs(reports: Sequence[EvalReport], n: int | None = None) -> EvalReport:
+def aggregate_runs(reports: Sequence[EvalReport]) -> EvalReport:
     """Arithmetic mean of each metric across repeated runs.
 
     All runs must cover the same bug set; per-bug results of every run are
@@ -150,8 +150,6 @@ def aggregate_runs(reports: Sequence[EvalReport], n: int | None = None) -> EvalR
     """
     if not reports:
         raise DataError("no run reports to aggregate")
-    if n is not None and len(reports) != n:
-        raise DataError(f"expected {n} run reports, got {len(reports)}")
     bug_sets = [frozenset(r.bug_id for r in report.per_bug) for report in reports]
     if any(bugs != bug_sets[0] for bugs in bug_sets[1:]):
         raise DataError("runs cover different bug sets")

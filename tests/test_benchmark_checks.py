@@ -3,11 +3,12 @@
 not only in a benchmark run."""
 
 import importlib
+import json
 from pathlib import Path
 
 import pytest
 
-from bugloc import EmbeddingIndex, HashingEmbedder, build_embedding_index, build_index, load_bug_reports, shortlist_files
+from bugloc import CachedEmbedder, EmbeddingIndex, HashingEmbedder, build_embedding_index, build_index, load_bug_reports, shortlist_files
 from bugloc.code_index import file_representation
 from bugloc.embedding import embed_query
 from bugloc.vsm import VsmModel
@@ -63,3 +64,17 @@ def test_index_differences_sees_one_changed_vector(bench):
     changed = EmbeddingIndex(eindex.dimension, eindex.provider_id, eindex.chunk_limit, eindex.chunks, vectors)
     differences = checks.index_differences((code, eindex), (code, changed))
     assert differences and "embedding records differ" in differences[0]
+
+
+def test_cache_differences_sees_one_edited_entry(bench, tmp_path):
+    checks, _, eindex, embedder, _ = bench
+    texts = sorted({chunk.text for chunk in eindex.chunks})[:40]
+    cache_file = tmp_path / "cache.json"
+    CachedEmbedder(HashingEmbedder(embedder.dimension), cache_file).embed_batch(texts)
+    vectors = dict(zip(texts, embedder.embed_batch(texts)))
+    assert checks.cache_differences(cache_file, vectors, embedder.provider_id) == []
+    raw = json.loads(cache_file.read_text(encoding="utf-8"))
+    raw[min(raw)][0] += 0.25
+    cache_file.write_text(json.dumps(raw), encoding="utf-8")
+    differences = checks.cache_differences(cache_file, vectors, embedder.provider_id)
+    assert len(differences) == 1 and differences[0].startswith("1 entries hold another vector")

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from bugloc import embedding
-from bugloc.code_index import ArchiveFormatError, Changeset, ObjectPool, build_index, update_index
+from bugloc.code_index import ArchiveFormatError, Changeset, CodeIndex, ObjectPool, build_index, update_index
 from bugloc.embedders import (
     CachedEmbedder,
     HashingEmbedder,
@@ -93,7 +93,7 @@ class StubEmbedder(HashingEmbedder):
         self.vector = tuple(vector)
 
     def embed_batch(self, texts):
-        return [self.vector for _ in texts]
+        return np.array([self.vector for _ in texts], dtype=np.float64)
 
 
 def stub_index(files: dict[str, list[list[float]]]) -> EmbeddingIndex:
@@ -198,7 +198,7 @@ def test_hashing_embedder_deterministic():
     provider = HashingEmbedder(dimension=32)
     first = provider.embed("void zoomOut() { scale(); }")
     second = provider.embed("void zoomOut() { scale(); }")
-    assert first == second
+    assert first.tolist() == second.tolist()
 
 
 def test_hashing_embedder_dimension():
@@ -239,8 +239,8 @@ def test_hashing_embedder_bits_independent_of_memo():
     warm.embed_batch(["zoom alpha unrelated words", "café token3 token5"])
     fresh = HashingEmbedder(dimension=16).embed_batch(HASHING_TEXTS)
     # repr tells 0.0 from 0 and -0.0, and shows every bit of a float
-    assert repr(warm.embed_batch(HASHING_TEXTS)) == repr(fresh)
-    assert repr(fresh) == repr([_reference_hashing_vector(t, 16) for t in HASHING_TEXTS])
+    assert repr(warm.embed_batch(HASHING_TEXTS).tolist()) == repr(fresh.tolist())
+    assert repr(fresh.tolist()) == repr([list(_reference_hashing_vector(t, 16)) for t in HASHING_TEXTS])
 
 
 # --- remote embedder (fault injection) ------------------------------------
@@ -296,7 +296,7 @@ def test_remote_embedder_recovers_after_transient_error(monkeypatch):
         "m", 2, "https://api.example", api_key_env="TEST_EMBED_KEY",
         max_attempts=3, session=session, retry_delay=0.0,
     )
-    assert provider.embed_batch(["x"]) == [(1.0, 2.0)]
+    assert provider.embed_batch(["x"]).tolist() == [[1.0, 2.0]]
 
 
 def test_remote_embedder_dimension_mismatch_is_contract_error(monkeypatch):
@@ -307,6 +307,49 @@ def test_remote_embedder_dimension_mismatch_is_contract_error(monkeypatch):
     )
     with pytest.raises(ProviderContractError):
         provider.embed_batch(["x"])
+
+
+def remote_with_responses(monkeypatch, *bodies, max_batch_size=64):
+    """A 2-dimensional RemoteEmbedder whose posts answer `bodies` in turn."""
+    monkeypatch.setenv("TEST_EMBED_KEY", "k")
+    session = _FakeSession([_FakeResponse(200, body) for body in bodies])
+    return RemoteEmbedder(
+        "m", 2, "https://api.example", api_key_env="TEST_EMBED_KEY",
+        max_batch_size=max_batch_size, session=session,
+    )
+
+
+@pytest.mark.parametrize(
+    "vectors",
+    [
+        [[1.0, 2.0]],
+        [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]],
+        [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]],
+        [[1.0, 2.0], [3.0]],
+        [[1.0, float("nan")], [3.0, 4.0]],
+        [[1.0, 2.0], [float("-inf"), 4.0]],
+        [[1.0, None], [3.0, 4.0]],
+        [[1.0, 2.0], ["three", 4.0]],
+        [[1.0, 2.0], [10**400, 4.0]],
+    ],
+    ids=["too-few", "too-many", "dimension", "ragged", "nan", "inf", "null", "string", "no-float-holds-it"],
+)
+def test_remote_embedder_rejects_a_response_that_breaks_the_contract(monkeypatch, vectors):
+    provider = remote_with_responses(monkeypatch, {"data": [{"embedding": v} for v in vectors]})
+    with pytest.raises(ProviderContractError):
+        provider.embed_batch(["x", "y"])
+
+
+def test_remote_embedder_returns_one_float64_matrix_over_its_batches(monkeypatch):
+    provider = remote_with_responses(
+        monkeypatch,
+        {"data": [{"embedding": [1, 2]}, {"embedding": [3.5, -4.0]}]},
+        {"data": [{"embedding": [0.25, 6]}]},
+        max_batch_size=2,
+    )
+    vectors = provider.embed_batch(["x", "y", "z"])
+    assert vectors.dtype == np.float64 and vectors.shape == (3, 2)
+    assert vectors.tolist() == [[1.0, 2.0], [3.5, -4.0], [0.25, 6.0]]
 
 
 def test_remote_embedder_non_json_body_is_contract_error(monkeypatch):
@@ -337,13 +380,30 @@ def test_cached_embedder_avoids_refetch(tmp_path):
     assert inner.batches == 1
     again = provider.embed("hello world")
     assert inner.batches == 1
-    assert first == again
+    assert first.tolist() == again.tolist()
 
     # A fresh process reuses the persisted cache: zero provider calls.
     inner2 = Counting()
     provider2 = CachedEmbedder(inner2, cache_file)
-    assert provider2.embed("hello world") == first
+    assert provider2.embed("hello world").tolist() == first.tolist()
     assert inner2.batches == 0
+
+
+def test_writing_into_a_cached_embedders_result_leaves_the_cache_as_it_is(tmp_path):
+    cache_file = tmp_path / "cache.json"
+    provider = CachedEmbedder(HashingEmbedder(8), cache_file)
+    missed = provider.embed_batch(["alpha", "beta"])
+    want = missed.tolist()
+    missed[:] = 7.0
+    hit = provider.embed_batch(["beta", "alpha"])
+    assert hit.tolist() == want[::-1]
+    hit[:] = 9.0
+    provider.embed("alpha")[:] = 5.0
+    provider.embed("gamma")  # a miss: the file is written again
+    assert provider.embed_batch(["alpha", "beta"]).tolist() == want
+    inner = CountingEmbedder(8)
+    assert CachedEmbedder(inner, cache_file).embed_batch(["alpha", "beta"]).tolist() == want
+    assert inner.calls == []
 
 
 def test_cached_embedder_concurrent_misses(tmp_path):
@@ -622,6 +682,13 @@ class CountingEmbedder(HashingEmbedder):
         if self.fail_on is not None and any(self.fail_on in t for t in texts):
             raise RetriableProviderError("flaky", 3, "down")
         return super().embed_batch(texts)
+
+
+def test_build_of_an_index_without_files_makes_no_provider_call():
+    provider = CountingEmbedder(16)
+    eindex = build_embedding_index(CodeIndex("v0"), provider)
+    assert provider.calls == []
+    assert len(eindex) == 0 and eindex.vectors.shape == (0, 16)
 
 
 def test_update_embeddings_is_one_provider_call_and_one_cache_write(tmp_path, replaced):

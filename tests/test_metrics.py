@@ -174,7 +174,7 @@ def make_report(acc1, technique="t", run_id=1):
 
 def test_aggregate_identical_runs_equals_single():
     reports = [make_report(True, run_id=i) for i in (1, 2, 3)]
-    agg = aggregate_runs(reports, n=3)
+    agg = aggregate_runs(reports)
     assert agg.accuracy_at == reports[0].accuracy_at
     assert agg.mrr_at_10 == reports[0].mrr_at_10
     assert len(agg.per_bug) == 6  # per-run results kept
@@ -195,11 +195,6 @@ def test_aggregate_rejects_mismatched_bug_sets():
     r2 = EvalReport("t", {1: 0.5}, 0.5, 0.5, results_from({"b2": ["x"]}))
     with pytest.raises(DataError):
         aggregate_runs([r1, r2])
-
-
-def test_aggregate_wrong_run_count():
-    with pytest.raises(DataError):
-        aggregate_runs([make_report(True)], n=3)
 
 
 # --- overlap ------------------------------------------------------------------------
