@@ -7,7 +7,7 @@ import logging
 import sys
 from pathlib import Path
 
-from .code_index import Changeset, ConfigurationError
+from .code_index import ConfigurationError
 from .config import MODES, RunConfig, build_chat_provider, build_embedding_provider, load_config
 from .dataset import load_bug_reports, split_chronological
 from .agent import AgentConfig, write_transcript
@@ -102,27 +102,9 @@ def cmd_index(args) -> int:
         raise ConfigurationError("index needs --repo")
     provider = build_embedding_provider(config) if config.needs_embedding else None
     store = _version_store(config, provider, Path(config.out_dir) / "index-cache")
-
-    changeset = None
-    if args.changeset:
-        raw = read_json(args.changeset)
-        changeset = Changeset(
-            added=tuple(raw.get("added", [])),
-            modified=tuple(raw.get("modified", [])),
-            deleted=tuple(raw.get("deleted", [])),
-            renamed=tuple((old, new) for old, new in raw.get("renamed", [])),
-        )
     if args.prev_version and not store.archive_paths(args.prev_version)[0].exists():
         raise ConfigurationError(f"no cached index for previous version {args.prev_version}")
-    tree = store.resolve_tree(args.version)
-    if args.prev_version and changeset is None and store.resolve_tree(args.prev_version) == tree:
-        raise ConfigurationError(
-            f"versions {args.prev_version!r} and {args.version!r} both resolve to {tree}, "
-            "so nothing tells what changed between them: pass --changeset, "
-            "or index without --prev-version"
-        )
-
-    code, embed = store.build(args.version, previous=args.prev_version, changeset=changeset)
+    code, embed = store.build(args.version, previous=args.prev_version)
     code_path, embed_path = store.archive_paths(args.version)
     print(f"indexed {len(code.files)} files at version {args.version!r} -> {code_path}")
     if embed is not None:
@@ -244,7 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_index)
     p_index.add_argument("--version", required=True, help="version label for this snapshot")
     p_index.add_argument("--prev-version", dest="prev_version", help="incrementally update from this cached version")
-    p_index.add_argument("--changeset", help="JSON changeset file (added/modified/deleted/renamed)")
     p_index.set_defaults(fn=cmd_index)
 
     p_localize = sub.add_parser("localize", help="rank suspicious files for bug reports")

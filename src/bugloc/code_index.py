@@ -24,7 +24,7 @@ from .java_parser import Grammar, get_grammar
 logger = logging.getLogger(__name__)
 
 ARCHIVE_MAGIC = "bugloc-code-index"
-ARCHIVE_FORMAT = 2
+ARCHIVE_FORMAT = 3
 OBJECTS_DIR = "objects"  # beside the manifests
 _DIGEST = re.compile("[0-9a-f]{64}")
 
@@ -80,6 +80,7 @@ class CodeIndex:
     files: dict[str, SourceFileRecord] = field(default_factory=dict)
     method_locator: dict[str, tuple[str, ...]] = field(default_factory=dict)
     grammar: str = "java"  # the grammar that parsed the files
+    digests: dict[str, str] = field(default_factory=dict)  # path -> sha256 hex of the bytes parsed
 
     def sorted_paths(self) -> list[str]:
         return sorted(self.files)
@@ -115,13 +116,11 @@ def _build_locator(files: dict[str, SourceFileRecord]) -> dict[str, tuple[str, .
     return {name: tuple(sorted(paths)) for name, paths in sorted(locator.items())}
 
 
-def _parse_file(path: Path, fq_path: str, grammar: Grammar) -> SourceFileRecord:
+def _parse_file(data: bytes, fq_path: str, grammar: Grammar) -> SourceFileRecord:
+    """The record of a file's bytes, decoded as `read_text(encoding="utf-8",
+    errors="replace")` decodes them, universal newlines included."""
     basename = fq_path.rsplit("/", 1)[-1]
-    try:
-        text = path.read_text(encoding="utf-8", errors="replace")
-    except OSError as exc:
-        logger.warning("cannot read %s: %s", fq_path, exc)
-        return SourceFileRecord(fq_path, basename, (), parse_ok=False)
+    text = data.decode("utf-8", errors="replace").replace("\r\n", "\n").replace("\r", "\n")
     result = grammar.parse(text)
     if not result.ok:
         logger.debug("parse failure recorded for %s", fq_path)
@@ -154,7 +153,7 @@ def build_index(repo_root: str | Path, grammar: str = "java", version_id: str = 
     except ValueError as exc:
         raise ConfigurationError(str(exc)) from None
     added = Changeset(added=tuple(source_paths(root, gram.extensions)))
-    return update_index(CodeIndex(version_id, grammar=grammar), added, root, version_id, grammar)
+    return update_index(CodeIndex(version_id, grammar=grammar), added, root, version_id)
 
 
 def file_representation(record: SourceFileRecord) -> str:
@@ -167,18 +166,18 @@ def update_index(
     changeset: Changeset,
     repo_root: str | Path,
     new_version: str,
-    grammar: str = "java",
 ) -> CodeIndex:
-    """Apply a changeset against the on-disk tree at new_version.
+    """Apply a changeset against the on-disk tree at new_version, parsing
+    with the grammar that parsed `index`.
 
     The result equals a full rebuild at new_version; untouched records are
-    reused. A changeset path missing on disk is logged and skipped so the
-    rebuild equivalence still holds.
+    reused. A changeset path that cannot be read, missing on disk say, is
+    logged and skipped so the rebuild equivalence still holds.
     """
     changeset.validate()
     root = Path(repo_root)
-    gram = get_grammar(grammar)
-    files = dict(index.files)
+    gram = get_grammar(index.grammar)
+    files, digests = dict(index.files), dict(index.digests)
 
     for path in changeset.deleted:
         if files.pop(path, None) is None:
@@ -189,30 +188,36 @@ def update_index(
             logger.warning("changeset renames unknown path %s", old)
         reparse.append(new)
     for fq_path in reparse:
-        disk = root / fq_path
-        if not disk.is_file():
-            logger.error("changeset path absent on disk, skipped: %s", fq_path)
+        try:
+            data = (root / fq_path).read_bytes()
+        except OSError as exc:
+            logger.error("changeset path unreadable, skipped: %s (%s)", fq_path, exc)
             files.pop(fq_path, None)
             continue
-        files[fq_path] = _parse_file(disk, fq_path, gram)
+        digests[fq_path] = hashlib.sha256(data).hexdigest()
+        files[fq_path] = _parse_file(data, fq_path, gram)
 
-    return CodeIndex(new_version, files, _build_locator(files), grammar)
+    digests = {path: digests[path] for path in files}
+    return CodeIndex(new_version, files, _build_locator(files), index.grammar, digests)
 
 
 def diff_source_trees(
-    old_root: str | Path, new_root: str | Path, extensions: tuple[str, ...] = (".java",)
+    old: str | Path | dict[str, str], new_root: str | Path, extensions: tuple[str, ...] = (".java",)
 ) -> Changeset:
-    """Derive a changeset between two directory snapshots.
+    """Derive the changeset from the old snapshot to the tree at new_root.
 
-    A deleted path and an added path with identical content are paired as a
-    rename (greedily, in sorted-path order).
+    `old` is the old snapshot's directory, or the sha256 hex of each of its
+    files by path, as `CodeIndex.digests` records them; given digests, only
+    the new tree is read. A deleted path and an added path with identical
+    content are paired as a rename (greedily, in sorted-path order).
     """
 
     def digest_tree(root: Path) -> dict[str, str]:
         paths = source_paths(root, extensions)
         return {rel: hashlib.sha256((root / rel).read_bytes()).hexdigest() for rel in paths}
 
-    old = digest_tree(Path(old_root))
+    if not isinstance(old, dict):
+        old = digest_tree(Path(old))
     new = digest_tree(Path(new_root))
     added = sorted(set(new) - set(old))
     deleted = sorted(set(old) - set(new))
@@ -399,11 +404,13 @@ def archive_pool(path: str | Path, pool: ObjectPool | None) -> ObjectPool:
     return pool if pool is not None else ObjectPool(Path(path).parent / OBJECTS_DIR)
 
 
-def write_manifest(path: str | Path, header: dict, entries: list, pool: ObjectPool) -> None:
+def write_manifest(path: str | Path, header: dict, entries: list, pool: ObjectPool, objects: int) -> None:
     """The objects put into `pool` as a new pack, then the manifest: the
     header with the packs that hold its objects, and one JSON list
-    `[fq_path, key, ...]` per file."""
-    header = dict(header, packs=pool.pack([key for entry in entries for key in entry[1:]]))
+    `[fq_path, key, ...]` per file, whose first `objects` columns after the
+    path are object keys."""
+    keys = [key for entry in entries for key in entry[1 : 1 + objects]]
+    header = dict(header, packs=pool.pack(keys))
     lines = [json.dumps(header, sort_keys=True)] + [json.dumps(entry) for entry in entries]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
@@ -453,7 +460,8 @@ def read_manifest(
 def save_code_index(index: CodeIndex, path: str | Path, pool: ObjectPool | None = None) -> None:
     """Write the records not stored yet as a pack, then the manifest: a
     header (magic, format, version, grammar, file count, packs) and one
-    `[fq_path, record key]` line per file in path order."""
+    `[fq_path, record key, sha256 of the file's bytes]` line per file in
+    path order."""
     pool = archive_pool(path, pool)
     header = {
         "magic": ARCHIVE_MAGIC,
@@ -462,8 +470,8 @@ def save_code_index(index: CodeIndex, path: str | Path, pool: ObjectPool | None 
         "grammar": index.grammar,
         "file_count": len(index.files),
     }
-    entries = [[p, store_record(pool, index.files[p])] for p in index.sorted_paths()]
-    write_manifest(path, header, entries, pool)
+    entries = [[p, store_record(pool, index.files[p]), index.digests[p]] for p in index.sorted_paths()]
+    write_manifest(path, header, entries, pool, objects=1)
 
 
 def store_record(pool: ObjectPool, record: SourceFileRecord) -> str:
@@ -481,6 +489,7 @@ def load_record(pool: ObjectPool, fq_path: str, key: str) -> SourceFileRecord:
 
 def load_code_index(path: str | Path, pool: ObjectPool | None = None) -> CodeIndex:
     pool = archive_pool(path, pool)
-    header, entries = read_manifest(path, ARCHIVE_MAGIC, ARCHIVE_FORMAT, 2, pool)
-    files = {fq_path: load_record(pool, fq_path, key) for fq_path, key in entries}
-    return CodeIndex(header["version_id"], files, _build_locator(files), header.get("grammar"))
+    header, entries = read_manifest(path, ARCHIVE_MAGIC, ARCHIVE_FORMAT, 3, pool)
+    files = {fq_path: load_record(pool, fq_path, key) for fq_path, key, _ in entries}
+    digests = {fq_path: digest for fq_path, _, digest in entries}
+    return CodeIndex(header["version_id"], files, _build_locator(files), header.get("grammar"), digests)

@@ -299,7 +299,7 @@ def save_embedding_index(
         record_key = store_record(pool, record)
         vector_key = _vector_key(pool, record_key, record, eindex.chunks[start:end], eindex.vectors[start:end])
         entries.append([record.fq_path, record_key, vector_key])
-    write_manifest(path, header, entries, pool)
+    write_manifest(path, header, entries, pool, objects=2)
 
 
 def load_embedding_index(path: str | Path, pool: ObjectPool | None = None) -> EmbeddingIndex:

@@ -144,15 +144,16 @@ class VersionStore:
             return "its embedding archive was made from other files than its code archive"
         return None
 
-    def build(
-        self, version_id: str, previous: str | None = None, changeset: Changeset | None = None
-    ) -> tuple[CodeIndex, EmbeddingIndex | None]:
+    def build(self, version_id: str, previous: str | None = None) -> tuple[CodeIndex, EmbeddingIndex | None]:
         """Build `version_id`'s indexes, memoize them and save their archives.
 
         The build is incremental from `previous` when that version's indexes
         can be looked up (memo or archive), and from scratch otherwise. The
-        changeset from `previous` is diffed from the two trees unless given.
-        A build that raises memoizes nothing and writes no archive.
+        changeset from `previous` is the diff of `version_id`'s tree against
+        the digests `previous`'s code index recorded, so `previous`'s tree is
+        never read and need not exist; with no change, the indexes of
+        `previous` are shared under the new label. A build that raises
+        memoizes nothing and writes no archive.
         """
         tree = self.resolve_tree(version_id)
         prev = self._lookup(previous) if previous else None
@@ -160,16 +161,13 @@ class VersionStore:
         if prev is None:
             code = build_index(tree, self.grammar, version_id)
             embed = None if provider is None else build_embedding_index(code, provider, self.chunk_limit)
-        elif changeset is None and self.resolve_tree(previous) == tree:
-            # Same tree on disk: relabel rather than rebuild.
-            code = replace(prev[0], version_id=version_id)
-            embed = prev[1]
         else:
-            if changeset is None:
-                extensions = get_grammar(self.grammar).extensions
-                changeset = diff_source_trees(self.resolve_tree(previous), tree, extensions)
-            code = update_index(prev[0], changeset, tree, version_id, self.grammar)
-            embed = None if provider is None else update_embeddings(prev[1], changeset, code, provider)
+            changeset = diff_source_trees(prev[0].digests, tree, get_grammar(self.grammar).extensions)
+            if changeset == Changeset():
+                code, embed = replace(prev[0], version_id=version_id), prev[1]
+            else:
+                code = update_index(prev[0], changeset, tree, version_id)
+                embed = None if provider is None else update_embeddings(prev[1], changeset, code, provider)
         self._store(version_id, code, embed)
         return code, embed
 

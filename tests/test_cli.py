@@ -1,4 +1,5 @@
 import json
+import shutil
 import time
 
 import pytest
@@ -7,7 +8,7 @@ from bugloc import cli, localizers
 from bugloc.chat import ChatProvider, ChatTurn, ToolCall
 from bugloc.cli import main
 from bugloc.config import load_config
-from bugloc.code_index import ConfigurationError, load_code_index
+from bugloc.code_index import ConfigurationError, build_index, load_code_index
 from bugloc.dataset import save_bug_reports
 from bugloc.embedders import HashingEmbedder, RetriableProviderError
 from bugloc.embedding import load_embedding_index
@@ -198,25 +199,68 @@ def test_cmd_index_incremental_update(workspace):
     assert ("org/new/Fresh.java", 0) in v2_embed.records
 
 
-def test_cmd_index_flat_repo_prev_version_needs_changeset(workspace, capsys):
+def manifest_lines(path):
+    """A manifest's header without its packs, then its entry lines."""
+    header, *entries = path.read_text(encoding="utf-8").splitlines()
+    return [{k: v for k, v in json.loads(header).items() if k != "packs"}, *entries]
+
+
+def assert_index_of(out, version, tree, tmp_path):
+    """The archives of `version` in `out` list what indexing `tree` from
+    scratch lists: the same records, digests and vectors."""
+    scratch = tmp_path / "scratch"
+    assert run_cli(
+        "index", "--repo", tree, "--version", version, "--mode", "embedding_only", "--out", scratch
+    ) == 0
+    for name in (f"{version}.code.jsonl", f"{version}.embed.jsonl"):
+        got = manifest_lines(out / "index-cache" / name)
+        assert got == manifest_lines(scratch / "index-cache" / name)
+    assert load_code_index(out / "index-cache" / f"{version}.code.jsonl") == build_index(tree, "java", version)
+
+
+def test_cmd_index_flat_repo_prev_version_picks_up_in_place_edits(workspace, tmp_path):
     out = workspace / "out"
     flat = workspace / "repo" / "v1"  # one tree, no per-version subdirectories
     assert run_cli(
         "index", "--repo", flat, "--version", "v1", "--mode", "embedding_only", "--out", out
     ) == 0
-    write_tree(flat, {"org/B.java": java_class("B", {"go": "run();"})})
-    capsys.readouterr()
+    (flat / "org/io/Reader.java").unlink()
+    write_tree(
+        flat,
+        {
+            "org/B.java": java_class("B", {"go": "run();"}),
+            "org/ui/Labels.java": java_class("Labels", {"updateLabel": "label = other;"}),
+        },
+    )
     assert run_cli(
         "index", "--repo", flat, "--version", "v2", "--prev-version", "v1",
         "--mode", "embedding_only", "--out", out,
-    ) == 2
-    err = capsys.readouterr().err
-    assert "--changeset" in err and "without --prev-version" in err
-    assert not (out / "index-cache" / "v2.code.jsonl").exists()
-    assert run_cli(
-        "index", "--repo", flat, "--version", "v2", "--mode", "embedding_only", "--out", out
     ) == 0
-    assert "org/B.java" in load_code_index(out / "index-cache" / "v2.code.jsonl").files
+    assert_index_of(out, "v2", flat, tmp_path)
+
+
+def test_cmd_index_prev_version_needs_only_its_archive(workspace, tmp_path):
+    out = workspace / "out"
+    repo = workspace / "repo"
+    assert run_cli(
+        "index", "--repo", repo, "--version", "v1", "--mode", "embedding_only", "--out", out
+    ) == 0
+    write_tree(
+        repo / "v2",
+        {
+            "org/ui/Labels.java": java_class("Labels", {"updateLabel": "label = other;"}),
+            "org/chart/AutoScale.java": java_class(
+                "AutoScale", {"zoomOut": "meterchart dial zoomstep;"}
+            ),
+            "org/new/Fresh.java": java_class("Fresh", {"go": "start();"}),
+        },
+    )
+    shutil.rmtree(repo / "v1")
+    assert run_cli(
+        "index", "--repo", repo, "--version", "v2", "--prev-version", "v1",
+        "--mode", "embedding_only", "--out", out,
+    ) == 0
+    assert_index_of(out, "v2", repo / "v2", tmp_path)
 
 
 # --- localize ----------------------------------------------------------------------
@@ -489,36 +533,6 @@ def test_cmd_localize_bit_reproducible(workspace):
         ) == 0
         transcripts.add((out / "transcript-b-1.json").read_bytes())
     assert len(transcripts) == 1
-
-
-def test_cmd_index_explicit_changeset_file(workspace):
-    out = workspace / "out"
-    repo = workspace / "repo"
-    assert run_cli(
-        "index", "--repo", repo, "--version", "v1", "--mode", "embedding_only", "--out", out
-    ) == 0
-    write_tree(
-        repo / "v2",
-        {
-            "org/ui/Labels.java": java_class("Labels", {"updateLabel": "label = value;"}),
-            "org/chart/AutoScale.java": java_class(
-                "AutoScale", {"zoomOut": "meterchart dial zoomstep;"}
-            ),
-            "org/io/Reader.java": java_class("Reader", {"read": "buffer.fill();"}),
-            "org/new/Added.java": java_class("Added", {"fresh": "boot();"}),
-        },
-    )
-    changeset_file = workspace / "changes.json"
-    changeset_file.write_text(
-        json.dumps({"added": ["org/new/Added.java"], "modified": [], "deleted": [], "renamed": []}),
-        encoding="utf-8",
-    )
-    assert run_cli(
-        "index", "--repo", repo, "--version", "v2", "--prev-version", "v1",
-        "--changeset", changeset_file, "--mode", "embedding_only", "--out", out,
-    ) == 0
-    index = load_code_index(out / "index-cache" / "v2.code.jsonl")
-    assert "org/new/Added.java" in index.files
 
 
 def test_cmd_compare_single_technique_clean_error(workspace, capsys):

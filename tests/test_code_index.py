@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +19,7 @@ from bugloc.code_index import (
     save_code_index,
     update_index,
 )
+from bugloc.java_parser import get_grammar
 from conftest import java_class, write_tree
 
 
@@ -227,6 +229,46 @@ def test_diff_source_trees_detects_all_kinds(tmp_path):
     assert changeset.modified == ("mod/Changed.java",)
     assert changeset.deleted == ("gone/Dead.java",)
     assert changeset.renamed == (("move/Src.java", "moved/Dst.java"),)
+    assert diff_source_trees(build_index(old, "java", "old").digests, new) == changeset
+
+
+def test_records_and_digests_of_files_with_odd_bytes(tmp_path):
+    raw = {
+        "Crlf.java": b"class Crlf {\r\n  void a() {\r\n    x();\r\n  }\r\n}\r\n",
+        "LoneCr.java": b"class LoneCr {\r  void b() { y(); }\r\r}\r",
+        "Invalid.java": b"class Invalid { void c() { z(\"\xff\xfe\xc3\"); } }\n\xe2\x82",
+        "Bom.java": b"\xef\xbb\xbfclass Bom { void d() { w(); } }\r\n",
+    }
+    for name, data in raw.items():
+        (tmp_path / name).write_bytes(data)
+    index = build_index(tmp_path, "java", "v0")
+    grammar = get_grammar("java")
+
+    def fields(methods):
+        return [(m.name, m.signature, m.body, m.abstract) for m in methods]
+
+    for name, data in raw.items():
+        text = (tmp_path / name).read_text(encoding="utf-8", errors="replace")
+        expected = fields(grammar.parse(text).methods)
+        assert expected and fields(index.files[name].methods) == expected
+        assert index.digests[name] == hashlib.sha256(data).hexdigest()
+    assert "\r" not in "".join(m.body for r in index.files.values() for m in r.methods)
+
+
+def test_an_unreadable_file_is_logged_and_skipped(tmp_path, monkeypatch, caplog):
+    write_tree(tmp_path, {"A.java": java_class("A", {"m": "x();"}), "Locked.java": "class Locked { }"})
+    read_bytes = Path.read_bytes
+
+    def locked(path):
+        if path.name == "Locked.java":
+            raise PermissionError(13, "Permission denied", str(path))
+        return read_bytes(path)
+
+    monkeypatch.setattr(Path, "read_bytes", locked)
+    with caplog.at_level("ERROR", logger="bugloc.code_index"):
+        index = build_index(tmp_path, "java", "v0")
+    assert list(index.files) == list(index.digests) == ["A.java"]
+    assert "unreadable, skipped: Locked.java" in caplog.text
 
 
 def test_archive_roundtrip(tmp_path):
@@ -331,7 +373,9 @@ def test_a_pool_stores_again_the_records_of_a_pack_it_dropped(tmp_path):
         load_code_index(archive, pool=pool)  # A decodes, then B does not
     assert not (tmp_path / "objects" / bad_name).exists()
     a_record = load_record(pool, "org/A.java", index[0][0])  # interned, in no pack now
-    save_code_index(CodeIndex("v9", {"org/A.java": a_record}), tmp_path / "v9.jsonl", pool=pool)
+    a_digest = json.loads(a_line)[2]
+    index = CodeIndex("v9", {"org/A.java": a_record}, digests={"org/A.java": a_digest})
+    save_code_index(index, tmp_path / "v9.jsonl", pool=pool)
     assert load_code_index(tmp_path / "v9.jsonl").files == {"org/A.java": a_record}
 
 

@@ -1,16 +1,19 @@
+import builtins
 import gc
 import hashlib
+import io
 import json
 import os
 import shutil
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from bugloc import harness, java_parser
 from bugloc.chat import ChatTurn, ScriptedChatProvider
-from bugloc.code_index import build_index, load_code_index
+from bugloc.code_index import Changeset, build_index, load_code_index, update_index
 from bugloc.embedders import CachedEmbedder, HashingEmbedder, RetriableProviderError
 from bugloc.embedding import build_embedding_index, load_embedding_index
 from bugloc.harness import (
@@ -67,6 +70,55 @@ def test_version_store_flat_repo_relabels_instead_of_rebuilding(tmp_path):
     assert code2.version_id == "rev-2"
     assert code2.files is code1.files  # shared, not reparsed
     assert embed2 is embed1
+
+
+def test_version_store_updates_from_an_archive_whose_tree_is_gone(tmp_path):
+    root, cache = tmp_path / "repo", tmp_path / "cache"
+    v1 = {
+        "org/A.java": java_class("A", {"alpha": "a();"}),
+        "org/B.java": java_class("B", {"beta": "b();"}),
+        "org/Gone.java": java_class("Gone", {"lost": "g();"}),
+    }
+    write_tree(root / "v1", v1)
+    write_tree(
+        root / "v2",
+        {
+            "org/A.java": java_class("A", {"alpha": "changed();"}),
+            "org/B.java": v1["org/B.java"],
+            "org/C.java": java_class("C", {"gamma": "c();"}),
+        },
+    )
+    provider = HashingEmbedder(16)
+    VersionStore(root, embedding_provider=provider, cache_dir=cache).get("v1")
+    shutil.rmtree(root / "v1")
+    code, embed = VersionStore(root, embedding_provider=provider, cache_dir=cache).build("v2", previous="v1")
+    fresh = build_index(root / "v2", "java", "v2")
+    assert code == fresh  # files, method locator and digests
+    assert embed.records == build_embedding_index(fresh, provider).records
+
+
+def test_version_store_update_reads_each_file_of_the_new_tree_and_none_of_the_old(tmp_path, monkeypatch):
+    root = tmp_path / "repo"
+    v1 = {f"org/F{i}.java": java_class(f"F{i}", {f"m{i}": "a();"}) for i in range(6)}
+    v2 = {**v1, "org/F0.java": java_class("F0", {"m0": "b();"}), "org/New.java": java_class("New", {})}
+    del v2["org/F1.java"]
+    write_tree(root / "v1", v1)
+    write_tree(root / "v2", v2)
+    store = VersionStore(root, embedding_provider=HashingEmbedder(16))
+    store.get("v1")
+    reads = Counter()
+    real_open = io.open
+
+    def counting_open(file, *args, **kwargs):  # Path.read_bytes and read_text open through io.open
+        reads[Path(file)] += 1
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", counting_open)
+    monkeypatch.setattr(builtins, "open", counting_open)
+    store.build("v2", previous="v1")
+    changed = {"org/F0.java", "org/New.java"}
+    # once by the diff, once more by the parse of a changed file
+    assert reads == Counter({root / "v2" / rel: 1 + (rel in changed) for rel in v2})
 
 
 def test_version_store_archives_cached(tmp_path):
@@ -466,6 +518,14 @@ def test_version_store_relabel_keeps_the_grammar(tmp_path, methodless_grammar):
     store.get("rev-1")
     assert store.get("rev-2")[0].grammar == "java-methodless"
     assert load_code_index(tmp_path / "cache" / "rev-2.code.jsonl").grammar == "java-methodless"
+
+
+def test_update_index_parses_with_the_grammar_of_the_index(tmp_path, methodless_grammar):
+    root = versioned_repo(tmp_path)
+    index = build_index(root / "v1", "java-methodless", "v1")
+    updated = update_index(index, Changeset(added=("org/C.java",)), root / "v2", "v2")
+    assert updated.grammar == "java-methodless"
+    assert updated == build_index(root / "v2", "java-methodless", "v2")
 
 
 def test_version_store_incremental_build_diffs_the_grammar_files(tmp_path, register_grammar):

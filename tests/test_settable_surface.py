@@ -56,7 +56,7 @@ COMMON_OPTIONS = [
 ]
 
 CLI_OPTIONS = {  # positional arguments by their name
-    "index": COMMON_OPTIONS + ["--version", "--prev-version", "--changeset"],
+    "index": COMMON_OPTIONS + ["--version", "--prev-version"],
     "localize": COMMON_OPTIONS + ["--bug"],
     "evaluate": COMMON_OPTIONS + ["--dataset", "--train-fraction"],
     "compare": ["-h", "--help", "results", "--dataset", "--k", "--out", "-v", "--verbose"],
