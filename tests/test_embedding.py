@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -80,6 +81,62 @@ def test_chunk_reassembly_random_sweep():
 def test_chunk_limit_must_be_positive():
     with pytest.raises(ValueError):
         chunk_text("x", chunk_limit=0)
+
+
+# --- golden chunks and embeddings: pinned as digests ---------------------
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+# Texts no generated file holds: case, non-ASCII letters and digits, tabs,
+# carriage returns, whitespace only, nothing at all.
+ODD_TEXTS = (
+    "", " \t\n ", "Zoom zoom ZOOM zoomOut", "naïve Ünïcode 数字 ٣٤ x² ﬁle",
+    "a\tb\nc\r\nd  e\x0bf\x0cg h", "_ __ a_b 0x1F 1e9 __init__", "(){};==!=<<=>>>=",
+)
+# Computed with the chunker that cut the text at a list of token spans and
+# the embedder that hashed every token occurrence. They also depend on the
+# parser and on perfbench/gen.py, so a change to either moves them.
+GOLDEN_CHUNKS = "31b56d84e67c8ce531bf4f62552a4bb8c773ed55e2fe707eccca409f08aee6dc"
+GOLDEN_EMBEDDINGS = {
+    1: "dbb839e1dd4a35283b24d2ad61d05dd7f80763c9a75cea109456b4302e408c87",
+    64: "9aa147ac5eac4126f63c20b4385399d7bb762fe67644db70f3243e5235547f2d",
+    128: "789b98ebc817ef605f2c42c32b29338b8d5fbf3476f334af86e5c7145616cff1",
+}
+
+
+@pytest.fixture(scope="module")
+def seed3_texts(tmp_path_factory) -> list[str]:
+    """The file representations of the seed-3 benchmark corpus in path
+    order, its bug texts, then the odd texts."""
+    from bugloc.code_index import file_representation
+    from bugloc.dataset import load_bug_reports
+    from bugloc.validation import bug_text
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(str(PERFBENCH))
+        gen = importlib.import_module("gen")
+    paths = gen.write_dataset(gen.generate(3, 500, 34, 1), tmp_path_factory.mktemp("seed3"))
+    index = build_index(paths["repo"] / "v0", "java", "v0")
+    files = [file_representation(index.files[p]) for p in index.sorted_paths()]
+    return files + [bug_text(bug) for bug in load_bug_reports(paths["dataset"])] + list(ODD_TEXTS)
+
+
+def test_golden_chunk_lists_are_unchanged(seed3_texts):
+    digest = hashlib.sha256()
+    few = seed3_texts[:50] + list(ODD_TEXTS)
+    runs = [(1, few), (2, few), (7, seed3_texts), (64, seed3_texts), (300, seed3_texts), (10**6, few)]
+    for limit, texts in runs:
+        for i, text in enumerate(texts):
+            rows = [[c.fq_path, c.seq, c.text, c.token_count] for c in chunk_text(text, limit, f"t{i}")]
+            digest.update(json.dumps([limit, rows]).encode() + b"\n")
+    assert digest.hexdigest() == GOLDEN_CHUNKS
+
+
+@pytest.mark.parametrize("dimension", sorted(GOLDEN_EMBEDDINGS))
+def test_golden_embedding_matrices_are_unchanged(seed3_texts, dimension):
+    texts = [c.text for text in seed3_texts for c in chunk_text(text)]
+    matrix = HashingEmbedder(dimension).embed_batch(texts)
+    assert matrix.shape == (len(texts), dimension)
+    assert hashlib.sha256(matrix.tobytes()).hexdigest() == GOLDEN_EMBEDDINGS[dimension]
 
 
 # --- cosine scores of the shortlist ---------------------------------------
