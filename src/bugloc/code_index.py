@@ -131,11 +131,36 @@ def _parse_file(data: bytes, fq_path: str, grammar: Grammar) -> SourceFileRecord
     return SourceFileRecord(fq_path, basename, methods, parse_ok=True)
 
 
+def _suffix(name: str) -> str:
+    """The suffix `Path.suffix` reads: from the last dot, unless the name
+    starts or ends with it, so `.java` has none."""
+    dot = name.rfind(".")
+    return name[dot:] if 0 < dot < len(name) - 1 else ""
+
+
 def source_paths(root: Path, extensions: tuple[str, ...]) -> list[str]:
     """The '/'-separated paths, relative to `root`, of the files under it
-    whose suffix is one of `extensions`, in the order of their `Path`s."""
-    paths = sorted(p for p in root.rglob("*") if p.is_file() and p.suffix in extensions)
-    return [p.relative_to(root).as_posix() for p in paths]
+    whose suffix is one of `extensions`, in the order of their `Path`s: by
+    parts, not by string. One `os.scandir` walk, which enters no symlinked
+    directory, as `Path.rglob` does, and logs and skips a directory it
+    cannot list; a missing root has no files."""
+    found: list[tuple[str, ...]] = []
+
+    def walk(directory: str, parts: tuple[str, ...]) -> None:
+        try:
+            with os.scandir(directory) as listing:
+                entries = list(listing)
+        except OSError as exc:
+            logger.warning("directory unreadable, skipped: %s (%s)", directory, exc)
+            return
+        for entry in entries:
+            if entry.is_dir(follow_symlinks=False):
+                walk(entry.path, (*parts, entry.name))
+            elif _suffix(entry.name) in extensions and entry.is_file():
+                found.append((*parts, entry.name))
+
+    walk(str(root), ())
+    return ["/".join(parts) for parts in sorted(found)]
 
 
 def build_index(repo_root: str | Path, grammar: str = "java", version_id: str = "") -> CodeIndex:
@@ -208,13 +233,20 @@ def diff_source_trees(
 
     `old` is the old snapshot's directory, or the sha256 hex of each of its
     files by path, as `CodeIndex.digests` records them; given digests, only
-    the new tree is read. A deleted path and an added path with identical
-    content are paired as a rename (greedily, in sorted-path order).
+    the new tree is read. A file that cannot be read is logged and counts as
+    absent, as `update_index` skips it. A deleted path and an added path with
+    identical content are paired as a rename (greedily, in sorted-path order).
     """
 
     def digest_tree(root: Path) -> dict[str, str]:
-        paths = source_paths(root, extensions)
-        return {rel: hashlib.sha256((root / rel).read_bytes()).hexdigest() for rel in paths}
+        digests = {}
+        for rel in source_paths(root, extensions):
+            try:
+                with open(root / rel, "rb") as file:
+                    digests[rel] = hashlib.sha256(file.read()).hexdigest()
+            except OSError as exc:
+                logger.error("unreadable, left out of the diff: %s (%s)", rel, exc)
+        return digests
 
     if not isinstance(old, dict):
         old = digest_tree(Path(old))

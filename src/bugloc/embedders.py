@@ -16,6 +16,7 @@ import json
 import logging
 import os
 import threading
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -66,10 +67,16 @@ class EmbeddingProvider:
 
 
 class HashingEmbedder(EmbeddingProvider):
-    """Signed token-hashing bag-of-words embedder.
+    """Signed token-hashing bag-of-words embedder (feature hashing, as in
+    Weinberger et al., 2009), each row scaled to unit length.
 
-    Identical text always yields a bitwise-identical vector: token buckets and
-    signs come from MD5, never from Python's salted hash().
+    A token's bucket and sign come from the MD5 of its lowercased text, never
+    from Python's salted hash(), so identical text always yields a bitwise
+    identical vector. A row sums sign x count over the text's distinct
+    tokens; sums of +-1 are exact integers, so the order of adding is free.
+    A memo maps each token seen to its signed code, (bucket + 1) x sign.
+    Entries are pure functions of the token, so threads that race on one
+    entry write the same value.
     """
 
     def __init__(self, dimension: int = 64):
@@ -77,24 +84,25 @@ class HashingEmbedder(EmbeddingProvider):
             raise ValueError("dimension must be >= 1")
         self.dimension = dimension
         self.provider_id = f"hashing-{dimension}"
-        # token -> (bucket, sign); entries are pure functions of the token, so
-        # threads that race on one only ever write the same value
-        self._buckets: dict[str, tuple[int, float]] = {}
+        self._codes: dict[str, int] = {}  # token -> (bucket + 1) * sign
 
-    def _bucket(self, token: str) -> tuple[int, float]:
-        hit = self._buckets.get(token)
-        if hit is None:
-            digest = hashlib.md5(token.lower().encode("utf-8")).digest()
-            bucket = int.from_bytes(digest[:4], "big") % self.dimension
-            hit = self._buckets[token] = (bucket, 1.0 if digest[4] & 1 else -1.0)
-        return hit
+    def _code(self, token: str) -> int:
+        digest = hashlib.md5(token.lower().encode("utf-8")).digest()
+        bucket = int.from_bytes(digest[:4], "big") % self.dimension
+        sign = 1 if digest[4] & 1 else -1
+        code = self._codes[token] = sign * (bucket + 1)
+        return code
 
     def embed_batch(self, texts: list[str]) -> np.ndarray:
         out = np.zeros((len(texts), self.dimension))
         for vec, text in zip(out, texts):
-            pairs = np.array([self._bucket(token) for token in tokenize(text)]).reshape(-1, 2)
-            # sums of +-1.0 are exact integers, so the order of adding is free
-            vec[:] = np.bincount(pairs[:, 0].astype(np.intp), weights=pairs[:, 1], minlength=self.dimension)
+            counts = Counter(tokenize(text))
+            codes = list(map(self._codes.get, counts))
+            if None in codes:
+                codes = [self._code(token) if code is None else code for token, code in zip(counts, codes)]
+            signed = np.array(codes, dtype=np.intp)
+            weights = np.sign(signed) * np.fromiter(counts.values(), np.float64, len(counts))
+            vec[:] = np.bincount(np.abs(signed) - 1, weights=weights, minlength=self.dimension)
             norm = float(np.linalg.norm(vec))
             if norm > 0.0:
                 vec /= norm

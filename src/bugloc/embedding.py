@@ -28,7 +28,7 @@ from .code_index import (
     file_representation, load_record, read_manifest, store_record, write_manifest,
 )
 from .embedders import EmbeddingProvider
-from .tokens import token_spans
+from .tokens import MAX_CHUNK_TOKENS, chunk_pattern, tokenize
 from .validation import InputValidationError, require_bug_text
 
 logger = logging.getLogger(__name__)
@@ -114,25 +114,18 @@ def chunk_text(text: str, chunk_limit: int = DEFAULT_CHUNK_LIMIT, fq_path: str =
 
     Chunk boundaries fall between tokens, so the concatenated token streams of
     the chunks equal the token stream of the input. A tokenless input yields
-    exactly one empty chunk.
+    exactly one empty chunk. Each chunk is one match of the limit's chunk
+    pattern, so every chunk but the last holds chunk_limit tokens.
     """
     if chunk_limit < 1:
         raise ValueError("chunk_limit must be >= 1")
-    spans = token_spans(text)
-    if not spans:
-        return [Chunk(fq_path=fq_path, seq=0, text="", token_count=0)]
-    chunks: list[Chunk] = []
-    for seq, start in enumerate(range(0, len(spans), chunk_limit)):
-        group = spans[start : start + chunk_limit]
-        chunks.append(
-            Chunk(
-                fq_path=fq_path,
-                seq=seq,
-                text=text[group[0][0] : group[-1][1]],
-                token_count=len(group),
-            )
-        )
-    return chunks
+    full = min(chunk_limit, MAX_CHUNK_TOKENS)
+    texts = chunk_pattern(full).findall(text) or [""]
+    last = len(texts) - 1
+    return [
+        Chunk(fq_path, seq, chunk, full if seq < last else len(tokenize(chunk)))
+        for seq, chunk in enumerate(texts)
+    ]
 
 
 def build_embedding_index(

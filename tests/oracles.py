@@ -65,3 +65,34 @@ def map_oracle(rankings: dict[str, list[str]], truths: dict[str, set], k: int) -
                 numerator += precision_j * rel_j
         total += numerator / len(truth)
     return total / len(rankings)
+
+
+WORD_CHARACTERS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_")
+
+
+def chunk_text_oracle(text: str, limit: int) -> list[tuple[str, int]]:
+    """Greedy token packing, one character and one token at a time: the
+    (text, token count) of each chunk, a chunk running from the first
+    character of its first token to the last of its last. A token is a run
+    of ASCII letters, digits and underscores, or any other character that is
+    not whitespace; a text without tokens is one empty chunk."""
+    starts, ends = [], []
+    position = 0
+    while position < len(text):
+        if text[position].isspace():
+            position += 1
+            continue
+        starts.append(position)
+        if text[position] in WORD_CHARACTERS:
+            while position < len(text) and text[position] in WORD_CHARACTERS:
+                position += 1
+        else:
+            position += 1
+        ends.append(position)
+    if not starts:
+        return [("", 0)]
+    chunks = []
+    for first in range(0, len(starts), limit):
+        last = min(first + limit, len(starts)) - 1
+        chunks.append((text[starts[first] : ends[last]], last - first + 1))
+    return chunks

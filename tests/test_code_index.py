@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import random
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from bugloc.code_index import (
     load_code_index,
     load_record,
     save_code_index,
+    source_paths,
     update_index,
 )
 from bugloc.java_parser import get_grammar
@@ -230,6 +232,25 @@ def test_diff_source_trees_detects_all_kinds(tmp_path):
     assert changeset.deleted == ("gone/Dead.java",)
     assert changeset.renamed == (("move/Src.java", "moved/Dst.java"),)
     assert diff_source_trees(build_index(old, "java", "old").digests, new) == changeset
+
+
+def test_source_paths_walk_finds_what_rglob_finds_in_path_order(tmp_path):
+    names = [
+        "a.java", "a-b/x.java", "a/x.java", "a/b/c.java", "A.java", "aa/x.java", ".java", "..java",
+        "d..java", "c.", "e.java.bak", "z.JAVA", ".hidden/y.java", "dir.java/inner.java", "a/b.jav",
+    ]
+    write_tree(tmp_path, {name: "class X { }" for name in names})
+    os.symlink(tmp_path / "a", tmp_path / "link")  # a symlinked directory is not entered
+    os.symlink(tmp_path / "a.java", tmp_path / "alias.java")  # a symlinked file counts
+    os.symlink(tmp_path / "missing.java", tmp_path / "broken.java")  # a broken link is no file
+    found = source_paths(tmp_path, (".java",))
+    assert found == [
+        "..java", ".hidden/y.java", "A.java", "a/b/c.java", "a/x.java", "a-b/x.java", "a.java",
+        "aa/x.java", "alias.java", "d..java", "dir.java/inner.java",
+    ]
+    paths = sorted(p for p in tmp_path.rglob("*") if p.is_file() and p.suffix == ".java")
+    assert found == [p.relative_to(tmp_path).as_posix() for p in paths]
+    assert source_paths(tmp_path / "missing", (".java",)) == []
 
 
 def test_records_and_digests_of_files_with_odd_bytes(tmp_path):

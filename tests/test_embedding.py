@@ -33,6 +33,7 @@ from bugloc.embedding import (
 from bugloc.tokens import tokenize
 from bugloc.validation import InputValidationError
 from conftest import html_response, java_class, make_bug, write_tree
+from oracles import chunk_text_oracle
 
 
 # --- chunking -------------------------------------------------------------
@@ -81,6 +82,37 @@ def test_chunk_reassembly_random_sweep():
 def test_chunk_limit_must_be_positive():
     with pytest.raises(ValueError):
         chunk_text("x", chunk_limit=0)
+
+
+# Pieces of random texts: words, punctuation, every kind of whitespace,
+# non-ASCII letters and digits (each a token of its own), emoji.
+CHUNK_PIECES = (
+    "a", "Zq", "zoomOut", "beta_2", "_", "0", "42", "x9_y", "(", ")", "{", "};", ".", "==", "\\", '"',
+    " ", "  ", "\t", "\n", "\r\n", "\x0b", "\x0c", "\x1c", "\xa0", "\u2003", "\u3000",
+    "é", "Ünï", "ß", "数字", "٣٤", "²", "Ⅻ", "😀", "ﬁ",
+)
+CHUNK_LIMITS = (1, 2, 7, 64, 300, 10**6)
+
+
+def test_chunks_equal_token_by_token_packing():
+    rng = random.Random(18)
+    texts = ["", " ", " \t\n\r\x0b\x0c\xa0\u2003 ", "x", "数", "a\u2003b"]
+    for _ in range(400):
+        n = rng.choice((rng.randint(1, 12), rng.randint(1, 200), rng.randint(500, 1500)))
+        weights = [rng.random() for _ in CHUNK_PIECES]
+        texts.append("".join(rng.choices(CHUNK_PIECES, weights, k=n)))
+    for text in texts:
+        for limit in CHUNK_LIMITS:
+            chunks = chunk_text(text, limit, "p/F.java")
+            assert [(c.text, c.token_count) for c in chunks] == chunk_text_oracle(text, limit), (text, limit)
+            assert [(c.fq_path, c.seq) for c in chunks] == [("p/F.java", i) for i in range(len(chunks))]
+
+
+def test_huge_chunk_limits_give_one_chunk():
+    text = " void zoomOut(int step) {\n\treturn; } "
+    for limit in (2**32 - 2, 2**32 - 1, 2**32, 2**40):
+        assert chunk_text(text, limit) == [Chunk("", 0, text.strip(), len(tokenize(text)))]
+        assert chunk_text(" \n", limit) == [Chunk("", 0, "", 0)]
 
 
 # --- golden chunks and embeddings: pinned as digests ---------------------

@@ -121,6 +121,42 @@ def test_version_store_update_reads_each_file_of_the_new_tree_and_none_of_the_ol
     assert reads == Counter({root / "v2" / rel: 1 + (rel in changed) for rel in v2})
 
 
+@pytest.mark.parametrize("locked", ["org/F1.java", "org/Locked.java"])  # unchanged since v1; new in v2
+def test_version_store_update_leaves_out_an_unreadable_file(tmp_path, monkeypatch, caplog, locked):
+    root = tmp_path / "repo"
+    v1 = {f"org/F{i}.java": java_class(f"F{i}", {f"m{i}": "a();"}) for i in range(3)}
+    v2 = {**v1, "org/F0.java": java_class("F0", {"m0": "b();"}), "org/Locked.java": java_class("Locked", {})}
+    write_tree(root / "v1", v1)
+    write_tree(root / "v2", v2)
+    provider = HashingEmbedder(16)
+    store = VersionStore(root, embedding_provider=provider)
+    store.get("v1")
+    denied = root / "v2" / locked
+    real_open, real_read_bytes = io.open, Path.read_bytes
+
+    def locked_open(file, *args, **kwargs):
+        if Path(file) == denied:
+            raise PermissionError(13, "Permission denied", str(file))
+        return real_open(file, *args, **kwargs)
+
+    def locked_read_bytes(path):
+        if path == denied:
+            raise PermissionError(13, "Permission denied", str(path))
+        return real_read_bytes(path)
+
+    monkeypatch.setattr(io, "open", locked_open)
+    monkeypatch.setattr(builtins, "open", locked_open)
+    monkeypatch.setattr(Path, "read_bytes", locked_read_bytes)
+    with caplog.at_level("ERROR"):
+        code, embed = store.get("v2")
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and locked in errors[0]
+    fresh = build_index(root / "v2", "java", "v2")
+    assert locked not in fresh.files
+    assert code == fresh
+    assert embed.records == build_embedding_index(fresh, provider).records
+
+
 def test_version_store_archives_cached(tmp_path):
     root = versioned_repo(tmp_path)
     cache = tmp_path / "cache"

@@ -1,4 +1,6 @@
-from bugloc.tokens import camel_split, token_spans, tokenize
+import pytest
+
+from bugloc.tokens import MAX_CHUNK_TOKENS, camel_split, chunk_pattern, tokenize
 
 
 def test_empty_text_has_no_tokens():
@@ -21,10 +23,21 @@ def test_punctuation_is_single_char_tokens():
     assert tokenize("a==b;") == ["a", "=", "=", "b", ";"]
 
 
-def test_spans_align_with_tokens():
-    text = "void zoomOut(int step) { return; }"
-    spans = token_spans(text)
-    assert [text[s:e] for s, e in spans] == tokenize(text)
+def test_chunk_pattern_matches_whole_chunks_of_tokens():
+    text = "void zoomOut(int step)\t{ return; }"
+    assert chunk_pattern(3).findall(text) == ["void zoomOut(", "int step)", "{ return;", "}"]
+    assert chunk_pattern(1).findall(text) == tokenize(text)
+    assert chunk_pattern(MAX_CHUNK_TOKENS).findall(f"  {text}\n") == [text]
+    assert chunk_pattern(4).findall(" \n\t") == [] and chunk_pattern(4).findall("") == []
+
+
+def test_chunk_pattern_is_compiled_once_per_limit():
+    assert chunk_pattern(300) is chunk_pattern(300)
+    for limit in (0, MAX_CHUNK_TOKENS + 1):
+        with pytest.raises(ValueError):
+            chunk_pattern(limit)
+    with pytest.raises(TypeError):
+        chunk_pattern(2.5)
 
 
 def test_camel_split():
