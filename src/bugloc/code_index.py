@@ -3,7 +3,14 @@
 A CodeIndex is built from a directory snapshot, updated incrementally with a
 Changeset, and persisted as a manifest over content-addressed record objects.
 Indexes are value objects: updates return a new index and reuse records for
-untouched files.
+untouched files. The method locator of a new index is its base's, with only
+the names of the records dropped or added worked out again, whether the new
+index comes from an update, a load with a base or a build from scratch (the
+update of the empty index), so a version shares the path tuples of its
+unchanged names with the version before. A record object is a JSON head line
+(path, basename, parse_ok and each method's name, signature, body length and
+abstract flag), then every body as raw UTF-8 text; code archives of format 4
+hold such objects, and an archive of an older format is not read.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ import os
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 
 from .fuzzy import NameTable
@@ -24,7 +32,7 @@ from .java_parser import Grammar, get_grammar
 logger = logging.getLogger(__name__)
 
 ARCHIVE_MAGIC = "bugloc-code-index"
-ARCHIVE_FORMAT = 3
+ARCHIVE_FORMAT = 4
 OBJECTS_DIR = "objects"  # beside the manifests
 _DIGEST = re.compile("[0-9a-f]{64}")
 
@@ -108,12 +116,32 @@ class CodeIndex:
         return [p for p in paths if self.files[p].basename == basename]
 
 
-def _build_locator(files: dict[str, SourceFileRecord]) -> dict[str, tuple[str, ...]]:
-    locator: dict[str, set[str]] = {}
-    for record in files.values():
-        for method in record.methods:
-            locator.setdefault(method.name, set()).add(record.fq_path)
-    return {name: tuple(sorted(paths)) for name, paths in sorted(locator.items())}
+def _update_locator(base: CodeIndex, files: dict[str, SourceFileRecord]) -> dict[str, tuple[str, ...]]:
+    """The method locator of `files`, name -> sorted paths in name order,
+    made from `base`'s, which must be the locator of `base.files`. Records
+    are compared by identity: only the names of the records of `base` that
+    `files` does not hold, and of those `files` holds anew, are worked out
+    again, and every name whose paths stay the same keeps its tuple."""
+    old, base_locator = base.files, base.method_locator
+    dropped = [record for path, record in old.items() if files.get(path) is not record]
+    added = [record for path, record in files.items() if old.get(path) is not record]
+    changed: dict[str, set[str]] = {}
+    for records, edit in ((dropped, set.discard), (added, set.add)):
+        for record in records:
+            for method in record.methods:
+                paths = changed.get(method.name)
+                if paths is None:
+                    paths = changed[method.name] = set(base_locator.get(method.name, ()))
+                edit(paths, record.fq_path)
+    locator = dict(base_locator)
+    for name, paths in changed.items():
+        if not paths:
+            locator.pop(name, None)
+        elif locator.get(name) != (fresh := tuple(sorted(paths))):
+            locator[name] = fresh
+    if not changed.keys() <= base_locator.keys():  # a new name: NameTable reads the key order
+        locator = {name: locator[name] for name in sorted(locator)}
+    return locator
 
 
 def _parse_file(data: bytes, fq_path: str, grammar: Grammar) -> SourceFileRecord:
@@ -223,7 +251,7 @@ def update_index(
         files[fq_path] = _parse_file(data, fq_path, gram)
 
     digests = {path: digests[path] for path in files}
-    return CodeIndex(new_version, files, _build_locator(files), index.grammar, digests)
+    return CodeIndex(new_version, files, _update_locator(index, files), index.grammar, digests)
 
 
 def diff_source_trees(
@@ -332,15 +360,18 @@ class ObjectPool:
         interned value after. `source` is the key of the object it was made
         from, if any (see `made_from`)."""
         value = self._values.get(key)
-        if value is None:
-            data = self._unread.pop(key, None)
-            if data is None:
-                raise ArchiveFormatError(f"object {key} is in none of the packs read")
-            try:
-                value = decode(data)
-            except (KeyError, TypeError, ValueError) as exc:
-                self._drop(self._pack_of[key])
-                raise ArchiveFormatError(f"object {key} is damaged: {exc}") from None
+        if value is not None:
+            if source is not None:
+                self._made_from[source] = key
+            return value
+        data = self._unread.pop(key, None)
+        if data is None:
+            raise ArchiveFormatError(f"object {key} is in none of the packs read")
+        try:
+            value = decode(data)
+        except (KeyError, TypeError, ValueError) as exc:
+            self._drop(self._pack_of[key])
+            raise ArchiveFormatError(f"object {key} is damaged: {exc}") from None
         return self._intern(key, value, source)
 
     def put(self, data: bytes, value=None, source: str | None = None) -> str:
@@ -419,16 +450,33 @@ def _split_pack(data: bytes) -> dict[str, bytes]:
 
 
 def _encode_record(record: SourceFileRecord) -> bytes:
-    """A record object: the JSON list [fq_path, basename, parse_ok, methods],
-    each method a list [name, signature, body, abstract]."""
-    methods = [[m.name, m.signature, m.body, m.abstract] for m in record.methods]
+    """A record object: the JSON line [fq_path, basename, parse_ok, methods],
+    each method a list [name, signature, body length, abstract], then the
+    bodies one after another. All of it is UTF-8 with surrogates passed
+    through, and the head escapes no other character, so that every string
+    comes back as it was: JSON would join an escaped surrogate pair."""
+    methods = [[m.name, m.signature, len(m.body), m.abstract] for m in record.methods]
     fields = [record.fq_path, record.basename, record.parse_ok, methods]
-    return json.dumps(fields, separators=(",", ":")).encode("utf-8")
+    text = json.dumps(fields, ensure_ascii=False, separators=(",", ":")) + "\n"
+    return (text + "".join(m.body for m in record.methods)).encode("utf-8", "surrogatepass")
 
 
 def _decode_record(data: bytes) -> SourceFileRecord:
-    fq_path, basename, parse_ok, methods = json.loads(data)
-    return SourceFileRecord(fq_path, basename, tuple(MethodRecord(*m) for m in methods), parse_ok)
+    head, _, bodies = data.partition(b"\n")
+    fq_path, basename, parse_ok, methods = json.loads(head)
+    if type(methods) is not list:  # a head that is a dict or a string unpacks too
+        raise ValueError("its head is not a list of four fields, the last a list of methods")
+    text = bodies.decode("utf-8", "surrogatepass")
+    decoded, end = [], 0
+    for name, signature, length, abstract in methods:
+        body = text[end : end + length]
+        if len(body) != length:
+            raise ValueError(f"a body of {length!r} characters at offset {end} of {len(text)}")
+        decoded.append(MethodRecord(name, signature, body, abstract))
+        end += length
+    if end != len(text):
+        raise ValueError(f"its methods cover {end} of its {len(text)} body characters")
+    return SourceFileRecord(fq_path, basename, tuple(decoded), parse_ok)
 
 
 def archive_pool(path: str | Path, pool: ObjectPool | None) -> ObjectPool:
@@ -470,17 +518,24 @@ def read_manifest(
             raise ArchiveFormatError(
                 f"unsupported archive format {header.get('format')!r} in {path}"
             )
-        try:
-            entries = [json.loads(line) for line in handle if line.strip()]
-        except ValueError as exc:
-            raise ArchiveFormatError(f"unreadable entry in {path}: {exc!r}") from None
-    for entry in entries:
-        shaped = isinstance(entry, list) and len(entry) == width
-        if not (shaped and all(isinstance(part, str) for part in entry)):
-            raise ArchiveFormatError(f"malformed entry in {path}: {entry!r}")
-    for entry, following in zip(entries, entries[1:]):
-        if entry[0] >= following[0]:
-            raise ArchiveFormatError(f"{path} lists {following[0]!r} out of order or twice")
+        lines = [line for line in handle if line.strip()]
+    try:
+        entries = json.loads("[" + ",".join(lines) + "]")
+    except ValueError as exc:
+        raise ArchiveFormatError(f"unreadable entry in {path}: {exc!r}") from None
+    # The one decode also takes two entries on one line, or an entry cut
+    # between its items over two lines. No string spans lines, so when every
+    # line ends a list, each line holds whole lists, and as many as there
+    # are lines only if it holds one.
+    if len(entries) != len(lines) or not all(line.rstrip().endswith("]") for line in lines):
+        raise ArchiveFormatError(f"unreadable entry in {path}: a line that is not one entry")
+    shaped = set(map(type, entries)) <= {list} and set(map(len, entries)) <= {width}
+    if not (shaped and set(map(type, chain.from_iterable(entries))) <= {str}):
+        raise ArchiveFormatError(f"malformed entry in {path}: not a list of {width} strings")
+    paths = [entry[0] for entry in entries]
+    if not all(map(str.__lt__, paths, paths[1:])):
+        following = next(b for a, b in zip(paths, paths[1:]) if a >= b)
+        raise ArchiveFormatError(f"{path} lists {following!r} out of order or twice")
     if len(entries) != header.get("file_count"):
         raise ArchiveFormatError(
             f"{path} holds {len(entries)} entries, its header says {header.get('file_count')!r}"
@@ -519,9 +574,19 @@ def load_record(pool: ObjectPool, fq_path: str, key: str) -> SourceFileRecord:
     return record
 
 
-def load_code_index(path: str | Path, pool: ObjectPool | None = None) -> CodeIndex:
+def load_code_index(
+    path: str | Path, pool: ObjectPool | None = None, base: CodeIndex | None = None
+) -> CodeIndex:
+    """The index a manifest lists, its records read through `pool`. Given a
+    `base`, say the index of the version before, read through the same pool,
+    the locator is `base`'s with the names of the records that differ worked
+    out again, and a file that `base` records with the same digest shares
+    `base`'s digest string."""
     pool = archive_pool(path, pool)
     header, entries = read_manifest(path, ARCHIVE_MAGIC, ARCHIVE_FORMAT, 3, pool)
+    base = CodeIndex("") if base is None else base
     files = {fq_path: load_record(pool, fq_path, key) for fq_path, key, _ in entries}
-    digests = {fq_path: digest for fq_path, _, digest in entries}
-    return CodeIndex(header["version_id"], files, _build_locator(files), header.get("grammar"), digests)
+    old = base.digests
+    digests = {fq_path: old[fq_path] if old.get(fq_path) == d else d for fq_path, _, d in entries}
+    grammar = header.get("grammar")
+    return CodeIndex(header["version_id"], files, _update_locator(base, files), grammar, digests)

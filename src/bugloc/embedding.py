@@ -37,7 +37,7 @@ DEFAULT_CHUNK_LIMIT = 300
 DEFAULT_SHORTLIST_K = 50
 
 EMBED_ARCHIVE_MAGIC = "bugloc-embedding-index"
-EMBED_ARCHIVE_FORMAT = 2
+EMBED_ARCHIVE_FORMAT = 3
 
 
 @dataclass(frozen=True)
@@ -70,18 +70,22 @@ class EmbeddingIndex:
     sources: Mapping[str, SourceFileRecord] = field(default_factory=dict)
 
     def __post_init__(self):
-        chunks = list(self.chunks)
+        chunks = tuple(self.chunks)
         matrix = np.asarray(self.vectors, dtype=np.float64)
         if (chunks or matrix.size) and matrix.shape != (len(chunks), self.dimension):
             raise ValueError(f"vectors of shape {matrix.shape}, expected ({len(chunks)}, {self.dimension})")
-        order = sorted(range(len(chunks)), key=lambda i: (chunks[i].fq_path, chunks[i].seq))
-        self.chunks = tuple(chunks[i] for i in order)
-        self.vectors = matrix.reshape(-1, self.dimension)[order]
+        matrix = matrix.reshape(-1, self.dimension)
+        keys = [(c.fq_path, c.seq) for c in chunks]
+        if all(key < following for key, following in zip(keys, keys[1:])):
+            matrix = matrix.copy()  # the index shares no memory with its caller
+        else:
+            order = sorted(range(len(keys)), key=keys.__getitem__)
+            chunks, matrix, keys = tuple(chunks[i] for i in order), matrix[order], [keys[i] for i in order]
+            for key, following in zip(keys, keys[1:]):
+                if key == following:
+                    raise ValueError(f"duplicate embedding record for {key}")
+        self.chunks, self.vectors = chunks, matrix
         self.vectors.flags.writeable = False
-        keys = [(c.fq_path, c.seq) for c in self.chunks]
-        for key, following in zip(keys, keys[1:]):
-            if key == following:
-                raise ValueError(f"duplicate embedding record for {key}")
         self.norms = np.sqrt(np.vecdot(self.vectors, self.vectors))  # np.linalg.norm of each row
         starts = [i for i, key in enumerate(keys) if i == 0 or key[0] != keys[i - 1][0]]
         self.file_starts = np.array(starts, dtype=np.intp)

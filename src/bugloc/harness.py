@@ -105,8 +105,9 @@ class VersionStore:
         provider = self.embedding_provider
         if provider is not None and not archives[1].exists():
             return None
+        last = self._built.get(self._last_version)
         try:
-            code = load_code_index(archives[0], pool=self.objects)
+            code = load_code_index(archives[0], pool=self.objects, base=last and last[0])
             embed = None if provider is None else load_embedding_index(archives[1], pool=self.objects)
         except ArchiveFormatError as exc:
             reason = str(exc)

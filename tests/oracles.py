@@ -96,3 +96,14 @@ def chunk_text_oracle(text: str, limit: int) -> list[tuple[str, int]]:
         last = min(first + limit, len(starts)) - 1
         chunks.append((text[starts[first] : ends[last]], last - first + 1))
     return chunks
+
+
+def locator_oracle(files) -> dict[str, tuple[str, ...]]:
+    """The method locator of `files` (path -> record), built from nothing:
+    every method name, in sorted order, with the sorted paths of the files
+    that declare it."""
+    names = sorted({method.name for record in files.values() for method in record.methods})
+    return {
+        name: tuple(sorted({r.fq_path for r in files.values() if any(m.name == name for m in r.methods)}))
+        for name in names
+    }

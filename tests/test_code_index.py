@@ -2,16 +2,22 @@ import hashlib
 import json
 import os
 import random
+from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from bugloc import code_index
 from bugloc.code_index import (
     ArchiveFormatError,
     Changeset,
     CodeIndex,
     ConfigurationError,
+    MethodRecord,
     ObjectPool,
+    SourceFileRecord,
+    _update_locator,
     build_index,
     diff_source_trees,
     file_representation,
@@ -19,10 +25,12 @@ from bugloc.code_index import (
     load_record,
     save_code_index,
     source_paths,
+    store_record,
     update_index,
 )
 from bugloc.java_parser import get_grammar
 from conftest import java_class, write_tree
+from oracles import locator_oracle
 
 
 def test_empty_directory_gives_empty_index(tmp_path):
@@ -207,6 +215,113 @@ def test_random_changesets_match_full_rebuild(tmp_path):
         assert index == rebuilt
 
 
+NAMES = ("close", "get", "open", "run", "set", "size")
+
+
+def random_record(rng, path: str, names=NAMES) -> SourceFileRecord:
+    """A record of up to five methods drawn from `names`, so some are
+    overloads; one in six fails to parse and has no methods."""
+    basename = path.rsplit("/", 1)[-1]
+    if rng.randrange(6) == 0:
+        return SourceFileRecord(path, basename, (), parse_ok=False)
+    picked = [rng.choice(names) for _ in range(rng.randint(0, 5))]
+    methods = tuple(MethodRecord(n, f"{n}(int{i})", f"void {n}(int{i} a) {{}}") for i, n in enumerate(picked))
+    return SourceFileRecord(path, basename, methods, parse_ok=True)
+
+
+def random_files(rng, n: int, prefix: str) -> dict[str, SourceFileRecord]:
+    paths = [f"{prefix}{i % 3}/F{i}.java" for i in range(n)]
+    return {path: random_record(rng, path) for path in paths}
+
+
+def changed_files(rng, files: dict, step: int) -> dict[str, SourceFileRecord]:
+    """`files` after a few random changes: adds, edits, deletes, renames,
+    a name taken out of every file, and names that sort first and last."""
+    files = dict(files)
+    for _ in range(rng.randint(1, 4)):
+        op = rng.choice(("add", "edit", "delete", "rename", "drop a name", "first and last"))
+        paths = sorted(files)
+        if op == "add" or not paths:
+            path = f"new/N{step}x{rng.randrange(10**6)}.java"
+            files[path] = random_record(rng, path)
+        elif op == "edit":
+            path = rng.choice(paths)
+            files[path] = random_record(rng, path)
+        elif op == "delete":
+            del files[rng.choice(paths)]
+        elif op == "rename":
+            record = files.pop(rng.choice(paths))
+            path = f"moved/R{step}x{rng.randrange(10**6)}.java"
+            files[path] = replace(record, fq_path=path, basename=path.rsplit("/", 1)[-1])
+        elif op == "drop a name":
+            name = rng.choice(NAMES)
+            for path, record in files.items():
+                if any(m.name == name for m in record.methods):
+                    methods = tuple(m for m in record.methods if m.name != name)
+                    files[path] = replace(record, methods=methods)
+        else:
+            path = rng.choice(paths)
+            files[path] = random_record(rng, path, names=(f"Aaa{step}", f"zzz{step}", "get"))
+    return files
+
+
+def assert_locator_of(files: dict, base: CodeIndex) -> dict:
+    """The locator updated from `base`: that of `files` in content and key
+    order, sharing the tuple of every name of no record that differs, and of
+    every name whose paths are those of `base`."""
+    locator = _update_locator(base, files)
+    assert list(locator.items()) == list(locator_oracle(files).items())
+    differing = [r for p, r in base.files.items() if files.get(p) is not r]
+    differing += [r for p, r in files.items() if base.files.get(p) is not r]
+    touched = {m.name for record in differing for m in record.methods}
+    for name, paths in locator.items():
+        if name not in touched or paths == base.method_locator.get(name):
+            assert paths is base.method_locator[name]
+    return locator
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_locator_update_equals_a_build_from_nothing_from_any_base(seed):
+    rng = random.Random(seed)
+    files = random_files(rng, rng.randint(0, 14), "pkg")
+    previous = CodeIndex("v0", files, assert_locator_of(files, CodeIndex("")))
+    unrelated_files = random_files(random.Random(seed + 100), 10, "pkg")
+    unrelated = CodeIndex("u", unrelated_files, locator_oracle(unrelated_files))
+    for step in range(1, 25):
+        files = changed_files(rng, previous.files, step)
+        for base in (CodeIndex(""), unrelated, CodeIndex("same", files, locator_oracle(files))):
+            assert_locator_of(files, base)
+        previous = CodeIndex(f"v{step}", files, assert_locator_of(files, previous))
+
+
+def test_a_load_works_out_again_only_the_names_of_the_files_that_differ(tmp_path, monkeypatch):
+    root = tmp_path / "repo"
+    write_tree(root, {f"org/F{i}.java": java_class(f"F{i}", {f"m{i}": "a();", "shared": "b();"}) for i in range(12)})
+    pool = ObjectPool(tmp_path / "objects")
+    save_code_index(build_index(root, "java", "v0"), tmp_path / "v0.jsonl", pool=pool)
+    write_tree(root, {"org/F3.java": java_class("F3", {"edited": "c();"}), "org/New.java": java_class("New", {})})
+    (root / "org/F7.java").unlink()
+    save_code_index(build_index(root, "java", "v1"), tmp_path / "v1.jsonl", pool=pool)
+
+    read = Counter()
+
+    class Counted(SourceFileRecord):
+        def __getattribute__(self, name):
+            if name == "methods":
+                read[object.__getattribute__(self, "fq_path")] += 1
+            return object.__getattribute__(self, name)
+
+    decode = code_index._decode_record
+    monkeypatch.setattr(code_index, "_decode_record", lambda data: Counted(**vars(decode(data))))
+    pool = ObjectPool(tmp_path / "objects")
+    v0 = load_code_index(tmp_path / "v0.jsonl", pool=pool)
+    read.clear()
+    v1 = load_code_index(tmp_path / "v1.jsonl", pool=pool, base=v0)
+    assert read == {"org/F3.java": 2, "org/F7.java": 1, "org/New.java": 1}  # F3: the old record and the new
+    assert list(v1.method_locator.items()) == list(locator_oracle(v1.files).items())
+    assert v1.method_locator["m5"] is v0.method_locator["m5"]
+
+
 def test_diff_source_trees_detects_all_kinds(tmp_path):
     old = write_tree(
         tmp_path / "old",
@@ -340,6 +455,41 @@ def test_archive_rejects_a_repeated_or_unsorted_path(tmp_path, edit):
         load_code_index(archive)
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        "two entries on one line",
+        "an entry split over two lines",
+        "a trailing comma",
+        "an entry split over two lines, the next on its second",
+    ],
+)
+def test_archive_rejects_a_line_that_is_not_one_entry(tmp_path, edit):
+    archive = two_file_archive(tmp_path)
+    header, a_line, b_line = archive.read_text(encoding="utf-8").splitlines()
+    a_split = a_line.replace(", ", "\n", 1)  # ["org/A.java"  then  "key", "digest"]
+    body = {
+        "two entries on one line": [f"{a_line}, {b_line}"],
+        "an entry split over two lines": [a_split, b_line],
+        "a trailing comma": [a_line, b_line + ","],
+        "an entry split over two lines, the next on its second": [f"{a_split}, {b_line}"],
+    }[edit]
+    archive.write_text("\n".join([header, *body]) + "\n", encoding="utf-8")
+    with pytest.raises(ArchiveFormatError, match="unreadable entry"):
+        load_code_index(archive)
+
+
+@pytest.mark.parametrize(
+    "entry", [[], ["org/A.java", "0" * 64], ["org/A.java", "0" * 64, 7], [["org/A.java"], "0" * 64, "1" * 64]]
+)
+def test_archive_rejects_an_entry_that_is_not_a_list_of_three_strings(tmp_path, entry):
+    archive = two_file_archive(tmp_path)
+    header, a_line, b_line = archive.read_text(encoding="utf-8").splitlines()
+    archive.write_text("\n".join([header, json.dumps(entry), b_line]) + "\n", encoding="utf-8")
+    with pytest.raises(ArchiveFormatError, match="malformed entry"):
+        load_code_index(archive)
+
+
 def test_archive_rejects_a_pack_cut_at_any_length_and_unlinks_it(tmp_path):
     archive = two_file_archive(tmp_path)
     (name,) = json.loads(archive.read_text(encoding="utf-8").splitlines()[0])["packs"]
@@ -420,6 +570,59 @@ def test_a_pool_forgets_what_was_made_from_an_object_of_a_pack_it_dropped(tmp_pa
     reader = ObjectPool(tmp_path / "objects")
     reader.read(packs)
     assert reader.get(good, bytes.decode) == "rows"
+
+
+ODD_TEXTS = (
+    "", "\x00", "a\rb\r\nc\n", "line\u2028para\u2029", "\U0001f600 \U0001d538", "\ud800", "x\udfffy",
+    "\ud83d\ude00", "ünïcødé", '"quoted" \\ and \\n',
+)
+
+
+def test_record_objects_give_back_every_string_as_it_was(tmp_path):
+    methods = tuple(MethodRecord(f"m{i}{text}", f"m{i}{text}()", text) for i, text in enumerate(ODD_TEXTS))
+    records = [
+        SourceFileRecord("odd/\ud800Ö.java", "\ud800Ö.java", methods, parse_ok=True),
+        SourceFileRecord("a/Abstract.java", "Abstract.java", (MethodRecord("run", "run()", "", True),), True),
+        SourceFileRecord("a/Broken.java", "Broken.java", (), parse_ok=False),
+        SourceFileRecord("a/Empty.java", "Empty.java", (), parse_ok=True),
+    ]
+    writer = ObjectPool(tmp_path / "objects")
+    keys = [store_record(writer, record) for record in records]
+    reader = ObjectPool(tmp_path / "objects")
+    reader.read(writer.pack(keys))
+    for record, key in zip(records, keys):
+        loaded = load_record(reader, record.fq_path, key)
+        assert loaded == record
+        assert [type(m.abstract) for m in loaded.methods] == [bool] * len(record.methods)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        b'["A.java","A.java",true,[["m","m()",3,false]]]\nabcd',  # a body left over
+        b'["A.java","A.java",true,[["m","m()",5,false]]]\nabcd',  # a body cut short
+        b'["A.java","A.java",true,[["m","m()",-1,false],["n","n()",5,false]]]\nabcd',
+        b'["A.java","A.java",true,[["m","m()",1.0,false]]]\na',
+        b'["A.java","A.java",true,[["m","m()",2,false]]]\n\xff\xfe',  # not UTF-8
+        b'["A.java","A.java",true,[["m","m()",1,false]]]\n\xc3',  # UTF-8 cut in a character
+        b'["A.java","A.java",true,[["m","m()","ab",false]]]\n',  # a body in the head: format 3
+        b'["A.java","A.java",true,""]\n',
+        b'["A.java","A.java",true,["wxyz"]]\n',
+        b'{"A.java":1,"B":2,"C":3,"":4}\n',
+        b'"wxyz"\n',
+        b"[]\n",
+        b"",
+    ],
+)
+def test_a_record_object_that_does_not_decode_is_an_archive_format_error(tmp_path, data):
+    writer = ObjectPool(tmp_path / "objects")
+    key = writer.put(data)
+    (name,) = writer.pack([key])
+    pool = ObjectPool(tmp_path / "objects")
+    pool.read([name])
+    with pytest.raises(ArchiveFormatError, match=f"object {key} is damaged"):
+        load_record(pool, "A.java", key)
+    assert not (tmp_path / "objects" / name).exists()
 
 
 def test_archive_keeps_the_grammar(tmp_path):

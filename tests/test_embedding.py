@@ -280,6 +280,20 @@ def test_index_records_are_a_read_only_view_of_the_matrix():
         index.vectors[0, 0] = 9.0
 
 
+@pytest.mark.parametrize("ordered", [True, False])
+def test_index_shares_no_memory_with_the_callers_matrix(ordered):
+    chunks = [Chunk("A.java", 0, "a", 1), Chunk("A.java", 1, "b", 1), Chunk("B.java", 0, "c", 1)]
+    vectors = np.array([[1.0, 0.0], [0.0, 2.0], [0.5, 1.5]])
+    order = [0, 1, 2] if ordered else [2, 0, 1]
+    given = vectors[order]
+    index = EmbeddingIndex(2, "stub", 300, [chunks[i] for i in order], given)
+    assert index.chunks == tuple(chunks)
+    assert np.array_equal(index.vectors, vectors)
+    assert not np.shares_memory(index.vectors, given)
+    given[:] = 7.0
+    assert np.array_equal(index.vectors, vectors) and given.flags.writeable
+
+
 # --- hashing embedder -----------------------------------------------------
 
 

@@ -1,6 +1,7 @@
 import builtins
 import gc
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -11,9 +12,9 @@ from pathlib import Path
 
 import pytest
 
-from bugloc import harness, java_parser
+from bugloc import code_index, embedding, harness, java_parser
 from bugloc.chat import ChatTurn, ScriptedChatProvider
-from bugloc.code_index import Changeset, build_index, load_code_index, update_index
+from bugloc.code_index import Changeset, build_index, load_code_index, save_code_index, update_index
 from bugloc.embedders import CachedEmbedder, HashingEmbedder, RetriableProviderError
 from bugloc.embedding import build_embedding_index, load_embedding_index
 from bugloc.harness import (
@@ -26,6 +27,9 @@ from bugloc.harness import (
 from bugloc.localizers import EmbeddingLocalizer, VsmLocalizer
 from bugloc.metrics import DataError
 from conftest import java_class, make_bug, write_tree
+from oracles import locator_oracle
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def versioned_repo(tmp_path):
@@ -305,6 +309,39 @@ def test_version_store_rebuilds_archive_of_another_format(tmp_path, caplog):
     assert load_embedding_index(archive).records == embed.records
 
 
+def format3_record(record) -> bytes:
+    """A record object as code archives of format 3 held it: one JSON list,
+    the bodies inside it."""
+    methods = [[m.name, m.signature, m.body, m.abstract] for m in record.methods]
+    return json.dumps([record.fq_path, record.basename, record.parse_ok, methods], separators=(",", ":")).encode()
+
+
+@pytest.mark.parametrize("old", ["code", "embedding"])
+def test_version_store_rebuilds_archives_of_the_formats_that_held_bodies_in_json(
+    tmp_path, caplog, monkeypatch, old
+):
+    root = versioned_repo(tmp_path)
+    cache = tmp_path / "cache"
+    with monkeypatch.context() as patch:  # archives as the formats before raw bodies wrote them
+        patch.setattr(code_index, "ARCHIVE_FORMAT", 3)
+        patch.setattr(embedding, "EMBED_ARCHIVE_FORMAT", 2)
+        patch.setattr(code_index, "_encode_record", format3_record)
+        VersionStore(root, embedding_provider=HashingEmbedder(16), cache_dir=cache).get("v1")
+    if old == "embedding":
+        save_code_index(build_index(root / "v1", "java", "v1"), cache / "v1.code.jsonl")
+    packs = set((cache / "objects").iterdir())
+    code, embed = get_fresh(root, cache, "v1", caplog)
+    fmt = 3 if old == "code" else 2
+    assert f"ignoring the archive of v1: unsupported archive format {fmt}" in caplog.text
+    assert "damaged" not in caplog.text
+    assert packs <= set((cache / "objects").iterdir())  # none unlinked
+    assert code == build_index(root / "v1", "java", "v1")
+    assert embed.sources == code.files
+    monkeypatch.setattr(harness, "build_index", None)  # the next store only loads
+    get_fresh(root, cache, "v1", caplog)
+    assert "ignoring" not in caplog.text
+
+
 @pytest.mark.parametrize("archive_name", ["v1.code.jsonl", "v1.embed.jsonl"])
 def test_version_store_rebuilds_truncated_archive(tmp_path, caplog, archive_name):
     root = versioned_repo(tmp_path)
@@ -480,6 +517,69 @@ def test_version_store_versions_loaded_from_archives_share_their_files(tmp_path,
     assert code1.files["org/p2/C2.java"] is code0.files["org/p2/C2.java"]
     assert code1.files["org/p1/C1.java"] != code0.files["org/p1/C1.java"]
     assert all(a is b for a, b in zip(embed0.chunks[-10:], embed1.chunks[-10:]))
+
+
+def test_version_store_versions_loaded_from_archives_share_digests_and_locator_entries(tmp_path):
+    root, cache = tmp_path / "repo", tmp_path / "cache"
+    v1 = {
+        "org/A.java": java_class("A", {"alpha": "a();", "shared": "s();"}),
+        "org/B.java": java_class("B", {"beta": "b();", "shared": "s();"}),
+        "org/C.java": java_class("C", {"gamma": "c();"}),
+    }
+    v2 = dict(v1, **{"org/C.java": java_class("C", {"delta": "d();"}), "org/D.java": java_class("D", {})})
+    write_tree(root / "v1", v1)
+    write_tree(root / "v2", v2)
+    building = VersionStore(root, embedding_provider=HashingEmbedder(16), cache_dir=cache)
+    building.get("v1")
+    building.get("v2")
+    store = VersionStore(root, embedding_provider=HashingEmbedder(16), cache_dir=cache)
+    (code1, _), (code2, _) = store.get("v1"), store.get("v2")
+    assert code2 == building.get("v2")[0]
+    assert list(code2.method_locator.items()) == list(locator_oracle(code2.files).items())
+    for path in ("org/A.java", "org/B.java"):
+        assert code2.files[path] is code1.files[path]
+        assert code2.digests[path] is code1.digests[path]
+    for name in ("alpha", "beta", "shared"):
+        assert code2.method_locator[name] is code1.method_locator[name]
+    assert code2.digests["org/C.java"] != code1.digests["org/C.java"]
+
+
+# Computed with this code (code archive format 4, embedding archive format 3).
+# They also depend on the parser, the chunker, the hashing embedder and
+# perfbench/gen.py, so a change to any of them moves them.
+GOLDEN_MANIFESTS = {
+    "v0.code.jsonl": "a43833d56a91cd3bb1a828fa72b44331b3d71c27efd9d786a13c37d9e84118ea",
+    "v0.embed.jsonl": "14cdb54db0af8661940082137071358d21898cad23721d86a240ec2f66a4d87d",
+    "v1.code.jsonl": "1125d19199f2b91ffef6060a849fcf7704eb06cbd2731284b9816baa67b72bd7",
+    "v1.embed.jsonl": "c44e374bea3137fe89e8512179c8f22d8c494a802f5d838e967a4e5a93ba7ef0",
+    "v2.code.jsonl": "d4ec45e8de6739d99b5c4da6ed23d677d707d01b9c2a77ab20b647a55dea174a",
+    "v2.embed.jsonl": "ab4f42dd29ac023ab5d6435368b3096f11cc1c23c3f5d0d67ada2ed7fcb5bb7e",
+}
+GOLDEN_PACKS = [
+    "0a46ab11a58f38220b359e9fd5cf630b8905cad90831a7609df4e0c1e73c0d3d",
+    "0e30ec0cb6b16e7c29360c593c28a9afca916efae7bd3f2044178743cc9004da",
+    "1386988c6c1ff8a2988f91e673e3a72620ee985e239f7d5a129f4dd4301e086c",
+    "4a348f4f146add5e09652634ef87dc9443ccf15eb96cebbd3881409e5c2fa97a",
+    "806f980b15e7867a09d9cbf18639d44ebd451bac1e88e0027feedaba69804a21",
+    "f9834d833619c66dcb36533aaa92113251a8500a9aecb79a21ce2ec9fecb30cf",
+]
+
+
+def test_golden_archives_of_the_seed3_corpus_are_unchanged(tmp_path):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(str(PERFBENCH))
+        gen = importlib.import_module("gen")
+    ds = gen.generate(3, 500, 34, 3, bug_versions=1)
+    paths = gen.write_dataset(ds, tmp_path / "input")
+    cache = tmp_path / "cache"
+    store = VersionStore(paths["repo"], embedding_provider=HashingEmbedder(64), cache_dir=cache)
+    for version in ds.versions:
+        store.get(version)
+    manifests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(cache.glob("*.jsonl"))}
+    packs = sorted((cache / "objects").iterdir())
+    assert manifests == GOLDEN_MANIFESTS
+    assert [p.name for p in packs] == GOLDEN_PACKS
+    assert [hashlib.sha256(p.read_bytes()).hexdigest() for p in packs] == GOLDEN_PACKS
 
 
 def test_version_store_one_file_update_writes_its_objects_and_two_manifests(tmp_path, monkeypatch):
