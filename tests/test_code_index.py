@@ -27,6 +27,7 @@ from bugloc.code_index import (
     source_paths,
     store_record,
     update_index,
+    write_manifest,
 )
 from bugloc.java_parser import get_grammar
 from conftest import java_class, write_tree
@@ -417,6 +418,27 @@ def test_archive_roundtrip(tmp_path):
     save_code_index(index, archive)
     loaded = load_code_index(archive)
     assert loaded == index
+
+
+# Quotes, backslashes, every control character, DEL, non-ASCII text from
+# the BMP and beyond it, and lone surrogates of both halves.
+ODD_CHARACTERS = '"\\/' + "".join(map(chr, range(32))) + "\x7f\x85\u2028é中😀\ud800\udbff\udc00\udfff"
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_manifest_lines_are_the_json_of_their_entries(tmp_path, seed):
+    rng = random.Random(seed)
+    alphabet = ODD_CHARACTERS + "abcXYZ09. "
+    entries = sorted(
+        {"".join(rng.choices(alphabet, k=rng.randrange(1, 12))): [
+            "".join(rng.choices(alphabet, k=rng.randrange(0, 12))) for _ in range(2)
+        ] for _ in range(60)}.items()
+    )
+    entries = [[path, *rest] for path, rest in entries]
+    manifest, pool = tmp_path / "m.jsonl", ObjectPool(tmp_path / "objects")
+    write_manifest(manifest, {"magic": "test", "format": 1, "file_count": len(entries)}, entries, pool, 0)
+    lines = manifest.read_text(encoding="utf-8").split("\n")
+    assert lines[1:] == [json.dumps(entry) for entry in entries] + [""]
 
 
 @pytest.mark.parametrize("cut", ["last line", "half of the last line"])

@@ -13,10 +13,11 @@ from pathlib import Path
 import pytest
 
 from bugloc import code_index, embedding, harness, java_parser
+from bugloc import load_bug_reports
 from bugloc.chat import ChatTurn, ScriptedChatProvider
 from bugloc.code_index import Changeset, build_index, load_code_index, save_code_index, update_index
 from bugloc.embedders import CachedEmbedder, HashingEmbedder, RetriableProviderError
-from bugloc.embedding import build_embedding_index, load_embedding_index
+from bugloc.embedding import build_embedding_index, chunk_text, load_embedding_index
 from bugloc.harness import (
     VersionStore,
     evaluate_technique,
@@ -26,6 +27,7 @@ from bugloc.harness import (
 )
 from bugloc.localizers import EmbeddingLocalizer, VsmLocalizer
 from bugloc.metrics import DataError
+from bugloc.validation import bug_text
 from conftest import java_class, make_bug, write_tree
 from oracles import locator_oracle
 
@@ -580,6 +582,52 @@ def test_golden_archives_of_the_seed3_corpus_are_unchanged(tmp_path):
     assert manifests == GOLDEN_MANIFESTS
     assert [p.name for p in packs] == GOLDEN_PACKS
     assert [hashlib.sha256(p.read_bytes()).hexdigest() for p in packs] == GOLDEN_PACKS
+
+
+# The sha256 of a listing of every file the version-chain set-up writes at
+# seeds 1, 3 and 7: each version's code and embedding manifests and every
+# pack, and the embedding cache file after each version and after the bug
+# queries are embedded. Computed with this code; they depend on what
+# GOLDEN_MANIFESTS does, and on the cache file's format.
+GOLDEN_CHAIN_FILES = {
+    1: "be1849207043c08850eee58328010524e0a7a1cfdb84af8e145da8302a3e231a",
+    3: "3e67c5b445d70ff76544c5277510ae31e51a2bdb9d0d5ba979d55db20e04b226",
+    7: "b9c732b56a44da2c472b43bcb22599cd167eac9679d0d2a0e62ccca6d5674cce",
+}
+
+
+def chain_files_listing(seed, tmp_path):
+    """`name sha256` of each file written as the version-chain benchmark
+    builds every version of `seed` with a file-backed cache, one per line."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(str(PERFBENCH))
+        gen = importlib.import_module("gen")
+    ds = gen.generate(seed, 500, 120, 4)
+    paths = gen.write_dataset(ds, tmp_path / "input")
+    cache, cache_file = tmp_path / "cache", tmp_path / "embeddings-cache.json"
+    provider = CachedEmbedder(HashingEmbedder(128), cache_file)
+    store = VersionStore(paths["repo"], embedding_provider=provider, cache_dir=cache)
+
+    def sha(path):
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    lines = []
+    for version in ds.versions:
+        store.get(version)
+        lines.append(f"cache-after-{version} {sha(cache_file)}")
+    queries = [chunk_text(bug_text(bug)) for bug in load_bug_reports(paths["dataset"])]
+    provider.embed_batch([chunk.text for chunks in queries for chunk in chunks])
+    lines.append(f"cache-after-queries {sha(cache_file)}")
+    lines += [f"{p.name} {sha(p)}" for p in sorted(cache.glob("*.jsonl"))]
+    lines += [f"objects/{p.name} {sha(p)}" for p in sorted((cache / "objects").iterdir())]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_CHAIN_FILES))
+def test_golden_files_of_the_version_chain_set_up_are_unchanged(tmp_path, seed):
+    listing = chain_files_listing(seed, tmp_path)
+    assert len(listing.splitlines()) > 4 + 8  # cache states, manifests, then packs
+    assert hashlib.sha256(listing.encode()).hexdigest() == GOLDEN_CHAIN_FILES[seed]
 
 
 def test_version_store_one_file_update_writes_its_objects_and_two_manifests(tmp_path, monkeypatch):
