@@ -23,6 +23,7 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .fuzzy import NameTable
@@ -166,7 +167,7 @@ def _suffix(name: str) -> str:
     return name[dot:] if 0 < dot < len(name) - 1 else ""
 
 
-def source_paths(root: Path, extensions: tuple[str, ...]) -> list[str]:
+def source_paths(root: str | Path, extensions: tuple[str, ...]) -> list[str]:
     """The '/'-separated paths, relative to `root`, of the files under it
     whose suffix is one of `extensions`, in the order of their `Path`s: by
     parts, not by string. One `os.scandir` walk, which enters no symlinked
@@ -266,19 +267,19 @@ def diff_source_trees(
     identical content are paired as a rename (greedily, in sorted-path order).
     """
 
-    def digest_tree(root: Path) -> dict[str, str]:
-        digests = {}
+    def digest_tree(root: str) -> dict[str, str]:
+        digests, prefix = {}, os.path.join(root, "")  # prefix + rel is os.path.join(root, rel)
         for rel in source_paths(root, extensions):
             try:
-                with open(root / rel, "rb") as file:
+                with open(prefix + rel, "rb", buffering=0) as file:  # one unbuffered read
                     digests[rel] = hashlib.sha256(file.read()).hexdigest()
             except OSError as exc:
                 logger.error("unreadable, left out of the diff: %s (%s)", rel, exc)
         return digests
 
     if not isinstance(old, dict):
-        old = digest_tree(Path(old))
-    new = digest_tree(Path(new_root))
+        old = digest_tree(os.fspath(old))
+    new = digest_tree(os.fspath(new_root))
     added = sorted(set(new) - set(old))
     deleted = sorted(set(old) - set(new))
     modified = tuple(sorted(p for p in set(old) & set(new) if old[p] != new[p]))
@@ -346,7 +347,7 @@ class ObjectPool:
                 if hashlib.sha256(data).hexdigest() != name:
                     raise ValueError("its bytes do not match its digest")
                 objects = _split_pack(data)
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, RecursionError) as exc:
                 os.unlink(path)
                 raise ArchiveFormatError(f"pack {name} is damaged: {exc}") from None
             self._read.add(name)
@@ -369,7 +370,7 @@ class ObjectPool:
             raise ArchiveFormatError(f"object {key} is in none of the packs read")
         try:
             value = decode(data)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
             self._drop(self._pack_of[key])
             raise ArchiveFormatError(f"object {key} is damaged: {exc}") from None
         return self._intern(key, value, source)
@@ -491,7 +492,10 @@ def write_manifest(path: str | Path, header: dict, entries: list, pool: ObjectPo
     path are object keys."""
     keys = [key for entry in entries for key in entry[1 : 1 + objects]]
     header = dict(header, packs=pool.pack(keys))
-    lines = [json.dumps(header, sort_keys=True)] + [json.dumps(entry) for entry in entries]
+    # json.dumps(entry) of a list of strings, without its per-call set-up
+    lines = [json.dumps(header, sort_keys=True)] + [
+        "[" + ", ".join(map(encode_basestring_ascii, entry)) + "]" for entry in entries
+    ]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -510,7 +514,7 @@ def read_manifest(
     with open(path, encoding="utf-8") as handle:
         try:
             header = json.loads(handle.readline())
-        except ValueError:
+        except (ValueError, RecursionError):
             raise ArchiveFormatError(f"no archive header in {path}") from None
         if not isinstance(header, dict) or header.get("magic") != magic:
             raise ArchiveFormatError(f"bad magic header in {path}")
@@ -521,7 +525,7 @@ def read_manifest(
         lines = [line for line in handle if line.strip()]
     try:
         entries = json.loads("[" + ",".join(lines) + "]")
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ArchiveFormatError(f"unreadable entry in {path}: {exc!r}") from None
     # The one decode also takes two entries on one line, or an entry cut
     # between its items over two lines. No string spans lines, so when every

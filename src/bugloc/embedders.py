@@ -5,8 +5,13 @@ HashingEmbedder is the deterministic in-process provider used by tests and
 offline runs; RemoteEmbedder talks to an HTTPS batch endpoint; CachedEmbedder
 wraps any provider with a persistent (provider_id, content-hash) cache of one
 row per text, so re-runs cost zero provider calls. The cache file is one JSON
-object, rewritten atomically once per provider call that misses; only the new
-entries are encoded, and appended to the file's text kept in memory.
+object. A provider call that misses writes its new entries, and only those,
+over the closing brace at the file's current end, so the file grows in place,
+as a log does; the first miss creates the file atomically. An append cut
+short leaves the file without its closing brace: a load keeps the entries
+before the damage and warns, and the next miss rewrites the file whole,
+atomically, from the entries in memory. Two processes appending to one cache
+file at the same moment are not supported.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ import hashlib
 import json
 import logging
 import os
+import re
 import threading
 from collections import Counter
 from pathlib import Path
@@ -27,7 +33,7 @@ from .ioutil import (
     MalformedResponse,
     RequestRejected,
     RetriesExhausted,
-    atomic_write_text,
+    atomic_write_bytes,
     post_with_retry,
 )
 from .tokens import tokenize
@@ -191,12 +197,10 @@ class CachedEmbedder(EmbeddingProvider):
         self.max_batch_size = inner.max_batch_size
         self.cache_path = Path(cache_path) if cache_path else None
         self._cache: dict[str, np.ndarray] = {}  # key -> one float64 row
-        self._text = ["{"]  # the cache file's text, in pieces, without its closing "}"
-        self._lock = threading.Lock()  # guards _cache, _text and the cache file
+        self._damaged = False  # the file read was not whole, so the next save rewrites it
+        self._lock = threading.Lock()  # guards _cache, _damaged and the cache file
         if self.cache_path and self.cache_path.exists():
-            text = self.cache_path.read_text(encoding="utf-8")
-            self._cache = {key: np.array(vec, dtype=np.float64) for key, vec in json.loads(text).items()}
-            self._text = [text.rstrip()[:-1]]
+            self._cache, self._damaged = _read_cache(self.cache_path)
 
     def _key(self, text: str) -> str:
         digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -220,9 +224,60 @@ class CachedEmbedder(EmbeddingProvider):
             return np.array([self._cache[key] for key in keys]).reshape(len(keys), self.dimension)
 
     def _save(self, new: list[tuple[str, np.ndarray]]) -> None:
-        """Append `new`, the entries just added to the cache, to the text and
-        rewrite the file; the caller holds the lock."""
-        encoded = ", ".join(f"{json.dumps(key)}: {json.dumps(vec.tolist())}" for key, vec in new)
-        earlier = len(self._cache) > len(new)  # entries before these need a separator
-        self._text.append(f", {encoded}" if earlier else encoded)
-        atomic_write_text(self.cache_path, *self._text, "}")
+        """Write `new`, the entries just added to the cache, over the closing
+        brace at the file's current end; the caller holds the lock. A file
+        that is missing, was read damaged or does not end in a brace is
+        written whole instead, atomically, from the entries in memory."""
+        if not self._damaged:
+            try:
+                with open(self.cache_path, "r+b") as handle:
+                    start = handle.seek(max(0, handle.seek(0, os.SEEK_END) - _TAIL_BYTES))
+                    tail = handle.read().rstrip()
+                    before = tail[:-1].rstrip()  # "{" when the object is empty
+                    if tail.endswith(b"}") and before:
+                        handle.seek(start + len(tail) - 1)
+                        handle.write(b"" if before.endswith(b"{") else b", ")
+                        handle.write(_encode_entries(new) + b"}")
+                        handle.truncate()  # any whitespace after the brace
+                        return
+            except FileNotFoundError:
+                pass
+        atomic_write_bytes(self.cache_path, b"{" + _encode_entries(self._cache.items()) + b"}")
+        self._damaged = False
+
+
+_TAIL_BYTES = 4096  # read back from a cache file's end to find its closing brace
+# A cache file's opening brace, one entry (a string key, then a list that
+# holds no list) as its writer spaces it or as any JSON writer may, and a comma.
+_CACHE_OPEN = re.compile(rb"\s*\{")
+_CACHE_ENTRY = re.compile(rb'\s*("(?:[^"\\]|\\.)*")\s*:\s*(\[[^\]]*\])')
+_CACHE_COMMA = re.compile(rb"\s*,")
+
+
+def _encode_entries(entries) -> bytes:
+    """The `"key": [row]` of each (key, row), joined by ", ", as JSON text."""
+    return ", ".join(f"{json.dumps(key)}: {json.dumps(vec.tolist())}" for key, vec in entries).encode()
+
+
+def _read_cache(path: Path) -> tuple[dict[str, np.ndarray], bool]:
+    """The rows of a cache file by key, and whether the file was damaged. Of
+    a file cut short, as an append that did not finish leaves it, or damaged
+    in one entry, the entries before the first that is not whole are kept,
+    with a warning."""
+    data = path.read_bytes()
+    try:
+        return {key: np.array(vec, dtype=np.float64) for key, vec in json.loads(data).items()}, False
+    except (AttributeError, TypeError, ValueError, RecursionError):  # AttributeError: not an object
+        pass
+    rows = {}
+    opened = _CACHE_OPEN.match(data)
+    at = opened and opened.end()
+    while at and (entry := _CACHE_ENTRY.match(data, at)):
+        try:
+            rows[json.loads(entry[1])] = np.array(json.loads(entry[2]), dtype=np.float64)
+        except (TypeError, ValueError):
+            break
+        comma = _CACHE_COMMA.match(data, entry.end())
+        at = comma and comma.end()
+    logger.warning("embedding cache %s is damaged; %d entries before the damage are kept", path, len(rows))
+    return rows, True

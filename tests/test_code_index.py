@@ -526,6 +526,17 @@ def test_archive_rejects_a_pack_cut_at_any_length_and_unlinks_it(tmp_path):
         load_code_index(archive)
 
 
+def test_archive_rejects_an_object_nested_deeper_than_the_recursion_limit(tmp_path):
+    pool = ObjectPool(tmp_path)
+    key = pool.put(b"[" * 100_000 + b"]" * 100_000 + b"\n")
+    packs = pool.pack([key])
+    fresh = ObjectPool(tmp_path)
+    fresh.read(packs)
+    with pytest.raises(ArchiveFormatError, match=f"object {key} is damaged"):
+        load_record(fresh, "A.java", key)
+    assert not (tmp_path / packs[0]).exists()
+
+
 def test_archive_rejects_a_pack_name_that_is_not_a_digest(tmp_path):
     archive = two_file_archive(tmp_path)
     text = archive.read_text(encoding="utf-8")

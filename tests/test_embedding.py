@@ -1,3 +1,4 @@
+import builtins
 import hashlib
 import importlib
 import json
@@ -543,16 +544,24 @@ def cache_json(provider):
 
 
 @pytest.fixture
-def replaced(monkeypatch):
-    """Target of every os.replace, that is of every atomic file write."""
+def written(monkeypatch):
+    """Every file written, in order: the target of each atomic write (an
+    os.replace) and each file opened for writing in place."""
     targets = []
-    real = os.replace
+    real_replace, real_open = os.replace, builtins.open
 
-    def counting(src, dst, *args, **kwargs):
+    def replacing(src, dst, *args, **kwargs):
         targets.append(Path(dst))
-        return real(src, dst, *args, **kwargs)
+        return real_replace(src, dst, *args, **kwargs)
 
-    monkeypatch.setattr(os, "replace", counting)
+    def opening(file, mode="r", *args, **kwargs):
+        handle = real_open(file, mode, *args, **kwargs)
+        if isinstance(file, (str, os.PathLike)) and set(mode) & set("wax+"):
+            targets.append(Path(file))
+        return handle
+
+    monkeypatch.setattr(os, "replace", replacing)
+    monkeypatch.setattr(builtins, "open", opening)
     return targets
 
 
@@ -572,14 +581,16 @@ def test_cached_embedder_file_is_the_json_of_its_mapping(tmp_path):
     assert cache_file.read_text(encoding="utf-8") == cache_json(reopened)
 
 
-def test_cached_embedder_hits_do_not_write(tmp_path, replaced):
+def test_cached_embedder_hits_do_not_write(tmp_path, written):
     cache_file = tmp_path / "cache.json"
     provider = CachedEmbedder(HashingEmbedder(8), cache_file)
     provider.embed_batch(["one", "two"])
-    assert replaced == [cache_file]
+    assert written == [cache_file]
+    provider.embed_batch(["two", "three", "four", "three"])
+    assert written == [cache_file] * 2
     provider.embed_batch(["two", "one", "two"])
     CachedEmbedder(HashingEmbedder(8), cache_file).embed("one")
-    assert replaced == [cache_file]
+    assert written == [cache_file] * 2
 
 
 @pytest.mark.parametrize("seeded", [[], ["one", "two"]])
@@ -595,6 +606,78 @@ def test_cached_embedder_appends_to_a_file_of_other_whitespace(tmp_path, seeded)
     raw = json.loads(cache_file.read_text(encoding="utf-8"))
     assert raw == {key: list(vec) for key, vec in provider._cache.items()}
     assert len(raw) == len(set(seeded) | {"one", "three", "four"})
+
+
+def cache_entry(provider, text):
+    """The bytes of `text`'s entry in `provider`'s cache file."""
+    key = provider._key(text)
+    return f"{json.dumps(key)}: {json.dumps(provider._cache[key].tolist())}".encode()
+
+
+def test_cached_embedder_miss_on_a_large_cache_appends_only_its_entries(tmp_path):
+    cache_file = tmp_path / "cache.json"
+    CachedEmbedder(HashingEmbedder(4), cache_file).embed_batch([f"text {i}" for i in range(8000)])
+    before, inode = cache_file.read_bytes(), cache_file.stat().st_ino
+    provider = CachedEmbedder(HashingEmbedder(4), cache_file)
+    assert len(provider._cache) == 8000
+    provider.embed_batch(["text 1", "new one", "new two"])
+    after = cache_file.read_bytes()
+    added = b", " + cache_entry(provider, "new one") + b", " + cache_entry(provider, "new two") + b"}"
+    assert cache_file.stat().st_ino == inode
+    assert after == before[:-1] + added
+    assert len(after) - len(before) == len(added) - 1 < 250
+
+
+def test_cached_embedder_keeps_the_whole_entries_of_a_file_cut_at_any_byte(tmp_path, caplog):
+    cache_file = tmp_path / "cache.json"
+    texts = ["alpha", "beta", "gamma"]
+    writer = CachedEmbedder(HashingEmbedder(3), cache_file)
+    for text in texts:
+        writer.embed(text)
+    whole = cache_file.read_bytes()
+    ends = [whole.index(cache_entry(writer, text)) + len(cache_entry(writer, text)) for text in texts]
+    keys = [writer._key(text) for text in texts]
+    for cut in range(len(whole)):
+        cache_file.write_bytes(whole[:cut])
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="bugloc.embedders"):
+            provider = CachedEmbedder(HashingEmbedder(3), cache_file)
+        kept = keys[: sum(end <= cut for end in ends)]
+        assert list(provider._cache) == kept, cut
+        assert f"{len(kept)} entries before the damage are kept" in caplog.text
+        provider.embed("delta")  # a whole file again, not an append to the cut one
+        assert cache_file.read_text(encoding="utf-8") == cache_json(provider)
+
+
+def test_cached_embedder_rewrites_a_file_damaged_before_its_end(tmp_path, caplog):
+    cache_file = tmp_path / "cache.json"
+    writer = CachedEmbedder(HashingEmbedder(3), cache_file)
+    writer.embed_batch(["alpha", "beta", "gamma"])
+    whole = cache_file.read_bytes()
+    cache_file.write_bytes(whole.replace(cache_entry(writer, "beta"), b'"beta": [not a number]'))
+    with caplog.at_level("WARNING", logger="bugloc.embedders"):
+        provider = CachedEmbedder(HashingEmbedder(3), cache_file)
+    assert list(provider._cache) == [writer._key("alpha")]
+    assert "1 entries before the damage are kept" in caplog.text
+    provider.embed("gamma")
+    assert cache_file.read_text(encoding="utf-8") == cache_json(provider)
+    assert len(CachedEmbedder(HashingEmbedder(3), cache_file)._cache) == 2
+
+
+@pytest.mark.parametrize("seeded", [[], ["zero"]])
+def test_cached_embedders_that_share_a_file_keep_each_others_entries(tmp_path, seeded):
+    cache_file = tmp_path / "cache.json"
+    CachedEmbedder(HashingEmbedder(8), cache_file).embed_batch(seeded)
+    first, second = (CachedEmbedder(HashingEmbedder(8), cache_file) for _ in range(2))
+    first.embed("one")
+    second.embed("two")
+    first.embed_batch(["three", "two"])  # "two" is a miss for `first`, and is written twice
+    second.embed("four")
+    texts = [*seeded, "one", "two", "three", "four"]
+    reopened = CachedEmbedder(HashingEmbedder(8), cache_file)
+    assert list(reopened._cache) == [reopened._key(text) for text in texts]
+    for text in texts:
+        assert reopened._cache[reopened._key(text)].tolist() == HashingEmbedder(8).embed(text).tolist()
 
 
 # --- index build / shortlist / update -------------------------------------
@@ -794,7 +877,7 @@ def test_build_of_an_index_without_files_makes_no_provider_call():
     assert len(eindex) == 0 and eindex.vectors.shape == (0, 16)
 
 
-def test_update_embeddings_is_one_provider_call_and_one_cache_write(tmp_path, replaced):
+def test_update_embeddings_is_one_provider_call_and_one_cache_write(tmp_path, written):
     files = {f"pkg/F{i}.java": java_class(f"F{i}", {f"m{i}": f"old{i}();"}) for i in range(50)}
     root = write_tree(tmp_path / "r", files)
     index = build_index(root, "java", "v0")
@@ -807,10 +890,10 @@ def test_update_embeddings_is_one_provider_call_and_one_cache_write(tmp_path, re
     changeset = Changeset(modified=tuple(files))
     new_index = update_index(index, changeset, root, "v1")
     inner.calls.clear()
-    replaced.clear()
+    written.clear()
     updated = update_embeddings(eindex, changeset, new_index, provider)
     assert inner.calls == [50]
-    assert replaced == [cache_file]
+    assert written == [cache_file]
     assert updated.records == build_embedding_index(new_index, HashingEmbedder(16)).records
     assert cache_file.read_text(encoding="utf-8") == cache_json(provider)
 

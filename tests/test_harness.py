@@ -386,6 +386,21 @@ def test_version_store_rebuilds_an_embedding_manifest_of_another_version(tmp_pat
     assert v1_embed.read_bytes() == whole
 
 
+@pytest.mark.parametrize("which", [0, 1], ids=["code manifest", "embedding manifest"])
+def test_version_store_rebuilds_a_manifest_nested_deeper_than_the_recursion_limit(tmp_path, caplog, which):
+    root = versioned_repo(tmp_path)
+    cache = tmp_path / "cache"
+    store = VersionStore(root, embedding_provider=HashingEmbedder(16), cache_dir=cache)
+    built = store.get("v1")
+    manifest = store.archive_paths("v1")[which]
+    header = manifest.read_text(encoding="utf-8").splitlines()[0]
+    manifest.write_text(header + "\n" + "[" * 100_000 + "]" * 100_000 + "\n", encoding="utf-8")
+    code, embed = get_fresh(root, cache, "v1", caplog)
+    assert f"ignoring the archive of v1: unreadable entry in {manifest}" in caplog.text
+    assert code == built[0]
+    assert (embed.chunks, embed.vectors.tolist()) == (built[1].chunks, built[1].vectors.tolist())
+
+
 def test_version_store_rebuilds_a_save_cut_between_its_two_manifests(tmp_path, caplog, monkeypatch):
     root = versioned_repo(tmp_path)
     cache = tmp_path / "cache"
