@@ -271,7 +271,7 @@ def diff_source_trees(
         digests, prefix = {}, os.path.join(root, "")  # prefix + rel is os.path.join(root, rel)
         for rel in source_paths(root, extensions):
             try:
-                with open(prefix + rel, "rb", buffering=0) as file:  # one unbuffered read
+                with open(prefix + rel, "rb", buffering=0) as file:  # no buffer: one read of it all
                     digests[rel] = hashlib.sha256(file.read()).hexdigest()
             except OSError as exc:
                 logger.error("unreadable, left out of the diff: %s (%s)", rel, exc)
