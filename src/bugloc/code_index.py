@@ -28,7 +28,7 @@ from pathlib import Path
 
 from .fuzzy import NameTable
 from .ioutil import atomic_write_bytes, atomic_write_text
-from .java_parser import Grammar, get_grammar
+from .java_parser import Grammar, MethodRecord, get_grammar
 
 logger = logging.getLogger(__name__)
 
@@ -46,16 +46,6 @@ class ArchiveFormatError(ValueError):
     """Persisted archive is not one whole archive of the expected magic and
     format: another format version, a foreign or corrupt file, a cut-off
     body, a missing or damaged pack of objects."""
-
-
-@dataclass(frozen=True)
-class MethodRecord:
-    name: str
-    signature: str  # canonical: name(paramType1,paramType2,...)
-    # Verbatim method source, declaration through closing brace. Abstract and
-    # interface methods have no implementation and store an empty body.
-    body: str
-    abstract: bool = False
 
 
 @dataclass(frozen=True)
@@ -154,10 +144,7 @@ def _parse_file(data: bytes, fq_path: str, grammar: Grammar) -> SourceFileRecord
     if not result.ok:
         logger.debug("parse failure recorded for %s", fq_path)
         return SourceFileRecord(fq_path, basename, (), parse_ok=False)
-    methods = tuple(
-        MethodRecord(m.name, m.signature, m.body, m.abstract) for m in result.methods
-    )
-    return SourceFileRecord(fq_path, basename, methods, parse_ok=True)
+    return SourceFileRecord(fq_path, basename, tuple(result.methods), parse_ok=True)
 
 
 def _suffix(name: str) -> str:

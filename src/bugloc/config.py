@@ -76,8 +76,10 @@ class RunConfig:
         if self.needs_embedding and self.embedding.kind not in ("hashing", "remote"):
             raise ConfigurationError(f"unknown embedding provider kind {self.embedding.kind!r}")
         for name in ("shortlist_k", "final_list_size", "chunk_limit", "max_iterations", "runs",
-                     "workers"):
-            value = getattr(self, name)
+                     "workers", "chat.max_attempts", "embedding.dimension",
+                     "embedding.max_batch_size", "embedding.max_attempts"):
+            group, _, attr = name.rpartition(".")
+            value = getattr(getattr(self, group) if group else self, attr)
             if value < 1:
                 raise ConfigurationError(f"{name} must be at least 1, got {value}")
 

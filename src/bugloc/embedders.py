@@ -132,6 +132,8 @@ class RemoteEmbedder(EmbeddingProvider):
         session: requests.Session | None = None,
         retry_delay: float = 1.0,
     ):
+        if max_batch_size < 1:
+            raise ValueError(f"max_batch_size must be at least 1, got {max_batch_size}")
         api_key = os.environ.get(api_key_env, "")
         if not api_key:
             raise ConfigurationError(

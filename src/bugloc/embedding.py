@@ -6,9 +6,9 @@ its chunks to the query, ties by path. A from-scratch build is the update of
 the empty index that adds every file: untouched rows carry over, and the
 chunks of every refreshed file go to the provider in one call, whose error
 propagates. An index and its archive record the chunk limit it was built
-with, and updates and queries chunk at that limit. An index also holds the
-code records its chunks were cut from, so that its archive can name them and
-re-make the chunk text.
+with, and updates and queries chunk at that limit. An archive is written
+and read with the code index of its version, whose records it names and
+re-makes the chunk text from.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import logging
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from types import MappingProxyType
@@ -25,7 +25,7 @@ import numpy as np
 
 from .code_index import (
     ArchiveFormatError, Changeset, CodeIndex, ObjectPool, SourceFileRecord, archive_pool,
-    file_representation, load_record, read_manifest, store_record, write_manifest,
+    file_representation, read_manifest, store_record, write_manifest,
 )
 from .embedders import EmbeddingProvider
 from .tokens import MAX_CHUNK_TOKENS, chunk_pattern, tokenize
@@ -59,15 +59,13 @@ class EmbeddingIndex:
     """Chunks sorted by (fq_path, seq) and, row for row, their vectors as one
     read-only float64 matrix. Construction sorts, rejects duplicate keys and
     vectors of another dimension, and works out once what queries need: the
-    row norms, and each file's path and first row. `sources` maps each path
-    to the code record its chunks were cut from; an archive needs it."""
+    row norms, and each file's path and first row."""
 
     dimension: int
     provider_id: str
     chunk_limit: int = DEFAULT_CHUNK_LIMIT
     chunks: Iterable[Chunk] = ()  # stored as a sorted tuple
     vectors: np.ndarray = ()  # any (len(chunks), dimension) array-like
-    sources: Mapping[str, SourceFileRecord] = field(default_factory=dict)
 
     def __post_init__(self):
         chunks = tuple(self.chunks)
@@ -107,7 +105,6 @@ class EmbeddingIndex:
 @dataclass
 class Shortlist:
     entries: tuple[tuple[str, float], ...]  # (fq_path, score), score descending
-    k: int
 
     def paths(self) -> list[str]:
         return [path for path, _ in self.entries]
@@ -166,9 +163,7 @@ def update_embeddings(
     vectors = eindex.vectors[keep]
     if new_chunks:
         vectors = np.concatenate([vectors, provider.embed_batch([c.text for c in new_chunks])])
-    return EmbeddingIndex(
-        eindex.dimension, eindex.provider_id, eindex.chunk_limit, kept + new_chunks, vectors, index.files
-    )
+    return EmbeddingIndex(eindex.dimension, eindex.provider_id, eindex.chunk_limit, kept + new_chunks, vectors)
 
 
 def embed_query(text: str, provider: EmbeddingProvider, chunk_limit: int = DEFAULT_CHUNK_LIMIT):
@@ -208,7 +203,7 @@ def shortlist_files(
     # file_paths ascend, so a stable sort on the score alone breaks ties by path
     ranked = scored[np.argsort(-best[scored], kind="stable")][:k]
     entries = zip([eindex.file_paths[i] for i in ranked], best[ranked].tolist())
-    return Shortlist(entries=tuple(entries), k=k)
+    return Shortlist(entries=tuple(entries))
 
 
 def _chunk_spans(text: str, chunks: Iterable[Chunk]) -> list[list[int]]:
@@ -272,19 +267,21 @@ def _vector_key(
 
 
 def save_embedding_index(
-    eindex: EmbeddingIndex, path: str | Path, pool: ObjectPool | None = None, version_id: str = ""
+    eindex: EmbeddingIndex, path: str | Path, code: CodeIndex, pool: ObjectPool | None = None
 ) -> None:
-    """Write each file's vector object and source record, those not stored
-    yet, as a pack, then the manifest: a header (magic, format, version,
-    provider, dimension, chunk limit, file count, packs) and one
-    `[fq_path, record key, vector key]` line per file in path order. A file
-    whose chunks and rows the pool holds already is not encoded again."""
+    """Write each file's vector object and its record in `code`, which must
+    hold the same files, those not stored yet, as a pack, then the manifest:
+    a header (magic, format, `code`'s version, provider, dimension, chunk
+    limit, file count, packs) and one `[fq_path, record key, vector key]`
+    line per file in path order. A file whose chunks and rows the pool holds
+    already is not encoded again."""
+    if eindex.file_paths != code.sorted_paths():
+        raise ValueError("the embedding index and the code index hold other files")
     pool = archive_pool(path, pool)
-    records = [eindex.sources[fq_path] for fq_path in eindex.file_paths]
     header = {
         "magic": EMBED_ARCHIVE_MAGIC,
         "format": EMBED_ARCHIVE_FORMAT,
-        "version_id": version_id,
+        "version_id": code.version_id,
         "dimension": eindex.dimension,
         "provider_id": eindex.provider_id,
         "chunk_limit": eindex.chunk_limit,
@@ -292,33 +289,40 @@ def save_embedding_index(
     }
     bounds = [*eindex.file_starts.tolist(), len(eindex)]
     entries = []
-    for record, start, end in zip(records, bounds, bounds[1:]):
+    for fq_path, start, end in zip(eindex.file_paths, bounds, bounds[1:]):
+        record = code.files[fq_path]
         record_key = store_record(pool, record)
         vector_key = _vector_key(pool, record_key, record, eindex.chunks[start:end], eindex.vectors[start:end])
-        entries.append([record.fq_path, record_key, vector_key])
+        entries.append([fq_path, record_key, vector_key])
     write_manifest(path, header, entries, pool, objects=2)
 
 
-def load_embedding_index(path: str | Path, pool: ObjectPool | None = None) -> EmbeddingIndex:
-    """The index a manifest lists: its records and vector objects read
-    through `pool`, the rows joined by one concatenation in path order."""
+def load_embedding_index(path: str | Path, code: CodeIndex, pool: ObjectPool | None = None) -> EmbeddingIndex:
+    """The index a manifest lists: its vector objects read through `pool`,
+    their chunks cut from the records of `code`, the rows joined by one
+    concatenation in path order. A manifest that lists other paths or record
+    keys than `code` holds (say, after a save cut short between the two
+    manifests) is an ArchiveFormatError before any vector object is decoded."""
     pool = archive_pool(path, pool)
     header, entries = read_manifest(path, EMBED_ARCHIVE_MAGIC, EMBED_ARCHIVE_FORMAT, 3, pool)
     try:
         made_by = header["dimension"], header["provider_id"], header["chunk_limit"]
     except KeyError as exc:
         raise ArchiveFormatError(f"unusable embedding index archive {path}: {exc}") from None
-    sources: dict[str, SourceFileRecord] = {}
+    if [fq_path for fq_path, _, _ in entries] != code.sorted_paths() or any(
+        store_record(pool, code.files[fq_path]) != record_key for fq_path, record_key, _ in entries
+    ):
+        raise ArchiveFormatError("its embedding archive was made from other files than its code archive")
     chunks: list[Chunk] = []
     blocks = []
     for fq_path, record_key, vector_key in entries:
-        record = sources[fq_path] = load_record(pool, fq_path, record_key)
+        record = code.files[fq_path]
         file_chunks, rows = pool.get(
             vector_key, lambda data: _decode_vectors(data, record_key, record), source=record_key
         )
         chunks += file_chunks
         blocks.append(rows)
     try:
-        return EmbeddingIndex(*made_by, chunks, np.concatenate(blocks) if blocks else (), sources)
+        return EmbeddingIndex(*made_by, chunks, np.concatenate(blocks) if blocks else ())
     except (TypeError, ValueError) as exc:
         raise ArchiveFormatError(f"unusable embedding index archive {path}: {exc}") from None

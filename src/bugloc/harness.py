@@ -108,7 +108,7 @@ class VersionStore:
         last = self._built.get(self._last_version)
         try:
             code = load_code_index(archives[0], pool=self.objects, base=last and last[0])
-            embed = None if provider is None else load_embedding_index(archives[1], pool=self.objects)
+            embed = None if provider is None else load_embedding_index(archives[1], code, pool=self.objects)
         except ArchiveFormatError as exc:
             reason = str(exc)
         else:
@@ -140,9 +140,6 @@ class VersionStore:
                 "(dimension %d, chunk limit %d)"
                 % (*made_by, provider.provider_id, provider.dimension, self.chunk_limit)
             )
-        if embed.sources != code.files:
-            # say, a save cut short between the two manifests
-            return "its embedding archive was made from other files than its code archive"
         return None
 
     def build(self, version_id: str, previous: str | None = None) -> tuple[CodeIndex, EmbeddingIndex | None]:
@@ -179,7 +176,7 @@ class VersionStore:
         if archives:
             save_code_index(code, archives[0], pool=self.objects)
             if embed is not None:
-                save_embedding_index(embed, archives[1], pool=self.objects, version_id=version_id)
+                save_embedding_index(embed, archives[1], code, pool=self.objects)
 
 
 def fit_localizers(bugs: list[BugReport], make_localizer, store: VersionStore) -> list[BaseLocalizer]:

@@ -62,16 +62,18 @@ _TYPE_HINT = re.compile("new|class|interface|enum|record")
 
 
 @dataclass(frozen=True)
-class ParsedMethod:
+class MethodRecord:
     name: str
-    signature: str
+    signature: str  # canonical: name(paramType1,paramType2,...)
+    # Verbatim method source, declaration through closing brace. Abstract and
+    # interface methods have no implementation and store an empty body.
     body: str
     abstract: bool = False
 
 
 @dataclass
 class ParseResult:
-    methods: list[ParsedMethod]
+    methods: list[MethodRecord]
     ok: bool
 
 
@@ -287,11 +289,11 @@ def _canonical_signature(name: str, param_toks: list[_Token]) -> str:
     return f"{name}({','.join(types)})"
 
 
-def _bodiless(header: _MethodHeader) -> tuple[int, ParsedMethod]:
+def _bodiless(header: _MethodHeader) -> tuple[int, MethodRecord]:
     """An abstract or native method or an annotation member, keyed by the
     offset of its name."""
     sig = _canonical_signature(header.name, header.param_toks)
-    return header.name_pos, ParsedMethod(header.name, sig, "", abstract=True)
+    return header.name_pos, MethodRecord(header.name, sig, "", abstract=True)
 
 
 @dataclass
@@ -313,7 +315,7 @@ class JavaGrammar(Grammar):
         self.extensions = extensions
 
     def parse(self, text: str) -> ParseResult:
-        collected: list[tuple[int, ParsedMethod]] = []
+        collected: list[tuple[int, MethodRecord]] = []
         # The file root behaves like a type body so bare top-level methods
         # (common in fixtures and snippets) are still recognized.
         stack: list[_Ctx] = [_Ctx("type")]
@@ -349,7 +351,7 @@ class JavaGrammar(Grammar):
                     body = text[ctx.decl_start : pos + 1]
                     sig = _canonical_signature(ctx.header.name, ctx.header.param_toks)
                     collected.append(
-                        (ctx.decl_start, ParsedMethod(ctx.header.name, sig, body))
+                        (ctx.decl_start, MethodRecord(ctx.header.name, sig, body))
                     )
                 elif ctx.header is not None:  # an annotation member's array default
                     collected.append(_bodiless(ctx.header))

@@ -24,9 +24,51 @@ GET_CANDIDATE_FILENAMES = "get_candidate_filenames"
 GET_METHOD_SIGNATURES = "get_method_signatures_of_a_file"
 GET_METHOD_BODY = "get_method_body"
 
-TOOL_NAMES = frozenset(
-    {SEARCH_FILE, SEARCH_METHOD, GET_CANDIDATE_FILENAMES, GET_METHOD_SIGNATURES, GET_METHOD_BODY}
-)
+# The argument schema of each tool, as shown to the model.
+TOOL_SCHEMAS: dict[str, dict] = {
+    SEARCH_FILE: {
+        "name": SEARCH_FILE,
+        "description": "Check whether a file exists in the code base and list the fully "
+        "qualified paths of matches.",
+        "parameters": {"name": {"type": "string", "description": "File name to look up."}},
+        "required": ["name"],
+    },
+    SEARCH_METHOD: {
+        "name": SEARCH_METHOD,
+        "description": "Find which files define a method with the given name.",
+        "parameters": {"name": {"type": "string", "description": "Method name to look up."}},
+        "required": ["name"],
+    },
+    GET_CANDIDATE_FILENAMES: {
+        "name": GET_CANDIDATE_FILENAMES,
+        "description": "Retrieve the filenames most semantically similar to the bug "
+        "report, as an initial candidate pool.",
+        "parameters": {},
+        "required": [],
+    },
+    GET_METHOD_SIGNATURES: {
+        "name": GET_METHOD_SIGNATURES,
+        "description": "List all method signatures defined in a file, in source order.",
+        "parameters": {
+            "fq_path": {"type": "string", "description": "Fully qualified file path."}
+        },
+        "required": ["fq_path"],
+    },
+    GET_METHOD_BODY: {
+        "name": GET_METHOD_BODY,
+        "description": "Retrieve the body of a method, optionally scoped to one file.",
+        "parameters": {
+            "method": {"type": "string", "description": "Method name."},
+            "fq_path": {
+                "type": "string",
+                "description": "Optional fully qualified file path to search in.",
+            },
+        },
+        "required": ["method"],
+    },
+}
+
+TOOL_NAMES = frozenset(TOOL_SCHEMAS)
 
 
 @dataclass(frozen=True)
@@ -42,22 +84,18 @@ class ToolResult:
 
 
 class ToolRegistry:
-    """Name -> callable bindings plus the argument schemas shown to the model:
-    the one record of which tools a run offers.
+    """Name -> callable bindings, whose argument schemas are those of
+    TOOL_SCHEMAS: the one record of which tools a run offers.
 
-    Only the five exploration tools are registrable; the candidate-filenames
-    tool is registered exactly when a run has a shortlist.
+    Only the five exploration tools can be bound; the candidate-filenames
+    tool is bound exactly when a run has a shortlist.
     """
 
-    def __init__(self):
-        self._bindings: dict[str, Callable[..., ToolResult]] = {}
-        self._schemas: dict[str, dict] = {}
-
-    def register(self, name: str, fn: Callable[..., ToolResult], schema: dict) -> None:
-        if name not in TOOL_NAMES:
-            raise ValueError(f"unknown tool name {name!r}")
-        self._bindings[name] = fn
-        self._schemas[name] = schema
+    def __init__(self, bindings: dict[str, Callable[..., ToolResult]]):
+        unknown = bindings.keys() - TOOL_NAMES
+        if unknown:
+            raise ValueError(f"unknown tool name {min(unknown)!r}")
+        self._bindings = dict(bindings)
 
     def names(self) -> list[str]:
         return sorted(self._bindings)
@@ -66,7 +104,7 @@ class ToolRegistry:
         return name in self._bindings
 
     def schemas(self) -> list[dict]:
-        return [self._schemas[name] for name in self.names()]
+        return [TOOL_SCHEMAS[name] for name in self.names()]
 
     def dispatch(self, name: str, arguments: dict) -> ToolResult:
         fn = self._bindings.get(name)
@@ -86,7 +124,7 @@ class ToolRegistry:
     def _mistyped(self, name: str, arguments: dict) -> str | None:
         """Why a value given for a string parameter of the schema is not a
         string; an optional parameter given as null counts as absent."""
-        schema = self._schemas[name]
+        schema = TOOL_SCHEMAS[name]
         for key, value in arguments.items():
             spec = schema["parameters"].get(key)
             if spec is None or spec["type"] != "string" or isinstance(value, str):
@@ -127,7 +165,6 @@ def _overload_blocks(record: SourceFileRecord, method_name: str) -> list[str]:
 def make_tool_registry(index: CodeIndex, shortlist: Shortlist | None = None) -> ToolRegistry:
     """The tools over `index`; get_candidate_filenames is among them exactly
     when a shortlist is given."""
-    registry = ToolRegistry()
 
     def resolve_file(fq_path: str) -> tuple[SourceFileRecord, str | None] | ToolResult:
         """The record at fq_path, else the one file its basename matches, with
@@ -230,65 +267,12 @@ def make_tool_registry(index: CodeIndex, shortlist: Shortlist | None = None) -> 
             note=note,
         )
 
-    registry.register(
-        SEARCH_FILE,
-        search_file,
-        {
-            "name": SEARCH_FILE,
-            "description": "Check whether a file exists in the code base and list the fully "
-            "qualified paths of matches.",
-            "parameters": {"name": {"type": "string", "description": "File name to look up."}},
-            "required": ["name"],
-        },
-    )
-    registry.register(
-        SEARCH_METHOD,
-        search_method,
-        {
-            "name": SEARCH_METHOD,
-            "description": "Find which files define a method with the given name.",
-            "parameters": {"name": {"type": "string", "description": "Method name to look up."}},
-            "required": ["name"],
-        },
-    )
+    bindings = {
+        SEARCH_FILE: search_file,
+        SEARCH_METHOD: search_method,
+        GET_METHOD_SIGNATURES: get_method_signatures_of_a_file,
+        GET_METHOD_BODY: get_method_body,
+    }
     if shortlist is not None:
-        registry.register(
-            GET_CANDIDATE_FILENAMES,
-            get_candidate_filenames,
-            {
-                "name": GET_CANDIDATE_FILENAMES,
-                "description": "Retrieve the filenames most semantically similar to the bug "
-                "report, as an initial candidate pool.",
-                "parameters": {},
-                "required": [],
-            },
-        )
-    registry.register(
-        GET_METHOD_SIGNATURES,
-        get_method_signatures_of_a_file,
-        {
-            "name": GET_METHOD_SIGNATURES,
-            "description": "List all method signatures defined in a file, in source order.",
-            "parameters": {
-                "fq_path": {"type": "string", "description": "Fully qualified file path."}
-            },
-            "required": ["fq_path"],
-        },
-    )
-    registry.register(
-        GET_METHOD_BODY,
-        get_method_body,
-        {
-            "name": GET_METHOD_BODY,
-            "description": "Retrieve the body of a method, optionally scoped to one file.",
-            "parameters": {
-                "method": {"type": "string", "description": "Method name."},
-                "fq_path": {
-                    "type": "string",
-                    "description": "Optional fully qualified file path to search in.",
-                },
-            },
-            "required": ["method"],
-        },
-    )
-    return registry
+        bindings[GET_CANDIDATE_FILENAMES] = get_candidate_filenames
+    return ToolRegistry(bindings)

@@ -35,9 +35,7 @@ def toolenv(tmp_path):
         "org/chart/Generator.java": java_class("Generator", {"render": "generate();"}),
     }
     index = build_index(write_tree(tmp_path / "repo", files), "java", "v1")
-    shortlist = Shortlist(
-        entries=(("org/chart/AutoScale.java", 0.9), ("org/chart/Generator.java", 0.8)), k=50
-    )
+    shortlist = Shortlist(entries=(("org/chart/AutoScale.java", 0.9), ("org/chart/Generator.java", 0.8)))
     return make_tool_registry(index, shortlist=shortlist)
 
 

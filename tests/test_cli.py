@@ -98,6 +98,23 @@ def test_negative_shortlist_k_exits_before_indexing(workspace, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["index", "evaluate"])
+@pytest.mark.parametrize(
+    "section,setting", [("embedding", "dimension"), ("embedding", "max_batch_size"),
+                        ("embedding", "max_attempts"), ("chat", "max_attempts")]
+)
+@pytest.mark.parametrize("value", [0, -3])
+def test_provider_settings_below_one_exit_before_indexing(workspace, capsys, command, section, setting, value):
+    cfg_file = workspace / "cfg.yaml"
+    cfg_file.write_text(f"{section}:\n  {setting}: {value}\n", encoding="utf-8")
+    out = workspace / "out"
+    extra = ["--version", "v1"] if command == "index" else ["--dataset", workspace / "bugs.jsonl"]
+    code = run_cli(command, "--config", cfg_file, "--repo", workspace / "repo", "--out", out, *extra)
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {section}.{setting} must be at least 1, got {value}"]
+    assert not out.exists()
+
+
 def test_remote_provider_without_key_fails_fast(tmp_path, monkeypatch, workspace):
     monkeypatch.delenv("BUGLOC_EMBED_API_KEY", raising=False)
     cfg_file = tmp_path / "cfg.yaml"
@@ -146,7 +163,7 @@ def test_cmd_index_writes_archives(workspace):
     assert code == 0
     index = load_code_index(out / "index-cache" / "v1.code.jsonl")
     assert "org/chart/AutoScale.java" in index.files
-    eindex = load_embedding_index(out / "index-cache" / "v1.embed.jsonl")
+    eindex = load_embedding_index(out / "index-cache" / "v1.embed.jsonl", index)
     assert len(eindex) >= 3
 
 
@@ -195,7 +212,7 @@ def test_cmd_index_incremental_update(workspace):
     ) == 0
     v2_index = load_code_index(out / "index-cache" / "v2.code.jsonl")
     assert "org/new/Fresh.java" in v2_index.files
-    v2_embed = load_embedding_index(out / "index-cache" / "v2.embed.jsonl")
+    v2_embed = load_embedding_index(out / "index-cache" / "v2.embed.jsonl", v2_index)
     assert ("org/new/Fresh.java", 0) in v2_embed.records
 
 

@@ -13,7 +13,9 @@ import numpy as np
 import pytest
 
 from bugloc import embedding
-from bugloc.code_index import ArchiveFormatError, Changeset, CodeIndex, ObjectPool, build_index, update_index
+from bugloc.code_index import (
+    ArchiveFormatError, Changeset, CodeIndex, ObjectPool, build_index, save_code_index, update_index,
+)
 from bugloc.embedders import (
     CachedEmbedder,
     HashingEmbedder,
@@ -948,14 +950,23 @@ def test_update_embeddings_retries_only_in_the_transport(tmp_path, monkeypatch, 
     assert session.calls == posts
 
 
+@pytest.mark.parametrize("size", [0, -3])
+def test_remote_embedder_rejects_a_batch_size_below_one(monkeypatch, size):
+    monkeypatch.setenv("TEST_EMBED_KEY", "k")
+    with pytest.raises(ValueError, match="max_batch_size must be at least 1"):
+        RemoteEmbedder("m", 8, "https://api.example", api_key_env="TEST_EMBED_KEY", max_batch_size=size)
+
+
 def test_embedding_archive_roundtrip(tmp_path):
     root = planted_repo(tmp_path, n_files=3)
     index = build_index(root, "java", "v0")
     provider = HashingEmbedder(dimension=16)
     eindex = build_embedding_index(index, provider)
     archive = tmp_path / "embed.jsonl"
-    save_embedding_index(eindex, archive)
-    loaded = load_embedding_index(archive)
+    with pytest.raises(ValueError, match="hold other files"):
+        save_embedding_index(eindex, archive, CodeIndex("v0"))
+    save_embedding_index(eindex, archive, index)
+    loaded = load_embedding_index(archive, index)
     assert loaded.records == eindex.records
     assert loaded.dimension == eindex.dimension
     assert loaded.provider_id == eindex.provider_id
@@ -966,12 +977,31 @@ def test_embedding_archive_roundtrip_of_many_chunks_per_file(tmp_path):
     index = build_index(root, "java", "v0")
     eindex = build_embedding_index(index, HashingEmbedder(dimension=8), chunk_limit=3)
     assert len(eindex) > 3 * len(index.files)
-    save_embedding_index(eindex, tmp_path / "embed.jsonl")
-    loaded = load_embedding_index(tmp_path / "embed.jsonl")
+    save_embedding_index(eindex, tmp_path / "embed.jsonl", index)
+    loaded = load_embedding_index(tmp_path / "embed.jsonl", index)
     assert loaded.chunks == eindex.chunks
     assert np.array_equal(loaded.vectors, eindex.vectors)
-    assert loaded.sources == index.files
+    assert loaded.file_paths == sorted(index.files)
     assert loaded.chunk_limit == 3
+
+
+def test_embedding_archive_rejects_the_code_index_of_another_version_and_keeps_its_objects(tmp_path):
+    root = planted_repo(tmp_path, n_files=3)
+    index = build_index(root, "java", "v0")
+    pool = ObjectPool(tmp_path / "objects")
+    save_code_index(index, tmp_path / "v0.code.jsonl", pool=pool)
+    eindex = build_embedding_index(index, HashingEmbedder(dimension=8))
+    save_embedding_index(eindex, tmp_path / "v0.embed.jsonl", index, pool=pool)
+    write_tree(root, {"pkg/File1.java": java_class("File1", {"method1": "changed();"})})
+    updated = update_index(index, Changeset(modified=("pkg/File1.java",)), root, "v1")
+
+    def objects():
+        return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in (tmp_path / "objects").iterdir()}
+
+    before = objects()
+    with pytest.raises(ArchiveFormatError, match="made from other files than its code archive"):
+        load_embedding_index(tmp_path / "v0.embed.jsonl", updated)
+    assert objects() == before
 
 
 def counted_encodes(monkeypatch) -> list[str]:
@@ -994,23 +1024,23 @@ def test_embedding_save_encodes_only_the_vector_object_of_an_updated_file(tmp_pa
     index = build_index(root, "java", "v0")
     eindex = build_embedding_index(index, provider)
     pool = ObjectPool(tmp_path / "objects")
-    save_embedding_index(eindex, tmp_path / "v0.jsonl", pool=pool)
+    save_embedding_index(eindex, tmp_path / "v0.jsonl", index, pool=pool)
     if start == "loaded":
         pool = ObjectPool(tmp_path / "objects")
-        eindex = load_embedding_index(tmp_path / "v0.jsonl", pool=pool)
         index = build_index(root, "java", "v0")
+        eindex = load_embedding_index(tmp_path / "v0.jsonl", index, pool=pool)
     encoded = counted_encodes(monkeypatch)
     write_tree(root, {"pkg/File2.java": java_class("File2", {"method2": "changed();"})})
     changeset = Changeset(modified=("pkg/File2.java",))
     index = update_index(index, changeset, root, "v1")
     updated = update_embeddings(eindex, changeset, index, provider)
-    save_embedding_index(updated, tmp_path / "v1.jsonl", pool=pool)
+    save_embedding_index(updated, tmp_path / "v1.jsonl", index, pool=pool)
     assert len(encoded) == 1
-    save_embedding_index(updated, tmp_path / "v1-again.jsonl", pool=pool)
+    save_embedding_index(updated, tmp_path / "v1-again.jsonl", index, pool=pool)
     assert len(encoded) == 1
     assert (tmp_path / "v1.jsonl").read_bytes() == (tmp_path / "v1-again.jsonl").read_bytes()
-    fresh = EmbeddingIndex(16, provider.provider_id, chunks=updated.chunks, vectors=updated.vectors, sources=index.files)
-    save_embedding_index(fresh, tmp_path / "fresh" / "v1.jsonl")  # a pool of its own encodes every file
+    fresh = EmbeddingIndex(16, provider.provider_id, chunks=updated.chunks, vectors=updated.vectors)
+    save_embedding_index(fresh, tmp_path / "fresh" / "v1.jsonl", index)  # a pool of its own encodes every file
     assert len(encoded) == 1 + len(index.files)
     entries = [(path / "v1.jsonl").read_text(encoding="utf-8").splitlines()[1:] for path in (tmp_path, tmp_path / "fresh")]
     assert entries[0] == entries[1]
@@ -1021,23 +1051,23 @@ def test_embedding_save_encodes_a_file_whose_rows_or_chunks_changed(tmp_path, mo
     index = build_index(planted_repo(tmp_path, n_files=3), "java", "v0")
     eindex = build_embedding_index(index, HashingEmbedder(dimension=8))
     pool = ObjectPool(tmp_path / "objects")
-    save_embedding_index(eindex, tmp_path / "v0.jsonl", pool=pool)
+    save_embedding_index(eindex, tmp_path / "v0.jsonl", index, pool=pool)
     vectors, chunks = eindex.vectors.copy(), list(eindex.chunks)
     first = eindex.file_starts[1]
     if change == "row":
         vectors[first, 0] += 1.0
     else:  # the same rows, one chunk's token count edited
         chunks[first] = Chunk(chunks[first].fq_path, 0, chunks[first].text, chunks[first].token_count + 1)
-    changed = EmbeddingIndex(8, eindex.provider_id, chunks=chunks, vectors=vectors, sources=eindex.sources)
+    changed = EmbeddingIndex(8, eindex.provider_id, chunks=chunks, vectors=vectors)
     encoded = counted_encodes(monkeypatch)
-    save_embedding_index(changed, tmp_path / "v1.jsonl", pool=pool)
+    save_embedding_index(changed, tmp_path / "v1.jsonl", index, pool=pool)
     assert len(encoded) == 1
     before, after = (
         [json.loads(line) for line in (tmp_path / name).read_text(encoding="utf-8").splitlines()[1:]]
         for name in ("v0.jsonl", "v1.jsonl")
     )
     assert [a[2] == b[2] for a, b in zip(before, after)] == [i != 1 for i in range(len(before))]
-    loaded = load_embedding_index(tmp_path / "v1.jsonl")
+    loaded = load_embedding_index(tmp_path / "v1.jsonl", index)
     assert loaded.chunks == tuple(chunks) and np.array_equal(loaded.vectors, vectors)
 
 
@@ -1046,45 +1076,46 @@ def test_embedding_archive_rejects_vector_objects_of_two_dimensions(tmp_path):
     lines = {}
     for dimension in (8, 16):
         archive = tmp_path / f"embed{dimension}.jsonl"
-        save_embedding_index(build_embedding_index(index, HashingEmbedder(dimension)), archive)
+        save_embedding_index(build_embedding_index(index, HashingEmbedder(dimension)), archive, index)
         lines[dimension] = archive.read_text(encoding="utf-8").splitlines()
     header = json.loads(lines[16][0])
     header["packs"] = sorted(set(header["packs"]) | set(json.loads(lines[8][0])["packs"]))
     mixed = tmp_path / "mixed.jsonl"
     mixed.write_text("\n".join([json.dumps(header), lines[16][1], *lines[8][2:]]) + "\n", encoding="utf-8")
     with pytest.raises(ArchiveFormatError, match="unusable embedding index archive"):
-        load_embedding_index(mixed)
+        load_embedding_index(mixed, index)
 
 
 def test_embedding_archive_rejects_wrong_magic(tmp_path):
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"magic": "nope", "format": 1}\n', encoding="utf-8")
     with pytest.raises(ArchiveFormatError):
-        load_embedding_index(bad)
+        load_embedding_index(bad, CodeIndex(""))
 
 
 def saved_archive(tmp_path):
     root = planted_repo(tmp_path, n_files=3)
-    eindex = build_embedding_index(build_index(root, "java", "v0"), HashingEmbedder(dimension=16))
+    index = build_index(root, "java", "v0")
+    eindex = build_embedding_index(index, HashingEmbedder(dimension=16))
     archive = tmp_path / "embed.jsonl"
-    save_embedding_index(eindex, archive)
-    return archive
+    save_embedding_index(eindex, archive, index)
+    return archive, index
 
 
 @pytest.mark.parametrize("cut", ["last line", "half of the last line"])
 def test_embedding_archive_rejects_a_truncated_body(tmp_path, cut):
-    archive = saved_archive(tmp_path)
+    archive, index = saved_archive(tmp_path)
     text = archive.read_text(encoding="utf-8")
     body_end = text.rstrip("\n").rfind("\n") + 1
     keep = body_end if cut == "last line" else (body_end + len(text)) // 2
     archive.write_text(text[:keep], encoding="utf-8")
     with pytest.raises(ArchiveFormatError):
-        load_embedding_index(archive)
+        load_embedding_index(archive, index)
 
 
 def test_embedding_archive_rejects_rows_of_another_dimension(tmp_path):
-    archive = saved_archive(tmp_path)
+    archive, index = saved_archive(tmp_path)
     header, rest = archive.read_text(encoding="utf-8").split("\n", 1)
     archive.write_text(header.replace('"dimension": 16', '"dimension": 8') + "\n" + rest, encoding="utf-8")
     with pytest.raises(ArchiveFormatError, match=r"expected \(\d+, 8\)"):
-        load_embedding_index(archive)
+        load_embedding_index(archive, index)

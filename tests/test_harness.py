@@ -34,6 +34,12 @@ from oracles import locator_oracle
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
+def load_embed_archive(cache, version="v1"):
+    """The embedding archive of `version` in `cache`, read with its code archive."""
+    code = load_code_index(cache / f"{version}.code.jsonl")
+    return load_embedding_index(cache / f"{version}.embed.jsonl", code)
+
+
 def versioned_repo(tmp_path):
     v1 = {
         "org/A.java": java_class("A", {"alpha": "alphaword unique1;"}),
@@ -188,7 +194,7 @@ def test_version_store_rebuilds_archive_of_another_provider(tmp_path, caplog):
     localizer = EmbeddingLocalizer(provider, top_n=10).fit(code, embed)
     assert localizer.predict(bugs_for_eval()[0]).paths[0] == "org/A.java"
     assert "hashing-64" in caplog.text
-    assert load_embedding_index(cache / "v1.embed.jsonl").dimension == 128
+    assert load_embed_archive(cache).dimension == 128
 
 
 def two_look_alike_versions(tmp_path):
@@ -279,7 +285,7 @@ def test_version_store_rebuilds_archive_of_another_chunk_limit(tmp_path, caplog)
         _, embed = store.get("v1")
     assert max(r.chunk.token_count for r in embed.records.values()) <= 50
     assert "chunk limit 300" in caplog.text
-    assert load_embedding_index(cache / "v1.embed.jsonl").chunk_limit == 50
+    assert load_embed_archive(cache).chunk_limit == 50
 
 
 def test_version_store_rebuilds_archive_without_chunk_limit(tmp_path, caplog):
@@ -294,7 +300,7 @@ def test_version_store_rebuilds_archive_without_chunk_limit(tmp_path, caplog):
     with caplog.at_level("WARNING", logger="bugloc.harness"):
         VersionStore(root, embedding_provider=HashingEmbedder(32), cache_dir=cache).get("v1")
     assert "unusable embedding index archive" in caplog.text and "'chunk_limit'" in caplog.text
-    assert load_embedding_index(archive).chunk_limit == 300
+    assert load_embed_archive(cache).chunk_limit == 300
 
 
 def test_version_store_rebuilds_archive_of_another_format(tmp_path, caplog):
@@ -308,7 +314,7 @@ def test_version_store_rebuilds_archive_of_another_format(tmp_path, caplog):
         _, embed = VersionStore(root, embedding_provider=HashingEmbedder(16), cache_dir=cache).get("v1")
     assert "ignoring the archive of v1: unsupported archive format 0" in caplog.text
     assert embed.paths() == {"org/A.java", "org/B.java"}
-    assert load_embedding_index(archive).records == embed.records
+    assert load_embed_archive(cache).records == embed.records
 
 
 def format3_record(record) -> bytes:
@@ -338,7 +344,7 @@ def test_version_store_rebuilds_archives_of_the_formats_that_held_bodies_in_json
     assert "damaged" not in caplog.text
     assert packs <= set((cache / "objects").iterdir())  # none unlinked
     assert code == build_index(root / "v1", "java", "v1")
-    assert embed.sources == code.files
+    assert embed.file_paths == sorted(code.files)
     monkeypatch.setattr(harness, "build_index", None)  # the next store only loads
     get_fresh(root, cache, "v1", caplog)
     assert "ignoring" not in caplog.text
@@ -417,7 +423,7 @@ def test_version_store_rebuilds_a_save_cut_between_its_two_manifests(tmp_path, c
     code, embed = get_fresh(root, cache, "v1", caplog)
     assert "its embedding archive was made from other files than its code archive" in caplog.text
     assert "edited" in code.files["org/A.java"].methods[0].body
-    assert embed.sources == code.files
+    assert embed.file_paths == sorted(code.files)
     assert "edited" in embed.chunks[0].text
     get_fresh(root, cache, "v1", caplog)
     assert "ignoring" not in caplog.text

@@ -36,7 +36,7 @@ def repo_index(tmp_path):
 
 def shortlist_for(index):
     entries = tuple((path, 1.0 - i * 0.1) for i, path in enumerate(sorted(index.files)))
-    return Shortlist(entries=entries, k=50)
+    return Shortlist(entries=entries)
 
 
 def registry_for(index, shortlist=None, **kwargs):
@@ -200,9 +200,8 @@ def test_body_overloads_all_returned(tmp_path):
 
 
 def test_registry_rejects_unknown_tool_names():
-    registry = ToolRegistry()
     with pytest.raises(ValueError):
-        registry.register("run_bash", lambda: ToolResult(True, "x"), {})
+        ToolRegistry({"run_bash": lambda: ToolResult(True, "x")})
 
 
 def test_dispatch_unknown_tool_is_result(repo_index):
@@ -353,12 +352,11 @@ def characterization_registries(root):
             ("org/view/Shape.java", 0.5),
             ("empty/Empty.java", 0.1),
         ),
-        k=3,
     )
     return {
         "shortlist": make_tool_registry(index, shortlist=shortlist),
         "none": make_tool_registry(index, shortlist=None),
-        "empty": make_tool_registry(index, shortlist=Shortlist(entries=(), k=3)),
+        "empty": make_tool_registry(index, shortlist=Shortlist(entries=())),
         "noembed": make_tool_registry(index, shortlist=None),
     }
 
