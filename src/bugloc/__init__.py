@@ -8,7 +8,7 @@ MAP@10, overlap analysis).
 """
 
 from .agent import AgentConfig, AgentTranscript, ChatMessage, RawPrediction, build_prompt, parse_final_answer, run_localization
-from .chat import ChatTurn, RecordingChatProvider, RemoteChatProvider, ScriptedChatProvider, ToolCall
+from .chat import RecordingChatProvider, RemoteChatProvider, ScriptedChatProvider, ToolCall
 from .code_index import (
     Changeset,
     CodeIndex,
@@ -51,6 +51,6 @@ from .resolve import ResolvedPrediction, jaccard_similarity, resolve_predictions
 from .tokens import camel_split, tokenize
 from .tools import ToolRegistry, ToolResult, make_tool_registry
 from .validation import InputValidationError, NotFittedError, check_is_fitted
-from .vsm import VsmModel, vsm_rank
+from .vsm import VsmModel
 
 __version__ = "0.1.0"

@@ -14,16 +14,14 @@ import re
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
-from .chat import ChatProvider, ChatProviderError
+from .chat import (  # the roles and ChatMessage stay importable from here
+    ROLE_MODEL, ROLE_SYSTEM, ROLE_TOOL, ChatMessage, ChatProvider, ChatProviderError,
+)
 from .ioutil import SCHEMA_VERSION, atomic_write_text
 from .tools import TOOL_NAMES, ToolRegistry
 from .validation import InputValidationError
 
 logger = logging.getLogger(__name__)
-
-ROLE_SYSTEM = "system"
-ROLE_MODEL = "model"
-ROLE_TOOL = "tool"
 
 
 class FinalAnswerParseError(ValueError):
@@ -31,27 +29,10 @@ class FinalAnswerParseError(ValueError):
 
 
 @dataclass(frozen=True)
-class ChatMessage:
-    role: str
-    content: str = ""
-    tool_call: tuple[str, dict] | None = None  # (tool name, argument map)
-    tool_result: str | None = None
-
-    def __post_init__(self):
-        if self.role not in (ROLE_SYSTEM, ROLE_MODEL, ROLE_TOOL):
-            raise ValueError(f"unknown message role {self.role!r}")
-        if self.tool_call is not None and self.role != ROLE_MODEL:
-            raise ValueError("tool_call is only valid on model messages")
-        if self.tool_result is not None and self.role != ROLE_TOOL:
-            raise ValueError("tool_result is only valid on tool messages")
-
-
-@dataclass(frozen=True)
 class AgentConfig:
     max_iterations: int = 10
     final_list_size: int = 10
     temperature: float = 1.0
-    run_seed: str = ""
     tool_result_char_cap: int | None = None  # None: results enter the context untruncated
 
     def __post_init__(self):
@@ -68,7 +49,6 @@ class AgentTranscript:
     iterations_used: int = 0
     raw_final_answer: str = ""
     failure_reason: str | None = None
-    run_seed: str = ""
 
 
 @dataclass(frozen=True)
@@ -256,7 +236,7 @@ def run_localization(
     raw_final_answer, and a failure_reason. Never raises for per-bug
     conditions.
     """
-    transcript = AgentTranscript(bug_id=bug.bug_id, run_seed=config.run_seed)
+    transcript = AgentTranscript(bug_id=bug.bug_id)
     try:
         messages = build_prompt(bug, config, tools.names())
     except InputValidationError as exc:
@@ -276,20 +256,15 @@ def run_localization(
             return [], transcript
 
         transcript.iterations_used = iteration
+        messages.append(turn)
         if turn.tool_call is not None:
-            name = turn.tool_call.name
-            arguments = dict(turn.tool_call.arguments)
-            messages.append(
-                ChatMessage(role=ROLE_MODEL, content="", tool_call=(name, arguments))
-            )
-            rendered = tools.dispatch(name, arguments).render()
+            rendered = tools.dispatch(*turn.tool_call).render()
             cap = config.tool_result_char_cap
             if cap is not None and len(rendered) > cap:
                 rendered = rendered[:cap] + "\n[truncated]"
             messages.append(ChatMessage(role=ROLE_TOOL, content="", tool_result=rendered))
             continue
 
-        messages.append(ChatMessage(role=ROLE_MODEL, content=turn.content))
         try:
             predictions = parse_final_answer(turn.content, config.final_list_size)
         except FinalAnswerParseError as exc:
@@ -312,7 +287,7 @@ def transcript_to_dict(transcript: AgentTranscript) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "bug_id": transcript.bug_id,
-        "run_seed": transcript.run_seed,
+        "run_seed": "",  # kept so that transcript files keep their bytes
         "iterations_used": transcript.iterations_used,
         "raw_final_answer": transcript.raw_final_answer,
         "failure_reason": transcript.failure_reason,

@@ -13,6 +13,7 @@ import logging
 import os
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import requests
 
@@ -38,45 +39,61 @@ class ScriptExhaustedError(ChatProviderError):
     """The scripted provider ran past the end of its canned responses."""
 
 
-@dataclass(frozen=True)
-class ToolCall:
+ROLE_SYSTEM = "system"
+ROLE_MODEL = "model"
+ROLE_TOOL = "tool"
+
+
+class ToolCall(NamedTuple):
     name: str
     arguments: dict
 
 
 @dataclass(frozen=True)
-class ChatTurn:
-    content: str | None = None
+class ChatMessage:
+    """One message of a conversation. A model message is one model turn:
+    a tool call, or final text."""
+
+    role: str
+    content: str = ""
     tool_call: ToolCall | None = None
+    tool_result: str | None = None
 
     def __post_init__(self):
-        if (self.content is None) == (self.tool_call is None):
-            raise ValueError("a chat turn carries either final text or a tool call")
+        if self.role not in (ROLE_SYSTEM, ROLE_MODEL, ROLE_TOOL):
+            raise ValueError(f"unknown message role {self.role!r}")
+        if self.tool_call is not None and self.role != ROLE_MODEL:
+            raise ValueError("tool_call is only valid on model messages")
+        if self.tool_call is not None and self.content:
+            raise ValueError("a model turn carries either final text or a tool call")
+        if self.tool_result is not None and self.role != ROLE_TOOL:
+            raise ValueError("tool_result is only valid on tool messages")
 
 
 class ChatProvider:
     provider_id: str = ""
 
-    def complete(self, messages, tool_schemas: list[dict], temperature: float) -> ChatTurn:
+    def complete(self, messages, tool_schemas: list[dict], temperature: float) -> ChatMessage:
+        """The model's next turn, a model message."""
         raise NotImplementedError
 
 
-def _turn_to_dict(turn: ChatTurn) -> dict:
+def _turn_to_dict(turn: ChatMessage) -> dict:
     if turn.tool_call is not None:
-        return {"tool_call": {"name": turn.tool_call.name, "arguments": turn.tool_call.arguments}}
+        return {"tool_call": turn.tool_call._asdict()}
     return {"final": turn.content}
 
 
-def _turn_from_dict(raw: dict) -> ChatTurn:
+def _turn_from_dict(raw: dict) -> ChatMessage:
     if "tool_call" in raw:
         call = raw["tool_call"]
-        return ChatTurn(tool_call=ToolCall(call["name"], dict(call.get("arguments", {}))))
+        return ChatMessage(ROLE_MODEL, tool_call=ToolCall(call["name"], dict(call.get("arguments", {}))))
     if "final" in raw:
-        return ChatTurn(content=raw["final"])
+        return ChatMessage(ROLE_MODEL, content=raw["final"])
     raise ValueError(f"replay entry is neither a tool_call nor a final response: {raw}")
 
 
-def save_replay(path: str | Path, turns: list[ChatTurn], repeat_last: bool = False) -> None:
+def save_replay(path: str | Path, turns: list[ChatMessage], repeat_last: bool = False) -> None:
     atomic_write_json(
         path,
         {
@@ -87,7 +104,7 @@ def save_replay(path: str | Path, turns: list[ChatTurn], repeat_last: bool = Fal
     )
 
 
-def load_replay(path: str | Path) -> tuple[list[ChatTurn], bool]:
+def load_replay(path: str | Path) -> tuple[list[ChatMessage], bool]:
     raw = read_json(path)
     return [_turn_from_dict(r) for r in raw["responses"]], bool(raw.get("repeat_last", False))
 
@@ -99,7 +116,7 @@ class ScriptedChatProvider(ChatProvider):
 
     provider_id = "scripted"
 
-    def __init__(self, turns: list[ChatTurn], repeat_last: bool = False):
+    def __init__(self, turns: list[ChatMessage], repeat_last: bool = False):
         self.turns = list(turns)
         self.repeat_last = repeat_last
 
@@ -108,8 +125,8 @@ class ScriptedChatProvider(ChatProvider):
         turns, repeat_last = load_replay(path)
         return cls(turns, repeat_last=repeat_last)
 
-    def complete(self, messages, tool_schemas: list[dict], temperature: float) -> ChatTurn:
-        cursor = sum(1 for m in messages if m.role == "model")
+    def complete(self, messages, tool_schemas: list[dict], temperature: float) -> ChatMessage:
+        cursor = sum(1 for m in messages if m.role == ROLE_MODEL)
         if cursor < len(self.turns):
             return self.turns[cursor]
         if self.repeat_last and self.turns:
@@ -125,9 +142,9 @@ class RecordingChatProvider(ChatProvider):
     def __init__(self, inner: ChatProvider):
         self.inner = inner
         self.provider_id = f"recorded:{inner.provider_id}"
-        self.recorded: list[ChatTurn] = []
+        self.recorded: list[ChatMessage] = []
 
-    def complete(self, messages, tool_schemas: list[dict], temperature: float) -> ChatTurn:
+    def complete(self, messages, tool_schemas: list[dict], temperature: float) -> ChatMessage:
         turn = self.inner.complete(messages, tool_schemas, temperature)
         self.recorded.append(turn)
         return turn
@@ -149,6 +166,8 @@ class RemoteChatProvider(ChatProvider):
         session: requests.Session | None = None,
         retry_delay: float = 1.0,
     ):
+        if max_attempts < 1:
+            raise ValueError(f"max_attempts must be at least 1, got {max_attempts}")
         api_key = os.environ.get(api_key_env, "")
         if not api_key:
             raise ConfigurationError(
@@ -167,14 +186,14 @@ class RemoteChatProvider(ChatProvider):
         wire = []
         first_system_seen = False
         for msg in messages:
-            if msg.role == "system":
+            if msg.role == ROLE_SYSTEM:
                 # The first system message is the instruction frame; later
                 # system messages (bug report, corrective nudges) ride in the
                 # user slot, which this package's message model does not name.
                 role = "system" if not first_system_seen else "user"
                 first_system_seen = True
                 wire.append({"role": role, "content": msg.content})
-            elif msg.role == "model":
+            elif msg.role == ROLE_MODEL:
                 if msg.tool_call is not None:
                     wire.append(
                         {
@@ -224,7 +243,7 @@ class RemoteChatProvider(ChatProvider):
             )
         return tools
 
-    def complete(self, messages, tool_schemas: list[dict], temperature: float) -> ChatTurn:
+    def complete(self, messages, tool_schemas: list[dict], temperature: float) -> ChatMessage:
         payload = {
             "model": self.model,
             "messages": self._wire_messages(messages),
@@ -247,7 +266,7 @@ class RemoteChatProvider(ChatProvider):
             raise ChatProviderError(f"malformed chat response: {exc}") from None
         return self._parse(body)
 
-    def _parse(self, body) -> ChatTurn:
+    def _parse(self, body) -> ChatMessage:
         try:
             message = body["choices"][0]["message"]
         except (KeyError, IndexError, TypeError) as exc:
@@ -265,8 +284,8 @@ class RemoteChatProvider(ChatProvider):
                 arguments = json.loads(fn.get("arguments") or "{}")
             except json.JSONDecodeError:
                 arguments = {}
-            return ChatTurn(tool_call=ToolCall(fn["name"], arguments))
+            return ChatMessage(ROLE_MODEL, tool_call=ToolCall(fn["name"], arguments))
         content = message.get("content")
         if not content:
             raise ChatProviderError("chat response carried neither text nor a tool call")
-        return ChatTurn(content=content)
+        return ChatMessage(ROLE_MODEL, content=content)

@@ -169,24 +169,11 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    reports = []
-    per_technique = {}
-    ground_truths: dict[str, set] = {}
-    dataset_path = args.dataset
-    if dataset_path:
-        for bug in load_bug_reports(dataset_path):
-            ground_truths[bug.bug_id] = set(bug.ground_truth)
-    for path in args.results:
-        raw = read_json(path)
-        report = report_from_dict(raw)
-        reports.append(report)
-        per_technique[report.technique] = report.per_bug
-        for entry in raw.get("ground_truths", []):
-            ground_truths[entry["bug_id"]] = set(entry["files"])
-    if not ground_truths:
-        raise ConfigurationError(
-            "compare needs ground truths: pass --dataset or embed them in result files"
-        )
+    if not args.dataset:
+        raise ConfigurationError("compare needs ground truths: pass --dataset")
+    ground_truths = {bug.bug_id: set(bug.ground_truth) for bug in load_bug_reports(args.dataset)}
+    reports = [report_from_dict(read_json(path)) for path in args.results]
+    per_technique = {report.technique: report.per_bug for report in reports}
     stats = overlap_analysis(per_technique, ground_truths, k=args.k)
     print(format_report_table(reports))
     print()

@@ -8,9 +8,9 @@ the names of the records dropped or added worked out again, whether the new
 index comes from an update, a load with a base or a build from scratch (the
 update of the empty index), so a version shares the path tuples of its
 unchanged names with the version before. A record object is a JSON head line
-(path, basename, parse_ok and each method's name, signature, body length and
-abstract flag), then every body as raw UTF-8 text; code archives of format 4
-hold such objects, and an archive of an older format is not read.
+(path, parse_ok and each method's name, signature and body length), then
+every body as raw UTF-8 text; code archives of format 5 hold such objects,
+and an archive of an older format is not read.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .java_parser import Grammar, MethodRecord, get_grammar
 logger = logging.getLogger(__name__)
 
 ARCHIVE_MAGIC = "bugloc-code-index"
-ARCHIVE_FORMAT = 4
+ARCHIVE_FORMAT = 5
 OBJECTS_DIR = "objects"  # beside the manifests
 _DIGEST = re.compile("[0-9a-f]{64}")
 
@@ -51,9 +51,12 @@ class ArchiveFormatError(ValueError):
 @dataclass(frozen=True)
 class SourceFileRecord:
     fq_path: str  # repository-relative, '/'-separated
-    basename: str
     methods: tuple[MethodRecord, ...]
     parse_ok: bool
+
+    @property
+    def basename(self) -> str:
+        return self.fq_path.rsplit("/", 1)[-1]
 
 
 @dataclass
@@ -138,13 +141,12 @@ def _update_locator(base: CodeIndex, files: dict[str, SourceFileRecord]) -> dict
 def _parse_file(data: bytes, fq_path: str, grammar: Grammar) -> SourceFileRecord:
     """The record of a file's bytes, decoded as `read_text(encoding="utf-8",
     errors="replace")` decodes them, universal newlines included."""
-    basename = fq_path.rsplit("/", 1)[-1]
     text = data.decode("utf-8", errors="replace").replace("\r\n", "\n").replace("\r", "\n")
     result = grammar.parse(text)
     if not result.ok:
         logger.debug("parse failure recorded for %s", fq_path)
-        return SourceFileRecord(fq_path, basename, (), parse_ok=False)
-    return SourceFileRecord(fq_path, basename, tuple(result.methods), parse_ok=True)
+        return SourceFileRecord(fq_path, (), parse_ok=False)
+    return SourceFileRecord(fq_path, tuple(result.methods), parse_ok=True)
 
 
 def _suffix(name: str) -> str:
@@ -438,33 +440,33 @@ def _split_pack(data: bytes) -> dict[str, bytes]:
 
 
 def _encode_record(record: SourceFileRecord) -> bytes:
-    """A record object: the JSON line [fq_path, basename, parse_ok, methods],
-    each method a list [name, signature, body length, abstract], then the
-    bodies one after another. All of it is UTF-8 with surrogates passed
-    through, and the head escapes no other character, so that every string
-    comes back as it was: JSON would join an escaped surrogate pair."""
-    methods = [[m.name, m.signature, len(m.body), m.abstract] for m in record.methods]
-    fields = [record.fq_path, record.basename, record.parse_ok, methods]
+    """A record object: the JSON line [fq_path, parse_ok, methods], each
+    method a list [name, signature, body length], then the bodies one after
+    another. All of it is UTF-8 with surrogates passed through, and the head
+    escapes no other character, so that every string comes back as it was:
+    JSON would join an escaped surrogate pair."""
+    methods = [[m.name, m.signature, len(m.body)] for m in record.methods]
+    fields = [record.fq_path, record.parse_ok, methods]
     text = json.dumps(fields, ensure_ascii=False, separators=(",", ":")) + "\n"
     return (text + "".join(m.body for m in record.methods)).encode("utf-8", "surrogatepass")
 
 
 def _decode_record(data: bytes) -> SourceFileRecord:
     head, _, bodies = data.partition(b"\n")
-    fq_path, basename, parse_ok, methods = json.loads(head)
+    fq_path, parse_ok, methods = json.loads(head)
     if type(methods) is not list:  # a head that is a dict or a string unpacks too
-        raise ValueError("its head is not a list of four fields, the last a list of methods")
+        raise ValueError("its head is not a list of three fields, the last a list of methods")
     text = bodies.decode("utf-8", "surrogatepass")
     decoded, end = [], 0
-    for name, signature, length, abstract in methods:
+    for name, signature, length in methods:
         body = text[end : end + length]
         if len(body) != length:
             raise ValueError(f"a body of {length!r} characters at offset {end} of {len(text)}")
-        decoded.append(MethodRecord(name, signature, body, abstract))
+        decoded.append(MethodRecord(name, signature, body))
         end += length
     if end != len(text):
         raise ValueError(f"its methods cover {end} of its {len(text)} body characters")
-    return SourceFileRecord(fq_path, basename, tuple(decoded), parse_ok)
+    return SourceFileRecord(fq_path, tuple(decoded), parse_ok)
 
 
 def archive_pool(path: str | Path, pool: ObjectPool | None) -> ObjectPool:

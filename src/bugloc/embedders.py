@@ -134,6 +134,8 @@ class RemoteEmbedder(EmbeddingProvider):
     ):
         if max_batch_size < 1:
             raise ValueError(f"max_batch_size must be at least 1, got {max_batch_size}")
+        if max_attempts < 1:
+            raise ValueError(f"max_attempts must be at least 1, got {max_attempts}")
         api_key = os.environ.get(api_key_env, "")
         if not api_key:
             raise ConfigurationError(

@@ -28,7 +28,7 @@ from .code_index import (
     file_representation, read_manifest, store_record, write_manifest,
 )
 from .embedders import EmbeddingProvider
-from .tokens import MAX_CHUNK_TOKENS, chunk_pattern, tokenize
+from .tokens import MAX_CHUNK_TOKENS, chunk_pattern
 from .validation import InputValidationError, require_bug_text
 
 logger = logging.getLogger(__name__)
@@ -37,7 +37,7 @@ DEFAULT_CHUNK_LIMIT = 300
 DEFAULT_SHORTLIST_K = 50
 
 EMBED_ARCHIVE_MAGIC = "bugloc-embedding-index"
-EMBED_ARCHIVE_FORMAT = 3
+EMBED_ARCHIVE_FORMAT = 4
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,6 @@ class Chunk:
     fq_path: str
     seq: int  # 0-based, contiguous per file
     text: str
-    token_count: int
 
 
 @dataclass(frozen=True)
@@ -120,13 +119,8 @@ def chunk_text(text: str, chunk_limit: int = DEFAULT_CHUNK_LIMIT, fq_path: str =
     """
     if chunk_limit < 1:
         raise ValueError("chunk_limit must be >= 1")
-    full = min(chunk_limit, MAX_CHUNK_TOKENS)
-    texts = chunk_pattern(full).findall(text) or [""]
-    last = len(texts) - 1
-    return [
-        Chunk(fq_path, seq, chunk, full if seq < last else len(tokenize(chunk)))
-        for seq, chunk in enumerate(texts)
-    ]
+    texts = chunk_pattern(min(chunk_limit, MAX_CHUNK_TOKENS)).findall(text) or [""]
+    return [Chunk(fq_path, seq, chunk) for seq, chunk in enumerate(texts)]
 
 
 def build_embedding_index(
@@ -207,7 +201,7 @@ def shortlist_files(
 
 
 def _chunk_spans(text: str, chunks: Iterable[Chunk]) -> list[list[int]]:
-    """[start, end, token_count] of each chunk of `text`, in order. Only
+    """[start, end] of each chunk of `text`, in order. Only
     whitespace lies between two chunks and each starts with a token, so a
     chunk's first match at or after the end of the one before is itself."""
     spans, end = [], 0
@@ -216,7 +210,7 @@ def _chunk_spans(text: str, chunks: Iterable[Chunk]) -> list[list[int]]:
         if start < 0:
             raise ValueError(f"chunk {chunk.seq} of {chunk.fq_path} is not in its source record")
         end = start + len(chunk.text)
-        spans.append([start, end, chunk.token_count])
+        spans.append([start, end])
     return spans
 
 
@@ -242,10 +236,7 @@ def _decode_vectors(data: bytes, record_key: str, record: SourceFileRecord):
     if len(rows) != len(spans):
         raise ValueError(f"it holds {len(rows)} rows for {len(spans)} chunks")
     text = file_representation(record)
-    chunks = tuple(
-        Chunk(record.fq_path, seq, text[start:end], tokens)
-        for seq, (start, end, tokens) in enumerate(spans)
-    )
+    chunks = tuple(Chunk(record.fq_path, seq, text[start:end]) for seq, (start, end) in enumerate(spans))
     return chunks, rows
 
 

@@ -210,7 +210,6 @@ def localize_bug(
 @dataclass
 class RunOutcome:
     report: EvalReport
-    run_reports: list[EvalReport]
     failures: list[dict] = field(default_factory=list)  # bug_id, run_id, reason
     transcripts: list = field(default_factory=list)
 
@@ -262,8 +261,7 @@ def evaluate_technique(
         run_transcripts.append([transcript for _, transcript, _ in outcomes])
 
     transcripts = [t for per_bug in zip(*run_transcripts) for t in per_bug if t is not None]
-    report = aggregate_runs(run_reports)
-    return RunOutcome(report=report, run_reports=run_reports, failures=failures, transcripts=transcripts)
+    return RunOutcome(report=aggregate_runs(run_reports), failures=failures, transcripts=transcripts)
 
 
 def report_to_dict(report: EvalReport, failures: list[dict] | None = None) -> dict:

@@ -68,7 +68,6 @@ class MethodRecord:
     # Verbatim method source, declaration through closing brace. Abstract and
     # interface methods have no implementation and store an empty body.
     body: str
-    abstract: bool = False
 
 
 @dataclass
@@ -293,7 +292,7 @@ def _bodiless(header: _MethodHeader) -> tuple[int, MethodRecord]:
     """An abstract or native method or an annotation member, keyed by the
     offset of its name."""
     sig = _canonical_signature(header.name, header.param_toks)
-    return header.name_pos, MethodRecord(header.name, sig, "", abstract=True)
+    return header.name_pos, MethodRecord(header.name, sig, "")
 
 
 @dataclass

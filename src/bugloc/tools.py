@@ -73,7 +73,6 @@ TOOL_NAMES = frozenset(TOOL_SCHEMAS)
 
 @dataclass(frozen=True)
 class ToolResult:
-    ok: bool
     payload: str
     note: str | None = None
 
@@ -109,17 +108,17 @@ class ToolRegistry:
     def dispatch(self, name: str, arguments: dict) -> ToolResult:
         fn = self._bindings.get(name)
         if fn is None:
-            return ToolResult(ok=False, payload=f"Tool '{name}' is not available in this run.")
+            return ToolResult(f"Tool '{name}' is not available in this run.")
         problem = self._mistyped(name, arguments)
         if problem:
-            return ToolResult(ok=False, payload=f"Invalid arguments for '{name}': {problem}")
+            return ToolResult(f"Invalid arguments for '{name}': {problem}")
         try:
             return fn(**arguments)
         except TypeError as exc:
-            return ToolResult(ok=False, payload=f"Invalid arguments for '{name}': {exc}")
+            return ToolResult(f"Invalid arguments for '{name}': {exc}")
         except Exception as exc:  # tools must never raise past the dispatcher
             logger.exception("tool %s failed", name)
-            return ToolResult(ok=False, payload=f"Tool '{name}' failed: {exc}")
+            return ToolResult(f"Tool '{name}' failed: {exc}")
 
     def _mistyped(self, name: str, arguments: dict) -> str | None:
         """Why a value given for a string parameter of the schema is not a
@@ -177,11 +176,10 @@ def make_tool_registry(index: CodeIndex, shortlist: Shortlist | None = None) -> 
             return index.files[paths[0]], f"'{fq_path}' not found; using basename match {paths[0]}"
         if paths:
             return ToolResult(
-                ok=True,
                 payload="Multiple files match that name:\n" + "\n".join(paths),
                 note=f"'{fq_path}' not found; listing basename matches",
             )
-        return ToolResult(ok=True, payload=f"No file matching '{fq_path}' was found.")
+        return ToolResult(f"No file matching '{fq_path}' was found.")
 
     def locate_method(name: str) -> tuple[list[tuple[str, str]], bool] | ToolResult:
         """(method name, path) pairs defining `name`, else its fuzzy candidates,
@@ -192,13 +190,13 @@ def make_tool_registry(index: CodeIndex, shortlist: Shortlist | None = None) -> 
         candidates = fuzzy_method_candidates(name, index)
         if candidates:
             return candidates, True
-        return ToolResult(ok=True, payload=f"No method named '{name}' was found in the code base.")
+        return ToolResult(f"No method named '{name}' was found in the code base.")
 
     def search_file(name: str) -> ToolResult:
         paths, note = _match_files(index, name)
         if not paths:
-            return ToolResult(ok=True, payload=f"No file matching '{name}' was found.")
-        return ToolResult(ok=True, payload="\n".join(paths), note=note)
+            return ToolResult(f"No file matching '{name}' was found.")
+        return ToolResult("\n".join(paths), note=note)
 
     def search_method(name: str) -> ToolResult:
         found = locate_method(name)
@@ -206,16 +204,16 @@ def make_tool_registry(index: CodeIndex, shortlist: Shortlist | None = None) -> 
             return found
         matches, fuzzy = found
         if not fuzzy:
-            return ToolResult(ok=True, payload="\n".join(path for _, path in matches))
+            return ToolResult("\n".join(path for _, path in matches))
         lines = [f"No exact definition of '{name}'. Closest method names:"]
         lines += [f"{cand} - {path}" for cand, path in matches]
-        return ToolResult(ok=True, payload="\n".join(lines), note=f"fuzzy-matched from '{name}'")
+        return ToolResult("\n".join(lines), note=f"fuzzy-matched from '{name}'")
 
     def get_candidate_filenames() -> ToolResult:
         paths = shortlist.paths()
         if not paths:
-            return ToolResult(ok=True, payload="The candidate shortlist is empty.")
-        return ToolResult(ok=True, payload="\n".join(paths))
+            return ToolResult("The candidate shortlist is empty.")
+        return ToolResult("\n".join(paths))
 
     def get_method_signatures_of_a_file(fq_path: str) -> ToolResult:
         found = resolve_file(fq_path)
@@ -228,7 +226,7 @@ def make_tool_registry(index: CodeIndex, shortlist: Shortlist | None = None) -> 
             payload = f"{record.fq_path} defines no methods."
         else:
             payload = "\n".join(m.signature for m in record.methods)
-        return ToolResult(ok=True, payload=payload, note=note)
+        return ToolResult(payload, note=note)
 
     def get_method_body(method: str, fq_path: str | None = None) -> ToolResult:
         found = resolve_file(fq_path) if fq_path else locate_method(method)
@@ -242,24 +240,22 @@ def make_tool_registry(index: CodeIndex, shortlist: Shortlist | None = None) -> 
                 if name == best:
                     blocks.extend(_overload_blocks(index.files[path], best))
             note = f"fuzzy-matched '{method}' to '{best}'" if fuzzy else None
-            return ToolResult(ok=True, payload="\n\n".join(blocks), note=note)
+            return ToolResult("\n\n".join(blocks), note=note)
         record, note = found
         blocks = _overload_blocks(record, method)
         if blocks:
-            return ToolResult(ok=True, payload="\n\n".join(blocks), note=note)
+            return ToolResult("\n\n".join(blocks), note=note)
         names = {m.name for m in record.methods}
         if names:
             distance, best = min((damerau_levenshtein(method, name), name) for name in names)
             if distance <= default_distance_cap(method):
                 fuzzy_note = f"fuzzy-matched '{method}' to '{best}'"
                 return ToolResult(
-                    ok=True,
                     payload="\n\n".join(_overload_blocks(record, best)),
                     note=f"{note}; {fuzzy_note}" if note else fuzzy_note,
                 )
         available = "\n".join(m.signature for m in record.methods) or "<none>"
         return ToolResult(
-            ok=True,
             payload=(
                 f"No method close to '{method}' in {record.fq_path}. "
                 f"Available signatures:\n{available}"

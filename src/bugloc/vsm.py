@@ -129,9 +129,3 @@ class VsmModel:
         np.divide(dots, query_norm * self._norms, out=scores, where=self._norms > 0.0)
         order = np.argsort(-scores, kind="stable").tolist()
         return list(zip([self.paths[i] for i in order], scores[order].tolist()))
-
-
-def vsm_rank(bug, corpus: dict[str, str]) -> list[str]:
-    """Rank every corpus file against the bug text."""
-    text = require_bug_text(bug)
-    return [path for path, _ in VsmModel(corpus).score(text)]

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 import requests
 
+from bugloc.chat import ROLE_MODEL, ChatMessage, ToolCall
 from bugloc.code_index import build_index
 from bugloc.dataset import BugReport
 
@@ -68,6 +69,16 @@ def write_replay(path: Path, responses: list[dict], repeat_last: bool = False) -
         encoding="utf-8",
     )
     return path
+
+
+def tool_turn(name: str, arguments: dict) -> ChatMessage:
+    """A model turn that calls a tool."""
+    return ChatMessage(ROLE_MODEL, tool_call=ToolCall(name, arguments))
+
+
+def text_turn(text: str) -> ChatMessage:
+    """A model turn of final text."""
+    return ChatMessage(ROLE_MODEL, content=text)
 
 
 def final_answer(paths: list[str]) -> str:

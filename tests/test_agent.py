@@ -11,7 +11,6 @@ from bugloc.agent import (
 )
 from bugloc.chat import (
     ChatProviderError,
-    ChatTurn,
     RecordingChatProvider,
     RemoteChatProvider,
     ScriptedChatProvider,
@@ -23,7 +22,7 @@ from bugloc.code_index import build_index
 from bugloc.embedding import Shortlist
 from bugloc.tools import GET_CANDIDATE_FILENAMES, make_tool_registry
 from bugloc.validation import InputValidationError
-from conftest import final_answer, html_response, java_class, make_bug, write_tree
+from conftest import final_answer, html_response, java_class, make_bug, text_turn, tool_turn, write_tree
 
 
 @pytest.fixture
@@ -54,9 +53,7 @@ def test_tool_result_only_on_tool_messages():
 
 def test_chat_turn_is_exclusive():
     with pytest.raises(ValueError):
-        ChatTurn(content="x", tool_call=ToolCall("search_file", {}))
-    with pytest.raises(ValueError):
-        ChatTurn()
+        ChatMessage(role="model", content="x", tool_call=ToolCall("search_file", {}))
 
 
 # --- prompt ------------------------------------------------------------------
@@ -152,7 +149,7 @@ def test_parse_emission_order_defines_rank():
 
 
 def test_immediate_answer_single_iteration(toolenv):
-    provider = ScriptedChatProvider([ChatTurn(content=final_answer(["org/chart/AutoScale.java"]))])
+    provider = ScriptedChatProvider([text_turn(final_answer(["org/chart/AutoScale.java"]))])
     predictions, transcript = run_localization(make_bug(), toolenv, provider, AgentConfig())
     assert transcript.iterations_used == 1
     assert transcript.failure_reason is None
@@ -163,8 +160,8 @@ def test_immediate_answer_single_iteration(toolenv):
 def test_tool_result_feeds_back_before_answer(toolenv):
     provider = ScriptedChatProvider(
         [
-            ChatTurn(tool_call=ToolCall("search_method", {"name": "zoomOut"})),
-            ChatTurn(content=final_answer(["org/chart/AutoScale.java"])),
+            tool_turn("search_method", {"name": "zoomOut"}),
+            text_turn(final_answer(["org/chart/AutoScale.java"])),
         ]
     )
     predictions, transcript = run_localization(make_bug(), toolenv, provider, AgentConfig())
@@ -178,7 +175,7 @@ def test_tool_result_feeds_back_before_answer(toolenv):
 
 def test_stall_stops_at_iteration_ten_with_forced_instruction(toolenv):
     provider = ScriptedChatProvider(
-        [ChatTurn(tool_call=ToolCall("search_file", {"name": "X.java"}))], repeat_last=True
+        [tool_turn("search_file", {"name": "X.java"})], repeat_last=True
     )
     predictions, transcript = run_localization(make_bug(), toolenv, provider, AgentConfig())
     assert predictions == []
@@ -191,8 +188,8 @@ def test_stall_stops_at_iteration_ten_with_forced_instruction(toolenv):
 
 
 def test_forced_instruction_lets_scripted_stall_answer_at_ten(toolenv):
-    turns = [ChatTurn(tool_call=ToolCall("search_file", {"name": "X.java"}))] * 9
-    turns.append(ChatTurn(content=final_answer(["org/chart/AutoScale.java"])))
+    turns = [tool_turn("search_file", {"name": "X.java"})] * 9
+    turns.append(text_turn(final_answer(["org/chart/AutoScale.java"])))
     provider = ScriptedChatProvider(turns)
     predictions, transcript = run_localization(make_bug(), toolenv, provider, AgentConfig())
     assert transcript.iterations_used == 10
@@ -204,8 +201,8 @@ def test_non_whitelisted_tool_reported_unavailable(two_file_repo):
     registry = make_tool_registry(two_file_repo[0], shortlist=None)
     provider = ScriptedChatProvider(
         [
-            ChatTurn(tool_call=ToolCall(GET_CANDIDATE_FILENAMES, {})),
-            ChatTurn(content=final_answer(["org/chart/AutoScale.java"])),
+            tool_turn(GET_CANDIDATE_FILENAMES, {}),
+            text_turn(final_answer(["org/chart/AutoScale.java"])),
         ]
     )
     predictions, transcript = run_localization(make_bug(), registry, provider, AgentConfig())
@@ -217,8 +214,8 @@ def test_non_whitelisted_tool_reported_unavailable(two_file_repo):
 def test_malformed_answer_gets_one_corrective_reprompt(toolenv):
     provider = ScriptedChatProvider(
         [
-            ChatTurn(content="no list here, just prose"),
-            ChatTurn(content=final_answer(["org/chart/AutoScale.java"])),
+            text_turn("no list here, just prose"),
+            text_turn(final_answer(["org/chart/AutoScale.java"])),
         ]
     )
     predictions, transcript = run_localization(make_bug(), toolenv, provider, AgentConfig())
@@ -232,7 +229,7 @@ def test_malformed_answer_gets_one_corrective_reprompt(toolenv):
 
 def test_second_malformed_answer_fails_bug(toolenv):
     provider = ScriptedChatProvider(
-        [ChatTurn(content="prose one"), ChatTurn(content="prose two")]
+        [text_turn("prose one"), text_turn("prose two")]
     )
     predictions, transcript = run_localization(make_bug(), toolenv, provider, AgentConfig())
     assert predictions == []
@@ -301,8 +298,8 @@ def test_tool_result_char_cap(toolenv):
     config = AgentConfig(tool_result_char_cap=10)
     provider = ScriptedChatProvider(
         [
-            ChatTurn(tool_call=ToolCall("get_method_body", {"method": "zoomOut"})),
-            ChatTurn(content=final_answer(["org/chart/AutoScale.java"])),
+            tool_turn("get_method_body", {"method": "zoomOut"}),
+            text_turn(final_answer(["org/chart/AutoScale.java"])),
         ]
     )
     _, transcript = run_localization(make_bug(), toolenv, provider, config)
@@ -313,9 +310,9 @@ def test_tool_result_char_cap(toolenv):
 
 def test_replay_determinism_byte_identical(toolenv):
     turns = [
-        ChatTurn(tool_call=ToolCall("search_method", {"name": "zoomOut"})),
-        ChatTurn(tool_call=ToolCall("get_method_body", {"method": "zoomOut"})),
-        ChatTurn(content=final_answer(["org/chart/AutoScale.java", "org/chart/Generator.java"])),
+        tool_turn("search_method", {"name": "zoomOut"}),
+        tool_turn("get_method_body", {"method": "zoomOut"}),
+        text_turn(final_answer(["org/chart/AutoScale.java", "org/chart/Generator.java"])),
     ]
     provider = ScriptedChatProvider(turns)
     outputs = set()
@@ -329,7 +326,7 @@ def test_replay_determinism_byte_identical(toolenv):
 
 def test_iteration_bound_never_exceeded(toolenv):
     provider = ScriptedChatProvider(
-        [ChatTurn(tool_call=ToolCall("search_file", {"name": "A"}))], repeat_last=True
+        [tool_turn("search_file", {"name": "A"})], repeat_last=True
     )
     for limit in (1, 2, 5):
         config = AgentConfig(max_iterations=limit)
@@ -341,8 +338,8 @@ def test_iteration_bound_never_exceeded(toolenv):
 def test_tool_call_closure(toolenv):
     provider = ScriptedChatProvider(
         [
-            ChatTurn(tool_call=ToolCall("search_file", {"name": "AutoScale.java"})),
-            ChatTurn(content=final_answer(["org/chart/AutoScale.java"])),
+            tool_turn("search_file", {"name": "AutoScale.java"}),
+            text_turn(final_answer(["org/chart/AutoScale.java"])),
         ]
     )
     config = AgentConfig()
@@ -357,8 +354,8 @@ def test_tool_call_closure(toolenv):
 
 def test_replay_file_roundtrip(tmp_path):
     turns = [
-        ChatTurn(tool_call=ToolCall("search_file", {"name": "A.java"})),
-        ChatTurn(content="```\n1. a/A.java - done\n```"),
+        tool_turn("search_file", {"name": "A.java"}),
+        text_turn("```\n1. a/A.java - done\n```"),
     ]
     path = tmp_path / "replay.json"
     save_replay(path, turns, repeat_last=True)
@@ -370,8 +367,8 @@ def test_replay_file_roundtrip(tmp_path):
 def test_recording_provider_produces_replayable_file(tmp_path, toolenv):
     inner = ScriptedChatProvider(
         [
-            ChatTurn(tool_call=ToolCall("search_method", {"name": "render"})),
-            ChatTurn(content=final_answer(["org/chart/Generator.java"])),
+            tool_turn("search_method", {"name": "render"}),
+            text_turn(final_answer(["org/chart/Generator.java"])),
         ]
     )
     recorder = RecordingChatProvider(inner)
@@ -386,7 +383,7 @@ def test_recording_provider_produces_replayable_file(tmp_path, toolenv):
 
 
 def test_scripted_provider_exhaustion_is_provider_error(toolenv):
-    provider = ScriptedChatProvider([ChatTurn(tool_call=ToolCall("search_file", {"name": "A"}))])
+    provider = ScriptedChatProvider([tool_turn("search_file", {"name": "A"})])
     config = AgentConfig()
     predictions, transcript = run_localization(make_bug(), toolenv, provider, config)
     assert predictions == []

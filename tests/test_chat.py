@@ -5,13 +5,12 @@ import pytest
 from bugloc.agent import AgentConfig, ChatMessage, build_prompt
 from bugloc.chat import (
     ChatProviderError,
-    ChatTurn,
     RemoteChatProvider,
     ScriptedChatProvider,
     ToolCall,
 )
 from bugloc.code_index import ConfigurationError
-from conftest import make_bug
+from conftest import make_bug, text_turn
 
 
 class _FakeResponse:
@@ -151,7 +150,7 @@ def test_wire_roles_first_system_then_user(monkeypatch):
 
 def test_scripted_cursor_counts_model_turns():
     provider = ScriptedChatProvider(
-        [ChatTurn(content="first"), ChatTurn(content="second")]
+        [text_turn("first"), text_turn("second")]
     )
     base = build_prompt(make_bug(), AgentConfig())
     assert provider.complete(base, [], 1.0).content == "first"

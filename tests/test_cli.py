@@ -5,7 +5,7 @@ import time
 import pytest
 
 from bugloc import cli, localizers
-from bugloc.chat import ChatProvider, ChatTurn, ToolCall
+from bugloc.chat import ChatProvider
 from bugloc.cli import main
 from bugloc.config import load_config
 from bugloc.code_index import ConfigurationError, build_index, load_code_index
@@ -13,7 +13,7 @@ from bugloc.dataset import save_bug_reports
 from bugloc.embedders import HashingEmbedder, RetriableProviderError
 from bugloc.embedding import load_embedding_index
 from bugloc.ioutil import read_json
-from conftest import final_answer, java_class, make_bug, write_replay, write_tree
+from conftest import final_answer, java_class, make_bug, text_turn, tool_turn, write_replay, write_tree
 
 
 @pytest.fixture
@@ -470,10 +470,10 @@ class StaggeredChat(ChatProvider):
         bug_id = messages[1].content.split("\n", 1)[0].removeprefix("Bug report ")
         time.sleep(0.01 * (self.n_bugs - int(bug_id.removeprefix("e-"))))
         if not any(m.role == "tool" for m in messages):
-            return ChatTurn(tool_call=ToolCall("get_candidate_filenames", {}))
+            return tool_turn("get_candidate_filenames", {})
         if bug_id in self.failing:
-            return ChatTurn(content="no ranked list")
-        return ChatTurn(content=final_answer(["org/chart/AutoScale.java"]))
+            return text_turn("no ranked list")
+        return text_turn(final_answer(["org/chart/AutoScale.java"]))
 
 
 def test_cmd_evaluate_output_does_not_depend_on_workers(workspace, monkeypatch):
@@ -562,6 +562,23 @@ def test_cmd_compare_single_technique_clean_error(workspace, capsys):
     code = run_cli("compare", out / "report-vsm.json", "--dataset", dataset)
     assert code == 2
     assert "two techniques" in capsys.readouterr().err
+
+
+def test_cmd_compare_without_dataset_is_one_error_line(workspace, capsys):
+    dataset = eval_dataset(workspace)
+    reports = []
+    for mode in ("embedding_only", "vsm"):
+        out = workspace / f"out-{mode}"
+        assert run_cli(
+            "evaluate", "--repo", workspace / "repo", "--dataset", dataset,
+            "--mode", mode, "--runs", 1, "--out", out,
+        ) == 0
+        reports.append(out / f"report-{mode}.json")
+    capsys.readouterr()
+    assert run_cli("compare", *reports) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: compare needs ground truths: pass --dataset\n"
 
 
 def test_cmd_compare_overlap_table(workspace, capsys):

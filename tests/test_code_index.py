@@ -222,12 +222,11 @@ NAMES = ("close", "get", "open", "run", "set", "size")
 def random_record(rng, path: str, names=NAMES) -> SourceFileRecord:
     """A record of up to five methods drawn from `names`, so some are
     overloads; one in six fails to parse and has no methods."""
-    basename = path.rsplit("/", 1)[-1]
     if rng.randrange(6) == 0:
-        return SourceFileRecord(path, basename, (), parse_ok=False)
+        return SourceFileRecord(path, (), parse_ok=False)
     picked = [rng.choice(names) for _ in range(rng.randint(0, 5))]
     methods = tuple(MethodRecord(n, f"{n}(int{i})", f"void {n}(int{i} a) {{}}") for i, n in enumerate(picked))
-    return SourceFileRecord(path, basename, methods, parse_ok=True)
+    return SourceFileRecord(path, methods, parse_ok=True)
 
 
 def random_files(rng, n: int, prefix: str) -> dict[str, SourceFileRecord]:
@@ -253,7 +252,7 @@ def changed_files(rng, files: dict, step: int) -> dict[str, SourceFileRecord]:
         elif op == "rename":
             record = files.pop(rng.choice(paths))
             path = f"moved/R{step}x{rng.randrange(10**6)}.java"
-            files[path] = replace(record, fq_path=path, basename=path.rsplit("/", 1)[-1])
+            files[path] = replace(record, fq_path=path)
         elif op == "drop a name":
             name = rng.choice(NAMES)
             for path, record in files.items():
@@ -382,7 +381,7 @@ def test_records_and_digests_of_files_with_odd_bytes(tmp_path):
     grammar = get_grammar("java")
 
     def fields(methods):
-        return [(m.name, m.signature, m.body, m.abstract) for m in methods]
+        return [(m.name, m.signature, m.body) for m in methods]
 
     for name, data in raw.items():
         text = (tmp_path / name).read_text(encoding="utf-8", errors="replace")
@@ -614,10 +613,10 @@ ODD_TEXTS = (
 def test_record_objects_give_back_every_string_as_it_was(tmp_path):
     methods = tuple(MethodRecord(f"m{i}{text}", f"m{i}{text}()", text) for i, text in enumerate(ODD_TEXTS))
     records = [
-        SourceFileRecord("odd/\ud800Ö.java", "\ud800Ö.java", methods, parse_ok=True),
-        SourceFileRecord("a/Abstract.java", "Abstract.java", (MethodRecord("run", "run()", "", True),), True),
-        SourceFileRecord("a/Broken.java", "Broken.java", (), parse_ok=False),
-        SourceFileRecord("a/Empty.java", "Empty.java", (), parse_ok=True),
+        SourceFileRecord("odd/\ud800Ö.java", methods, parse_ok=True),
+        SourceFileRecord("a/Abstract.java", (MethodRecord("run", "run()", ""),), True),
+        SourceFileRecord("a/Broken.java", (), parse_ok=False),
+        SourceFileRecord("a/Empty.java", (), parse_ok=True),
     ]
     writer = ObjectPool(tmp_path / "objects")
     keys = [store_record(writer, record) for record in records]
@@ -626,22 +625,24 @@ def test_record_objects_give_back_every_string_as_it_was(tmp_path):
     for record, key in zip(records, keys):
         loaded = load_record(reader, record.fq_path, key)
         assert loaded == record
-        assert [type(m.abstract) for m in loaded.methods] == [bool] * len(record.methods)
 
 
 @pytest.mark.parametrize(
     "data",
     [
-        b'["A.java","A.java",true,[["m","m()",3,false]]]\nabcd',  # a body left over
-        b'["A.java","A.java",true,[["m","m()",5,false]]]\nabcd',  # a body cut short
-        b'["A.java","A.java",true,[["m","m()",-1,false],["n","n()",5,false]]]\nabcd',
-        b'["A.java","A.java",true,[["m","m()",1.0,false]]]\na',
-        b'["A.java","A.java",true,[["m","m()",2,false]]]\n\xff\xfe',  # not UTF-8
-        b'["A.java","A.java",true,[["m","m()",1,false]]]\n\xc3',  # UTF-8 cut in a character
-        b'["A.java","A.java",true,[["m","m()","ab",false]]]\n',  # a body in the head: format 3
-        b'["A.java","A.java",true,""]\n',
-        b'["A.java","A.java",true,["wxyz"]]\n',
+        b'["A.java",true,[["m","m()",3]]]\nabcd',  # a body left over
+        b'["A.java",true,[["m","m()",5]]]\nabcd',  # a body cut short
+        b'["A.java",true,[["m","m()",-1],["n","n()",5]]]\nabcd',
+        b'["A.java",true,[["m","m()",1.0]]]\na',
+        b'["A.java",true,[["m","m()",2]]]\n\xff\xfe',  # not UTF-8
+        b'["A.java",true,[["m","m()",1]]]\n\xc3',  # UTF-8 cut in a character
+        b'["A.java",true,[["m","m()","ab"]]]\n',  # a body in the head
+        b'["A.java","A.java",true,[["m","m()",4,false]]]\nabcd',  # format 4: basename, abstract flag
+        b'["A.java",true,""]\n',
+        b'["A.java",true,["xyz"]]\n',
+        b'{"A.java":1,"B":2,"":3}\n',  # a dict unpacks into its keys
         b'{"A.java":1,"B":2,"C":3,"":4}\n',
+        b'"xyz"\n',  # a string unpacks into its characters
         b'"wxyz"\n',
         b"[]\n",
         b"",

@@ -7,12 +7,14 @@ import os
 import random
 import sys
 import threading
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bugloc import embedding
+from bugloc.chat import RemoteChatProvider
 from bugloc.code_index import (
     ArchiveFormatError, Changeset, CodeIndex, ObjectPool, build_index, save_code_index, update_index,
 )
@@ -45,13 +47,13 @@ from oracles import chunk_text_oracle
 def test_short_text_single_chunk():
     chunks = chunk_text("one two three", chunk_limit=300)
     assert len(chunks) == 1
-    assert chunks[0].token_count == 3
+    assert len(tokenize(chunks[0].text)) == 3
 
 
 def test_650_tokens_split_300_300_50():
     text = " ".join(f"tok{i}" for i in range(650))
     chunks = chunk_text(text, chunk_limit=300)
-    assert [c.token_count for c in chunks] == [300, 300, 50]
+    assert [len(tokenize(c.text)) for c in chunks] == [300, 300, 50]
     assert [c.seq for c in chunks] == [0, 1, 2]
 
 
@@ -59,14 +61,14 @@ def test_empty_text_yields_one_empty_chunk():
     chunks = chunk_text("", chunk_limit=300, fq_path="p/E.java")
     assert len(chunks) == 1
     assert chunks[0].text == ""
-    assert chunks[0].token_count == 0
+    assert len(tokenize(chunks[0].text)) == 0
     assert chunks[0].fq_path == "p/E.java"
 
 
 def test_path_only_representation_counts_path_tokens():
     chunks = chunk_text("org/x/E.java", chunk_limit=300)
     assert len(chunks) == 1
-    assert chunks[0].token_count == len(tokenize("org/x/E.java"))
+    assert len(tokenize(chunks[0].text)) == len(tokenize("org/x/E.java"))
 
 
 def test_chunk_reassembly_random_sweep():
@@ -76,7 +78,7 @@ def test_chunk_reassembly_random_sweep():
         n = rng.randint(1, 2000)
         text = " ".join(rng.choice(vocabulary) for _ in range(n))
         chunks = chunk_text(text, chunk_limit=300)
-        assert all(c.token_count <= 300 for c in chunks)
+        assert all(len(tokenize(c.text)) <= 300 for c in chunks)
         reassembled = [t for c in chunks for t in tokenize(c.text)]
         assert reassembled == tokenize(text)
         assert [c.seq for c in chunks] == list(range(len(chunks)))
@@ -107,15 +109,15 @@ def test_chunks_equal_token_by_token_packing():
     for text in texts:
         for limit in CHUNK_LIMITS:
             chunks = chunk_text(text, limit, "p/F.java")
-            assert [(c.text, c.token_count) for c in chunks] == chunk_text_oracle(text, limit), (text, limit)
+            assert [(c.text, len(tokenize(c.text))) for c in chunks] == chunk_text_oracle(text, limit), (text, limit)
             assert [(c.fq_path, c.seq) for c in chunks] == [("p/F.java", i) for i in range(len(chunks))]
 
 
 def test_huge_chunk_limits_give_one_chunk():
     text = " void zoomOut(int step) {\n\treturn; } "
     for limit in (2**32 - 2, 2**32 - 1, 2**32, 2**40):
-        assert chunk_text(text, limit) == [Chunk("", 0, text.strip(), len(tokenize(text)))]
-        assert chunk_text(" \n", limit) == [Chunk("", 0, "", 0)]
+        assert chunk_text(text, limit) == [Chunk("", 0, text.strip())]
+        assert chunk_text(" \n", limit) == [Chunk("", 0, "")]
 
 
 # --- golden chunks and embeddings: pinned as digests ---------------------
@@ -161,7 +163,7 @@ def test_golden_chunk_lists_are_unchanged(seed3_texts):
     runs = [(1, few), (2, few), (7, seed3_texts), (64, seed3_texts), (300, seed3_texts), (10**6, few)]
     for limit, texts in runs:
         for i, text in enumerate(texts):
-            rows = [[c.fq_path, c.seq, c.text, c.token_count] for c in chunk_text(text, limit, f"t{i}")]
+            rows = [[c.fq_path, c.seq, c.text, len(tokenize(c.text))] for c in chunk_text(text, limit, f"t{i}")]
             digest.update(json.dumps([limit, rows]).encode() + b"\n")
     assert digest.hexdigest() == GOLDEN_CHUNKS
 
@@ -190,7 +192,7 @@ class StubEmbedder(HashingEmbedder):
 
 def stub_index(files: dict[str, list[list[float]]]) -> EmbeddingIndex:
     """An index of one chunk per given vector, seq in list order."""
-    chunks = [Chunk(path, seq, f"{path}#{seq}", 1) for path, vs in files.items() for seq in range(len(vs))]
+    chunks = [Chunk(path, seq, f"{path}#{seq}") for path, vs in files.items() for seq in range(len(vs))]
     vectors = [v for vs in files.values() for v in vs]
     return EmbeddingIndex(len(vectors[0]), "stub", 300, chunks, vectors)
 
@@ -263,7 +265,7 @@ def test_shortlist_equal_vectors_tie_exactly_at_any_row_offset(dimension):
 
 
 def test_index_rejects_duplicate_keys_and_other_dimensions():
-    chunk = Chunk("A.java", 0, "a", 1)
+    chunk = Chunk("A.java", 0, "a")
     with pytest.raises(ValueError, match="duplicate"):
         EmbeddingIndex(2, "stub", 300, [chunk, chunk], [[1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(ValueError, match=r"expected \(1, 2\)"):
@@ -285,7 +287,7 @@ def test_index_records_are_a_read_only_view_of_the_matrix():
 
 @pytest.mark.parametrize("ordered", [True, False])
 def test_index_shares_no_memory_with_the_callers_matrix(ordered):
-    chunks = [Chunk("A.java", 0, "a", 1), Chunk("A.java", 1, "b", 1), Chunk("B.java", 0, "c", 1)]
+    chunks = [Chunk("A.java", 0, "a"), Chunk("A.java", 1, "b"), Chunk("B.java", 0, "c")]
     vectors = np.array([[1.0, 0.0], [0.0, 2.0], [0.5, 1.5]])
     order = [0, 1, 2] if ordered else [2, 0, 1]
     given = vectors[order]
@@ -852,7 +854,7 @@ def test_update_embeddings_keeps_the_index_chunk_limit(tmp_path):
     new_index = update_index(index, changeset, root, "v1")
     updated = update_embeddings(eindex, changeset, new_index, provider)
     assert updated.chunk_limit == 50
-    assert max(c.token_count for c in updated.chunks) == 50
+    assert max(len(tokenize(c.text)) for c in updated.chunks) == 50
     assert updated.records == build_embedding_index(new_index, provider, chunk_limit=50).records
 
 
@@ -957,6 +959,20 @@ def test_remote_embedder_rejects_a_batch_size_below_one(monkeypatch, size):
         RemoteEmbedder("m", 8, "https://api.example", api_key_env="TEST_EMBED_KEY", max_batch_size=size)
 
 
+@pytest.mark.parametrize("attempts", [0, -3])
+@pytest.mark.parametrize(
+    "make",
+    [partial(RemoteEmbedder, "m", 8, "https://api.example"), partial(RemoteChatProvider, "m", "https://api.example")],
+    ids=["embedder", "chat"],
+)
+def test_remote_providers_reject_max_attempts_below_one(monkeypatch, make, attempts):
+    monkeypatch.setenv("TEST_REMOTE_KEY", "k")
+    session = _StatusSession(200)
+    with pytest.raises(ValueError, match=f"max_attempts must be at least 1, got {attempts}"):
+        make(api_key_env="TEST_REMOTE_KEY", max_attempts=attempts, session=session)
+    assert session.calls == 0
+
+
 def test_embedding_archive_roundtrip(tmp_path):
     root = planted_repo(tmp_path, n_files=3)
     index = build_index(root, "java", "v0")
@@ -1056,8 +1072,8 @@ def test_embedding_save_encodes_a_file_whose_rows_or_chunks_changed(tmp_path, mo
     first = eindex.file_starts[1]
     if change == "row":
         vectors[first, 0] += 1.0
-    else:  # the same rows, one chunk's token count edited
-        chunks[first] = Chunk(chunks[first].fq_path, 0, chunks[first].text, chunks[first].token_count + 1)
+    else:  # the same rows, one chunk's text cut by a character
+        chunks[first] = Chunk(chunks[first].fq_path, 0, chunks[first].text[:-1])
     changed = EmbeddingIndex(8, eindex.provider_id, chunks=chunks, vectors=vectors)
     encoded = counted_encodes(monkeypatch)
     save_embedding_index(changed, tmp_path / "v1.jsonl", index, pool=pool)

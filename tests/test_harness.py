@@ -14,7 +14,7 @@ import pytest
 
 from bugloc import code_index, embedding, harness, java_parser
 from bugloc import load_bug_reports
-from bugloc.chat import ChatTurn, ScriptedChatProvider
+from bugloc.chat import ScriptedChatProvider
 from bugloc.code_index import Changeset, build_index, load_code_index, save_code_index, update_index
 from bugloc.embedders import CachedEmbedder, HashingEmbedder, RetriableProviderError
 from bugloc.embedding import build_embedding_index, chunk_text, load_embedding_index
@@ -27,8 +27,9 @@ from bugloc.harness import (
 )
 from bugloc.localizers import EmbeddingLocalizer, VsmLocalizer
 from bugloc.metrics import DataError
+from bugloc.tokens import tokenize
 from bugloc.validation import bug_text
-from conftest import java_class, make_bug, write_tree
+from conftest import java_class, make_bug, text_turn, write_tree
 from oracles import locator_oracle
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -279,11 +280,11 @@ def test_version_store_rebuilds_archive_of_another_chunk_limit(tmp_path, caplog)
     root = long_file_repo(tmp_path)
     cache = tmp_path / "cache"
     _, wide = VersionStore(root, embedding_provider=HashingEmbedder(32), cache_dir=cache).get("v1")
-    assert max(r.chunk.token_count for r in wide.records.values()) > 50
+    assert max(len(tokenize(r.chunk.text)) for r in wide.records.values()) > 50
     store = VersionStore(root, embedding_provider=HashingEmbedder(32), cache_dir=cache, chunk_limit=50)
     with caplog.at_level("WARNING", logger="bugloc.harness"):
         _, embed = store.get("v1")
-    assert max(r.chunk.token_count for r in embed.records.values()) <= 50
+    assert max(len(tokenize(r.chunk.text)) for r in embed.records.values()) <= 50
     assert "chunk limit 300" in caplog.text
     assert load_embed_archive(cache).chunk_limit == 50
 
@@ -320,26 +321,35 @@ def test_version_store_rebuilds_archive_of_another_format(tmp_path, caplog):
 def format3_record(record) -> bytes:
     """A record object as code archives of format 3 held it: one JSON list,
     the bodies inside it."""
-    methods = [[m.name, m.signature, m.body, m.abstract] for m in record.methods]
+    methods = [[m.name, m.signature, m.body, m.body == ""] for m in record.methods]
     return json.dumps([record.fq_path, record.basename, record.parse_ok, methods], separators=(",", ":")).encode()
 
 
-@pytest.mark.parametrize("old", ["code", "embedding"])
-def test_version_store_rebuilds_archives_of_the_formats_that_held_bodies_in_json(
-    tmp_path, caplog, monkeypatch, old
-):
+def format4_record(record) -> bytes:
+    """A record object as code archives of format 4 held it: the head also
+    names the basename and flags each method without a body."""
+    methods = [[m.name, m.signature, len(m.body), m.body == ""] for m in record.methods]
+    head = json.dumps([record.fq_path, record.basename, record.parse_ok, methods], ensure_ascii=False, separators=(",", ":"))
+    return (head + "\n" + "".join(m.body for m in record.methods)).encode("utf-8", "surrogatepass")
+
+
+def assert_old_archives_are_rebuilt(tmp_path, caplog, monkeypatch, old, code_format, embed_format, patches):
+    """Archives written with the formats given, and with each (module, name,
+    function) of `patches` in place, are ignored with a warning and rebuilt;
+    the packs of the old objects stay."""
     root = versioned_repo(tmp_path)
     cache = tmp_path / "cache"
-    with monkeypatch.context() as patch:  # archives as the formats before raw bodies wrote them
-        patch.setattr(code_index, "ARCHIVE_FORMAT", 3)
-        patch.setattr(embedding, "EMBED_ARCHIVE_FORMAT", 2)
-        patch.setattr(code_index, "_encode_record", format3_record)
+    with monkeypatch.context() as patch:
+        patch.setattr(code_index, "ARCHIVE_FORMAT", code_format)
+        patch.setattr(embedding, "EMBED_ARCHIVE_FORMAT", embed_format)
+        for module, name, replacement in patches:
+            patch.setattr(module, name, replacement)
         VersionStore(root, embedding_provider=HashingEmbedder(16), cache_dir=cache).get("v1")
     if old == "embedding":
         save_code_index(build_index(root / "v1", "java", "v1"), cache / "v1.code.jsonl")
     packs = set((cache / "objects").iterdir())
     code, embed = get_fresh(root, cache, "v1", caplog)
-    fmt = 3 if old == "code" else 2
+    fmt = code_format if old == "code" else embed_format
     assert f"ignoring the archive of v1: unsupported archive format {fmt}" in caplog.text
     assert "damaged" not in caplog.text
     assert packs <= set((cache / "objects").iterdir())  # none unlinked
@@ -348,6 +358,27 @@ def test_version_store_rebuilds_archives_of_the_formats_that_held_bodies_in_json
     monkeypatch.setattr(harness, "build_index", None)  # the next store only loads
     get_fresh(root, cache, "v1", caplog)
     assert "ignoring" not in caplog.text
+
+
+@pytest.mark.parametrize("old", ["code", "embedding"])
+def test_version_store_rebuilds_archives_of_the_formats_that_held_bodies_in_json(
+    tmp_path, caplog, monkeypatch, old
+):
+    patches = [(code_index, "_encode_record", format3_record)]
+    assert_old_archives_are_rebuilt(tmp_path, caplog, monkeypatch, old, 3, 2, patches)
+
+
+@pytest.mark.parametrize("old", ["code", "embedding"])
+def test_version_store_rebuilds_archives_of_the_formats_that_stored_derived_fields(
+    tmp_path, caplog, monkeypatch, old
+):
+    chunk_spans = embedding._chunk_spans
+
+    def format3_spans(text, chunks):  # each span also holds its chunk's token count
+        return [[*span, len(tokenize(c.text))] for span, c in zip(chunk_spans(text, chunks), chunks)]
+
+    patches = [(code_index, "_encode_record", format4_record), (embedding, "_chunk_spans", format3_spans)]
+    assert_old_archives_are_rebuilt(tmp_path, caplog, monkeypatch, old, 4, 3, patches)
 
 
 @pytest.mark.parametrize("archive_name", ["v1.code.jsonl", "v1.embed.jsonl"])
@@ -567,24 +598,24 @@ def test_version_store_versions_loaded_from_archives_share_digests_and_locator_e
     assert code2.digests["org/C.java"] != code1.digests["org/C.java"]
 
 
-# Computed with this code (code archive format 4, embedding archive format 3).
+# Computed with this code (code archive format 5, embedding archive format 4).
 # They also depend on the parser, the chunker, the hashing embedder and
 # perfbench/gen.py, so a change to any of them moves them.
 GOLDEN_MANIFESTS = {
-    "v0.code.jsonl": "a43833d56a91cd3bb1a828fa72b44331b3d71c27efd9d786a13c37d9e84118ea",
-    "v0.embed.jsonl": "14cdb54db0af8661940082137071358d21898cad23721d86a240ec2f66a4d87d",
-    "v1.code.jsonl": "1125d19199f2b91ffef6060a849fcf7704eb06cbd2731284b9816baa67b72bd7",
-    "v1.embed.jsonl": "c44e374bea3137fe89e8512179c8f22d8c494a802f5d838e967a4e5a93ba7ef0",
-    "v2.code.jsonl": "d4ec45e8de6739d99b5c4da6ed23d677d707d01b9c2a77ab20b647a55dea174a",
-    "v2.embed.jsonl": "ab4f42dd29ac023ab5d6435368b3096f11cc1c23c3f5d0d67ada2ed7fcb5bb7e",
+    "v0.code.jsonl": "035247795345b8484518f58252de9fbbad9c69582deb0edb191a599fa67d8c6c",
+    "v0.embed.jsonl": "1c4d1856ac7e21f17917dc628f976d195ac06f74f8a4e5829ae0d09f16b73e5a",
+    "v1.code.jsonl": "efad0d8414ce0107ae3ce343592ea86c064ba4fcbb4eeb7771fdfc936332d289",
+    "v1.embed.jsonl": "7fda825b98c52f7b4f27b6354c4aa93032fd33d816b1b19d427e4820a6a4f571",
+    "v2.code.jsonl": "7376965fb4742d78879ca64dd4746615e195eb161daffffc591ad7c972da4523",
+    "v2.embed.jsonl": "70e491de0642682080f1557273410c81c49afeecb12a202693ff2855dcaa22ff",
 }
 GOLDEN_PACKS = [
-    "0a46ab11a58f38220b359e9fd5cf630b8905cad90831a7609df4e0c1e73c0d3d",
-    "0e30ec0cb6b16e7c29360c593c28a9afca916efae7bd3f2044178743cc9004da",
-    "1386988c6c1ff8a2988f91e673e3a72620ee985e239f7d5a129f4dd4301e086c",
-    "4a348f4f146add5e09652634ef87dc9443ccf15eb96cebbd3881409e5c2fa97a",
-    "806f980b15e7867a09d9cbf18639d44ebd451bac1e88e0027feedaba69804a21",
-    "f9834d833619c66dcb36533aaa92113251a8500a9aecb79a21ce2ec9fecb30cf",
+    "1b0af99fd55686e22de82c5237a35177f389d782ab9e8309c0eaa703de43329e",
+    "1d7b41c555e70d703cebad534602523e892392566409dc1d2677162779ff465f",
+    "4502ee3aeef71264d2acca67ff84cbb0898653f23d020e086abb4ba0234b3fc4",
+    "47e1723c4d88b4e49f8dc9edb31d2687716b306f55f8e33373b70d53bd11e05a",
+    "95ae1c0ed2bad40e4a3d6a340c1fb916e22e5287b30781133fa150b39f25b60b",
+    "c1aac3c121786be8f86868116396cbe2c09c827de0b0402a540946ac3fdd1ad6",
 ]
 
 
@@ -611,9 +642,9 @@ def test_golden_archives_of_the_seed3_corpus_are_unchanged(tmp_path):
 # queries are embedded. Computed with this code; they depend on what
 # GOLDEN_MANIFESTS does, and on the cache file's format.
 GOLDEN_CHAIN_FILES = {
-    1: "be1849207043c08850eee58328010524e0a7a1cfdb84af8e145da8302a3e231a",
-    3: "3e67c5b445d70ff76544c5277510ae31e51a2bdb9d0d5ba979d55db20e04b226",
-    7: "b9c732b56a44da2c472b43bcb22599cd167eac9679d0d2a0e62ccca6d5674cce",
+    1: "02fd106522da9dec61f5249c2f1c5c21b6ff5ee95e2178ff8e1a420e0c33f859",
+    3: "ed79f1e5a316db16a941b49a434074ce975a5ae1502b6a209905474c7268ff2e",
+    7: "eefa931a5b5bcfda9eb7d8c6c117429c81aa21f6137d543a7dbf8c03a44e254d",
 }
 
 
@@ -770,10 +801,12 @@ def test_evaluate_technique_embedding_only(tmp_path):
     assert outcome.report.accuracy_at[1] == 1.0
     assert outcome.report.mrr_at_10 == 1.0
     assert outcome.failures == []
-    assert len(outcome.run_reports) == 3
+    rankings = {}
+    for result in outcome.report.per_bug:
+        rankings.setdefault(result.run_id, []).append((result.bug_id, result.ranked_paths))
+    assert sorted(rankings) == [1, 2, 3]
     # deterministic provider: zero variance across runs
-    for run_report in outcome.run_reports:
-        assert run_report.accuracy_at == outcome.report.accuracy_at
+    assert rankings[1] == rankings[2] == rankings[3]
 
 
 def test_evaluate_technique_vsm(tmp_path):
@@ -799,7 +832,7 @@ def test_evaluate_records_per_bug_failures_as_misses(tmp_path):
 
     from bugloc.localizers import AgentLocalizer
 
-    chat = ScriptedChatProvider([ChatTurn(content="never a parseable list")])
+    chat = ScriptedChatProvider([text_turn("never a parseable list")])
     outcome = evaluate_technique(
         bugs_for_eval(),
         lambda: AgentLocalizer(chat_provider=chat, embedding_provider=provider),

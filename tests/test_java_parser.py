@@ -103,9 +103,8 @@ def test_abstract_and_interface_methods_flagged_empty_body():
     """
     result = GRAMMAR.parse(src)
     by_name = {m.name: m for m in result.methods}
-    assert by_name["value"].abstract and by_name["value"].body == ""
-    assert by_name["flush"].abstract and by_name["flush"].body == ""
-    assert not by_name["version"].abstract
+    assert by_name["value"].body == ""
+    assert by_name["flush"].body == ""
     assert by_name["version"].body == "default int version() { return 1; }"
 
 
@@ -242,16 +241,14 @@ def test_annotation_members_with_array_defaults_are_recorded():
     src = "@interface A { int[] v() default {1, 2}; C[] cs() default { @C(1), @C(2) }; String s(); }"
     result = GRAMMAR.parse(src)
     assert result.ok
-    assert [(m.signature, m.body, m.abstract) for m in result.methods] == [
-        ("v()", "", True), ("cs()", "", True), ("s()", "", True),
-    ]
+    assert [(m.signature, m.body) for m in result.methods] == [("v()", ""), ("cs()", ""), ("s()", "")]
 
 
 def test_native_method_stored_bodyless():
     src = "class A { public synchronized native void nativeOp(int flags); }"
     result = GRAMMAR.parse(src)
     assert [m.signature for m in result.methods] == ["nativeOp(int)"]
-    assert result.methods[0].abstract and result.methods[0].body == ""
+    assert result.methods[0].body == ""
 
 
 def test_unbalanced_parens_is_parse_failure():
@@ -333,7 +330,7 @@ def test_golden_parse_results_are_unchanged():
     digest = hashlib.sha256()
     for text in _golden_sources():
         result = GRAMMAR.parse(text)
-        methods = [[m.name, m.signature, m.body, m.abstract] for m in result.methods]
+        methods = [[m.name, m.signature, m.body, m.body == ""] for m in result.methods]
         digest.update(json.dumps([result.ok, methods]).encode() + b"\n")
     assert digest.hexdigest() == GOLDEN_DIGEST
 
@@ -429,7 +426,7 @@ def test_local_types_declared_inside_a_method():
     result = GRAMMAR.parse(src)
     assert result.ok
     assert names(result) == ["outer", "lm", "sum", "on", "fire", "skip", "after"]
-    assert [m.name for m in result.methods if m.abstract] == ["fire"]
+    assert [m.name for m in result.methods if m.body == ""] == ["fire"]
 
 
 def test_identifiers_that_contain_a_type_keyword_open_blocks(monkeypatch):
@@ -560,7 +557,7 @@ def test_non_ascii_identifiers_and_separators():
     src = "class Ä { void grüße(int ä, Straße s) { x(); }\n　int x²() { return 1; } }"
     result = GRAMMAR.parse(src)
     assert result.ok
-    assert [(m.name, m.signature, m.body, m.abstract) for m in result.methods] == [
-        ("grüße", "grüße(int,Straße)", "void grüße(int ä, Straße s) { x(); }", False),
-        ("x²", "x²()", "int x²() { return 1; }", False),
+    assert [(m.name, m.signature, m.body) for m in result.methods] == [
+        ("grüße", "grüße(int,Straße)", "void grüße(int ä, Straße s) { x(); }"),
+        ("x²", "x²()", "int x²() { return 1; }"),
     ]

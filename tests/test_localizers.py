@@ -1,7 +1,7 @@
 import pytest
 
 from bugloc.agent import AgentConfig
-from bugloc.chat import ChatTurn, ScriptedChatProvider, ToolCall
+from bugloc.chat import ScriptedChatProvider
 from bugloc.code_index import build_index
 from bugloc.embedders import HashingEmbedder
 from bugloc.embedding import build_embedding_index, shortlist_files
@@ -13,7 +13,7 @@ from bugloc.localizers import (
 )
 from bugloc.tools import GET_CANDIDATE_FILENAMES
 from bugloc.validation import NotFittedError
-from conftest import final_answer, java_class, make_bug, write_tree
+from conftest import final_answer, java_class, make_bug, text_turn, tool_turn, write_tree
 
 
 @pytest.fixture
@@ -106,8 +106,8 @@ def test_embedding_localizer_equals_shortlist_prefix(corpus):
 def test_agent_localizer_full_pipeline(corpus):
     index, eindex, provider = corpus
     chat = scripted(
-        ChatTurn(tool_call=ToolCall(GET_CANDIDATE_FILENAMES, {})),
-        ChatTurn(content=final_answer(["org/chart/AutoScale.java", "bogus/Nothing.java"])),
+        tool_turn(GET_CANDIDATE_FILENAMES, {}),
+        text_turn(final_answer(["org/chart/AutoScale.java", "bogus/Nothing.java"])),
     )
     localizer = AgentLocalizer(chat_provider=chat, embedding_provider=provider).fit(index, eindex)
     bug = make_bug(summary="meterchart dial zoomstep")
@@ -121,7 +121,7 @@ def test_agent_localizer_full_pipeline(corpus):
 
 def test_agent_localizer_resolves_near_miss_paths(corpus):
     index, eindex, provider = corpus
-    chat = scripted(ChatTurn(content=final_answer(["wrong/pkg/AutoScale.java"])))
+    chat = scripted(text_turn(final_answer(["wrong/pkg/AutoScale.java"])))
     localizer = AgentLocalizer(chat_provider=chat, embedding_provider=provider).fit(index, eindex)
     prediction = localizer.predict(make_bug())
     assert prediction.paths == ["org/chart/AutoScale.java"]
@@ -131,8 +131,8 @@ def test_agent_localizer_resolves_near_miss_paths(corpus):
 def test_noembed_localizer_reports_candidate_tool_unavailable(corpus):
     index, _, _ = corpus
     chat = scripted(
-        ChatTurn(tool_call=ToolCall(GET_CANDIDATE_FILENAMES, {})),
-        ChatTurn(content=final_answer(["org/io/Reader.java"])),
+        tool_turn(GET_CANDIDATE_FILENAMES, {}),
+        text_turn(final_answer(["org/io/Reader.java"])),
     )
     localizer = AgentLocalizer(chat_provider=chat).fit(index)
     prediction = localizer.predict(make_bug())
@@ -147,7 +147,7 @@ def test_noembed_localizer_reports_candidate_tool_unavailable(corpus):
 def test_agent_localizer_failure_raises_with_transcript(corpus):
     index, _, _ = corpus
     chat = ScriptedChatProvider(
-        [ChatTurn(tool_call=ToolCall("search_file", {"name": "A"}))], repeat_last=True
+        [tool_turn("search_file", {"name": "A"})], repeat_last=True
     )
     localizer = AgentLocalizer(chat_provider=chat).fit(index)
     with pytest.raises(LocalizationFailure) as err:
@@ -159,7 +159,7 @@ def test_agent_localizer_failure_raises_with_transcript(corpus):
 def test_predict_leaves_the_localizer_unchanged(corpus):
     index, eindex, provider = corpus
     chat = ScriptedChatProvider(
-        [ChatTurn(content=final_answer(["org/chart/AutoScale.java"]))], repeat_last=True
+        [text_turn(final_answer(["org/chart/AutoScale.java"]))], repeat_last=True
     )
     bug = make_bug(summary="meterchart dial zoomstep")
     for localizer in (

@@ -29,7 +29,7 @@ CONFIG_FIELDS = {
         "max_attempts", "cache_path",
     ],
     AgentConfig: [
-        "max_iterations", "final_list_size", "temperature", "run_seed", "tool_result_char_cap",
+        "max_iterations", "final_list_size", "temperature", "tool_result_char_cap",
     ],
 }
 

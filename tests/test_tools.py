@@ -48,20 +48,17 @@ def registry_for(index, shortlist=None, **kwargs):
 
 def test_search_file_exact_basename(repo_index):
     result = registry_for(repo_index).dispatch(SEARCH_FILE, {"name": "JavaElementLabels.java"})
-    assert result.ok
     assert result.payload == "org/eclipse/ui/JavaElementLabels.java"
     assert result.note is None
 
 
 def test_search_file_not_found_is_result_not_error(repo_index):
     result = registry_for(repo_index).dispatch(SEARCH_FILE, {"name": "Missing.java"})
-    assert result.ok
     assert "No file matching" in result.payload
 
 
 def test_search_file_case_insensitive_fallback_noted(repo_index):
     result = registry_for(repo_index).dispatch(SEARCH_FILE, {"name": "javaelementlabels.java"})
-    assert result.ok
     assert result.payload == "org/eclipse/ui/JavaElementLabels.java"
     assert result.note
 
@@ -102,7 +99,6 @@ def test_search_method_unknown_empty_index(tmp_path):
     (tmp_path / "empty").mkdir()
     empty = build_index(tmp_path / "empty", "java", "v0")
     result = registry_for(empty).dispatch(SEARCH_METHOD, {"name": "anything"})
-    assert result.ok
     assert "No method named" in result.payload
 
 
@@ -122,14 +118,13 @@ def test_candidates_absent_in_noembed_mode(repo_index):
     registry = registry_for(repo_index, shortlist=None)
     assert GET_CANDIDATE_FILENAMES not in registry
     result = registry.dispatch(GET_CANDIDATE_FILENAMES, {})
-    assert not result.ok
     assert "not available" in result.payload
 
 
 def test_candidates_fail_closed_without_shortlist(repo_index):
     registry = registry_for(repo_index, shortlist=None)
     result = registry.dispatch(GET_CANDIDATE_FILENAMES, {})
-    assert not result.ok
+    assert result.payload == "Tool 'get_candidate_filenames' is not available in this run."
 
 
 # --- get_method_signatures_of_a_file -----------------------------------------
@@ -152,7 +147,6 @@ def test_signatures_basename_fallback_noted(repo_index):
 
 def test_signatures_path_absent(repo_index):
     result = registry_for(repo_index).dispatch(GET_METHOD_SIGNATURES, {"fq_path": "No.java"})
-    assert result.ok
     assert "No file matching" in result.payload
 
 
@@ -201,18 +195,16 @@ def test_body_overloads_all_returned(tmp_path):
 
 def test_registry_rejects_unknown_tool_names():
     with pytest.raises(ValueError):
-        ToolRegistry({"run_bash": lambda: ToolResult(True, "x")})
+        ToolRegistry({"run_bash": lambda: ToolResult("x")})
 
 
 def test_dispatch_unknown_tool_is_result(repo_index):
     result = registry_for(repo_index).dispatch("made_up_tool", {})
-    assert not result.ok
     assert "not available" in result.payload
 
 
 def test_dispatch_bad_arguments_is_result(repo_index):
     result = registry_for(repo_index).dispatch(SEARCH_FILE, {"wrong_arg": "x"})
-    assert not result.ok
     assert "Invalid arguments" in result.payload
 
 
@@ -365,21 +357,18 @@ def characterization_registries(root):
 def characterized_registries(tmp_path_factory):
     return characterization_registries(tmp_path_factory.mktemp("characterized"))
 
-# The exact (ok, payload, note) of each case above: what a model is shown.
+# The exact (payload, note) of each case above: what a model is shown.
 # A refactor of the tools must leave every entry unchanged.
 CHARACTERIZED_RESULTS = {
     "file-exact": (
-        True,
         "org/eclipse/ui/JavaElementLabels.java",
         None,
     ),
     "file-case-insensitive": (
-        True,
         "org/eclipse/ui/JavaElementLabels.java",
         "matched basename case-insensitively for 'javaelementlabels.java'",
     ),
     "file-substring": (
-        True,
         (
             "org/eclipse/ui/JavaElementLabels.java\n"
             "org/other/MyLabels.java"
@@ -387,7 +376,6 @@ CHARACTERIZED_RESULTS = {
         "matched 'Labels' as a path substring",
     ),
     "file-shared-basename": (
-        True,
         (
             "alt/pkg/Catalina.java\n"
             "org/apache/Catalina.java"
@@ -395,27 +383,22 @@ CHARACTERIZED_RESULTS = {
         None,
     ),
     "file-missing": (
-        True,
         "No file matching 'Missing.java' was found.",
         None,
     ),
     "file-empty-name": (
-        True,
         "No file matching '' was found.",
         None,
     ),
     "file-none-name": (
-        False,
         "Invalid arguments for 'search_file': 'name' must be a string, not NoneType",
         None,
     ),
     "method-exact": (
-        True,
         "org/eclipse/ui/JavaElementLabels.java",
         None,
     ),
     "method-exact-several": (
-        True,
         (
             "org/other/MyLabels.java\n"
             "org/view/Shape.java"
@@ -423,7 +406,6 @@ CHARACTERIZED_RESULTS = {
         None,
     ),
     "method-fuzzy-several": (
-        True,
         (
             "No exact definition of 'rendr'. Closest method names:\n"
             "render - org/other/MyLabels.java\n"
@@ -432,7 +414,6 @@ CHARACTERIZED_RESULTS = {
         "fuzzy-matched from 'rendr'",
     ),
     "method-fuzzy-tie": (
-        True,
         (
             "No exact definition of 'stap'. Closest method names:\n"
             "step - org/apache/Pump.java\n"
@@ -443,12 +424,10 @@ CHARACTERIZED_RESULTS = {
         "fuzzy-matched from 'stap'",
     ),
     "method-missing": (
-        True,
         "No method named 'zzzzzzzzzz' was found in the code base.",
         None,
     ),
     "candidates-shortlist": (
-        True,
         (
             "org/apache/Catalina.java\n"
             "org/view/Shape.java\n"
@@ -457,22 +436,18 @@ CHARACTERIZED_RESULTS = {
         None,
     ),
     "candidates-no-shortlist": (
-        False,
         "Tool 'get_candidate_filenames' is not available in this run.",
         None,
     ),
     "candidates-empty-shortlist": (
-        True,
         "The candidate shortlist is empty.",
         None,
     ),
     "candidates-noembed": (
-        False,
         "Tool 'get_candidate_filenames' is not available in this run.",
         None,
     ),
     "sigs-exact": (
-        True,
         (
             "start()\n"
             "stop()"
@@ -480,7 +455,6 @@ CHARACTERIZED_RESULTS = {
         None,
     ),
     "sigs-basename-fallback": (
-        True,
         (
             "updateLabel()\n"
             "getLabel()"
@@ -488,7 +462,6 @@ CHARACTERIZED_RESULTS = {
         "'wrong/pkg/JavaElementLabels.java' not found; using basename match org/eclipse/ui/JavaElementLabels.java",
     ),
     "sigs-case-insensitive-fallback": (
-        True,
         (
             "updateLabel()\n"
             "getLabel()"
@@ -496,7 +469,6 @@ CHARACTERIZED_RESULTS = {
         "'org/eclipse/ui/javaelementlabels.java' not found; using basename match org/eclipse/ui/JavaElementLabels.java",
     ),
     "sigs-substring-fallback": (
-        True,
         (
             "render()\n"
             "render(int)"
@@ -504,7 +476,6 @@ CHARACTERIZED_RESULTS = {
         "'Shape' not found; using basename match org/view/Shape.java",
     ),
     "sigs-substring-several": (
-        True,
         (
             "Multiple files match that name:\n"
             "org/eclipse/ui/JavaElementLabels.java\n"
@@ -513,7 +484,6 @@ CHARACTERIZED_RESULTS = {
         "'Labels' not found; listing basename matches",
     ),
     "sigs-shared-basename": (
-        True,
         (
             "Multiple files match that name:\n"
             "alt/pkg/Catalina.java\n"
@@ -522,42 +492,34 @@ CHARACTERIZED_RESULTS = {
         "'x/Catalina.java' not found; listing basename matches",
     ),
     "sigs-missing": (
-        True,
         "No file matching 'No.java' was found.",
         None,
     ),
     "sigs-unparsable": (
-        True,
         "broken/Bad.java could not be parsed; no signatures available.",
         None,
     ),
     "sigs-unparsable-fallback": (
-        True,
         "broken/Bad.java could not be parsed; no signatures available.",
         "'Bad.java' not found; using basename match broken/Bad.java",
     ),
     "sigs-no-methods": (
-        True,
         "empty/Empty.java defines no methods.",
         None,
     ),
     "sigs-no-methods-fallback": (
-        True,
         "empty/Empty.java defines no methods.",
         "'Empty.java' not found; using basename match empty/Empty.java",
     ),
     "sigs-none-path": (
-        False,
         "Invalid arguments for 'get_method_signatures_of_a_file': 'fq_path' must be a string, not NoneType",
         None,
     ),
     "sigs-trailing-slash": (
-        True,
         "No file matching 'org/apache/' was found.",
         None,
     ),
     "body-exact": (
-        True,
         (
             "start() in org/apache/Catalina.java:\n"
             "void start() { server.begin(); }"
@@ -565,7 +527,6 @@ CHARACTERIZED_RESULTS = {
         None,
     ),
     "body-abstract-and-overloaded": (
-        True,
         (
             "render() in org/view/Shape.java:\n"
             "<abstract method: no body>\n"
@@ -576,7 +537,6 @@ CHARACTERIZED_RESULTS = {
         None,
     ),
     "body-file-fuzzy": (
-        True,
         (
             "start() in org/apache/Catalina.java:\n"
             "void start() { server.begin(); }"
@@ -584,7 +544,6 @@ CHARACTERIZED_RESULTS = {
         "fuzzy-matched 'strat' to 'start'",
     ),
     "body-file-fuzzy-overloaded": (
-        True,
         (
             "render() in org/view/Shape.java:\n"
             "<abstract method: no body>\n"
@@ -595,7 +554,6 @@ CHARACTERIZED_RESULTS = {
         "fuzzy-matched 'rendr' to 'render'",
     ),
     "body-file-fuzzy-tie": (
-        True,
         (
             "step() in org/apache/Pump.java:\n"
             "void step() { tick(); }"
@@ -603,7 +561,6 @@ CHARACTERIZED_RESULTS = {
         "fuzzy-matched 'stap' to 'step'",
     ),
     "body-fallback-exact": (
-        True,
         (
             "getLabel() in org/eclipse/ui/JavaElementLabels.java:\n"
             "void getLabel() { return label; }"
@@ -611,7 +568,6 @@ CHARACTERIZED_RESULTS = {
         "'wrong/JavaElementLabels.java' not found; using basename match org/eclipse/ui/JavaElementLabels.java",
     ),
     "body-fallback-fuzzy-merged-note": (
-        True,
         (
             "updateLabel() in org/eclipse/ui/JavaElementLabels.java:\n"
             "void updateLabel() { label = compute(); }"
@@ -619,7 +575,6 @@ CHARACTERIZED_RESULTS = {
         "'wrong/JavaElementLabels.java' not found; using basename match org/eclipse/ui/JavaElementLabels.java; fuzzy-matched 'updateLable' to 'updateLabel'",
     ),
     "body-distant-name": (
-        True,
         (
             "No method close to 'zzzzzzzzzz' in org/apache/Catalina.java. Available signatures:\n"
             "start()\n"
@@ -628,7 +583,6 @@ CHARACTERIZED_RESULTS = {
         None,
     ),
     "body-fallback-distant-name": (
-        True,
         (
             "No method close to 'zzzzzzzzzz' in org/apache/Pump.java. Available signatures:\n"
             "stop()\n"
@@ -637,7 +591,6 @@ CHARACTERIZED_RESULTS = {
         "'Pump.java' not found; using basename match org/apache/Pump.java",
     ),
     "body-unparsable": (
-        True,
         (
             "No method close to 'foo' in broken/Bad.java. Available signatures:\n"
             "<none>"
@@ -645,7 +598,6 @@ CHARACTERIZED_RESULTS = {
         None,
     ),
     "body-no-methods": (
-        True,
         (
             "No method close to 'run' in empty/Empty.java. Available signatures:\n"
             "<none>"
@@ -653,7 +605,6 @@ CHARACTERIZED_RESULTS = {
         None,
     ),
     "body-shared-basename": (
-        True,
         (
             "Multiple files match that name:\n"
             "alt/pkg/Catalina.java\n"
@@ -662,17 +613,14 @@ CHARACTERIZED_RESULTS = {
         "'x/Catalina.java' not found; listing basename matches",
     ),
     "body-missing-file": (
-        True,
         "No file matching 'No.java' was found.",
         None,
     ),
     "body-trailing-slash": (
-        True,
         "No file matching 'org/apache/' was found.",
         None,
     ),
     "body-global-exact-several": (
-        True,
         (
             "render() in org/other/MyLabels.java:\n"
             "void render() { paint(); }\n"
@@ -686,7 +634,6 @@ CHARACTERIZED_RESULTS = {
         None,
     ),
     "body-global-exact-overloads": (
-        True,
         (
             "stop() in org/apache/Catalina.java:\n"
             "void stop() { server.halt(); }\n"
@@ -697,7 +644,6 @@ CHARACTERIZED_RESULTS = {
         None,
     ),
     "body-global-fuzzy-several": (
-        True,
         (
             "render() in org/other/MyLabels.java:\n"
             "void render() { paint(); }\n"
@@ -711,7 +657,6 @@ CHARACTERIZED_RESULTS = {
         "fuzzy-matched 'rendr' to 'render'",
     ),
     "body-global-fuzzy-tie": (
-        True,
         (
             "step() in org/apache/Pump.java:\n"
             "void step() { tick(); }"
@@ -719,12 +664,10 @@ CHARACTERIZED_RESULTS = {
         "fuzzy-matched 'stap' to 'step'",
     ),
     "body-global-missing": (
-        True,
         "No method named 'zzzzzzzzzz' was found in the code base.",
         None,
     ),
     "body-empty-path-is-global": (
-        True,
         (
             "boot() in alt/pkg/Catalina.java:\n"
             "void boot() { init(); }"
@@ -732,7 +675,6 @@ CHARACTERIZED_RESULTS = {
         None,
     ),
     "body-none-path-is-global": (
-        True,
         (
             "boot() in alt/pkg/Catalina.java:\n"
             "void boot() { init(); }"
@@ -740,22 +682,18 @@ CHARACTERIZED_RESULTS = {
         None,
     ),
     "dispatch-unknown-tool": (
-        False,
         "Tool 'made_up_tool' is not available in this run.",
         None,
     ),
     "dispatch-unexpected-argument": (
-        False,
         "Invalid arguments for 'search_file': make_tool_registry.<locals>.search_file() got an unexpected keyword argument 'wrong_arg'",
         None,
     ),
     "dispatch-missing-argument": (
-        False,
         "Invalid arguments for 'get_method_body': make_tool_registry.<locals>.get_method_body() missing 1 required positional argument: 'method'",
         None,
     ),
     "dispatch-argument-to-candidates": (
-        False,
         "Invalid arguments for 'get_candidate_filenames': make_tool_registry.<locals>.get_candidate_filenames() got an unexpected keyword argument 'k'",
         None,
     ),
@@ -771,7 +709,7 @@ CHARACTERIZED_RESULTS = {
 )
 def test_tool_results_are_pinned(characterized_registries, kind, tool, arguments, expected):
     result = characterized_registries[kind].dispatch(tool, dict(arguments))
-    assert (result.ok, result.payload, result.note) == expected
+    assert (result.payload, result.note) == expected
 
 
 def cascade_by_scanning(index, name):

@@ -14,10 +14,15 @@ import pytest
 from bugloc.code_index import build_index, file_representation
 from bugloc.tokens import camel_split, tokenize
 from bugloc.validation import bug_text
-from bugloc.vsm import VsmModel, _term_counts, vsm_rank, vsm_terms
+from bugloc.vsm import VsmModel, _term_counts, vsm_terms
 from conftest import java_class, make_bug, write_tree
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def ranked_paths(bug, corpus: dict[str, str]) -> list[str]:
+    """Every corpus file, ranked against the bug text."""
+    return [path for path, _ in VsmModel(corpus).score(bug_text(bug))]
 
 
 def test_terms_lowercased_and_camel_split():
@@ -30,7 +35,7 @@ def test_terms_keep_punctuation_tokens():
 
 def test_single_document_corpus():
     bug = make_bug(summary="whatever text")
-    assert vsm_rank(bug, {"only/Doc.java": "some content"}) == ["only/Doc.java"]
+    assert ranked_paths(bug, {"only/Doc.java": "some content"}) == ["only/Doc.java"]
 
 
 def test_planted_corpus_distinctive_terms_rank_first():
@@ -40,21 +45,21 @@ def test_planted_corpus_distinctive_terms_rank_first():
         "c/Planted.java": "meterchart zoomstep dial common",
     }
     bug = make_bug(summary="meterchart zoomstep", description="dial broken")
-    ranking = vsm_rank(bug, corpus)
+    ranking = ranked_paths(bug, corpus)
     assert ranking[0] == "c/Planted.java"
 
 
 def test_identical_documents_tie_by_path():
     corpus = {"b/Doc.java": "same words here", "a/Doc.java": "same words here"}
     bug = make_bug(summary="same words")
-    assert vsm_rank(bug, corpus) == ["a/Doc.java", "b/Doc.java"]
+    assert ranked_paths(bug, corpus) == ["a/Doc.java", "b/Doc.java"]
 
 
 def test_unknown_query_terms_all_zero_with_warning(caplog):
     corpus = {"a/A.java": "alpha beta", "b/B.java": "gamma delta"}
     bug = make_bug(summary="nothing matches qqq")
     with caplog.at_level(logging.WARNING, logger="bugloc.vsm"):
-        ranking = vsm_rank(bug, corpus)
+        ranking = ranked_paths(bug, corpus)
     assert ranking == ["a/A.java", "b/B.java"]
     assert any("no weighted terms" in r.message for r in caplog.records)
 
