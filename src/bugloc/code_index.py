@@ -3,14 +3,11 @@
 A CodeIndex is built from a directory snapshot, updated incrementally with a
 Changeset, and persisted as a manifest over content-addressed record objects.
 Indexes are value objects: updates return a new index and reuse records for
-untouched files. The method locator of a new index is its base's, with only
-the names of the records dropped or added worked out again, whether the new
-index comes from an update, a load with a base or a build from scratch (the
-update of the empty index), so a version shares the path tuples of its
-unchanged names with the version before. A record object is a JSON head line
-(path, parse_ok and each method's name, signature and body length), then
-every body as raw UTF-8 text; code archives of format 5 hold such objects,
-and an archive of an older format is not read.
+untouched files. The lookup tables of an index, its method locator among
+them, are built from its records on first use. A record object is a JSON
+head line (path, parse_ok and each method's name, signature and body
+length), then every body as raw UTF-8 text; code archives of format 5 hold
+such objects, and an archive of an older format is not read.
 """
 
 from __future__ import annotations
@@ -80,7 +77,6 @@ class Changeset:
 class CodeIndex:
     version_id: str
     files: dict[str, SourceFileRecord] = field(default_factory=dict)
-    method_locator: dict[str, tuple[str, ...]] = field(default_factory=dict)
     grammar: str = "java"  # the grammar that parsed the files
     digests: dict[str, str] = field(default_factory=dict)  # path -> sha256 hex of the bytes parsed
 
@@ -89,6 +85,18 @@ class CodeIndex:
 
     # Lookup tables, built on first use and held for the life of the index.
     # They are not fields, so equality, repr and archives never see them.
+
+    @cached_property
+    def method_locator(self) -> dict[str, tuple[str, ...]]:
+        """Method name -> the sorted paths of the files that declare it, in
+        name order, which the name table reads."""
+        paths: dict[str, list[str]] = {}
+        for fq_path in self.sorted_paths():
+            for method in self.files[fq_path].methods:
+                found = paths.setdefault(method.name, [])
+                if not found or found[-1] != fq_path:  # overloads list a path once
+                    found.append(fq_path)
+        return {name: tuple(paths[name]) for name in sorted(paths)}
 
     @cached_property
     def name_table(self) -> NameTable:
@@ -108,34 +116,6 @@ class CodeIndex:
         """The sorted paths of the files whose basename is `basename`."""
         paths = self.paths_by_lower_basename.get(basename.lower(), ())
         return [p for p in paths if self.files[p].basename == basename]
-
-
-def _update_locator(base: CodeIndex, files: dict[str, SourceFileRecord]) -> dict[str, tuple[str, ...]]:
-    """The method locator of `files`, name -> sorted paths in name order,
-    made from `base`'s, which must be the locator of `base.files`. Records
-    are compared by identity: only the names of the records of `base` that
-    `files` does not hold, and of those `files` holds anew, are worked out
-    again, and every name whose paths stay the same keeps its tuple."""
-    old, base_locator = base.files, base.method_locator
-    dropped = [record for path, record in old.items() if files.get(path) is not record]
-    added = [record for path, record in files.items() if old.get(path) is not record]
-    changed: dict[str, set[str]] = {}
-    for records, edit in ((dropped, set.discard), (added, set.add)):
-        for record in records:
-            for method in record.methods:
-                paths = changed.get(method.name)
-                if paths is None:
-                    paths = changed[method.name] = set(base_locator.get(method.name, ()))
-                edit(paths, record.fq_path)
-    locator = dict(base_locator)
-    for name, paths in changed.items():
-        if not paths:
-            locator.pop(name, None)
-        elif locator.get(name) != (fresh := tuple(sorted(paths))):
-            locator[name] = fresh
-    if not changed.keys() <= base_locator.keys():  # a new name: NameTable reads the key order
-        locator = {name: locator[name] for name in sorted(locator)}
-    return locator
 
 
 def _parse_file(data: bytes, fq_path: str, grammar: Grammar) -> SourceFileRecord:
@@ -241,7 +221,7 @@ def update_index(
         files[fq_path] = _parse_file(data, fq_path, gram)
 
     digests = {path: digests[path] for path in files}
-    return CodeIndex(new_version, files, _update_locator(index, files), index.grammar, digests)
+    return CodeIndex(new_version, files, index.grammar, digests)
 
 
 def diff_source_trees(
@@ -571,15 +551,11 @@ def load_code_index(
     path: str | Path, pool: ObjectPool | None = None, base: CodeIndex | None = None
 ) -> CodeIndex:
     """The index a manifest lists, its records read through `pool`. Given a
-    `base`, say the index of the version before, read through the same pool,
-    the locator is `base`'s with the names of the records that differ worked
-    out again, and a file that `base` records with the same digest shares
-    `base`'s digest string."""
+    `base`, say the index of the version before, a file that `base` records
+    with the same digest shares `base`'s digest string."""
     pool = archive_pool(path, pool)
     header, entries = read_manifest(path, ARCHIVE_MAGIC, ARCHIVE_FORMAT, 3, pool)
-    base = CodeIndex("") if base is None else base
     files = {fq_path: load_record(pool, fq_path, key) for fq_path, key, _ in entries}
-    old = base.digests
+    old = base.digests if base is not None else {}
     digests = {fq_path: old[fq_path] if old.get(fq_path) == d else d for fq_path, _, d in entries}
-    grammar = header.get("grammar")
-    return CodeIndex(header["version_id"], files, _update_locator(base, files), grammar, digests)
+    return CodeIndex(header["version_id"], files, header.get("grammar"), digests)

@@ -45,6 +45,17 @@ def _check_top_n(top_n: int) -> int:
     return top_n
 
 
+def _check_embedded_by(embedding_index: EmbeddingIndex, provider: EmbeddingProvider) -> EmbeddingIndex:
+    """`embedding_index`, if `provider` made it: queries must share its space."""
+    made_by = (embedding_index.provider_id, embedding_index.dimension)
+    if made_by != (provider.provider_id, provider.dimension):
+        raise ValueError(
+            "the embedding index was made by %s at dimension %d, queries are embedded by %s at dimension %d"
+            % (*made_by, provider.provider_id, provider.dimension)
+        )
+    return embedding_index
+
+
 class BaseLocalizer:
     """fit once per repository version, then predict per bug."""
 
@@ -92,7 +103,7 @@ class EmbeddingLocalizer(BaseLocalizer):
     def fit(self, code_index: CodeIndex, embedding_index: EmbeddingIndex | None = None):
         if embedding_index is None:
             raise ValueError("EmbeddingLocalizer.fit requires an embedding index")
-        self.embedding_index_ = embedding_index
+        self.embedding_index_ = _check_embedded_by(embedding_index, self.provider)
         return self
 
     def shortlist(self, bug) -> Shortlist:
@@ -127,11 +138,13 @@ class AgentLocalizer(BaseLocalizer):
         self.embedding_index_: EmbeddingIndex | None = None
 
     def fit(self, code_index: CodeIndex, embedding_index: EmbeddingIndex | None = None):
-        if self.embedding_provider is not None and embedding_index is None:
-            raise ValueError(
-                "AgentLocalizer with an embedding provider requires an embedding index; "
-                "fit with one, or construct it without a provider for noembed"
-            )
+        if self.embedding_provider is not None:
+            if embedding_index is None:
+                raise ValueError(
+                    "AgentLocalizer with an embedding provider requires an embedding index; "
+                    "fit with one, or construct it without a provider for noembed"
+                )
+            _check_embedded_by(embedding_index, self.embedding_provider)
         self.index_ = code_index
         self.embedding_index_ = embedding_index
         return self

@@ -121,8 +121,11 @@ class ToolRegistry:
             return ToolResult(f"Tool '{name}' failed: {exc}")
 
     def _mistyped(self, name: str, arguments: dict) -> str | None:
-        """Why a value given for a string parameter of the schema is not a
-        string; an optional parameter given as null counts as absent."""
+        """Why `arguments` is not an object, or a value given for a string
+        parameter of the schema is not a string; an optional parameter given
+        as null counts as absent."""
+        if not isinstance(arguments, dict):
+            return f"expected an object, not {type(arguments).__name__}"
         schema = TOOL_SCHEMAS[name]
         for key, value in arguments.items():
             spec = schema["parameters"].get(key)

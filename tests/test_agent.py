@@ -20,7 +20,7 @@ from bugloc.chat import (
 )
 from bugloc.code_index import build_index
 from bugloc.embedding import Shortlist
-from bugloc.tools import GET_CANDIDATE_FILENAMES, make_tool_registry
+from bugloc.tools import GET_CANDIDATE_FILENAMES, ToolRegistry, make_tool_registry
 from bugloc.validation import InputValidationError
 from conftest import final_answer, html_response, java_class, make_bug, text_turn, tool_turn, write_tree
 
@@ -292,6 +292,60 @@ def test_remote_non_json_body_is_per_bug_failure(toolenv, monkeypatch):
     assert predictions == []
     assert "not JSON" in transcript.failure_reason
     assert session.posts == 1
+
+
+class _ToolCallSession(_StatusSession):
+    """Answers the first POST with a call of search_file whose arguments are
+    `arguments`, a JSON text, and every later one with a final answer."""
+
+    def __init__(self, arguments):
+        super().__init__(200)
+        self.arguments = arguments
+
+    def post(self, url, json=None, timeout=None):
+        self.posts += 1
+        return self
+
+    def json(self):
+        if self.posts == 1:
+            call = {"function": {"name": "search_file", "arguments": self.arguments}}
+            return {"choices": [{"message": {"tool_calls": [call]}}]}
+        return {"choices": [{"message": {"content": final_answer(["org/chart/AutoScale.java"])}}]}
+
+
+@pytest.mark.parametrize("arguments, kind", [("[1]", "list"), ("null", "NoneType"), ('"x"', "str")])
+def test_remote_tool_call_arguments_that_are_no_object_are_answered(toolenv, monkeypatch, arguments, kind):
+    monkeypatch.setenv("TEST_CHAT_KEY", "secret")
+    session = _ToolCallSession(arguments)
+    provider = RemoteChatProvider(
+        "chat-model", "https://api.example", api_key_env="TEST_CHAT_KEY",
+        session=session, retry_delay=0.0,
+    )
+    predictions, transcript = run_localization(make_bug(), toolenv, provider, AgentConfig())
+    assert transcript.failure_reason is None
+    assert [p.fq_path_claim for p in predictions] == ["org/chart/AutoScale.java"]
+    tool_message = next(m for m in transcript.messages if m.role == "tool")
+    assert tool_message.tool_result == f"Invalid arguments for 'search_file': expected an object, not {kind}"
+    assert session.posts == 2
+
+
+def test_a_tool_that_raises_is_answered_and_the_loop_goes_on(caplog):
+    def broken(name):
+        raise RuntimeError("disk gone")
+
+    registry = ToolRegistry({"search_file": broken})
+    provider = ScriptedChatProvider(
+        [
+            tool_turn("search_file", {"name": "AutoScale.java"}),
+            text_turn(final_answer(["org/chart/AutoScale.java"])),
+        ]
+    )
+    predictions, transcript = run_localization(make_bug(), registry, provider, AgentConfig())
+    assert [p.fq_path_claim for p in predictions] == ["org/chart/AutoScale.java"]
+    tool_message = next(m for m in transcript.messages if m.role == "tool")
+    assert tool_message.tool_result == "Tool 'search_file' failed: disk gone"
+    [record] = [r for r in caplog.records if r.name == "bugloc.tools"]
+    assert record.getMessage() == "tool search_file failed" and record.exc_info[0] is RuntimeError
 
 
 def test_tool_result_char_cap(toolenv):

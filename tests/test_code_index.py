@@ -17,7 +17,6 @@ from bugloc.code_index import (
     MethodRecord,
     ObjectPool,
     SourceFileRecord,
-    _update_locator,
     build_index,
     diff_source_trees,
     file_representation,
@@ -265,44 +264,17 @@ def changed_files(rng, files: dict, step: int) -> dict[str, SourceFileRecord]:
     return files
 
 
-def assert_locator_of(files: dict, base: CodeIndex) -> dict:
-    """The locator updated from `base`: that of `files` in content and key
-    order, sharing the tuple of every name of no record that differs, and of
-    every name whose paths are those of `base`."""
-    locator = _update_locator(base, files)
-    assert list(locator.items()) == list(locator_oracle(files).items())
-    differing = [r for p, r in base.files.items() if files.get(p) is not r]
-    differing += [r for p, r in files.items() if base.files.get(p) is not r]
-    touched = {m.name for record in differing for m in record.methods}
-    for name, paths in locator.items():
-        if name not in touched or paths == base.method_locator.get(name):
-            assert paths is base.method_locator[name]
-    return locator
-
-
 @pytest.mark.parametrize("seed", range(8))
-def test_locator_update_equals_a_build_from_nothing_from_any_base(seed):
+def test_the_locator_equals_a_build_from_nothing(seed):
     rng = random.Random(seed)
     files = random_files(rng, rng.randint(0, 14), "pkg")
-    previous = CodeIndex("v0", files, assert_locator_of(files, CodeIndex("")))
-    unrelated_files = random_files(random.Random(seed + 100), 10, "pkg")
-    unrelated = CodeIndex("u", unrelated_files, locator_oracle(unrelated_files))
     for step in range(1, 25):
-        files = changed_files(rng, previous.files, step)
-        for base in (CodeIndex(""), unrelated, CodeIndex("same", files, locator_oracle(files))):
-            assert_locator_of(files, base)
-        previous = CodeIndex(f"v{step}", files, assert_locator_of(files, previous))
+        locator = CodeIndex(f"v{step}", files).method_locator
+        assert list(locator.items()) == list(locator_oracle(files).items())
+        files = changed_files(rng, files, step)
 
 
-def test_a_load_works_out_again_only_the_names_of_the_files_that_differ(tmp_path, monkeypatch):
-    root = tmp_path / "repo"
-    write_tree(root, {f"org/F{i}.java": java_class(f"F{i}", {f"m{i}": "a();", "shared": "b();"}) for i in range(12)})
-    pool = ObjectPool(tmp_path / "objects")
-    save_code_index(build_index(root, "java", "v0"), tmp_path / "v0.jsonl", pool=pool)
-    write_tree(root, {"org/F3.java": java_class("F3", {"edited": "c();"}), "org/New.java": java_class("New", {})})
-    (root / "org/F7.java").unlink()
-    save_code_index(build_index(root, "java", "v1"), tmp_path / "v1.jsonl", pool=pool)
-
+def test_a_version_reads_no_methods_until_its_locator_or_name_table_is_read(tmp_path, monkeypatch):
     read = Counter()
 
     class Counted(SourceFileRecord):
@@ -311,15 +283,34 @@ def test_a_load_works_out_again_only_the_names_of_the_files_that_differ(tmp_path
                 read[object.__getattribute__(self, "fq_path")] += 1
             return object.__getattribute__(self, name)
 
-    decode = code_index._decode_record
+    parse, decode = code_index._parse_file, code_index._decode_record
+    monkeypatch.setattr(code_index, "_parse_file", lambda *args: Counted(**vars(parse(*args))))
     monkeypatch.setattr(code_index, "_decode_record", lambda data: Counted(**vars(decode(data))))
+    root = tmp_path / "repo"
+    write_tree(root, {f"org/F{i}.java": java_class(f"F{i}", {f"m{i}": "a();", "shared": "b();"}) for i in range(12)})
+    v0 = build_index(root, "java", "v0")
+    write_tree(root, {"org/F3.java": java_class("F3", {"edited": "c();"}), "org/New.java": java_class("New", {})})
+    (root / "org/F7.java").unlink()
+    v1 = update_index(v0, diff_source_trees(v0.digests, root), root, "v1")
+    assert not read
     pool = ObjectPool(tmp_path / "objects")
-    v0 = load_code_index(tmp_path / "v0.jsonl", pool=pool)
-    read.clear()
-    v1 = load_code_index(tmp_path / "v1.jsonl", pool=pool, base=v0)
-    assert read == {"org/F3.java": 2, "org/F7.java": 1, "org/New.java": 1}  # F3: the old record and the new
-    assert list(v1.method_locator.items()) == list(locator_oracle(v1.files).items())
-    assert v1.method_locator["m5"] is v0.method_locator["m5"]
+    for version in (v0, v1):
+        save_code_index(version, tmp_path / f"{version.version_id}.jsonl", pool=pool)
+    pool = ObjectPool(tmp_path / "objects")
+    read.clear()  # the saves encoded every record
+    loaded0 = load_code_index(tmp_path / "v0.jsonl", pool=pool)
+    loaded1 = load_code_index(tmp_path / "v1.jsonl", pool=pool, base=loaded0)
+    assert not read
+
+    tables = ("method_locator", "name_table")
+    for version, first in ((v0, 0), (v1, 1), (loaded0, 1), (loaded1, 0)):
+        read.clear()
+        getattr(version, tables[first])
+        assert read == Counter(dict.fromkeys(version.files, 1))  # each record once, shared or not
+        read.clear()
+        getattr(version, tables[1 - first])
+        assert not read
+        assert list(version.method_locator.items()) == list(locator_oracle(version.files).items())
 
 
 def test_diff_source_trees_detects_all_kinds(tmp_path):

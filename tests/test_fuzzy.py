@@ -9,7 +9,7 @@ from collections import Counter
 import pytest
 
 import bugloc.fuzzy
-from bugloc.code_index import Changeset, CodeIndex, build_index, update_index
+from bugloc.code_index import Changeset, CodeIndex, MethodRecord, SourceFileRecord, build_index, update_index
 from bugloc.fuzzy import (
     NameTable,
     damerau_levenshtein,
@@ -166,8 +166,12 @@ def synthetic_index():
     # distance ties across several names, each defined in several paths
     for name in ("stap", "stip", "stup"):
         locator.setdefault(name, set()).update({"z/A.java", "a/Z.java", "m/M.java"})
-    locator = {name: tuple(sorted(paths)) for name, paths in sorted(locator.items())}
-    return CodeIndex(version_id="v0", method_locator=locator)
+    methods: dict[str, list[MethodRecord]] = {}
+    for name, paths in locator.items():
+        for path in paths:
+            methods.setdefault(path, []).append(MethodRecord(name, f"{name}()", ""))
+    files = {path: SourceFileRecord(path, tuple(found), parse_ok=True) for path, found in methods.items()}
+    return CodeIndex(version_id="v0", files=files)
 
 
 FUZZY_QUERIES = [
@@ -303,7 +307,7 @@ def test_threads_searching_one_fresh_index_get_the_reference_results(synthetic_i
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(3):
-            index = CodeIndex(version_id="v0", method_locator=locator)  # no table yet
+            index = CodeIndex(version_id="v0", files=synthetic_index.files)  # no table yet
             threads = [
                 threading.Thread(
                     target=lambda q=q: results.append((q, fuzzy_method_candidates(q, index, n=50)))

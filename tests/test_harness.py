@@ -573,7 +573,7 @@ def test_version_store_versions_loaded_from_archives_share_their_files(tmp_path,
     assert all(a is b for a, b in zip(embed0.chunks[-10:], embed1.chunks[-10:]))
 
 
-def test_version_store_versions_loaded_from_archives_share_digests_and_locator_entries(tmp_path):
+def test_version_store_versions_loaded_from_archives_share_records_and_digests(tmp_path):
     root, cache = tmp_path / "repo", tmp_path / "cache"
     v1 = {
         "org/A.java": java_class("A", {"alpha": "a();", "shared": "s();"}),
@@ -593,8 +593,6 @@ def test_version_store_versions_loaded_from_archives_share_digests_and_locator_e
     for path in ("org/A.java", "org/B.java"):
         assert code2.files[path] is code1.files[path]
         assert code2.digests[path] is code1.digests[path]
-    for name in ("alpha", "beta", "shared"):
-        assert code2.method_locator[name] is code1.method_locator[name]
     assert code2.digests["org/C.java"] != code1.digests["org/C.java"]
 
 

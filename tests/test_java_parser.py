@@ -244,6 +244,36 @@ def test_annotation_members_with_array_defaults_are_recorded():
     assert [(m.signature, m.body) for m in result.methods] == [("v()", ""), ("cs()", ""), ("s()", "")]
 
 
+def test_throws_clauses_on_concrete_abstract_and_interface_methods():
+    src = """
+    abstract class Store {
+        Store(int size) throws Exception { open(size); }
+        void read(String path) throws java.io.IOException, IllegalStateException { open(path); }
+        abstract int size() throws java.util.concurrent.TimeoutException;
+    }
+    interface Task {
+        Object call() throws Exception;
+        default void run(int n) throws java.io.IOException, p.Other { call(); }
+    }
+    """
+    result = GRAMMAR.parse(src)
+    assert result.ok
+    assert [(m.signature, m.body) for m in result.methods] == [
+        ("Store(int)", "Store(int size) throws Exception { open(size); }"),
+        ("read(String)", "void read(String path) throws java.io.IOException, IllegalStateException { open(path); }"),
+        ("size()", ""),
+        ("call()", ""),
+        ("run(int)", "default void run(int n) throws java.io.IOException, p.Other { call(); }"),
+    ]
+
+
+@pytest.mark.parametrize("clause", ["throws E[]", "throws E<T>"])
+def test_a_throws_clause_of_other_than_names_is_no_method_header(clause):
+    result = GRAMMAR.parse(f"class A {{ void f() {clause} {{ }} void g() {clause}; }}")
+    assert result.ok
+    assert result.methods == []
+
+
 def test_native_method_stored_bodyless():
     src = "class A { public synchronized native void nativeOp(int flags); }"
     result = GRAMMAR.parse(src)

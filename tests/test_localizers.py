@@ -85,6 +85,30 @@ def test_agent_localizer_genloc_requires_embedding_pieces(corpus):
     AgentLocalizer(chat_provider=scripted()).fit(index, None)
 
 
+def embedder(provider_id, dimension):
+    provider = HashingEmbedder(dimension)
+    provider.provider_id = provider_id
+    return provider
+
+
+@pytest.mark.parametrize(
+    "made_by", [embedder("other-64", 64), embedder("hashing-64", 32), HashingEmbedder(32)],
+    ids=["provider", "dimension", "both"],
+)
+def test_an_embedding_index_of_another_provider_is_refused_at_fit(corpus, made_by):
+    index, _, provider = corpus
+    eindex = build_embedding_index(index, made_by)
+    made = f"made by {made_by.provider_id} at dimension {made_by.dimension}"
+    for localizer in (
+        EmbeddingLocalizer(provider),
+        AgentLocalizer(chat_provider=scripted(), embedding_provider=provider),
+    ):
+        with pytest.raises(ValueError, match=made):
+            localizer.fit(index, eindex)
+    # noembed reads no embedding index, so it does not check one
+    AgentLocalizer(chat_provider=scripted()).fit(index, eindex)
+
+
 # --- technique behavior -----------------------------------------------------------
 
 

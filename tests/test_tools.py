@@ -208,6 +208,12 @@ def test_dispatch_bad_arguments_is_result(repo_index):
     assert "Invalid arguments" in result.payload
 
 
+@pytest.mark.parametrize("arguments, kind", [([1], "list"), (None, "NoneType"), ("x", "str"), (3, "int")])
+def test_dispatch_arguments_that_are_no_object_is_result(repo_index, arguments, kind):
+    result = registry_for(repo_index).dispatch(SEARCH_FILE, arguments)
+    assert result.payload == f"Invalid arguments for 'search_file': expected an object, not {kind}"
+
+
 def test_tool_totality_never_raises(repo_index):
     registry = registry_for(repo_index, shortlist_for(repo_index))
     probes = [
