@@ -10,21 +10,19 @@ from __future__ import annotations
 
 import json
 import logging
-import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
 import requests
 
-from .code_index import ConfigurationError
 from .ioutil import (
     SCHEMA_VERSION,
+    JsonEndpoint,
     MalformedResponse,
     RequestRejected,
     RetriesExhausted,
     atomic_write_json,
-    post_with_retry,
     read_json,
 )
 
@@ -87,7 +85,7 @@ def _turn_to_dict(turn: ChatMessage) -> dict:
 def _turn_from_dict(raw: dict) -> ChatMessage:
     if "tool_call" in raw:
         call = raw["tool_call"]
-        return ChatMessage(ROLE_MODEL, tool_call=ToolCall(call["name"], dict(call.get("arguments", {}))))
+        return ChatMessage(ROLE_MODEL, tool_call=ToolCall(call["name"], call.get("arguments", {})))
     if "final" in raw:
         return ChatMessage(ROLE_MODEL, content=raw["final"])
     raise ValueError(f"replay entry is neither a tool_call nor a final response: {raw}")
@@ -166,21 +164,11 @@ class RemoteChatProvider(ChatProvider):
         session: requests.Session | None = None,
         retry_delay: float = 1.0,
     ):
-        if max_attempts < 1:
-            raise ValueError(f"max_attempts must be at least 1, got {max_attempts}")
-        api_key = os.environ.get(api_key_env, "")
-        if not api_key:
-            raise ConfigurationError(
-                f"environment variable {api_key_env} is not set for chat provider {model!r}"
-            )
+        self._endpoint = JsonEndpoint(
+            base_url, api_key_env, f"chat provider {model!r}", max_attempts, timeout, session, retry_delay
+        )
         self.model = model
-        self.base_url = base_url.rstrip("/")
-        self.max_attempts = max_attempts
-        self.timeout = timeout
-        self.retry_delay = retry_delay
         self.provider_id = f"remote:{model}"
-        self._session = session or requests.Session()
-        self._session.headers["Authorization"] = f"Bearer {api_key}"
 
     def _wire_messages(self, messages) -> list[dict]:
         wire = []
@@ -223,26 +211,6 @@ class RemoteChatProvider(ChatProvider):
                 )
         return wire
 
-    @staticmethod
-    def _wire_tools(tool_schemas: list[dict]) -> list[dict]:
-        tools = []
-        for schema in tool_schemas:
-            tools.append(
-                {
-                    "type": "function",
-                    "function": {
-                        "name": schema["name"],
-                        "description": schema["description"],
-                        "parameters": {
-                            "type": "object",
-                            "properties": schema.get("parameters", {}),
-                            "required": schema.get("required", []),
-                        },
-                    },
-                }
-            )
-        return tools
-
     def complete(self, messages, tool_schemas: list[dict], temperature: float) -> ChatMessage:
         payload = {
             "model": self.model,
@@ -250,16 +218,11 @@ class RemoteChatProvider(ChatProvider):
             "temperature": temperature,
         }
         if tool_schemas:
-            payload["tools"] = self._wire_tools(tool_schemas)
+            payload["tools"] = [{"type": "function", "function": schema} for schema in tool_schemas]
         try:
-            body = post_with_retry(
-                self._session, f"{self.base_url}/chat/completions", payload,
-                self.timeout, self.max_attempts, self.retry_delay,
-            )
+            body = self._endpoint.post("/chat/completions", payload)
         except RequestRejected as exc:
-            raise ChatProviderError(
-                f"chat provider {self.provider_id} rejected request: {exc}"
-            ) from None
+            raise ChatProviderError(f"chat provider {self.provider_id} rejected request: {exc}") from None
         except RetriesExhausted as exc:
             raise ChatProviderError(f"chat provider {self.provider_id} {exc}") from None
         except MalformedResponse as exc:

@@ -7,7 +7,6 @@ import logging
 import sys
 from pathlib import Path
 
-from .code_index import ConfigurationError
 from .config import MODES, RunConfig, build_chat_provider, build_embedding_provider, load_config
 from .dataset import load_bug_reports, split_chronological
 from .agent import AgentConfig, write_transcript
@@ -22,7 +21,7 @@ from .harness import (
     report_to_dict,
     write_report_files,
 )
-from .ioutil import atomic_write_json, read_json
+from .ioutil import ConfigurationError, atomic_write_json, read_json
 from .localizers import AgentLocalizer, EmbeddingLocalizer, VsmLocalizer
 from .metrics import DataError, overlap_analysis
 
@@ -54,13 +53,13 @@ def _config_from_args(args) -> RunConfig:
         "repo": args.repo,
         "index_cache": args.index_cache,
         "out_dir": args.out,
-        "chat.kind": args.provider,
+        "chat.kind": "scripted" if args.replay else args.provider,
         "chat.replay_path": args.replay,
     }
     return load_config(args.config, overrides)
 
 
-def _make_localizer_factory(config, replay: str | None = None):
+def _make_localizer_factory(config):
     mode = config.mode
     if mode == "vsm":
         return lambda: VsmLocalizer(top_n=config.final_list_size), None
@@ -72,7 +71,7 @@ def _make_localizer_factory(config, replay: str | None = None):
             top_n=config.final_list_size,
         )
         return factory, embedding_provider
-    chat_provider = build_chat_provider(config, replay)
+    chat_provider = build_chat_provider(config)
     agent_config = AgentConfig(
         max_iterations=config.max_iterations,
         final_list_size=config.final_list_size,
@@ -117,7 +116,7 @@ def cmd_localize(args) -> int:
     if not config.repo:
         raise ConfigurationError("localize needs --repo")
     bugs = load_bug_reports(args.bug)
-    factory, embedding_provider = _make_localizer_factory(config, args.replay)
+    factory, embedding_provider = _make_localizer_factory(config)
     store = _version_store(config, embedding_provider)
     out_dir = Path(config.out_dir)
     exit_code = 0
@@ -150,7 +149,7 @@ def cmd_evaluate(args) -> int:
     if not evaluation:
         raise ConfigurationError("chronological split left no evaluation bugs")
 
-    factory, embedding_provider = _make_localizer_factory(config, args.replay)
+    factory, embedding_provider = _make_localizer_factory(config)
     store = _version_store(config, embedding_provider)
     technique = config.mode
     outcome = evaluate_technique(

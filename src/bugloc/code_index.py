@@ -24,7 +24,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .fuzzy import NameTable
-from .ioutil import atomic_write_bytes, atomic_write_text
+from .ioutil import ConfigurationError, atomic_write_bytes, atomic_write_text
 from .java_parser import Grammar, MethodRecord, get_grammar
 
 logger = logging.getLogger(__name__)
@@ -33,10 +33,6 @@ ARCHIVE_MAGIC = "bugloc-code-index"
 ARCHIVE_FORMAT = 5
 OBJECTS_DIR = "objects"  # beside the manifests
 _DIGEST = re.compile("[0-9a-f]{64}")
-
-
-class ConfigurationError(ValueError):
-    """Fatal setup problem (missing repository root, unsupported grammar...)."""
 
 
 class ArchiveFormatError(ValueError):

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import yaml
 
-from .code_index import ConfigurationError
+from .ioutil import ConfigurationError
 
 MODES = ("genloc", "embedding_only", "noembed", "vsm")
 
@@ -151,15 +151,14 @@ def build_embedding_provider(config: RunConfig):
     return provider
 
 
-def build_chat_provider(config: RunConfig, replay: str | None = None):
+def build_chat_provider(config: RunConfig):
     from .chat import RemoteChatProvider, ScriptedChatProvider
 
     settings = config.chat
-    replay_path = replay or settings.replay_path
-    if settings.kind == "scripted" or replay:
-        if not replay_path:
+    if settings.kind == "scripted":
+        if not settings.replay_path:
             raise ConfigurationError("scripted chat provider needs a replay file (--replay)")
-        return ScriptedChatProvider.from_file(replay_path)
+        return ScriptedChatProvider.from_file(settings.replay_path)
     if settings.kind == "remote":
         return RemoteChatProvider(
             model=settings.model,

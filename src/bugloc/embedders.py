@@ -28,13 +28,12 @@ from pathlib import Path
 import numpy as np
 import requests
 
-from .code_index import ConfigurationError
 from .ioutil import (
+    JsonEndpoint,
     MalformedResponse,
     RequestRejected,
     RetriesExhausted,
     atomic_write_bytes,
-    post_with_retry,
 )
 from .tokens import tokenize
 
@@ -134,23 +133,13 @@ class RemoteEmbedder(EmbeddingProvider):
     ):
         if max_batch_size < 1:
             raise ValueError(f"max_batch_size must be at least 1, got {max_batch_size}")
-        if max_attempts < 1:
-            raise ValueError(f"max_attempts must be at least 1, got {max_attempts}")
-        api_key = os.environ.get(api_key_env, "")
-        if not api_key:
-            raise ConfigurationError(
-                f"environment variable {api_key_env} is not set for embedding provider {model!r}"
-            )
+        self._endpoint = JsonEndpoint(
+            base_url, api_key_env, f"embedding provider {model!r}", max_attempts, timeout, session, retry_delay
+        )
         self.model = model
         self.dimension = dimension
-        self.base_url = base_url.rstrip("/")
         self.max_batch_size = max_batch_size
-        self.max_attempts = max_attempts
-        self.timeout = timeout
-        self.retry_delay = retry_delay
         self.provider_id = f"remote:{model}"
-        self._session = session or requests.Session()
-        self._session.headers["Authorization"] = f"Bearer {api_key}"
 
     def embed_batch(self, texts: list[str]) -> np.ndarray:
         batches = [
@@ -162,14 +151,9 @@ class RemoteEmbedder(EmbeddingProvider):
     def _post_batch(self, texts: list[str]) -> np.ndarray:
         payload = {"model": self.model, "input": texts}
         try:
-            body = post_with_retry(
-                self._session, f"{self.base_url}/embeddings", payload,
-                self.timeout, self.max_attempts, self.retry_delay,
-            )
+            body = self._endpoint.post("/embeddings", payload)
         except RequestRejected as exc:
-            raise ProviderContractError(
-                f"provider {self.provider_id} rejected request: {exc}"
-            ) from None
+            raise ProviderContractError(f"provider {self.provider_id} rejected request: {exc}") from None
         except RetriesExhausted as exc:
             raise RetriableProviderError(self.provider_id, exc.attempts, exc.cause) from None
         except MalformedResponse as exc:

@@ -1,5 +1,5 @@
 """Small I/O helpers: every output file is written atomically, and every
-remote POST goes through one retry policy."""
+remote POST goes through one client, JsonEndpoint, with one retry policy."""
 
 from __future__ import annotations
 
@@ -50,6 +50,10 @@ def read_json(path: str | os.PathLike):
         return json.load(handle)
 
 
+class ConfigurationError(ValueError):
+    """Fatal setup problem (missing repository root, unset API key...)."""
+
+
 class RequestRejected(Exception):
     """The endpoint answered with a status that retrying cannot change."""
 
@@ -67,29 +71,50 @@ class RetriesExhausted(Exception):
         self.cause = cause
 
 
-def post_with_retry(session, url: str, payload, timeout: float, attempts: int, delay: float):
-    """POST `payload` as JSON and return the decoded JSON body of the first
-    HTTP 200 response; a body that is not JSON raises MalformedResponse.
+class JsonEndpoint:
+    """One remote JSON API, reached with the API key named by `api_key_env`.
+    The key is read at construction, so misconfiguration fails before any
+    work; `user` names the caller in that error. The session carries the
+    key for every POST."""
 
-    Makes at most `attempts` POSTs. Transport errors, 408/409/429 and 5xx are
-    retried after sleeping `delay * n` seconds following the n-th failure; any
-    other status raises RequestRejected at once.
-    """
-    cause = "unknown"
-    for attempt in range(1, attempts + 1):
-        try:
-            response = session.post(url, json=payload, timeout=timeout)
-        except requests.RequestException as exc:
-            cause = str(exc)
-        else:
-            if response.status_code == 200:
-                try:
-                    return response.json()
-                except ValueError as exc:  # requests' JSONDecodeError is a ValueError
-                    raise MalformedResponse(f"HTTP 200 body is not JSON: {exc}") from None
-            cause = f"HTTP {response.status_code}"
-            if response.status_code < 500 and response.status_code not in RETRIABLE_STATUS:
-                raise RequestRejected(cause)
-        if attempt < attempts:
-            time.sleep(delay * attempt)
-    raise RetriesExhausted(attempts, cause)
+    def __init__(self, base_url: str, api_key_env: str, user: str, max_attempts: int, timeout: float,
+                 session: requests.Session | None = None, retry_delay: float = 1.0):
+        if max_attempts < 1:
+            raise ValueError(f"max_attempts must be at least 1, got {max_attempts}")
+        api_key = os.environ.get(api_key_env, "")
+        if not api_key:
+            raise ConfigurationError(f"environment variable {api_key_env} is not set for {user}")
+        self.base_url = base_url.rstrip("/")
+        self.max_attempts = max_attempts
+        self.timeout = timeout
+        self.retry_delay = retry_delay
+        self.session = session or requests.Session()
+        self.session.headers["Authorization"] = f"Bearer {api_key}"
+
+    def post(self, path: str, payload):
+        """POST `payload` as JSON to `base_url + path` and return the decoded
+        JSON body of the first HTTP 200 response; a body that is not JSON
+        raises MalformedResponse.
+
+        Makes at most `max_attempts` POSTs. Transport errors, 408/409/429 and
+        5xx are retried after sleeping `retry_delay * n` seconds following
+        the n-th failure; any other status raises RequestRejected at once.
+        """
+        cause = "unknown"
+        for attempt in range(1, self.max_attempts + 1):
+            try:
+                response = self.session.post(self.base_url + path, json=payload, timeout=self.timeout)
+            except requests.RequestException as exc:
+                cause = str(exc)
+            else:
+                if response.status_code == 200:
+                    try:
+                        return response.json()
+                    except ValueError as exc:  # requests' JSONDecodeError is a ValueError
+                        raise MalformedResponse(f"HTTP 200 body is not JSON: {exc}") from None
+                cause = f"HTTP {response.status_code}"
+                if response.status_code < 500 and response.status_code not in RETRIABLE_STATUS:
+                    raise RequestRejected(cause)
+            if attempt < self.max_attempts:
+                time.sleep(self.retry_delay * attempt)
+        raise RetriesExhausted(self.max_attempts, cause)

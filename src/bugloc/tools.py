@@ -24,47 +24,56 @@ GET_CANDIDATE_FILENAMES = "get_candidate_filenames"
 GET_METHOD_SIGNATURES = "get_method_signatures_of_a_file"
 GET_METHOD_BODY = "get_method_body"
 
-# The argument schema of each tool, as shown to the model.
+# The function schema of each tool, in the form the model receives it.
 TOOL_SCHEMAS: dict[str, dict] = {
     SEARCH_FILE: {
         "name": SEARCH_FILE,
         "description": "Check whether a file exists in the code base and list the fully "
         "qualified paths of matches.",
-        "parameters": {"name": {"type": "string", "description": "File name to look up."}},
-        "required": ["name"],
+        "parameters": {
+            "type": "object",
+            "properties": {"name": {"type": "string", "description": "File name to look up."}},
+            "required": ["name"],
+        },
     },
     SEARCH_METHOD: {
         "name": SEARCH_METHOD,
         "description": "Find which files define a method with the given name.",
-        "parameters": {"name": {"type": "string", "description": "Method name to look up."}},
-        "required": ["name"],
+        "parameters": {
+            "type": "object",
+            "properties": {"name": {"type": "string", "description": "Method name to look up."}},
+            "required": ["name"],
+        },
     },
     GET_CANDIDATE_FILENAMES: {
         "name": GET_CANDIDATE_FILENAMES,
         "description": "Retrieve the filenames most semantically similar to the bug "
         "report, as an initial candidate pool.",
-        "parameters": {},
-        "required": [],
+        "parameters": {"type": "object", "properties": {}, "required": []},
     },
     GET_METHOD_SIGNATURES: {
         "name": GET_METHOD_SIGNATURES,
         "description": "List all method signatures defined in a file, in source order.",
         "parameters": {
-            "fq_path": {"type": "string", "description": "Fully qualified file path."}
+            "type": "object",
+            "properties": {"fq_path": {"type": "string", "description": "Fully qualified file path."}},
+            "required": ["fq_path"],
         },
-        "required": ["fq_path"],
     },
     GET_METHOD_BODY: {
         "name": GET_METHOD_BODY,
         "description": "Retrieve the body of a method, optionally scoped to one file.",
         "parameters": {
-            "method": {"type": "string", "description": "Method name."},
-            "fq_path": {
-                "type": "string",
-                "description": "Optional fully qualified file path to search in.",
+            "type": "object",
+            "properties": {
+                "method": {"type": "string", "description": "Method name."},
+                "fq_path": {
+                    "type": "string",
+                    "description": "Optional fully qualified file path to search in.",
+                },
             },
+            "required": ["method"],
         },
-        "required": ["method"],
     },
 }
 
@@ -126,12 +135,12 @@ class ToolRegistry:
         as null counts as absent."""
         if not isinstance(arguments, dict):
             return f"expected an object, not {type(arguments).__name__}"
-        schema = TOOL_SCHEMAS[name]
+        parameters = TOOL_SCHEMAS[name]["parameters"]
         for key, value in arguments.items():
-            spec = schema["parameters"].get(key)
+            spec = parameters["properties"].get(key)
             if spec is None or spec["type"] != "string" or isinstance(value, str):
                 continue
-            if value is None and key not in schema["required"]:
+            if value is None and key not in parameters["required"]:
                 continue
             return f"'{key}' must be a string, not {type(value).__name__}"
         return None

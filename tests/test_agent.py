@@ -248,6 +248,22 @@ def test_provider_failure_is_per_bug_failure_not_crash(toolenv):
     assert "socket down" in transcript.failure_reason
 
 
+def test_bug_without_text_fails_before_any_provider_call(toolenv):
+    class Counting:
+        calls = 0
+
+        def complete(self, messages, tool_schemas, temperature):
+            Counting.calls += 1
+            return text_turn(final_answer(["org/chart/AutoScale.java"]))
+
+    bug = make_bug("b-empty", summary=" ", description="")
+    predictions, transcript = run_localization(bug, toolenv, Counting(), AgentConfig())
+    assert predictions == []
+    assert transcript.failure_reason == "bug report b-empty has neither summary nor description"
+    assert transcript.messages == [] and transcript.iterations_used == 0
+    assert Counting.calls == 0
+
+
 class _StatusSession:
     """Answers every POST with one HTTP status and counts the POSTs."""
 

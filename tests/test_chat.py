@@ -1,7 +1,9 @@
 import json
 
 import pytest
+import requests
 
+from bugloc import ioutil
 from bugloc.agent import AgentConfig, ChatMessage, build_prompt
 from bugloc.chat import (
     ChatProviderError,
@@ -10,6 +12,8 @@ from bugloc.chat import (
     ToolCall,
 )
 from bugloc.code_index import ConfigurationError
+from bugloc.config import build_chat_provider, load_config
+from bugloc.tools import SEARCH_FILE, TOOL_SCHEMAS
 from conftest import make_bug, text_turn
 
 
@@ -44,14 +48,7 @@ def provider_with(responses, monkeypatch, **kwargs):
 
 
 def tool_schemas():
-    return [
-        {
-            "name": "search_file",
-            "description": "look up a file",
-            "parameters": {"name": {"type": "string", "description": "file name"}},
-            "required": ["name"],
-        }
-    ]
+    return [TOOL_SCHEMAS[SEARCH_FILE]]
 
 
 def test_missing_api_key_fails_at_construction(monkeypatch):
@@ -106,6 +103,55 @@ def test_extra_tool_calls_are_logged_when_dropped(monkeypatch, caplog):
     [record] = caplog.records
     assert "search_method" in record.getMessage()
     assert "get_method_body" in record.getMessage()
+
+
+def test_tool_call_arguments_that_are_not_json_become_empty(monkeypatch):
+    call = {"function": {"name": "get_candidate_filenames", "arguments": "{not json"}}
+    body = {"choices": [{"message": {"tool_calls": [call]}}]}
+    provider, _ = provider_with([_FakeResponse(200, body)], monkeypatch)
+    turn = provider.complete(build_prompt(make_bug(), AgentConfig()), tool_schemas(), 1.0)
+    assert turn.tool_call == ToolCall("get_candidate_filenames", {})
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ({"id": "x"}, "malformed chat response: 'choices'"),
+        ({"choices": []}, "malformed chat response: list index out of range"),
+        ({"choices": [{"message": {"content": ""}}]}, "chat response carried neither text nor a tool call"),
+        ({"choices": [{"message": {"tool_calls": []}}]}, "chat response carried neither text nor a tool call"),
+    ],
+    ids=["no-choices", "empty-choices", "empty-text", "empty-calls"],
+)
+def test_unusable_response_is_provider_error(monkeypatch, body, message):
+    provider, _ = provider_with([_FakeResponse(200, body)], monkeypatch)
+    with pytest.raises(ChatProviderError) as raised:
+        provider.complete(build_prompt(make_bug(), AgentConfig()), [], 1.0)
+    assert str(raised.value) == message
+
+
+def remote_chat_config(**settings):
+    overrides = {"chat.kind": "remote", "chat.model": "m", "chat.base_url": "https://api.example/"}
+    return load_config(overrides={**overrides, **{f"chat.{k}": v for k, v in settings.items()}})
+
+
+def test_build_chat_provider_remote_uses_the_settings(monkeypatch):
+    monkeypatch.setenv("TEST_CHAT_KEY", "secret")
+    monkeypatch.setattr(ioutil.time, "sleep", lambda seconds: None)
+    session = _FakeSession([_FakeResponse(500)] * 5)
+    monkeypatch.setattr(requests, "Session", lambda: session)
+    provider = build_chat_provider(remote_chat_config(api_key_env="TEST_CHAT_KEY", max_attempts=5))
+    assert isinstance(provider, RemoteChatProvider) and provider.provider_id == "remote:m"
+    with pytest.raises(ChatProviderError, match="failed after 5 attempts: HTTP 500"):
+        provider.complete(build_prompt(make_bug(), AgentConfig()), [], 1.0)
+    assert [r["url"] for r in session.requests] == ["https://api.example/chat/completions"] * 5
+    assert session.headers["Authorization"] == "Bearer secret"
+
+
+def test_build_chat_provider_remote_without_key_fails(monkeypatch):
+    monkeypatch.delenv("TEST_CHAT_KEY", raising=False)
+    with pytest.raises(ConfigurationError, match="TEST_CHAT_KEY is not set for chat provider 'm'"):
+        build_chat_provider(remote_chat_config(api_key_env="TEST_CHAT_KEY"))
 
 
 def test_retry_then_recover(monkeypatch):

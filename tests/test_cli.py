@@ -331,6 +331,46 @@ def test_cmd_localize_noembed_unavailable_tool_in_transcript(workspace, capsys):
     assert any("not available" in (m["tool_result"] or "") for m in tool_messages)
 
 
+def test_cmd_localize_replay_arguments_that_are_no_object_are_answered(workspace, capsys):
+    replay = write_replay(
+        workspace / "replay.json",
+        [
+            {"tool_call": {"name": "search_file", "arguments": [1]}},
+            {"final": "```\n1. org/chart/AutoScale.java - dial\n```"},
+        ],
+    )
+    code = run_cli(
+        "localize", "--repo", workspace / "repo", "--bug", workspace / "bugs.jsonl",
+        "--mode", "noembed", "--replay", replay, "--out", workspace / "out",
+    )
+    assert code == 0
+    assert "1. org/chart/AutoScale.java" in capsys.readouterr().out
+    transcript = read_json(workspace / "out" / "transcript-b-1.json")
+    assert [m["tool_result"] for m in transcript["messages"] if m["role"] == "tool"] == [
+        "Invalid arguments for 'search_file': expected an object, not list"
+    ]
+
+
+@pytest.mark.parametrize("flags", [[], ["--provider", "remote"]], ids=["yaml", "yaml-and-flag"])
+def test_cmd_localize_replay_wins_over_a_remote_chat(workspace, capsys, monkeypatch, flags):
+    monkeypatch.delenv("BUGLOC_CHAT_API_KEY", raising=False)  # a remote provider would fail
+    cfg_file = workspace / "cfg.yaml"
+    cfg_file.write_text(
+        "chat:\n  kind: remote\n  model: chat-model\n  base_url: https://api.example\n",
+        encoding="utf-8",
+    )
+    replay = write_replay(
+        workspace / "replay.json", [{"final": "```\n1. org/io/Reader.java - io suspect\n```"}]
+    )
+    code = run_cli(
+        "localize", "--config", cfg_file, "--repo", workspace / "repo", "--bug",
+        workspace / "bugs.jsonl", "--mode", "noembed", "--replay", replay, *flags,
+        "--out", workspace / "out",
+    )
+    assert code == 0
+    assert "1. org/io/Reader.java" in capsys.readouterr().out
+
+
 def test_cmd_localize_vsm(workspace, capsys):
     code = run_cli(
         "localize", "--repo", workspace / "repo", "--bug", workspace / "bugs.jsonl",
@@ -484,7 +524,7 @@ def test_cmd_evaluate_output_does_not_depend_on_workers(workspace, monkeypatch):
     ]
     save_bug_reports(bugs, workspace / "six.jsonl")
     chat = StaggeredChat(n_bugs, failing={"e-0", "e-1"})
-    monkeypatch.setattr(cli, "build_chat_provider", lambda config, replay=None: chat)
+    monkeypatch.setattr(cli, "build_chat_provider", lambda config: chat)
     outputs = []
     for workers in (1, 4):
         config = workspace / f"workers-{workers}.yaml"

@@ -184,6 +184,19 @@ def test_version_store_archives_cached(tmp_path):
     assert len(embed) > 0
 
 
+def test_version_store_rebuilds_a_version_whose_embedding_archive_is_missing(tmp_path, monkeypatch):
+    root = versioned_repo(tmp_path)
+    cache = tmp_path / "cache"
+    VersionStore(root, embedding_provider=HashingEmbedder(16), cache_dir=cache).get("v1")
+    (cache / "v1.embed.jsonl").unlink()
+    builds = []
+    monkeypatch.setattr(harness, "build_index", lambda *args: builds.append(args) or build_index(*args))
+    code, embed = VersionStore(root, embedding_provider=HashingEmbedder(16), cache_dir=cache).get("v1")
+    assert len(builds) == 1  # the code archive alone is not loaded
+    assert load_embed_archive(cache).records == embed.records
+    assert load_code_index(cache / "v1.code.jsonl").files == code.files
+
+
 def test_version_store_rebuilds_archive_of_another_provider(tmp_path, caplog):
     root = versioned_repo(tmp_path)
     cache = tmp_path / "cache"

@@ -11,7 +11,9 @@ import pytest
 
 from bugloc import cli
 from bugloc.agent import AgentConfig, build_prompt
+from bugloc.chat import RemoteChatProvider
 from bugloc.config import ChatSettings, EmbeddingSettings, RunConfig
+from bugloc.embedders import RemoteEmbedder
 from bugloc.embedding import shortlist_files, update_embeddings
 from bugloc.harness import VersionStore
 from bugloc.localizers import AgentLocalizer, EmbeddingLocalizer, VsmLocalizer
@@ -46,6 +48,13 @@ FUNCTION_PARAMS = {
     build_prompt: ["bug", "config", "tool_names"],
     VersionStore.__init__: [
         "self", "repo_root", "grammar", "embedding_provider", "cache_dir", "chunk_limit",
+    ],
+    RemoteEmbedder.__init__: [
+        "self", "model", "dimension", "base_url", "api_key_env", "max_batch_size", "max_attempts",
+        "timeout", "session", "retry_delay",
+    ],
+    RemoteChatProvider.__init__: [
+        "self", "model", "base_url", "api_key_env", "max_attempts", "timeout", "session", "retry_delay",
     ],
 }
 
