@@ -295,11 +295,7 @@ def transcript_to_dict(transcript: AgentTranscript) -> dict:
             {
                 "role": m.role,
                 "content": m.content,
-                "tool_call": (
-                    {"name": m.tool_call[0], "arguments": m.tool_call[1]}
-                    if m.tool_call is not None
-                    else None
-                ),
+                "tool_call": None if m.tool_call is None else m.tool_call._asdict(),
                 "tool_result": m.tool_result,
             }
             for m in transcript.messages

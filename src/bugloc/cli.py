@@ -18,7 +18,6 @@ from .harness import (
     format_report_table,
     localize_bug,
     report_from_dict,
-    report_to_dict,
     write_report_files,
 )
 from .ioutil import ConfigurationError, atomic_write_json, read_json

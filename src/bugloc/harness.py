@@ -265,23 +265,12 @@ def evaluate_technique(
 
 
 def report_to_dict(report: EvalReport, failures: list[dict] | None = None) -> dict:
-    out = {
-        "schema_version": SCHEMA_VERSION,
-        "technique": report.technique,
-        "accuracy_at": {str(k): v for k, v in sorted(report.accuracy_at.items())},
-        "mrr_at_10": report.mrr_at_10,
-        "map_at_10": report.map_at_10,
-        "per_bug": [
-            {
-                "bug_id": r.bug_id,
-                "technique": r.technique,
-                "run_id": r.run_id,
-                "ranked_paths": list(r.ranked_paths),
-                "first_hit_rank": r.first_hit_rank,
-            }
-            for r in report.per_bug
-        ],
-    }
+    # Each dataclass's own fields, copied shallowly: dataclasses.asdict would
+    # deep-copy every path, which costs more than encoding the JSON.
+    out = {"schema_version": SCHEMA_VERSION, **vars(report)}
+    # string keys sort as "1", "10", "5" in the JSON, as they always have
+    out["accuracy_at"] = {str(k): v for k, v in sorted(report.accuracy_at.items())}
+    out["per_bug"] = [dict(vars(r)) for r in report.per_bug]
     if failures is not None:
         out["failures"] = failures
         attempts = len(report.per_bug)

@@ -8,7 +8,7 @@ precision, whose denominator is the bug's total number of relevant files.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 
 class MetricError(ValueError):
@@ -58,20 +58,40 @@ def _truth_for(result: LocalizationResult, ground_truths: Mapping[str, Iterable[
     return truth
 
 
+def sum_left_to_right(values: Iterable[float]) -> float:
+    """0.0 plus each value in turn. Builtin sum() compensates float error
+    from Python 3.12 on, so a total it makes depends on the interpreter."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def _defined(metric: str, results: Sequence[LocalizationResult], k: int) -> None:
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if not results:
+        raise MetricError(f"{metric} is undefined for an empty result set")
+
+
+def _top_k_hits(
+    results: Iterable[LocalizationResult], ground_truths: Mapping[str, Iterable[str]], k: int
+) -> Iterator[tuple[LocalizationResult, set, int | None]]:
+    """Each result, its bug's ground truth, and the rank of its first hit if
+    that lies in the top k, else None."""
+    for result in results:
+        truth = _truth_for(result, ground_truths)
+        rank = _first_hit(result.ranked_paths, truth)
+        yield result, truth, rank if rank is not None and rank <= k else None
+
+
 def accuracy_at_k(
     results: Sequence[LocalizationResult],
     ground_truths: Mapping[str, Iterable[str]],
     k: int,
 ) -> float:
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if not results:
-        raise MetricError("accuracy is undefined for an empty result set")
-    hits = 0
-    for result in results:
-        rank = _first_hit(result.ranked_paths, _truth_for(result, ground_truths))
-        if rank is not None and rank <= k:
-            hits += 1
+    _defined("accuracy", results, k)
+    hits = sum(rank is not None for _, _, rank in _top_k_hits(results, ground_truths, k))
     return hits / len(results)
 
 
@@ -80,26 +100,14 @@ def mrr_at_k(
     ground_truths: Mapping[str, Iterable[str]],
     k: int = 10,
 ) -> float:
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if not results:
-        raise MetricError("MRR is undefined for an empty result set")
-    total = 0.0
-    for result in results:
-        rank = _first_hit(result.ranked_paths, _truth_for(result, ground_truths))
-        if rank is not None and rank <= k:
-            total += 1.0 / rank
-    return total / len(results)
+    _defined("MRR", results, k)
+    ranks = [rank for _, _, rank in _top_k_hits(results, ground_truths, k) if rank is not None]
+    return sum_left_to_right(1.0 / rank for rank in ranks) / len(results)
 
 
 def average_precision(ranked_paths: Sequence[str], truth: set, k: int) -> float:
-    relevant_seen = 0
-    total = 0.0
-    for position, path in enumerate(ranked_paths[:k], start=1):
-        if path in truth:
-            relevant_seen += 1
-            total += relevant_seen / position
-    return total / len(truth)
+    hits = [position for position, path in enumerate(ranked_paths[:k], start=1) if path in truth]
+    return sum_left_to_right(seen / position for seen, position in enumerate(hits, start=1)) / len(truth)
 
 
 def map_at_k(
@@ -107,15 +115,12 @@ def map_at_k(
     ground_truths: Mapping[str, Iterable[str]],
     k: int = 10,
 ) -> float:
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if not results:
-        raise MetricError("MAP is undefined for an empty result set")
-    total = 0.0
-    for result in results:
-        truth = _truth_for(result, ground_truths)
-        total += average_precision(result.ranked_paths, truth, k)
-    return total / len(results)
+    _defined("MAP", results, k)
+    precisions = [
+        average_precision(result.ranked_paths, truth, k)
+        for result, truth, _ in _top_k_hits(results, ground_truths, k)
+    ]
+    return sum_left_to_right(precisions) / len(results)
 
 
 @dataclass
@@ -154,12 +159,15 @@ def aggregate_runs(reports: Sequence[EvalReport]) -> EvalReport:
     if any(bugs != bug_sets[0] for bugs in bug_sets[1:]):
         raise DataError("runs cover different bug sets")
     ks = sorted(reports[0].accuracy_at)
-    count = len(reports)
+
+    def mean(values) -> float:
+        return sum_left_to_right(values) / len(reports)
+
     return EvalReport(
         technique=reports[0].technique,
-        accuracy_at={k: sum(r.accuracy_at[k] for r in reports) / count for k in ks},
-        mrr_at_10=sum(r.mrr_at_10 for r in reports) / count,
-        map_at_10=sum(r.map_at_10 for r in reports) / count,
+        accuracy_at={k: mean(r.accuracy_at[k] for r in reports) for k in ks},
+        mrr_at_10=mean(r.mrr_at_10 for r in reports),
+        map_at_10=mean(r.map_at_10 for r in reports),
         per_bug=[result for report in reports for result in report.per_bug],
     )
 
@@ -186,21 +194,15 @@ def overlap_analysis(
     nondeterministic technique is credited with every bug it ever hit."""
     if len(per_technique) < 2:
         raise ValueError("overlap analysis needs at least two techniques")
-    localized: dict[str, set[str]] = {}
-    for technique, results in per_technique.items():
-        hits: set[str] = set()
-        for result in results:
-            rank = _first_hit(result.ranked_paths, _truth_for(result, ground_truths))
-            if rank is not None and rank <= k:
-                hits.add(result.bug_id)
-        localized[technique] = hits
+    localized = {
+        technique: {
+            result.bug_id for result, _, rank in _top_k_hits(results, ground_truths, k) if rank is not None
+        }
+        for technique, results in per_technique.items()
+    }
     out: dict[str, OverlapStats] = {}
     for technique, hits in localized.items():
-        others: set[str] = set()
-        for other, other_hits in localized.items():
-            if other != technique:
-                others |= other_hits
-        unique = hits - others
+        unique = hits.difference(*(others for other, others in localized.items() if other != technique))
         out[technique] = OverlapStats(
             technique=technique,
             localized=frozenset(hits),

@@ -53,41 +53,29 @@ def resolve_predictions(
     output (rank None) so the outcome of each claim is visible.
     """
     out: list[ResolvedPrediction] = []
-    kept_paths: set[str] = set()
-    kept = 0
+    kept: set[str] = set()
     for pred in raw:
         claim = pred.fq_path_claim.strip()
-        resolved: str | None = None
-        resolution = RESOLUTION_DROPPED
-        if claim in index.files:
-            resolved, resolution = claim, RESOLUTION_EXACT
-        else:
-            basename = claim.rsplit("/", 1)[-1]
-            candidates = index.paths_named(basename)
-            if candidates:
-                claim_tokens = path_token_set(claim)
-                # max() keeps the first of equal keys, and the candidates are
-                # sorted, so the ascending path wins ties.
-                resolved = max(
-                    candidates,
-                    key=lambda path: jaccard_similarity(claim_tokens, path_token_set(path)),
-                )
-                resolution = RESOLUTION_JACCARD
-        if resolved is None or resolved in kept_paths or kept >= final_size:
-            out.append(
-                ResolvedPrediction(
-                    fq_path=resolved if resolved is not None else claim,
-                    rank=None,
-                    resolution=RESOLUTION_DROPPED,
-                    justification=pred.justification,
-                )
+        resolved, resolution = claim, RESOLUTION_EXACT
+        if claim not in index.files:
+            claim_tokens = path_token_set(claim)
+            # max() keeps the first of equal keys, and the candidates are
+            # sorted, so the ascending path wins ties.
+            resolved = max(
+                index.paths_named(claim.rsplit("/", 1)[-1]),
+                key=lambda path: jaccard_similarity(claim_tokens, path_token_set(path)),
+                default=None,
             )
-            continue
-        kept += 1
-        kept_paths.add(resolved)
+            resolution = RESOLUTION_JACCARD
+        dropped = resolved is None or resolved in kept or len(kept) >= final_size
+        if not dropped:
+            kept.add(resolved)
         out.append(
             ResolvedPrediction(
-                fq_path=resolved, rank=kept, resolution=resolution, justification=pred.justification
+                fq_path=claim if resolved is None else resolved,
+                rank=None if dropped else len(kept),
+                resolution=RESOLUTION_DROPPED if dropped else resolution,
+                justification=pred.justification,
             )
         )
     return out

@@ -20,6 +20,7 @@ from collections import Counter
 
 import numpy as np
 
+from .metrics import sum_left_to_right
 from .tokens import camel_split, tokenize
 from .validation import require_bug_text
 
@@ -55,13 +56,6 @@ def _term_counts(text: str, memo: dict[str, tuple[str, ...]], store: bool) -> di
     return counts
 
 
-def _sum_left_to_right(values) -> float:
-    total = 0.0
-    for value in values:
-        total += value
-    return total
-
-
 class VsmModel:
     """Precomputed TF-IDF corpus; queries score against it repeatedly."""
 
@@ -90,7 +84,7 @@ class VsmModel:
         weights = idf[term_of]
         weights *= np.frombuffer(pair_tfs, dtype=np.int32)
         self._norms = np.sqrt(
-            [_sum_left_to_right((w * w).tolist()) for w in np.split(weights, doc_ends[1:-1])]
+            [sum_left_to_right((w * w).tolist()) for w in np.split(weights, doc_ends[1:-1])]
         )
         # The postings of term t are _docs[_offsets[t]:_offsets[t + 1]], in
         # document order, and the same slice of _weights.
@@ -111,7 +105,7 @@ class VsmModel:
             for term, tf in query_counts.items()
             if term in self.idf
         ]
-        query_norm = math.sqrt(_sum_left_to_right(w * w for _, w in query_vec))
+        query_norm = math.sqrt(sum_left_to_right(w * w for _, w in query_vec))
         if query_norm == 0.0:
             logger.warning(
                 "query shares no weighted terms with the corpus; ranking is path order"
