@@ -83,10 +83,16 @@ def _turn_to_dict(turn: ChatMessage) -> dict:
 
 
 def _turn_from_dict(raw: dict) -> ChatMessage:
+    if not isinstance(raw, dict):
+        raise ValueError(f"replay entry is not an object: {raw!r}")
     if "tool_call" in raw:
         call = raw["tool_call"]
+        if not isinstance(call, dict) or not isinstance(call.get("name"), str):
+            raise ValueError(f"replay tool_call has no name: {call!r}")
         return ChatMessage(ROLE_MODEL, tool_call=ToolCall(call["name"], call.get("arguments", {})))
     if "final" in raw:
+        if not isinstance(raw["final"], str):
+            raise ValueError(f"replay final response is not text: {raw['final']!r}")
         return ChatMessage(ROLE_MODEL, content=raw["final"])
     raise ValueError(f"replay entry is neither a tool_call nor a final response: {raw}")
 
@@ -103,7 +109,11 @@ def save_replay(path: str | Path, turns: list[ChatMessage], repeat_last: bool = 
 
 
 def load_replay(path: str | Path) -> tuple[list[ChatMessage], bool]:
+    """The turns and repeat_last flag of a replay file; ValueError if it is
+    not one."""
     raw = read_json(path)
+    if not isinstance(raw, dict) or not isinstance(raw.get("responses"), list):
+        raise ValueError(f"replay file {path} holds no responses list")
     return [_turn_from_dict(r) for r in raw["responses"]], bool(raw.get("repeat_last", False))
 
 
@@ -234,21 +244,37 @@ class RemoteChatProvider(ChatProvider):
             message = body["choices"][0]["message"]
         except (KeyError, IndexError, TypeError) as exc:
             raise ChatProviderError(f"malformed chat response: {exc}") from None
+        if not isinstance(message, dict):
+            raise ChatProviderError(
+                f"malformed chat response: the message is {type(message).__name__}, not an object"
+            )
         calls = message.get("tool_calls")
         if calls:
+            if not isinstance(calls, list):
+                raise ChatProviderError(
+                    f"malformed chat response: tool_calls is {type(calls).__name__}, not a list"
+                )
+            names = [_function_name(call) for call in calls]
+            if names[0] is None:
+                raise ChatProviderError("malformed chat response: a tool call names no function")
             if len(calls) > 1:
-                dropped = [call.get("function", {}).get("name") for call in calls[1:]]
                 logger.warning(
                     "chat provider %s returned %d tool calls; dispatching the first, dropping %s",
-                    self.provider_id, len(calls), dropped,
+                    self.provider_id, len(calls), names[1:],
                 )
-            fn = calls[0]["function"]
             try:
-                arguments = json.loads(fn.get("arguments") or "{}")
-            except json.JSONDecodeError:
+                arguments = json.loads(calls[0]["function"].get("arguments") or "{}")
+            except (json.JSONDecodeError, TypeError):  # not JSON text
                 arguments = {}
-            return ChatMessage(ROLE_MODEL, tool_call=ToolCall(fn["name"], arguments))
+            return ChatMessage(ROLE_MODEL, tool_call=ToolCall(names[0], arguments))
         content = message.get("content")
         if not content:
             raise ChatProviderError("chat response carried neither text nor a tool call")
         return ChatMessage(ROLE_MODEL, content=content)
+
+
+def _function_name(call) -> str | None:
+    """The name of the function a wire tool call calls, if it names one."""
+    function = call.get("function") if isinstance(call, dict) else None
+    name = function.get("name") if isinstance(function, dict) else None
+    return name if isinstance(name, str) else None

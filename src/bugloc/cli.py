@@ -170,7 +170,12 @@ def cmd_compare(args) -> int:
     if not args.dataset:
         raise ConfigurationError("compare needs ground truths: pass --dataset")
     ground_truths = {bug.bug_id: set(bug.ground_truth) for bug in load_bug_reports(args.dataset)}
-    reports = [report_from_dict(read_json(path)) for path in args.results]
+    reports = []
+    for path in args.results:
+        try:
+            reports.append(report_from_dict(read_json(path)))
+        except DataError as exc:
+            raise DataError(f"{path}: {exc}") from None
     per_technique = {report.technique: report.per_bug for report in reports}
     stats = overlap_analysis(per_technique, ground_truths, k=args.k)
     print(format_report_table(reports))

@@ -60,7 +60,6 @@ class ProviderContractError(EmbeddingProviderError):
 class EmbeddingProvider:
     provider_id: str = ""
     dimension: int = 0
-    max_batch_size: int = 64
 
     def embed_batch(self, texts: list[str]) -> np.ndarray:
         """Any number of texts, which implementations slice into transport
@@ -182,7 +181,6 @@ class CachedEmbedder(EmbeddingProvider):
         self.inner = inner
         self.provider_id = inner.provider_id
         self.dimension = inner.dimension
-        self.max_batch_size = inner.max_batch_size
         self.cache_path = Path(cache_path) if cache_path else None
         self._cache: dict[str, np.ndarray] = {}  # key -> one float64 row
         self._damaged = False  # the file read was not whole, so the next save rewrites it

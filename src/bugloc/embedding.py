@@ -109,6 +109,17 @@ class Shortlist:
         return [path for path, _ in self.entries]
 
 
+def check_embedded_by(eindex: EmbeddingIndex, provider: EmbeddingProvider) -> EmbeddingIndex:
+    """`eindex`, if `provider` made it: rows and queries must share one space."""
+    made_by = (eindex.provider_id, eindex.dimension)
+    if made_by != (provider.provider_id, provider.dimension):
+        raise ValueError(
+            "the embedding index was made by %s at dimension %d, not by %s at dimension %d"
+            % (*made_by, provider.provider_id, provider.dimension)
+        )
+    return eindex
+
+
 def chunk_text(text: str, chunk_limit: int = DEFAULT_CHUNK_LIMIT, fq_path: str = "") -> list[Chunk]:
     """Greedy left-to-right packing into chunks of at most chunk_limit tokens.
 
@@ -136,12 +147,13 @@ def update_embeddings(
 ) -> EmbeddingIndex:
     """Re-embed only what the changeset touched, chunked at `eindex`'s chunk
     limit; untouched rows carry over verbatim. `index` must already reflect
-    the post-changeset repository.
+    the post-changeset repository, and `provider` must have made `eindex`.
 
     The refreshed files are embedded in one provider call, none when there
     are none; the update either returns the whole new index or raises that
     call's error.
     """
+    check_embedded_by(eindex, provider)
     changeset.validate()
     refresh = set(changeset.added) | set(changeset.modified) | {new for _, new in changeset.renamed}
     dropped = refresh | set(changeset.deleted) | {old for old, _ in changeset.renamed}
@@ -172,7 +184,8 @@ def shortlist_files(
 ) -> Shortlist:
     """Top-k files by maximum chunk cosine similarity to the bug text, ties
     by ascending path; chunks with a zero vector are never scored. The bug
-    text is chunked at the index's chunk limit.
+    text is chunked at the index's chunk limit and embedded by `provider`,
+    which must have made the index.
 
     Each row's dot product is reduced on its own (`np.vecdot`), not in one
     matrix-vector product, whose blocking may round a row differently at
@@ -180,6 +193,7 @@ def shortlist_files(
     """
     if k < 1:
         raise ValueError(f"shortlist size must be at least 1, got {k}")
+    check_embedded_by(eindex, provider)
     if len(eindex) == 0:
         raise InputValidationError("embedding index is empty")
     text = require_bug_text(bug)

@@ -279,22 +279,31 @@ def report_to_dict(report: EvalReport, failures: list[dict] | None = None) -> di
 
 
 def report_from_dict(raw: dict) -> EvalReport:
-    return EvalReport(
-        technique=raw["technique"],
-        accuracy_at={int(k): v for k, v in raw["accuracy_at"].items()},
-        mrr_at_10=raw["mrr_at_10"],
-        map_at_10=raw["map_at_10"],
-        per_bug=[
-            LocalizationResult(
-                bug_id=r["bug_id"],
-                technique=r["technique"],
-                run_id=r["run_id"],
-                ranked_paths=tuple(r["ranked_paths"]),
-                first_hit_rank=r["first_hit_rank"],
-            )
-            for r in raw.get("per_bug", [])
-        ],
-    )
+    """The report `report_to_dict` wrote; a DataError names what is missing
+    or malformed."""
+    if not isinstance(raw, dict):
+        raise DataError(f"a report is a JSON object, not {type(raw).__name__}")
+    try:
+        return EvalReport(
+            technique=raw["technique"],
+            accuracy_at={int(k): v for k, v in raw["accuracy_at"].items()},
+            mrr_at_10=raw["mrr_at_10"],
+            map_at_10=raw["map_at_10"],
+            per_bug=[
+                LocalizationResult(
+                    bug_id=r["bug_id"],
+                    technique=r["technique"],
+                    run_id=r["run_id"],
+                    ranked_paths=tuple(r["ranked_paths"]),
+                    first_hit_rank=r["first_hit_rank"],
+                )
+                for r in raw.get("per_bug", [])
+            ],
+        )
+    except KeyError as exc:
+        raise DataError(f"the report lacks the field {exc}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise DataError(f"malformed report: {exc}") from None
 
 
 def format_report_table(reports: list[EvalReport]) -> str:

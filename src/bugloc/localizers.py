@@ -14,7 +14,7 @@ from .agent import AgentConfig, AgentTranscript, run_localization
 from .chat import ChatProvider
 from .code_index import CodeIndex, file_representation
 from .embedders import EmbeddingProvider
-from .embedding import EmbeddingIndex, Shortlist, shortlist_files
+from .embedding import EmbeddingIndex, Shortlist, check_embedded_by, shortlist_files
 from .resolve import ResolvedPrediction, resolve_predictions, surviving_paths
 from .tools import make_tool_registry
 from .validation import check_is_fitted, require_bug_text
@@ -43,17 +43,6 @@ def _check_top_n(top_n: int) -> int:
     if top_n < 1:
         raise ValueError(f"top_n must be at least 1, got {top_n}")
     return top_n
-
-
-def _check_embedded_by(embedding_index: EmbeddingIndex, provider: EmbeddingProvider) -> EmbeddingIndex:
-    """`embedding_index`, if `provider` made it: queries must share its space."""
-    made_by = (embedding_index.provider_id, embedding_index.dimension)
-    if made_by != (provider.provider_id, provider.dimension):
-        raise ValueError(
-            "the embedding index was made by %s at dimension %d, queries are embedded by %s at dimension %d"
-            % (*made_by, provider.provider_id, provider.dimension)
-        )
-    return embedding_index
 
 
 class BaseLocalizer:
@@ -103,7 +92,7 @@ class EmbeddingLocalizer(BaseLocalizer):
     def fit(self, code_index: CodeIndex, embedding_index: EmbeddingIndex | None = None):
         if embedding_index is None:
             raise ValueError("EmbeddingLocalizer.fit requires an embedding index")
-        self.embedding_index_ = _check_embedded_by(embedding_index, self.provider)
+        self.embedding_index_ = check_embedded_by(embedding_index, self.provider)
         return self
 
     def shortlist(self, bug) -> Shortlist:
@@ -144,7 +133,7 @@ class AgentLocalizer(BaseLocalizer):
                     "AgentLocalizer with an embedding provider requires an embedding index; "
                     "fit with one, or construct it without a provider for noembed"
                 )
-            _check_embedded_by(embedding_index, self.embedding_provider)
+            check_embedded_by(embedding_index, self.embedding_provider)
         self.index_ = code_index
         self.embedding_index_ = embedding_index
         return self

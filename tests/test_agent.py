@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from bugloc.agent import (
@@ -310,6 +312,35 @@ def test_remote_non_json_body_is_per_bug_failure(toolenv, monkeypatch):
     assert session.posts == 1
 
 
+class _BodySession(_StatusSession):
+    """Answers every POST with status 200 and `body`."""
+
+    def __init__(self, body):
+        super().__init__(200)
+        self.body = body
+
+    def json(self):
+        return self.body
+
+
+@pytest.mark.parametrize(
+    "message",
+    [[], {"tool_calls": {"function": {"name": "search_file"}}}, {"tool_calls": [{"type": "function"}]}],
+    ids=["message-not-object", "calls-not-a-list", "call-without-function"],
+)
+def test_remote_malformed_message_is_per_bug_failure(toolenv, monkeypatch, message):
+    monkeypatch.setenv("TEST_CHAT_KEY", "secret")
+    session = _BodySession({"choices": [{"message": message}]})
+    provider = RemoteChatProvider(
+        "chat-model", "https://api.example", api_key_env="TEST_CHAT_KEY",
+        session=session, retry_delay=0.0,
+    )
+    predictions, transcript = run_localization(make_bug(), toolenv, provider, AgentConfig())
+    assert predictions == []
+    assert transcript.failure_reason.startswith("chat provider failure: malformed chat response: ")
+    assert session.posts == 1
+
+
 class _ToolCallSession(_StatusSession):
     """Answers the first POST with a call of search_file whose arguments are
     `arguments`, a JSON text, and every later one with a final answer."""
@@ -432,6 +463,17 @@ def test_replay_file_roundtrip(tmp_path):
     loaded, repeat_last = load_replay(path)
     assert loaded == turns
     assert repeat_last
+
+
+@pytest.mark.parametrize(
+    "responses", [None, [7], [{"tool_call": "search_file"}], [{"final": None}]],
+    ids=["no-list", "entry-not-an-object", "call-not-an-object", "final-not-text"],
+)
+def test_load_replay_refuses_a_malformed_file(tmp_path, responses):
+    path = tmp_path / "replay.json"
+    path.write_text(json.dumps({"responses": responses}), encoding="utf-8")
+    with pytest.raises(ValueError, match="replay"):
+        load_replay(path)
 
 
 def test_recording_provider_produces_replayable_file(tmp_path, toolenv):

@@ -105,12 +105,17 @@ def test_extra_tool_calls_are_logged_when_dropped(monkeypatch, caplog):
     assert "get_method_body" in record.getMessage()
 
 
-def test_tool_call_arguments_that_are_not_json_become_empty(monkeypatch):
-    call = {"function": {"name": "get_candidate_filenames", "arguments": "{not json"}}
+@pytest.mark.parametrize("arguments", ["{not json", {"name": "A.java"}], ids=["bad-json", "not-text"])
+def test_tool_call_arguments_that_are_not_json_become_empty(monkeypatch, arguments):
+    call = {"function": {"name": "get_candidate_filenames", "arguments": arguments}}
     body = {"choices": [{"message": {"tool_calls": [call]}}]}
     provider, _ = provider_with([_FakeResponse(200, body)], monkeypatch)
     turn = provider.complete(build_prompt(make_bug(), AgentConfig()), tool_schemas(), 1.0)
     assert turn.tool_call == ToolCall("get_candidate_filenames", {})
+
+
+MALFORMED = "malformed chat response: "
+NAMES_NO_FUNCTION = f"{MALFORMED}a tool call names no function"
 
 
 @pytest.mark.parametrize(
@@ -120,8 +125,16 @@ def test_tool_call_arguments_that_are_not_json_become_empty(monkeypatch):
         ({"choices": []}, "malformed chat response: list index out of range"),
         ({"choices": [{"message": {"content": ""}}]}, "chat response carried neither text nor a tool call"),
         ({"choices": [{"message": {"tool_calls": []}}]}, "chat response carried neither text nor a tool call"),
+        ({"choices": [{"message": "hello"}]}, "malformed chat response: the message is str, not an object"),
+        ({"choices": [{"message": {"tool_calls": {"id": "c"}}}]}, f"{MALFORMED}tool_calls is dict, not a list"),
+        ({"choices": [{"message": {"tool_calls": 7}}]}, f"{MALFORMED}tool_calls is int, not a list"),
+        ({"choices": [{"message": {"tool_calls": [{"id": "c"}]}}]}, NAMES_NO_FUNCTION),
+        ({"choices": [{"message": {"tool_calls": [{"function": {}}]}}]}, NAMES_NO_FUNCTION),
     ],
-    ids=["no-choices", "empty-choices", "empty-text", "empty-calls"],
+    ids=[
+        "no-choices", "empty-choices", "empty-text", "empty-calls", "message-not-object",
+        "calls-a-dict", "calls-a-number", "call-without-function", "function-without-name",
+    ],
 )
 def test_unusable_response_is_provider_error(monkeypatch, body, message):
     provider, _ = provider_with([_FakeResponse(200, body)], monkeypatch)

@@ -351,6 +351,31 @@ def test_cmd_localize_replay_arguments_that_are_no_object_are_answered(workspace
     ]
 
 
+@pytest.mark.parametrize(
+    "replay, reason",
+    [
+        ({"schema_version": 1}, "holds no responses list"),
+        (["not", "a", "replay"], "holds no responses list"),
+        ({"responses": ["final"]}, "replay entry is not an object: 'final'"),
+        ({"responses": [{"tool_call": {"arguments": {}}}]}, "replay tool_call has no name: {'arguments': {}}"),
+        ({"responses": [{"tool_call": {"name": 3}}]}, "replay tool_call has no name: {'name': 3}"),
+        ({"responses": [{"final": ["1. a/A.java"]}]}, "replay final response is not text: ['1. a/A.java']"),
+    ],
+    ids=["no-responses", "not-an-object", "entry-not-an-object", "call-without-name", "name-not-text",
+         "final-not-text"],
+)
+def test_cmd_localize_malformed_replay_is_one_error_line(workspace, capsys, replay, reason):
+    path = workspace / "replay.json"
+    path.write_text(json.dumps(replay), encoding="utf-8")
+    code = run_cli(
+        "localize", "--repo", workspace / "repo", "--bug", workspace / "bugs.jsonl",
+        "--mode", "noembed", "--replay", path, "--out", workspace / "out",
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith(f"{reason}\n") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("flags", [[], ["--provider", "remote"]], ids=["yaml", "yaml-and-flag"])
 def test_cmd_localize_replay_wins_over_a_remote_chat(workspace, capsys, monkeypatch, flags):
     monkeypatch.delenv("BUGLOC_CHAT_API_KEY", raising=False)  # a remote provider would fail
@@ -619,6 +644,26 @@ def test_cmd_compare_without_dataset_is_one_error_line(workspace, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: compare needs ground truths: pass --dataset\n"
+
+
+@pytest.mark.parametrize(
+    "report, reason",
+    [
+        ([], "a report is a JSON object, not list"),
+        ({"technique": "vsm", "mrr_at_10": 0.5, "map_at_10": 0.5}, "the report lacks the field 'accuracy_at'"),
+        ({"technique": "vsm", "accuracy_at": {"1": 0.5}, "mrr_at_10": 0.5, "map_at_10": 0.5, "per_bug": [{}]},
+         "the report lacks the field 'bug_id'"),
+    ],
+    ids=["not-an-object", "no-accuracy", "per-bug-without-id"],
+)
+def test_cmd_compare_malformed_report_is_one_error_line(workspace, capsys, report, reason):
+    dataset = eval_dataset(workspace)
+    path = workspace / "report.json"
+    path.write_text(json.dumps(report), encoding="utf-8")
+    assert run_cli("compare", path, path, "--dataset", dataset) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: {reason}\n"
 
 
 def test_cmd_compare_overlap_table(workspace, capsys):

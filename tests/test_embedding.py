@@ -184,6 +184,7 @@ class StubEmbedder(HashingEmbedder):
 
     def __init__(self, vector):
         super().__init__(dimension=len(vector))
+        self.provider_id = "stub"  # the provider of every stub_index
         self.vector = tuple(vector)
 
     def embed_batch(self, texts):
@@ -497,6 +498,18 @@ def test_cached_embedder_avoids_refetch(tmp_path):
     assert inner2.batches == 0
 
 
+def test_cached_embedder_needs_only_an_id_a_dimension_and_embed_batch(tmp_path):
+    class Minimal:
+        provider_id, dimension = "minimal-4", 4
+
+        def embed_batch(self, texts):
+            return np.ones((len(texts), 4))
+
+    provider = CachedEmbedder(Minimal(), tmp_path / "cache.json")
+    assert provider.embed_batch(["a", "b"]).tolist() == [[1.0] * 4] * 2
+    assert not hasattr(provider, "max_batch_size")
+
+
 def test_writing_into_a_cached_embedders_result_leaves_the_cache_as_it_is(tmp_path):
     cache_file = tmp_path / "cache.json"
     provider = CachedEmbedder(HashingEmbedder(8), cache_file)
@@ -788,6 +801,29 @@ def test_shortlist_empty_index_rejected():
         shortlist_files(make_bug(), EmbeddingIndex(8, "hashing-8"), HashingEmbedder(8))
 
 
+def hashing_as(provider_id: str, dimension: int) -> HashingEmbedder:
+    """A hashing embedder that calls itself `provider_id`."""
+    provider = HashingEmbedder(dimension)
+    provider.provider_id = provider_id
+    return provider
+
+
+def test_shortlist_refuses_a_provider_that_did_not_make_the_index(tmp_path):
+    root = planted_repo(tmp_path, n_files=4)
+    eindex = build_embedding_index(build_index(root, "java", "v0"), HashingEmbedder(16))
+    with pytest.raises(ValueError, match="made by hashing-16 at dimension 16, not by other-16"):
+        shortlist_files(make_bug(summary="zoomOut"), eindex, hashing_as("other-16", 16))
+
+
+def test_update_embeddings_refuses_a_provider_that_did_not_make_the_index(tmp_path):
+    root = planted_repo(tmp_path, n_files=4)
+    index = build_index(root, "java", "v0")
+    eindex = build_embedding_index(index, HashingEmbedder(16))
+    changeset = Changeset(modified=(index.sorted_paths()[0],))
+    with pytest.raises(ValueError, match="made by hashing-16 at dimension 16, not by other-16"):
+        update_embeddings(eindex, changeset, index, hashing_as("other-16", 16))
+
+
 def test_long_bug_reports_are_chunk_averaged(tmp_path):
     root = write_tree(tmp_path / "r", {"A.java": java_class("A", {"m": "alpha();"})})
     index = build_index(root, "java", "v0")
@@ -937,7 +973,7 @@ def test_update_embeddings_retries_only_in_the_transport(tmp_path, monkeypatch, 
     files = {f"pkg/F{i}.java": java_class(f"F{i}", {f"m{i}": f"old{i}();"}) for i in range(50)}
     root = write_tree(tmp_path / "r", files)
     index = build_index(root, "java", "v0")
-    eindex = build_embedding_index(index, HashingEmbedder(8))
+    eindex = build_embedding_index(index, hashing_as("remote:m", 8))  # as if the endpoint had made it
     for i, path in enumerate(files):
         (root / path).write_text(java_class(f"F{i}", {f"m{i}": f"new{i}();"}), encoding="utf-8")
     changeset = Changeset(modified=tuple(files))
