@@ -244,17 +244,10 @@ class RemoteChatProvider(ChatProvider):
             message = body["choices"][0]["message"]
         except (KeyError, IndexError, TypeError) as exc:
             raise ChatProviderError(f"malformed chat response: {exc}") from None
-        if not isinstance(message, dict):
-            raise ChatProviderError(
-                f"malformed chat response: the message is {type(message).__name__}, not an object"
-            )
+        message = _expect(message, dict, "the message", "an object")
         calls = message.get("tool_calls")
         if calls:
-            if not isinstance(calls, list):
-                raise ChatProviderError(
-                    f"malformed chat response: tool_calls is {type(calls).__name__}, not a list"
-                )
-            names = [_function_name(call) for call in calls]
+            names = [_function_name(call) for call in _expect(calls, list, "tool_calls", "a list")]
             if names[0] is None:
                 raise ChatProviderError("malformed chat response: a tool call names no function")
             if len(calls) > 1:
@@ -270,7 +263,14 @@ class RemoteChatProvider(ChatProvider):
         content = message.get("content")
         if not content:
             raise ChatProviderError("chat response carried neither text nor a tool call")
-        return ChatMessage(ROLE_MODEL, content=content)
+        return ChatMessage(ROLE_MODEL, content=_expect(content, str, "the content", "text"))
+
+
+def _expect(value, kind: type, what: str, expected: str):
+    """`value`, if it is a `kind`; else a ChatProviderError."""
+    if not isinstance(value, kind):
+        raise ChatProviderError(f"malformed chat response: {what} is {type(value).__name__}, not {expected}")
+    return value
 
 
 def _function_name(call) -> str | None:

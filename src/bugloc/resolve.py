@@ -58,15 +58,15 @@ def resolve_predictions(
         claim = pred.fq_path_claim.strip()
         resolved, resolution = claim, RESOLUTION_EXACT
         if claim not in index.files:
-            claim_tokens = path_token_set(claim)
-            # max() keeps the first of equal keys, and the candidates are
-            # sorted, so the ascending path wins ties.
-            resolved = max(
-                index.paths_named(claim.rsplit("/", 1)[-1]),
-                key=lambda path: jaccard_similarity(claim_tokens, path_token_set(path)),
-                default=None,
-            )
-            resolution = RESOLUTION_JACCARD
+            resolved, resolution = None, RESOLUTION_JACCARD
+            candidates = index.paths_named(claim.rsplit("/", 1)[-1])
+            if candidates:
+                claim_tokens = path_token_set(claim)
+                # max() keeps the first of equal keys, and the candidates are
+                # sorted, so the ascending path wins ties.
+                resolved = max(
+                    candidates, key=lambda path: jaccard_similarity(claim_tokens, path_token_set(path))
+                )
         dropped = resolved is None or resolved in kept or len(kept) >= final_size
         if not dropped:
             kept.add(resolved)

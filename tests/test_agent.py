@@ -1,5 +1,3 @@
-import json
-
 import pytest
 
 from bugloc.agent import (
@@ -325,8 +323,11 @@ class _BodySession(_StatusSession):
 
 @pytest.mark.parametrize(
     "message",
-    [[], {"tool_calls": {"function": {"name": "search_file"}}}, {"tool_calls": [{"type": "function"}]}],
-    ids=["message-not-object", "calls-not-a-list", "call-without-function"],
+    [
+        [], {"tool_calls": {"function": {"name": "search_file"}}}, {"tool_calls": [{"type": "function"}]},
+        {"content": [{"type": "text", "text": "1. org/chart/AutoScale.java"}]},
+    ],
+    ids=["message-not-object", "calls-not-a-list", "call-without-function", "content-not-text"],
 )
 def test_remote_malformed_message_is_per_bug_failure(toolenv, monkeypatch, message):
     monkeypatch.setenv("TEST_CHAT_KEY", "secret")
@@ -463,17 +464,6 @@ def test_replay_file_roundtrip(tmp_path):
     loaded, repeat_last = load_replay(path)
     assert loaded == turns
     assert repeat_last
-
-
-@pytest.mark.parametrize(
-    "responses", [None, [7], [{"tool_call": "search_file"}], [{"final": None}]],
-    ids=["no-list", "entry-not-an-object", "call-not-an-object", "final-not-text"],
-)
-def test_load_replay_refuses_a_malformed_file(tmp_path, responses):
-    path = tmp_path / "replay.json"
-    path.write_text(json.dumps({"responses": responses}), encoding="utf-8")
-    with pytest.raises(ValueError, match="replay"):
-        load_replay(path)
 
 
 def test_recording_provider_produces_replayable_file(tmp_path, toolenv):

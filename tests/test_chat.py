@@ -130,10 +130,11 @@ NAMES_NO_FUNCTION = f"{MALFORMED}a tool call names no function"
         ({"choices": [{"message": {"tool_calls": 7}}]}, f"{MALFORMED}tool_calls is int, not a list"),
         ({"choices": [{"message": {"tool_calls": [{"id": "c"}]}}]}, NAMES_NO_FUNCTION),
         ({"choices": [{"message": {"tool_calls": [{"function": {}}]}}]}, NAMES_NO_FUNCTION),
+        ({"choices": [{"message": {"content": [{"text": "x"}]}}]}, f"{MALFORMED}the content is list, not text"),
     ],
     ids=[
         "no-choices", "empty-choices", "empty-text", "empty-calls", "message-not-object",
-        "calls-a-dict", "calls-a-number", "call-without-function", "function-without-name",
+        "calls-a-dict", "calls-a-number", "call-without-function", "function-without-name", "content-not-text",
     ],
 )
 def test_unusable_response_is_provider_error(monkeypatch, body, message):

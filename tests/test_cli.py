@@ -357,12 +357,13 @@ def test_cmd_localize_replay_arguments_that_are_no_object_are_answered(workspace
         ({"schema_version": 1}, "holds no responses list"),
         (["not", "a", "replay"], "holds no responses list"),
         ({"responses": ["final"]}, "replay entry is not an object: 'final'"),
+        ({"responses": [{"tool_call": "search_file"}]}, "replay tool_call has no name: 'search_file'"),
         ({"responses": [{"tool_call": {"arguments": {}}}]}, "replay tool_call has no name: {'arguments': {}}"),
         ({"responses": [{"tool_call": {"name": 3}}]}, "replay tool_call has no name: {'name': 3}"),
         ({"responses": [{"final": ["1. a/A.java"]}]}, "replay final response is not text: ['1. a/A.java']"),
     ],
-    ids=["no-responses", "not-an-object", "entry-not-an-object", "call-without-name", "name-not-text",
-         "final-not-text"],
+    ids=["no-responses", "not-an-object", "entry-not-an-object", "call-not-an-object", "call-without-name",
+         "name-not-text", "final-not-text"],
 )
 def test_cmd_localize_malformed_replay_is_one_error_line(workspace, capsys, replay, reason):
     path = workspace / "replay.json"
@@ -651,10 +652,12 @@ def test_cmd_compare_without_dataset_is_one_error_line(workspace, capsys):
     [
         ([], "a report is a JSON object, not list"),
         ({"technique": "vsm", "mrr_at_10": 0.5, "map_at_10": 0.5}, "the report lacks the field 'accuracy_at'"),
+        ({"technique": "vsm", "accuracy_at": [], "mrr_at_10": 0.5, "map_at_10": 0.5},
+         "malformed report: 'list' object has no attribute 'items'"),
         ({"technique": "vsm", "accuracy_at": {"1": 0.5}, "mrr_at_10": 0.5, "map_at_10": 0.5, "per_bug": [{}]},
          "the report lacks the field 'bug_id'"),
     ],
-    ids=["not-an-object", "no-accuracy", "per-bug-without-id"],
+    ids=["not-an-object", "no-accuracy", "accuracy-not-an-object", "per-bug-without-id"],
 )
 def test_cmd_compare_malformed_report_is_one_error_line(workspace, capsys, report, reason):
     dataset = eval_dataset(workspace)

@@ -916,14 +916,6 @@ def test_report_dict_roundtrip(tmp_path):
     assert back.per_bug == outcome.report.per_bug
 
 
-@pytest.mark.parametrize(
-    "raw", [None, {"technique": "vsm"}, {"technique": "vsm", "accuracy_at": [], "mrr_at_10": 0, "map_at_10": 0}]
-)
-def test_report_from_dict_refuses_what_is_no_report(raw):
-    with pytest.raises(DataError):
-        report_from_dict(raw)
-
-
 def test_format_report_table_mirrors_columns(tmp_path):
     root = versioned_repo(tmp_path)
     store = VersionStore(root)
