@@ -647,21 +647,87 @@ def test_golden_archives_of_the_seed3_corpus_are_unchanged(tmp_path):
     assert [hashlib.sha256(p.read_bytes()).hexdigest() for p in packs] == GOLDEN_PACKS
 
 
-# The sha256 of a listing of every file the version-chain set-up writes at
-# seeds 1, 3 and 7: each version's code and embedding manifests and every
-# pack, and the embedding cache file after each version and after the bug
-# queries are embedded. Computed with this code; they depend on what
-# GOLDEN_MANIFESTS does, and on the cache file's format.
+# The sha256 of every file the version-chain set-up writes at seeds 1, 3
+# and 7: the embedding cache file after each version and after the bug
+# queries are embedded, each version's code and embedding manifests, and
+# every pack. Computed with this code; they depend on what GOLDEN_MANIFESTS
+# does, and on the cache file's format.
 GOLDEN_CHAIN_FILES = {
-    1: "02fd106522da9dec61f5249c2f1c5c21b6ff5ee95e2178ff8e1a420e0c33f859",
-    3: "ed79f1e5a316db16a941b49a434074ce975a5ae1502b6a209905474c7268ff2e",
-    7: "eefa931a5b5bcfda9eb7d8c6c117429c81aa21f6137d543a7dbf8c03a44e254d",
+    1: {
+        "cache-after-v0": "8bfe94d32057e2daf9f257adb98aab3071fb5113d3ea427f8f963ef858a08689",
+        "cache-after-v1": "aba316c7ee1b5757c10b2b792b9f4b94daea81c3c286d644437d628d8f4f1748",
+        "cache-after-v2": "3a7462dc5502b592325680bd5aacbc96e6d7d2f5e0d2c01ad9e5574700d487cf",
+        "cache-after-v3": "a7215537043687b16f8eb415936e976c75cafbb35c41313b888cd4b7778a3ca7",
+        "cache-after-queries": "65514dc868454afd55b16fee764ce474111202e29b1e1793d35e1b6c1e5e552f",
+        "v0.code.jsonl": "221c13553a8474695310266467274c4eed5b385723b3e77879b00c6cf0a6260d",
+        "v0.embed.jsonl": "91b6cd8ee28e52fa21ea4b3a2aba16b8bec22e56abedd6bf51ee8209e86abaff",
+        "v1.code.jsonl": "d6eb039b21599a8f79b34e87ef9911fdd52b0a99b0ddf6a8d21748a976f5a7b1",
+        "v1.embed.jsonl": "73db3891a540036a1bddb3106f1e6c72b67371272a80e11b486051404ea72d1d",
+        "v2.code.jsonl": "a9f9d4acd98372b9e155f1f02183984df0ced4f4532dbf3e90191d30184c39cd",
+        "v2.embed.jsonl": "6adaaca8012dc97527ac3193f1a1753038e2eba77410822aef3526794ee8dc5e",
+        "v3.code.jsonl": "29b108218ba289dc42757e848103d5969865242191066cba2e339df265ce1775",
+        "v3.embed.jsonl": "8867e924c1de6c7cb50486b8e9f5f1887e7fac8d6142af73c1cd2a29d2271565",
+        "objects/135fb04d2edbfd1ea737c7aa8045dbffc450e950bb938239cb02b843edeae279": "135fb04d2edbfd1ea737c7aa8045dbffc450e950bb938239cb02b843edeae279",
+        "objects/2aef4f57bf1d3641a4fcf4662cdfdaac4ed39ffedb04c6d4083fb7bbf536c0c7": "2aef4f57bf1d3641a4fcf4662cdfdaac4ed39ffedb04c6d4083fb7bbf536c0c7",
+        "objects/31c791d91da5a443a16562cb4d593dcbfd7603a1d1e59a21f6e448b84a2608b0": "31c791d91da5a443a16562cb4d593dcbfd7603a1d1e59a21f6e448b84a2608b0",
+        "objects/41a55796f937e4c447f94a626f0077f0027f0f09121384d17c7e2fc80990dc45": "41a55796f937e4c447f94a626f0077f0027f0f09121384d17c7e2fc80990dc45",
+        "objects/66edfa3fe0d95c235773e042811bdfccaebf314c7bdc8764223fd43d188e18f9": "66edfa3fe0d95c235773e042811bdfccaebf314c7bdc8764223fd43d188e18f9",
+        "objects/9419d9e642ce1426a42b00c7cf05d017634d1970fa646ef754b034bf027d2577": "9419d9e642ce1426a42b00c7cf05d017634d1970fa646ef754b034bf027d2577",
+        "objects/a0eb21285b6365934bcad64a8f87ad61083c71fdff0fc019c7af668816b33233": "a0eb21285b6365934bcad64a8f87ad61083c71fdff0fc019c7af668816b33233",
+        "objects/ebe14cf3f08b86954d04656628e1e676a024da37b322b3b5fa1899f465712350": "ebe14cf3f08b86954d04656628e1e676a024da37b322b3b5fa1899f465712350",
+    },
+    3: {
+        "cache-after-v0": "de51b42036ba2aac64dec906ce30478776ae9f1897008cb542c269d1e73be1a0",
+        "cache-after-v1": "f853e6cfc15c95c02ef3b071c1223fee5cdbbbd7639d805613feb8d834c601b5",
+        "cache-after-v2": "913008cc34f72df91002d37cac960b462f9961861dccf3017bd972b1297677e2",
+        "cache-after-v3": "eb51f7e23d9249dfad948c4fe8c2995b5422786f4db9c833fb1c81e04a83b54c",
+        "cache-after-queries": "d2918034e1542189aa8007275483230236d7749ff85888db8c79d5be72d73595",
+        "v0.code.jsonl": "035247795345b8484518f58252de9fbbad9c69582deb0edb191a599fa67d8c6c",
+        "v0.embed.jsonl": "5fe6a81501bd33a83d4edb1ba6140c8ee09934ac18261a1d4f363758d3eee62d",
+        "v1.code.jsonl": "efad0d8414ce0107ae3ce343592ea86c064ba4fcbb4eeb7771fdfc936332d289",
+        "v1.embed.jsonl": "94678e1a8e5a5000b7dfa2f66e849f20413277f403c2f1a0e2511c8d5ba2a634",
+        "v2.code.jsonl": "7376965fb4742d78879ca64dd4746615e195eb161daffffc591ad7c972da4523",
+        "v2.embed.jsonl": "0c25cfa4ad2c23658e6a86418e77ce397acb5997fd6e7cfb9e5f306351b7f661",
+        "v3.code.jsonl": "99100afc99f20b32de397f62280779cb338d9d47650c572e9ebfc1f59c640434",
+        "v3.embed.jsonl": "dce8083bfe75d8617fc4f983c5430d284109036bebbb08fbb0756050b524df4c",
+        "objects/1d7b41c555e70d703cebad534602523e892392566409dc1d2677162779ff465f": "1d7b41c555e70d703cebad534602523e892392566409dc1d2677162779ff465f",
+        "objects/4502ee3aeef71264d2acca67ff84cbb0898653f23d020e086abb4ba0234b3fc4": "4502ee3aeef71264d2acca67ff84cbb0898653f23d020e086abb4ba0234b3fc4",
+        "objects/47e1723c4d88b4e49f8dc9edb31d2687716b306f55f8e33373b70d53bd11e05a": "47e1723c4d88b4e49f8dc9edb31d2687716b306f55f8e33373b70d53bd11e05a",
+        "objects/55cbb4f55aa4d176d047b2473c23204173cdb5d942eeef37d8b7b27e4b9550df": "55cbb4f55aa4d176d047b2473c23204173cdb5d942eeef37d8b7b27e4b9550df",
+        "objects/87219ae0bcf0b7b36fe30df0edfab6189d451d51068b48b76f5c73ad744ae01d": "87219ae0bcf0b7b36fe30df0edfab6189d451d51068b48b76f5c73ad744ae01d",
+        "objects/95fcc5db1870c6bc8eb0295c387b1b16c50b81114d7c1a9795dc15ac1c770f15": "95fcc5db1870c6bc8eb0295c387b1b16c50b81114d7c1a9795dc15ac1c770f15",
+        "objects/d7ca2ed74de8e4b6fd5687fd7284b6c59493f5a37a7c91e725d347ef838036de": "d7ca2ed74de8e4b6fd5687fd7284b6c59493f5a37a7c91e725d347ef838036de",
+        "objects/e5d16afec9fc657a6708f58f8fc76bdbd72ac84f3aecb0b9588c5e7958b4fdcb": "e5d16afec9fc657a6708f58f8fc76bdbd72ac84f3aecb0b9588c5e7958b4fdcb",
+    },
+    7: {
+        "cache-after-v0": "b39328bb078ac89d1664af44b23ed8efbb6f62da40d7fe844f1d0a7dbde2cb61",
+        "cache-after-v1": "0858a16d3534d27d0acc2f65e6664cc7f935af89904e4d483d948fe74f540c49",
+        "cache-after-v2": "c0c7f56e50efd25bfaba50ee838ef83bb8b1f61346c3a4bcf1947447a32ac668",
+        "cache-after-v3": "954e5d059def1b9fd837fafaaa957c22a4e303a7faca8d9a614a8ae371424765",
+        "cache-after-queries": "c29afe6c5818d7e502eeac3c83b6a1c00a995f3014a2697da9b7535ce8322262",
+        "v0.code.jsonl": "b9f21a642c218e0898f6c88650200efd81be07edbeb592c8ad8554034dfb1690",
+        "v0.embed.jsonl": "b0a3ce6fa2ca8ac1531048ca7c4e9fa928c6fdccbd1a3aabf9d704e478b6fa22",
+        "v1.code.jsonl": "81fc189a5cf15502d5b48a86265c1ff7e44b4b127d23caa332af4ad774c20c5d",
+        "v1.embed.jsonl": "a070851b5ee98d571bc5289aee28695efd64dc76700fdb850c462dc1bfed5bc1",
+        "v2.code.jsonl": "393e16c012b0a3ceee8dfba07b645ce4fa3e3fe09234d9e35cd38aa0fbc9f849",
+        "v2.embed.jsonl": "ace61f08738a54c706f958c256f00c73fb9f6068e12e3b05b458aea44919e935",
+        "v3.code.jsonl": "0d933d5b658345c4b66de18490c1998e1d06055f9ad94e8555e79b3d59f3c9cd",
+        "v3.embed.jsonl": "e2c3180c094d0872aa12a997feb726ccc2550721695d967333ad51c6c9e41a6f",
+        "objects/386bab5fe2bbb50631598f2d494a4cb09663c18107d5051e79610d650aaeda0a": "386bab5fe2bbb50631598f2d494a4cb09663c18107d5051e79610d650aaeda0a",
+        "objects/5e3633ac39a7f171d190e191072ad3dc414e13c2f3d052f84f017f4f67c77307": "5e3633ac39a7f171d190e191072ad3dc414e13c2f3d052f84f017f4f67c77307",
+        "objects/6ae61443c2c9cc6be1d4f033cf9cd001193d1cb24c8ddc9fdc4b0de210eab9fe": "6ae61443c2c9cc6be1d4f033cf9cd001193d1cb24c8ddc9fdc4b0de210eab9fe",
+        "objects/76a0d0b041ca9f9128dac99e15bf144660b86736dadc8b0a333b9be00f2a8912": "76a0d0b041ca9f9128dac99e15bf144660b86736dadc8b0a333b9be00f2a8912",
+        "objects/de120ad6787b9bfc79f70a8d63102f3c1186b19961c85c2d04c9fe6c02168705": "de120ad6787b9bfc79f70a8d63102f3c1186b19961c85c2d04c9fe6c02168705",
+        "objects/eb88b3fba8a65f3a1c39d46b8c756542ad61dfd3a848e0826c3156e6c4faa47b": "eb88b3fba8a65f3a1c39d46b8c756542ad61dfd3a848e0826c3156e6c4faa47b",
+        "objects/f8c5553169277c9251c385d7a98393f4f3b79a866c4f93ef8b3a22447db4de78": "f8c5553169277c9251c385d7a98393f4f3b79a866c4f93ef8b3a22447db4de78",
+        "objects/f91a039fec6c831faf08adaf3b0017209ab921cb3442179233a1b790c2ef2e1e": "f91a039fec6c831faf08adaf3b0017209ab921cb3442179233a1b790c2ef2e1e",
+    },
 }
 
 
-def chain_files_listing(seed, tmp_path):
-    """`name sha256` of each file written as the version-chain benchmark
-    builds every version of `seed` with a file-backed cache, one per line."""
+def chain_files(seed, tmp_path):
+    """name -> sha256 of each file written as the version-chain benchmark
+    builds every version of `seed` with a file-backed cache."""
     with pytest.MonkeyPatch.context() as patch:
         patch.syspath_prepend(str(PERFBENCH))
         gen = importlib.import_module("gen")
@@ -674,23 +740,23 @@ def chain_files_listing(seed, tmp_path):
     def sha(path):
         return hashlib.sha256(path.read_bytes()).hexdigest()
 
-    lines = []
+    files = {}
     for version in ds.versions:
         store.get(version)
-        lines.append(f"cache-after-{version} {sha(cache_file)}")
+        files[f"cache-after-{version}"] = sha(cache_file)
     queries = [chunk_text(bug_text(bug)) for bug in load_bug_reports(paths["dataset"])]
     provider.embed_batch([chunk.text for chunks in queries for chunk in chunks])
-    lines.append(f"cache-after-queries {sha(cache_file)}")
-    lines += [f"{p.name} {sha(p)}" for p in sorted(cache.glob("*.jsonl"))]
-    lines += [f"objects/{p.name} {sha(p)}" for p in sorted((cache / "objects").iterdir())]
-    return "\n".join(lines) + "\n"
+    files["cache-after-queries"] = sha(cache_file)
+    files.update((p.name, sha(p)) for p in sorted(cache.glob("*.jsonl")))
+    files.update((f"objects/{p.name}", sha(p)) for p in sorted((cache / "objects").iterdir()))
+    return files
 
 
 @pytest.mark.parametrize("seed", sorted(GOLDEN_CHAIN_FILES))
 def test_golden_files_of_the_version_chain_set_up_are_unchanged(tmp_path, seed):
-    listing = chain_files_listing(seed, tmp_path)
-    assert len(listing.splitlines()) > 4 + 8  # cache states, manifests, then packs
-    assert hashlib.sha256(listing.encode()).hexdigest() == GOLDEN_CHAIN_FILES[seed]
+    files = chain_files(seed, tmp_path)
+    assert len(files) > 4 + 8  # cache states, manifests, then packs
+    assert files == GOLDEN_CHAIN_FILES[seed]
 
 
 def test_version_store_one_file_update_writes_its_objects_and_two_manifests(tmp_path, monkeypatch):
