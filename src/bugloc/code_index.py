@@ -450,12 +450,10 @@ def archive_pool(path: str | Path, pool: ObjectPool | None) -> ObjectPool:
     return pool if pool is not None else ObjectPool(Path(path).parent / OBJECTS_DIR)
 
 
-def write_manifest(path: str | Path, header: dict, entries: list, pool: ObjectPool, objects: int) -> None:
+def write_manifest(path: str | Path, header: dict, entries: list, pool: ObjectPool, keys) -> None:
     """The objects put into `pool` as a new pack, then the manifest: the
-    header with the packs that hold its objects, and one JSON list
-    `[fq_path, key, ...]` per file, whose first `objects` columns after the
-    path are object keys."""
-    keys = [key for entry in entries for key in entry[1 : 1 + objects]]
+    header with the packs that hold the objects `keys` names, and one JSON
+    list of strings per entry."""
     header = dict(header, packs=pool.pack(keys))
     # json.dumps(entry) of a list of strings, without its per-call set-up
     lines = [json.dumps(header, sort_keys=True)] + [
@@ -468,13 +466,11 @@ def read_manifest(
     path: str | Path, magic: str, fmt: int, width: int, pool: ObjectPool
 ) -> tuple[dict, list]:
     """The header of a manifest and its entries, each a list of `width`
-    strings: a path, then object keys. The packs the header names are read
-    into `pool`.
+    strings. The packs the header names are read into `pool`.
 
     Raises ArchiveFormatError unless the header names `magic` and `fmt`, every
-    entry decodes and has that shape, the paths ascend strictly (so none is
-    repeated) and there are header["file_count"] entries, so an old, foreign,
-    corrupt, edited or truncated manifest is never trusted.
+    entry decodes and has that shape, and there are header["file_count"]
+    entries: an old, foreign, corrupt or truncated manifest is never trusted.
     """
     with open(path, encoding="utf-8") as handle:
         try:
@@ -501,10 +497,6 @@ def read_manifest(
     shaped = set(map(type, entries)) <= {list} and set(map(len, entries)) <= {width}
     if not (shaped and set(map(type, chain.from_iterable(entries))) <= {str}):
         raise ArchiveFormatError(f"malformed entry in {path}: not a list of {width} strings")
-    paths = [entry[0] for entry in entries]
-    if not all(map(str.__lt__, paths, paths[1:])):
-        following = next(b for a, b in zip(paths, paths[1:]) if a >= b)
-        raise ArchiveFormatError(f"{path} lists {following!r} out of order or twice")
     if len(entries) != header.get("file_count"):
         raise ArchiveFormatError(
             f"{path} holds {len(entries)} entries, its header says {header.get('file_count')!r}"
@@ -527,7 +519,7 @@ def save_code_index(index: CodeIndex, path: str | Path, pool: ObjectPool | None 
         "file_count": len(index.files),
     }
     entries = [[p, store_record(pool, index.files[p]), index.digests[p]] for p in index.sorted_paths()]
-    write_manifest(path, header, entries, pool, objects=1)
+    write_manifest(path, header, entries, pool, [key for _, key, _ in entries])
 
 
 def store_record(pool: ObjectPool, record: SourceFileRecord) -> str:
@@ -548,9 +540,14 @@ def load_code_index(
 ) -> CodeIndex:
     """The index a manifest lists, its records read through `pool`. Given a
     `base`, say the index of the version before, a file that `base` records
-    with the same digest shares `base`'s digest string."""
+    with the same digest shares `base`'s digest string. Paths that do not
+    ascend strictly (a path repeated, say) are an ArchiveFormatError."""
     pool = archive_pool(path, pool)
     header, entries = read_manifest(path, ARCHIVE_MAGIC, ARCHIVE_FORMAT, 3, pool)
+    paths = [entry[0] for entry in entries]
+    if not all(map(str.__lt__, paths, paths[1:])):
+        following = next(b for a, b in zip(paths, paths[1:]) if a >= b)
+        raise ArchiveFormatError(f"{path} lists {following!r} out of order or twice")
     files = {fq_path: load_record(pool, fq_path, key) for fq_path, key, _ in entries}
     old = base.digests if base is not None else {}
     digests = {fq_path: old[fq_path] if old.get(fq_path) == d else d for fq_path, _, d in entries}

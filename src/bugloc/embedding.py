@@ -7,12 +7,13 @@ the empty index that adds every file: untouched rows carry over, and the
 chunks of every refreshed file go to the provider in one call, whose error
 propagates. An index and its archive record the chunk limit it was built
 with, and updates and queries chunk at that limit. An archive is written
-and read with the code index of its version, whose records it names and
-re-makes the chunk text from.
+and read with the code index of its version, whose records it re-makes
+the chunk text from: one vector key per file, tied to them by one digest.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 from collections.abc import Iterable, Mapping
@@ -37,7 +38,7 @@ DEFAULT_CHUNK_LIMIT = 300
 DEFAULT_SHORTLIST_K = 50
 
 EMBED_ARCHIVE_MAGIC = "bugloc-embedding-index"
-EMBED_ARCHIVE_FORMAT = 4
+EMBED_ARCHIVE_FORMAT = 5
 
 
 @dataclass(frozen=True)
@@ -254,14 +255,13 @@ def _decode_vectors(data: bytes, record_key: str, record: SourceFileRecord):
     return chunks, rows
 
 
-def _vector_key(
-    pool: ObjectPool, record_key: str, record: SourceFileRecord, chunks: tuple[Chunk, ...], rows: np.ndarray
-) -> str:
+def _vector_key(pool: ObjectPool, record: SourceFileRecord, chunks: tuple[Chunk, ...], rows: np.ndarray) -> str:
     """The key of the vector object of one file's chunks and rows. The object
     the pool last read or stored as made from the same record is reused, not
     encoded again, when its chunks are equal and its rows equal byte for
     byte: then it would encode to the same bytes. The rows interned are a
     view of the index's matrix, which the pool keeps alive."""
+    record_key = store_record(pool, record)
     stored = pool.made_from(record_key)
     if stored is not None:
         key, (stored_chunks, stored_rows) = stored
@@ -271,57 +271,62 @@ def _vector_key(
     return pool.put(_encode_vectors(record_key, spans, rows), (chunks, rows), source=record_key)
 
 
+def _files_digest(pool: ObjectPool, code: CodeIndex, vector_keys: list[str]) -> str:
+    """The sha256 of `code`'s record keys in path order, then `vector_keys`.
+    No key is both (a record object starts `[`, a vector object `{`), so
+    lists of other lengths never give the same digest."""
+    record_keys = [store_record(pool, code.files[fq_path]) for fq_path in code.sorted_paths()]
+    return hashlib.sha256("".join(record_keys + vector_keys).encode()).hexdigest()
+
+
 def save_embedding_index(
     eindex: EmbeddingIndex, path: str | Path, code: CodeIndex, pool: ObjectPool | None = None
 ) -> None:
-    """Write each file's vector object and its record in `code`, which must
-    hold the same files, those not stored yet, as a pack, then the manifest:
-    a header (magic, format, `code`'s version, provider, dimension, chunk
-    limit, file count, packs) and one `[fq_path, record key, vector key]`
-    line per file in path order. A file whose chunks and rows the pool holds
-    already is not encoded again."""
+    """Write the vector objects, and the records of `code` (which must hold
+    the same files), not stored yet as a pack, then the manifest: a header
+    (magic, format, provider, dimension, chunk limit, file count, the vector
+    objects' packs, `_files_digest`) and a `[vector key]` line per file in
+    path order. A file whose chunks and rows are stored is not encoded again."""
     if eindex.file_paths != code.sorted_paths():
         raise ValueError("the embedding index and the code index hold other files")
     pool = archive_pool(path, pool)
+    bounds = [*eindex.file_starts.tolist(), len(eindex)]
+    vector_keys = [
+        _vector_key(pool, code.files[fq_path], eindex.chunks[start:end], eindex.vectors[start:end])
+        for fq_path, start, end in zip(eindex.file_paths, bounds, bounds[1:])
+    ]
     header = {
         "magic": EMBED_ARCHIVE_MAGIC,
         "format": EMBED_ARCHIVE_FORMAT,
-        "version_id": code.version_id,
         "dimension": eindex.dimension,
         "provider_id": eindex.provider_id,
         "chunk_limit": eindex.chunk_limit,
         "file_count": len(eindex.file_paths),
+        "digest": _files_digest(pool, code, vector_keys),
     }
-    bounds = [*eindex.file_starts.tolist(), len(eindex)]
-    entries = []
-    for fq_path, start, end in zip(eindex.file_paths, bounds, bounds[1:]):
-        record = code.files[fq_path]
-        record_key = store_record(pool, record)
-        vector_key = _vector_key(pool, record_key, record, eindex.chunks[start:end], eindex.vectors[start:end])
-        entries.append([fq_path, record_key, vector_key])
-    write_manifest(path, header, entries, pool, objects=2)
+    write_manifest(path, header, [[key] for key in vector_keys], pool, vector_keys)
 
 
 def load_embedding_index(path: str | Path, code: CodeIndex, pool: ObjectPool | None = None) -> EmbeddingIndex:
     """The index a manifest lists: its vector objects read through `pool`,
     their chunks cut from the records of `code`, the rows joined by one
-    concatenation in path order. A manifest that lists other paths or record
-    keys than `code` holds (say, after a save cut short between the two
-    manifests) is an ArchiveFormatError before any vector object is decoded."""
+    concatenation in path order. A manifest whose digest is not the
+    `_files_digest` of `code` and its keys (a save cut short between the two
+    manifests, a line swapped, dropped or added) is an ArchiveFormatError
+    before any vector object is decoded."""
     pool = archive_pool(path, pool)
-    header, entries = read_manifest(path, EMBED_ARCHIVE_MAGIC, EMBED_ARCHIVE_FORMAT, 3, pool)
+    header, entries = read_manifest(path, EMBED_ARCHIVE_MAGIC, EMBED_ARCHIVE_FORMAT, 1, pool)
     try:
         made_by = header["dimension"], header["provider_id"], header["chunk_limit"]
     except KeyError as exc:
         raise ArchiveFormatError(f"unusable embedding index archive {path}: {exc}") from None
-    if [fq_path for fq_path, _, _ in entries] != code.sorted_paths() or any(
-        store_record(pool, code.files[fq_path]) != record_key for fq_path, record_key, _ in entries
-    ):
+    if header.get("digest") != _files_digest(pool, code, [key for (key,) in entries]):
         raise ArchiveFormatError("its embedding archive was made from other files than its code archive")
     chunks: list[Chunk] = []
     blocks = []
-    for fq_path, record_key, vector_key in entries:
+    for fq_path, (vector_key,) in zip(code.sorted_paths(), entries):
         record = code.files[fq_path]
+        record_key = store_record(pool, record)
         file_chunks, rows = pool.get(
             vector_key, lambda data: _decode_vectors(data, record_key, record), source=record_key
         )

@@ -424,11 +424,11 @@ def test_manifest_lines_are_the_json_of_their_entries(tmp_path, seed):
             "".join(rng.choices(alphabet, k=rng.randrange(0, 12))) for _ in range(2)
         ] for _ in range(60)}.items()
     )
-    entries = [[path, *rest] for path, rest in entries]
     manifest, pool = tmp_path / "m.jsonl", ObjectPool(tmp_path / "objects")
-    write_manifest(manifest, {"magic": "test", "format": 1, "file_count": len(entries)}, entries, pool, 0)
-    lines = manifest.read_text(encoding="utf-8").split("\n")
-    assert lines[1:] == [json.dumps(entry) for entry in entries] + [""]
+    for entries in ([[path, *rest] for path, rest in entries], [[path] for path, _ in entries]):
+        write_manifest(manifest, {"magic": "test", "format": 1, "file_count": len(entries)}, entries, pool, [])
+        lines = manifest.read_text(encoding="utf-8").split("\n")
+        assert lines[1:] == [json.dumps(entry) for entry in entries] + [""]
 
 
 @pytest.mark.parametrize("cut", ["last line", "half of the last line"])

@@ -1118,7 +1118,7 @@ def test_embedding_save_encodes_a_file_whose_rows_or_chunks_changed(tmp_path, mo
         [json.loads(line) for line in (tmp_path / name).read_text(encoding="utf-8").splitlines()[1:]]
         for name in ("v0.jsonl", "v1.jsonl")
     )
-    assert [a[2] == b[2] for a, b in zip(before, after)] == [i != 1 for i in range(len(before))]
+    assert [a[0] == b[0] for a, b in zip(before, after)] == [i != 1 for i in range(len(before))]
     loaded = load_embedding_index(tmp_path / "v1.jsonl", index)
     assert loaded.chunks == tuple(chunks) and np.array_equal(loaded.vectors, vectors)
 
@@ -1130,10 +1130,15 @@ def test_embedding_archive_rejects_vector_objects_of_two_dimensions(tmp_path):
         archive = tmp_path / f"embed{dimension}.jsonl"
         save_embedding_index(build_embedding_index(index, HashingEmbedder(dimension)), archive, index)
         lines[dimension] = archive.read_text(encoding="utf-8").splitlines()
+    save_code_index(index, tmp_path / "code.jsonl")
+    record_keys = [key for _, key, _ in map(json.loads, (tmp_path / "code.jsonl").read_text().splitlines()[1:])]
+    vector_lines = [lines[16][1], *lines[8][2:]]
+    vector_keys = [key for (key,) in map(json.loads, vector_lines)]
     header = json.loads(lines[16][0])
     header["packs"] = sorted(set(header["packs"]) | set(json.loads(lines[8][0])["packs"]))
+    header["digest"] = hashlib.sha256("".join(record_keys + vector_keys).encode()).hexdigest()
     mixed = tmp_path / "mixed.jsonl"
-    mixed.write_text("\n".join([json.dumps(header), lines[16][1], *lines[8][2:]]) + "\n", encoding="utf-8")
+    mixed.write_text("\n".join([json.dumps(header), *vector_lines]) + "\n", encoding="utf-8")
     with pytest.raises(ArchiveFormatError, match="unusable embedding index archive"):
         load_embedding_index(mixed, index)
 

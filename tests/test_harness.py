@@ -394,6 +394,29 @@ def test_version_store_rebuilds_archives_of_the_formats_that_stored_derived_fiel
     assert_old_archives_are_rebuilt(tmp_path, caplog, monkeypatch, old, 4, 3, patches)
 
 
+def save_format4_embedding_index(eindex, path, code, pool=None):
+    """An embedding archive as format 4 wrote it: the header names the
+    version and no digest, the packs of the record objects too, and each
+    line is [fq_path, record key, vector key]."""
+    embedding.save_embedding_index(eindex, path, code, pool)
+    header, *lines = Path(path).read_text(encoding="utf-8").splitlines()
+    paths = code.sorted_paths()
+    record_keys = [code_index.store_record(pool, code.files[p]) for p in paths]
+    header = dict(json.loads(header), format=4, version_id=code.version_id)
+    header["packs"] = sorted(set(header.pop("packs")) | set(pool.pack(record_keys)))
+    del header["digest"]
+    entries = [[p, r, *json.loads(line)] for p, r, line in zip(paths, record_keys, lines)]
+    text = "\n".join([json.dumps(header, sort_keys=True), *map(json.dumps, entries)]) + "\n"
+    Path(path).write_text(text, encoding="utf-8")
+
+
+def test_version_store_rebuilds_embedding_archives_of_the_format_that_repeated_the_code_manifest(
+    tmp_path, caplog, monkeypatch
+):
+    patches = [(harness, "save_embedding_index", save_format4_embedding_index)]
+    assert_old_archives_are_rebuilt(tmp_path, caplog, monkeypatch, "embedding", 5, 4, patches)
+
+
 @pytest.mark.parametrize("archive_name", ["v1.code.jsonl", "v1.embed.jsonl"])
 def test_version_store_rebuilds_truncated_archive(tmp_path, caplog, archive_name):
     root = versioned_repo(tmp_path)
@@ -410,7 +433,8 @@ def test_version_store_rebuilds_truncated_archive(tmp_path, caplog, archive_name
 
 
 def manifest_entries(path):
-    """The [fq_path, key, ...] lines of a manifest."""
+    """The lines of a manifest: [fq_path, record key, file digest] in a
+    code manifest, [vector key] in an embedding manifest."""
     return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()[1:]]
 
 
@@ -434,6 +458,37 @@ def test_version_store_rebuilds_an_embedding_manifest_of_another_version(tmp_pat
     assert "ignoring the archive of v1: its embedding archive was made from other files" in caplog.text
     assert embed.file_paths == sorted(code.files) == ["org/A.java", "org/B.java"]
     assert v1_embed.read_bytes() == whole
+
+
+@pytest.mark.parametrize("edit", ["two lines swapped", "last line dropped", "a line added"])
+def test_version_store_rebuilds_an_embedding_manifest_whose_lines_moved(tmp_path, caplog, monkeypatch, edit):
+    root = versioned_repo(tmp_path)
+    cache = tmp_path / "cache"
+    VersionStore(root, embedding_provider=HashingEmbedder(16), cache_dir=cache).get("v1")
+    manifest = cache / "v1.embed.jsonl"
+    whole = manifest.read_text(encoding="utf-8")
+    header, *lines = whole.splitlines()
+    if edit == "two lines swapped":
+        lines = [lines[1], lines[0], *lines[2:]]
+    elif edit == "last line dropped":
+        lines = lines[:-1]
+    else:
+        lines = [*lines, lines[0]]
+    header = dict(json.loads(header), file_count=len(lines))
+    manifest.write_text("\n".join([json.dumps(header), *lines]) + "\n", encoding="utf-8")
+    packs = set((cache / "objects").iterdir())
+    decoded = []
+    decode = embedding._decode_vectors
+    monkeypatch.setattr(embedding, "_decode_vectors", lambda *args: decoded.append(args) or decode(*args))
+    code, embed = get_fresh(root, cache, "v1", caplog)
+    assert "ignoring the archive of v1: its embedding archive was made from other files" in caplog.text
+    assert decoded == []  # refused before any vector object was decoded
+    assert packs <= set((cache / "objects").iterdir())  # none unlinked
+    fresh = build_index(root / "v1", "java", "v1")
+    fresh_embed = build_embedding_index(fresh, HashingEmbedder(16))
+    assert code == fresh
+    assert (embed.chunks, embed.vectors.tolist()) == (fresh_embed.chunks, fresh_embed.vectors.tolist())
+    assert manifest.read_text(encoding="utf-8") == whole
 
 
 @pytest.mark.parametrize("which", [0, 1], ids=["code manifest", "embedding manifest"])
@@ -495,12 +550,14 @@ def damage(path, how):
 
 
 @pytest.mark.parametrize("how", ["missing", "cut at 0", "cut at 1", "cut at 40", "flipped"])
-@pytest.mark.parametrize("column", [1, 2], ids=["record object", "vector object"])
-def test_version_store_rebuilds_a_damaged_pack(tmp_path, caplog, monkeypatch, how, column):
+@pytest.mark.parametrize(
+    "manifest, column", [("v1.code.jsonl", 1), ("v1.embed.jsonl", 0)], ids=["record object", "vector object"]
+)
+def test_version_store_rebuilds_a_damaged_pack(tmp_path, caplog, monkeypatch, how, manifest, column):
     root = versioned_repo(tmp_path)
     cache = tmp_path / "cache"
     VersionStore(root, embedding_provider=HashingEmbedder(16), cache_dir=cache).get("v1")
-    path = pack_holding(cache, manifest_entries(cache / "v1.embed.jsonl")[1][column])
+    path = pack_holding(cache, manifest_entries(cache / manifest)[1][column])
     whole = path.read_bytes()
     damage(path, how)
     code, embed = get_fresh(root, cache, "v1", caplog)
@@ -518,7 +575,7 @@ def test_version_store_rebuilds_a_vector_object_of_partial_rows(tmp_path, caplog
     VersionStore(root, embedding_provider=HashingEmbedder(16), cache_dir=cache).get("v1")
     manifest = cache / "v1.embed.jsonl"
     text = manifest.read_text(encoding="utf-8")
-    key = manifest_entries(manifest)[0][2]
+    key = manifest_entries(manifest)[0][0]
     pack = pack_holding(cache, key)
     head, body = pack.read_bytes().split(b"\n", 1)
     objects, offset = {}, 0
@@ -584,6 +641,11 @@ def test_version_store_versions_loaded_from_archives_share_their_files(tmp_path,
     assert code1.files["org/p2/C2.java"] is code0.files["org/p2/C2.java"]
     assert code1.files["org/p1/C1.java"] != code0.files["org/p1/C1.java"]
     assert all(a is b for a, b in zip(embed0.chunks[-10:], embed1.chunks[-10:]))
+    last = store.archive_paths(versions[-1])[1]
+    packs = json.loads(last.read_text(encoding="utf-8").splitlines()[0])["packs"]
+    vector_keys = {key for (key,) in manifest_entries(last)}
+    held = [vector_keys & {key for key, _ in pack_index(cache / "objects" / name)} for name in packs]
+    assert all(held) and set().union(*held) == vector_keys  # only the packs of its vector objects
 
 
 def test_version_store_versions_loaded_from_archives_share_records_and_digests(tmp_path):
@@ -609,16 +671,16 @@ def test_version_store_versions_loaded_from_archives_share_records_and_digests(t
     assert code2.digests["org/C.java"] != code1.digests["org/C.java"]
 
 
-# Computed with this code (code archive format 5, embedding archive format 4).
+# Computed with this code (code archive format 5, embedding archive format 5).
 # They also depend on the parser, the chunker, the hashing embedder and
 # perfbench/gen.py, so a change to any of them moves them.
 GOLDEN_MANIFESTS = {
     "v0.code.jsonl": "035247795345b8484518f58252de9fbbad9c69582deb0edb191a599fa67d8c6c",
-    "v0.embed.jsonl": "1c4d1856ac7e21f17917dc628f976d195ac06f74f8a4e5829ae0d09f16b73e5a",
+    "v0.embed.jsonl": "59e47e751b72bdaf5a5c4b1f8bff2ac287e56be774f51f08c660d8a46ca0a2cf",
     "v1.code.jsonl": "efad0d8414ce0107ae3ce343592ea86c064ba4fcbb4eeb7771fdfc936332d289",
-    "v1.embed.jsonl": "7fda825b98c52f7b4f27b6354c4aa93032fd33d816b1b19d427e4820a6a4f571",
+    "v1.embed.jsonl": "55339e9d6974d45a7796cb1f9e81275e5c5e1c51d40870dcfa7ccc85633d3e19",
     "v2.code.jsonl": "7376965fb4742d78879ca64dd4746615e195eb161daffffc591ad7c972da4523",
-    "v2.embed.jsonl": "70e491de0642682080f1557273410c81c49afeecb12a202693ff2855dcaa22ff",
+    "v2.embed.jsonl": "487a88aa12dcfcae0246312a2581857bb12a0ba2370aa47920f732bf91440a7b",
 }
 GOLDEN_PACKS = [
     "1b0af99fd55686e22de82c5237a35177f389d782ab9e8309c0eaa703de43329e",
@@ -660,13 +722,13 @@ GOLDEN_CHAIN_FILES = {
         "cache-after-v3": "a7215537043687b16f8eb415936e976c75cafbb35c41313b888cd4b7778a3ca7",
         "cache-after-queries": "65514dc868454afd55b16fee764ce474111202e29b1e1793d35e1b6c1e5e552f",
         "v0.code.jsonl": "221c13553a8474695310266467274c4eed5b385723b3e77879b00c6cf0a6260d",
-        "v0.embed.jsonl": "91b6cd8ee28e52fa21ea4b3a2aba16b8bec22e56abedd6bf51ee8209e86abaff",
+        "v0.embed.jsonl": "52ff746f35a9fdc479ea132a3784f568e6c14bfbd52de2c3b3de0c024c375f46",
         "v1.code.jsonl": "d6eb039b21599a8f79b34e87ef9911fdd52b0a99b0ddf6a8d21748a976f5a7b1",
-        "v1.embed.jsonl": "73db3891a540036a1bddb3106f1e6c72b67371272a80e11b486051404ea72d1d",
+        "v1.embed.jsonl": "df5537de6548a88c4d0b51c00cdfc2ad18eb3efcf54c871721dad0b16b6540de",
         "v2.code.jsonl": "a9f9d4acd98372b9e155f1f02183984df0ced4f4532dbf3e90191d30184c39cd",
-        "v2.embed.jsonl": "6adaaca8012dc97527ac3193f1a1753038e2eba77410822aef3526794ee8dc5e",
+        "v2.embed.jsonl": "596fb532a51586ff6149605640c07028b05676dd2473880b04dc552fb26bcc51",
         "v3.code.jsonl": "29b108218ba289dc42757e848103d5969865242191066cba2e339df265ce1775",
-        "v3.embed.jsonl": "8867e924c1de6c7cb50486b8e9f5f1887e7fac8d6142af73c1cd2a29d2271565",
+        "v3.embed.jsonl": "e6f6a72c7100a7e798ee8105dbbffb7b4e810abfede00d0a2e783e8144b86ef9",
         "objects/135fb04d2edbfd1ea737c7aa8045dbffc450e950bb938239cb02b843edeae279": "135fb04d2edbfd1ea737c7aa8045dbffc450e950bb938239cb02b843edeae279",
         "objects/2aef4f57bf1d3641a4fcf4662cdfdaac4ed39ffedb04c6d4083fb7bbf536c0c7": "2aef4f57bf1d3641a4fcf4662cdfdaac4ed39ffedb04c6d4083fb7bbf536c0c7",
         "objects/31c791d91da5a443a16562cb4d593dcbfd7603a1d1e59a21f6e448b84a2608b0": "31c791d91da5a443a16562cb4d593dcbfd7603a1d1e59a21f6e448b84a2608b0",
@@ -683,13 +745,13 @@ GOLDEN_CHAIN_FILES = {
         "cache-after-v3": "eb51f7e23d9249dfad948c4fe8c2995b5422786f4db9c833fb1c81e04a83b54c",
         "cache-after-queries": "d2918034e1542189aa8007275483230236d7749ff85888db8c79d5be72d73595",
         "v0.code.jsonl": "035247795345b8484518f58252de9fbbad9c69582deb0edb191a599fa67d8c6c",
-        "v0.embed.jsonl": "5fe6a81501bd33a83d4edb1ba6140c8ee09934ac18261a1d4f363758d3eee62d",
+        "v0.embed.jsonl": "dcad12d7b7485edb7941745b38e9eb8ca6970f3ea4837b04912f39504070b151",
         "v1.code.jsonl": "efad0d8414ce0107ae3ce343592ea86c064ba4fcbb4eeb7771fdfc936332d289",
-        "v1.embed.jsonl": "94678e1a8e5a5000b7dfa2f66e849f20413277f403c2f1a0e2511c8d5ba2a634",
+        "v1.embed.jsonl": "f85a0aecee3f8fd1aa027f852f809172ee521c573baa78c1cdb165a66aa6202e",
         "v2.code.jsonl": "7376965fb4742d78879ca64dd4746615e195eb161daffffc591ad7c972da4523",
-        "v2.embed.jsonl": "0c25cfa4ad2c23658e6a86418e77ce397acb5997fd6e7cfb9e5f306351b7f661",
+        "v2.embed.jsonl": "b06145e40d48b4dc2de9c18fe15987d53494eef8d36d8e3c87d16c15d84f8cdd",
         "v3.code.jsonl": "99100afc99f20b32de397f62280779cb338d9d47650c572e9ebfc1f59c640434",
-        "v3.embed.jsonl": "dce8083bfe75d8617fc4f983c5430d284109036bebbb08fbb0756050b524df4c",
+        "v3.embed.jsonl": "5681001929ee641c71b906cb1682b067f94951a07d003ab8790db5d33a433a3e",
         "objects/1d7b41c555e70d703cebad534602523e892392566409dc1d2677162779ff465f": "1d7b41c555e70d703cebad534602523e892392566409dc1d2677162779ff465f",
         "objects/4502ee3aeef71264d2acca67ff84cbb0898653f23d020e086abb4ba0234b3fc4": "4502ee3aeef71264d2acca67ff84cbb0898653f23d020e086abb4ba0234b3fc4",
         "objects/47e1723c4d88b4e49f8dc9edb31d2687716b306f55f8e33373b70d53bd11e05a": "47e1723c4d88b4e49f8dc9edb31d2687716b306f55f8e33373b70d53bd11e05a",
@@ -706,13 +768,13 @@ GOLDEN_CHAIN_FILES = {
         "cache-after-v3": "954e5d059def1b9fd837fafaaa957c22a4e303a7faca8d9a614a8ae371424765",
         "cache-after-queries": "c29afe6c5818d7e502eeac3c83b6a1c00a995f3014a2697da9b7535ce8322262",
         "v0.code.jsonl": "b9f21a642c218e0898f6c88650200efd81be07edbeb592c8ad8554034dfb1690",
-        "v0.embed.jsonl": "b0a3ce6fa2ca8ac1531048ca7c4e9fa928c6fdccbd1a3aabf9d704e478b6fa22",
+        "v0.embed.jsonl": "34e8a1995c145d361b0044df61f48fcd267dd410a92875af505c5cbcab1a5498",
         "v1.code.jsonl": "81fc189a5cf15502d5b48a86265c1ff7e44b4b127d23caa332af4ad774c20c5d",
-        "v1.embed.jsonl": "a070851b5ee98d571bc5289aee28695efd64dc76700fdb850c462dc1bfed5bc1",
+        "v1.embed.jsonl": "71eb801c50c9e0a78945b3f1c5ffdb614f863443216bce3c60ce4475f8b7f55b",
         "v2.code.jsonl": "393e16c012b0a3ceee8dfba07b645ce4fa3e3fe09234d9e35cd38aa0fbc9f849",
-        "v2.embed.jsonl": "ace61f08738a54c706f958c256f00c73fb9f6068e12e3b05b458aea44919e935",
+        "v2.embed.jsonl": "362abac2ad265722729ab095fdc7fbd8179ece21497f16df7043f4fb017843d0",
         "v3.code.jsonl": "0d933d5b658345c4b66de18490c1998e1d06055f9ad94e8555e79b3d59f3c9cd",
-        "v3.embed.jsonl": "e2c3180c094d0872aa12a997feb726ccc2550721695d967333ad51c6c9e41a6f",
+        "v3.embed.jsonl": "2bdc1d6c0390bfe8f005e83707b988df41ce2da09420f851cb98010ae0efde35",
         "objects/386bab5fe2bbb50631598f2d494a4cb09663c18107d5051e79610d650aaeda0a": "386bab5fe2bbb50631598f2d494a4cb09663c18107d5051e79610d650aaeda0a",
         "objects/5e3633ac39a7f171d190e191072ad3dc414e13c2f3d052f84f017f4f67c77307": "5e3633ac39a7f171d190e191072ad3dc414e13c2f3d052f84f017f4f67c77307",
         "objects/6ae61443c2c9cc6be1d4f033cf9cd001193d1cb24c8ddc9fdc4b0de210eab9fe": "6ae61443c2c9cc6be1d4f033cf9cd001193d1cb24c8ddc9fdc4b0de210eab9fe",
@@ -774,9 +836,9 @@ def test_version_store_one_file_update_writes_its_objects_and_two_manifests(tmp_
     monkeypatch.setattr(os, "replace", counting)
     store.get(versions[1])
     code_manifest, embed_manifest = store.archive_paths(versions[1])
-    ((_, record_key, vector_key),) = [
-        entry for entry in manifest_entries(embed_manifest) if entry[0] == "org/p1/C1.java"
-    ]
+    code_entries = manifest_entries(code_manifest)
+    (position,) = [i for i, entry in enumerate(code_entries) if entry[0] == "org/p1/C1.java"]
+    record_key, (vector_key,) = code_entries[position][1], manifest_entries(embed_manifest)[position]
     code_pack, manifest, embed_pack, last = written
     assert (manifest, last) == (code_manifest, embed_manifest)
     assert [key for key, _ in pack_index(code_pack)] == [record_key]
