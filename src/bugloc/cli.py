@@ -5,6 +5,8 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 from .config import MODES, RunConfig, build_chat_provider, build_embedding_provider, load_config
@@ -176,6 +178,16 @@ def cmd_compare(args) -> int:
             reports.append(report_from_dict(read_json(path)))
         except DataError as exc:
             raise DataError(f"{path}: {exc}") from None
+    # A technique that repeats is labelled by its report file's stem as well.
+    repeats = Counter(report.technique for report in reports)
+    reports = [
+        replace(report, technique=f"{report.technique}@{Path(path).stem}")
+        if repeats[report.technique] > 1 else report
+        for path, report in zip(args.results, reports)
+    ]
+    label, count = Counter(report.technique for report in reports).most_common(1)[0]
+    if count > 1:
+        raise ConfigurationError(f"two reports are labelled {label!r}: give their files different names")
     per_technique = {report.technique: report.per_bug for report in reports}
     stats = overlap_analysis(per_technique, ground_truths, k=args.k)
     print(format_report_table(reports))

@@ -12,7 +12,9 @@ from bugloc.code_index import ConfigurationError, build_index, load_code_index
 from bugloc.dataset import save_bug_reports
 from bugloc.embedders import HashingEmbedder, RetriableProviderError
 from bugloc.embedding import load_embedding_index
+from bugloc.harness import report_to_dict
 from bugloc.ioutil import read_json
+from bugloc.metrics import EvalReport, LocalizationResult
 from conftest import final_answer, java_class, make_bug, text_turn, tool_turn, write_replay, write_tree
 
 
@@ -692,3 +694,51 @@ def test_cmd_compare_overlap_table(workspace, capsys):
     assert set(overlap["techniques"]) == {"embedding_only", "vsm"}
     for stats in overlap["techniques"].values():
         assert set(stats["localized"]) == set(stats["overlapping"]) | set(stats["unique"])
+
+
+def write_report(path, technique, hits):
+    """A report of one run over bugs b1 and b2 that ranks each bug's file
+    first if the bug is in `hits`, and C.java alone otherwise."""
+    per_bug = [
+        LocalizationResult(bug, technique, 0, (truth if bug in hits else "C.java",), 1 if bug in hits else None)
+        for bug, truth in (("b1", "A.java"), ("b2", "B.java"))
+    ]
+    score = len(hits) / 2
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(report_to_dict(EvalReport(technique, {1: score}, score, score, per_bug))))
+    return path
+
+
+def test_cmd_compare_labels_a_repeated_technique_by_its_file(tmp_path, capsys):
+    dataset = tmp_path / "dataset.jsonl"
+    save_bug_reports([make_bug("b1", truth=["A.java"]), make_bug("b2", truth=["B.java"])], dataset)
+    reports = [
+        write_report(tmp_path / "g1.json", "genloc", {"b1"}),
+        write_report(tmp_path / "g2.json", "genloc", {"b2"}),
+        write_report(tmp_path / "v.json", "vsm", set()),
+    ]
+    assert run_cli("compare", *reports, "--dataset", dataset, "--out", tmp_path / "cmp") == 0
+    metric_table, overlap_table = capsys.readouterr().out.split("\n\n")
+    for table in (metric_table, overlap_table):
+        assert [line.split()[0] for line in table.splitlines()[2:]] == ["genloc@g1", "genloc@g2", "vsm"]
+    assert read_json(tmp_path / "cmp" / "overlap.json")["techniques"] == {
+        "genloc@g1": {"localized": ["b1"], "overlapping": [], "unique": ["b1"]},
+        "genloc@g2": {"localized": ["b2"], "overlapping": [], "unique": ["b2"]},
+        "vsm": {"localized": [], "overlapping": [], "unique": []},
+    }
+
+
+def test_cmd_compare_refuses_two_reports_of_one_label(tmp_path, capsys):
+    dataset = tmp_path / "dataset.jsonl"
+    save_bug_reports([make_bug("b1", truth=["A.java"]), make_bug("b2", truth=["B.java"])], dataset)
+    reports = [
+        write_report(tmp_path / "a" / "report-genloc.json", "genloc", {"b1"}),
+        write_report(tmp_path / "b" / "report-genloc.json", "genloc", {"b2"}),
+        write_report(tmp_path / "v.json", "vsm", set()),
+    ]
+    assert run_cli("compare", *reports, "--dataset", dataset) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: two reports are labelled 'genloc@report-genloc': give their files different names\n"
+    )
