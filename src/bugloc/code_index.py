@@ -450,7 +450,7 @@ def archive_pool(path: str | Path, pool: ObjectPool | None) -> ObjectPool:
     return pool if pool is not None else ObjectPool(Path(path).parent / OBJECTS_DIR)
 
 
-def write_manifest(path: str | Path, header: dict, entries: list, pool: ObjectPool, keys) -> None:
+def write_manifest(path: str | Path, header: dict, entries: list, pool: ObjectPool, keys: list[str]) -> None:
     """The objects put into `pool` as a new pack, then the manifest: the
     header with the packs that hold the objects `keys` names, and one JSON
     list of strings per entry."""
