@@ -192,12 +192,13 @@ def cmd_compare(args) -> int:
     stats = overlap_analysis(per_technique, ground_truths, k=args.k)
     print(format_report_table(reports))
     print()
-    header = f"{'Technique':<16} {'Localized':>10} {'Overlapping':>12} {'Unique':>8}"
+    width = max([16] + [len(technique) for technique in stats])
+    header = f"{'Technique':<{width}} {'Localized':>10} {'Overlapping':>12} {'Unique':>8}"
     print(header)
     print("-" * len(header))
     for technique in sorted(stats):
         localized, overlapping, unique = stats[technique].counts
-        print(f"{technique:<16} {localized:>10} {overlapping:>12} {unique:>8}")
+        print(f"{technique:<{width}} {localized:>10} {overlapping:>12} {unique:>8}")
     if args.out:
         atomic_write_json(
             Path(args.out) / "overlap.json",

@@ -308,11 +308,12 @@ def report_from_dict(raw: dict) -> EvalReport:
 
 def format_report_table(reports: list[EvalReport]) -> str:
     """Human-readable table: Technique | Accuracy@1/@5/@10 (%) | MAP@10 | MRR@10."""
-    header = f"{'Technique':<16} {'Acc@1':>8} {'Acc@5':>8} {'Acc@10':>8} {'MAP@10':>8} {'MRR@10':>8}"
+    width = max([16] + [len(report.technique) for report in reports])
+    header = f"{'Technique':<{width}} {'Acc@1':>8} {'Acc@5':>8} {'Acc@10':>8} {'MAP@10':>8} {'MRR@10':>8}"
     lines = [header, "-" * len(header)]
     for report in reports:
         lines.append(
-            f"{report.technique:<16} "
+            f"{report.technique:<{width}} "
             f"{100 * report.accuracy_at.get(1, 0.0):>7.2f}% "
             f"{100 * report.accuracy_at.get(5, 0.0):>7.2f}% "
             f"{100 * report.accuracy_at.get(10, 0.0):>7.2f}% "

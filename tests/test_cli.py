@@ -709,21 +709,24 @@ def write_report(path, technique, hits):
     return path
 
 
-def test_cmd_compare_labels_a_repeated_technique_by_its_file(tmp_path, capsys):
+@pytest.mark.parametrize("stems", [("g1", "g2"), ("report-genloc-k10", "report-genloc-k50")])
+def test_cmd_compare_labels_a_repeated_technique_by_its_file(tmp_path, capsys, stems):
     dataset = tmp_path / "dataset.jsonl"
     save_bug_reports([make_bug("b1", truth=["A.java"]), make_bug("b2", truth=["B.java"])], dataset)
     reports = [
-        write_report(tmp_path / "g1.json", "genloc", {"b1"}),
-        write_report(tmp_path / "g2.json", "genloc", {"b2"}),
+        write_report(tmp_path / f"{stems[0]}.json", "genloc", {"b1"}),
+        write_report(tmp_path / f"{stems[1]}.json", "genloc", {"b2"}),
         write_report(tmp_path / "v.json", "vsm", set()),
     ]
     assert run_cli("compare", *reports, "--dataset", dataset, "--out", tmp_path / "cmp") == 0
+    first, second = labels = [f"genloc@{stem}" for stem in stems]
     metric_table, overlap_table = capsys.readouterr().out.split("\n\n")
     for table in (metric_table, overlap_table):
-        assert [line.split()[0] for line in table.splitlines()[2:]] == ["genloc@g1", "genloc@g2", "vsm"]
+        assert [line.split()[0] for line in table.splitlines()[2:]] == [*labels, "vsm"]
+        assert len({len(line) for line in table.splitlines()}) == 1  # the columns line up
     assert read_json(tmp_path / "cmp" / "overlap.json")["techniques"] == {
-        "genloc@g1": {"localized": ["b1"], "overlapping": [], "unique": ["b1"]},
-        "genloc@g2": {"localized": ["b2"], "overlapping": [], "unique": ["b2"]},
+        first: {"localized": ["b1"], "overlapping": [], "unique": ["b1"]},
+        second: {"localized": ["b2"], "overlapping": [], "unique": ["b2"]},
         "vsm": {"localized": [], "overlapping": [], "unique": []},
     }
 
