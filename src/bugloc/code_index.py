@@ -3,7 +3,9 @@
 A CodeIndex is built from a directory snapshot, updated incrementally with a
 Changeset, and persisted as a manifest over content-addressed record objects.
 Indexes are value objects: updates return a new index and reuse records for
-untouched files. The lookup tables of an index, its method locator among
+untouched files. An index also holds, in memory only, the stat key of each
+file whose bytes it read, so that the next diff hashes only the files whose
+keys changed. The lookup tables of an index, its method locator among
 them, are built from its records on first use. A record object is a JSON
 head line (path, parse_ok and each method's name, signature and body
 length), then every body as raw UTF-8 text; code archives of format 5 hold
@@ -17,6 +19,7 @@ import json
 import logging
 import os
 import re
+import time
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -33,6 +36,12 @@ ARCHIVE_MAGIC = "bugloc-code-index"
 ARCHIVE_FORMAT = 5
 OBJECTS_DIR = "objects"  # beside the manifests
 _DIGEST = re.compile("[0-9a-f]{64}")
+# A stat key is kept only for a file last changed longer ago than this when
+# the update that read it started, as git's index treats "racy" entries: a
+# change within one timestamp step (2 s on FAT) could leave the key as it was.
+RACY_WINDOW_NS = 2_000_000_000
+
+StatKey = tuple[int, int, int, int, int]  # st_dev, st_ino, st_size, st_mtime_ns, st_ctime_ns
 
 
 class ArchiveFormatError(ValueError):
@@ -75,6 +84,8 @@ class CodeIndex:
     files: dict[str, SourceFileRecord] = field(default_factory=dict)
     grammar: str = "java"  # the grammar that parsed the files
     digests: dict[str, str] = field(default_factory=dict)  # path -> sha256 hex of the bytes parsed
+    # path -> stat key of the file when those bytes were read; no archive holds it
+    stat_keys: dict[str, StatKey] = field(default_factory=dict, compare=False, repr=False)
 
     def sorted_paths(self) -> list[str]:
         return sorted(self.files)
@@ -159,7 +170,7 @@ def source_paths(root: str | Path, extensions: tuple[str, ...]) -> list[str]:
 
 def build_index(repo_root: str | Path, grammar: str = "java", version_id: str = "") -> CodeIndex:
     """Parse every file matching the grammar's extensions under repo_root:
-    the update of the empty index that adds them all.
+    the update of the empty index that adds them all, stat keys included.
 
     Unparsable files are recorded with parse_ok=False rather than skipped;
     a missing repo_root is fatal.
@@ -180,6 +191,10 @@ def file_representation(record: SourceFileRecord) -> str:
     return "\n".join([record.fq_path] + [m.body for m in record.methods])
 
 
+def _stat_key(st: os.stat_result) -> StatKey:
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns
+
+
 def update_index(
     index: CodeIndex,
     changeset: Changeset,
@@ -190,13 +205,17 @@ def update_index(
     with the grammar that parsed `index`.
 
     The result equals a full rebuild at new_version; untouched records are
-    reused. A changeset path that cannot be read, missing on disk say, is
-    logged and skipped so the rebuild equivalence still holds.
+    reused, with their digests and stat keys. A changeset path that cannot be
+    read, missing on disk say, is logged and skipped so the rebuild
+    equivalence still holds. Each file parsed gets the stat key it had just
+    before its read, unless it changed within RACY_WINDOW_NS of the update's
+    start; a file parsed again loses its old key either way.
     """
     changeset.validate()
     root = Path(repo_root)
     gram = get_grammar(index.grammar)
-    files, digests = dict(index.files), dict(index.digests)
+    settled = time.time_ns() - RACY_WINDOW_NS  # a file changed since has no key kept
+    files, digests, keys = dict(index.files), dict(index.digests), dict(index.stat_keys)
 
     for path in changeset.deleted:
         if files.pop(path, None) is None:
@@ -207,44 +226,60 @@ def update_index(
             logger.warning("changeset renames unknown path %s", old)
         reparse.append(new)
     for fq_path in reparse:
+        keys.pop(fq_path, None)
+        path = root / fq_path
         try:
-            data = (root / fq_path).read_bytes()
+            st = os.stat(path)  # before the read: a change after it leaves a key that differs
+            data = path.read_bytes()
         except OSError as exc:
             logger.error("changeset path unreadable, skipped: %s (%s)", fq_path, exc)
             files.pop(fq_path, None)
             continue
+        if st.st_mtime_ns < settled and st.st_ctime_ns < settled:
+            keys[fq_path] = _stat_key(st)
         digests[fq_path] = hashlib.sha256(data).hexdigest()
         files[fq_path] = _parse_file(data, fq_path, gram)
 
     digests = {path: digests[path] for path in files}
-    return CodeIndex(new_version, files, index.grammar, digests)
+    keys = {path: keys[path] for path in files if path in keys}
+    return CodeIndex(new_version, files, index.grammar, digests, keys)
 
 
 def diff_source_trees(
-    old: str | Path | dict[str, str], new_root: str | Path, extensions: tuple[str, ...] = (".java",)
+    old: str | Path | CodeIndex, new_root: str | Path, extensions: tuple[str, ...] = (".java",)
 ) -> Changeset:
     """Derive the changeset from the old snapshot to the tree at new_root.
 
-    `old` is the old snapshot's directory, or the sha256 hex of each of its
-    files by path, as `CodeIndex.digests` records them; given digests, only
-    the new tree is read. A file that cannot be read is logged and counts as
-    absent, as `update_index` skips it. A deleted path and an added path with
-    identical content are paired as a rename (greedily, in sorted-path order).
+    `old` is the old snapshot's directory, or its CodeIndex, whose digests
+    stand for its files; given an index, only the new tree is read, and of
+    it only the files whose stat key differs from the one the index recorded
+    for their path, or that have none: every other file keeps the index's
+    digest. A file that cannot be read is logged and counts as absent, as
+    `update_index` skips it. A deleted path and an added path with identical
+    content are paired as a rename (greedily, in sorted-path order).
     """
 
-    def digest_tree(root: str) -> dict[str, str]:
+    def digest_tree(root: str, known: CodeIndex | None = None) -> dict[str, str]:
         digests, prefix = {}, os.path.join(root, "")  # prefix + rel is os.path.join(root, rel)
+        keys = known.stat_keys if known is not None else {}
         for rel in source_paths(root, extensions):
             try:
+                key = keys.get(rel)
+                if key is not None and _stat_key(os.stat(prefix + rel)) == key:
+                    digests[rel] = known.digests[rel]
+                    continue
                 with open(prefix + rel, "rb", buffering=0) as file:  # no buffer: one read of it all
                     digests[rel] = hashlib.sha256(file.read()).hexdigest()
             except OSError as exc:
                 logger.error("unreadable, left out of the diff: %s (%s)", rel, exc)
         return digests
 
-    if not isinstance(old, dict):
+    if isinstance(old, CodeIndex):
+        new = digest_tree(os.fspath(new_root), old)
+        old = old.digests
+    else:
         old = digest_tree(os.fspath(old))
-    new = digest_tree(os.fspath(new_root))
+        new = digest_tree(os.fspath(new_root))
     added = sorted(set(new) - set(old))
     deleted = sorted(set(old) - set(new))
     modified = tuple(sorted(p for p in set(old) & set(new) if old[p] != new[p]))

@@ -148,10 +148,11 @@ class VersionStore:
         The build is incremental from `previous` when that version's indexes
         can be looked up (memo or archive), and from scratch otherwise. The
         changeset from `previous` is the diff of `version_id`'s tree against
-        the digests `previous`'s code index recorded, so `previous`'s tree is
-        never read and need not exist; with no change, the indexes of
-        `previous` are shared under the new label. A build that raises
-        memoizes nothing and writes no archive.
+        `previous`'s code index, so `previous`'s tree is never read and need
+        not exist, nor is a file whose stat key still equals the one that
+        index recorded (see `diff_source_trees`). With no change, the
+        indexes of `previous` are shared under the new label. A build that
+        raises memoizes nothing and writes no archive.
         """
         tree = self.resolve_tree(version_id)
         prev = self._lookup(previous) if previous else None
@@ -160,7 +161,7 @@ class VersionStore:
             code = build_index(tree, self.grammar, version_id)
             embed = None if provider is None else build_embedding_index(code, provider, self.chunk_limit)
         else:
-            changeset = diff_source_trees(prev[0].digests, tree, get_grammar(self.grammar).extensions)
+            changeset = diff_source_trees(prev[0], tree, get_grammar(self.grammar).extensions)
             if changeset == Changeset():
                 code, embed = replace(prev[0], version_id=version_id), prev[1]
             else:

@@ -1,7 +1,11 @@
+import builtins
 import hashlib
+import io
 import json
 import os
 import random
+import stat
+import time
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -291,7 +295,7 @@ def test_a_version_reads_no_methods_until_its_locator_or_name_table_is_read(tmp_
     v0 = build_index(root, "java", "v0")
     write_tree(root, {"org/F3.java": java_class("F3", {"edited": "c();"}), "org/New.java": java_class("New", {})})
     (root / "org/F7.java").unlink()
-    v1 = update_index(v0, diff_source_trees(v0.digests, root), root, "v1")
+    v1 = update_index(v0, diff_source_trees(v0, root), root, "v1")
     assert not read
     pool = ObjectPool(tmp_path / "objects")
     for version in (v0, v1):
@@ -337,7 +341,7 @@ def test_diff_source_trees_detects_all_kinds(tmp_path):
     assert changeset.modified == ("mod/Changed.java",)
     assert changeset.deleted == ("gone/Dead.java",)
     assert changeset.renamed == (("move/Src.java", "moved/Dst.java"),)
-    assert diff_source_trees(build_index(old, "java", "old").digests, new) == changeset
+    assert diff_source_trees(build_index(old, "java", "old"), new) == changeset
 
 
 def test_source_paths_walk_finds_what_rglob_finds_in_path_order(tmp_path):
@@ -396,6 +400,133 @@ def test_an_unreadable_file_is_logged_and_skipped(tmp_path, monkeypatch, caplog)
         index = build_index(tmp_path, "java", "v0")
     assert list(index.files) == list(index.digests) == ["A.java"]
     assert "unreadable, skipped: Locked.java" in caplog.text
+
+
+# --- stat keys: what a key must catch ----------------------------------------
+
+TICK = 0.02  # past the coarse clock tick of the kernel's file timestamps
+
+
+def two_classes(root):
+    return write_tree(root, {"org/A.java": java_class("A", {"m": "x();"}), "org/B.java": java_class("B", {"n": "y();"})})
+
+
+def update_in_place(v0, root):
+    """The diff of the tree at `root` against `v0` and the index it updates
+    to, checked against a diff that hashes every file and a build from
+    scratch."""
+    changeset = diff_source_trees(v0, root)
+    assert changeset == diff_source_trees(replace(v0, stat_keys={}), root)
+    v1 = update_index(v0, changeset, root, "v1")
+    assert v1 == build_index(root, "java", "v1")
+    return changeset, v1
+
+
+def keyed_index(root, monkeypatch):
+    """The index of `root` with a stat key for every file: the racy window
+    is 0, and the clock moves on before the caller edits a file."""
+    monkeypatch.setattr(code_index, "RACY_WINDOW_NS", 0)
+    v0 = build_index(root, "java", "v0")
+    assert set(v0.stat_keys) == set(v0.files)
+    time.sleep(TICK)
+    return v0
+
+
+def rewrite_keeping_size_and_mtime(path, text, how):
+    before = path.stat()
+    if how == "in place":
+        path.write_text(text, encoding="utf-8")
+    elif how == "replaced":
+        path.with_suffix(".tmp").write_text(text, encoding="utf-8")
+        os.replace(path.with_suffix(".tmp"), path)
+    else:  # deleted and recreated
+        path.unlink()
+        path.write_text(text, encoding="utf-8")
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    after = path.stat()
+    assert (after.st_dev, after.st_size, after.st_mtime_ns) == (before.st_dev, before.st_size, before.st_mtime_ns)
+    if how == "in place":
+        assert after.st_ino == before.st_ino  # so only the ctime tells the edit
+    return after
+
+
+@pytest.mark.parametrize("how", ["in place", "replaced", "deleted and recreated"])
+def test_a_stat_key_catches_a_rewrite_of_the_same_size_and_mtime(tmp_path, monkeypatch, how):
+    root = two_classes(tmp_path / "repo")
+    v0 = keyed_index(root, monkeypatch)
+    after = rewrite_keeping_size_and_mtime(root / "org/A.java", java_class("A", {"m": "z();"}), how)
+    changeset, v1 = update_in_place(v0, root)
+    assert changeset == Changeset(modified=("org/A.java",))
+    assert v1.stat_keys["org/A.java"] == code_index._stat_key(after)
+    assert v1.stat_keys["org/B.java"] == v0.stat_keys["org/B.java"]
+
+
+def test_no_stat_key_is_kept_for_a_file_changed_within_the_racy_window(tmp_path):
+    root = two_classes(tmp_path / "repo")
+    an_hour_ago = time.time_ns() - 3600 * 10**9
+    for path in (root / "org/A.java", root / "org/B.java"):
+        os.utime(path, ns=(an_hour_ago, an_hour_ago))  # the ctimes stay within the window
+    v0 = build_index(root, "java", "v0")
+    assert code_index.RACY_WINDOW_NS == 2 * 10**9 and v0.stat_keys == {}
+    rewrite_keeping_size_and_mtime(root / "org/A.java", java_class("A", {"m": "z();"}), "in place")
+    changeset, v1 = update_in_place(v0, root)
+    assert changeset == Changeset(modified=("org/A.java",))
+    assert v1.stat_keys == {}
+
+
+def test_a_file_parsed_again_within_the_racy_window_loses_its_stat_key(tmp_path, monkeypatch):
+    root = two_classes(tmp_path / "repo")
+    v0 = keyed_index(root, monkeypatch)
+    monkeypatch.setattr(code_index, "RACY_WINDOW_NS", 2 * 10**9)
+    rewrite_keeping_size_and_mtime(root / "org/A.java", java_class("A", {"m": "z();"}), "in place")
+    changeset, v1 = update_in_place(v0, root)
+    assert changeset == Changeset(modified=("org/A.java",))
+    assert v1.stat_keys == {"org/B.java": v0.stat_keys["org/B.java"]}
+
+
+def test_a_file_that_turns_unreadable_is_logged_and_left_out(tmp_path, monkeypatch, caplog):
+    root = two_classes(tmp_path / "repo")
+    v0 = keyed_index(root, monkeypatch)
+    os.chmod(root / "org/A.java", 0)
+    real_open = io.open
+
+    def open_as_a_user(file, *args, **kwargs):  # the owner's read bit counts, as it does for a user
+        if not os.stat(file).st_mode & stat.S_IRUSR:
+            raise PermissionError(13, "Permission denied", str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", open_as_a_user)
+    monkeypatch.setattr(builtins, "open", open_as_a_user)
+    with caplog.at_level("ERROR", logger="bugloc.code_index"):
+        changeset, v1 = update_in_place(v0, root)
+    assert changeset == Changeset(deleted=("org/A.java",))
+    assert list(v1.files) == list(v1.stat_keys) == ["org/B.java"]
+    assert "unreadable, left out of the diff: org/A.java" in caplog.text
+
+
+def test_an_index_drops_the_stat_key_of_each_file_it_drops(tmp_path, monkeypatch):
+    root = write_tree(tmp_path / "repo", {f"org/F{i}.java": java_class(f"F{i}", {f"m{i}": "a();"}) for i in range(4)})
+    v0 = keyed_index(root, monkeypatch)
+    (root / "org/F0.java").unlink()
+    os.rename(root / "org/F1.java", root / "org/G1.java")
+    write_tree(root, {"org/F2.java": java_class("F2", {"edited": "b();"}), "org/New.java": java_class("New", {})})
+    changeset, v1 = update_in_place(v0, root)
+    assert changeset == Changeset(
+        added=("org/New.java",), modified=("org/F2.java",), deleted=("org/F0.java",),
+        renamed=(("org/F1.java", "org/G1.java"),),
+    )
+    assert list(v1.stat_keys) == list(v1.files)
+    assert sorted(v1.files) == ["org/F2.java", "org/F3.java", "org/G1.java", "org/New.java"]
+    assert v1.stat_keys["org/F3.java"] == v0.stat_keys["org/F3.java"]
+    assert v1.stat_keys["org/G1.java"] != v0.stat_keys["org/F1.java"]  # a rename moves the ctime
+
+
+def test_stat_keys_are_neither_compared_nor_archived(tmp_path, monkeypatch):
+    root = two_classes(tmp_path / "repo")
+    v0 = keyed_index(root, monkeypatch)
+    assert v0 == replace(v0, stat_keys={}) and "stat_keys" not in repr(v0)
+    save_code_index(v0, tmp_path / "v0.jsonl")
+    assert load_code_index(tmp_path / "v0.jsonl").stat_keys == {}
 
 
 def test_archive_roundtrip(tmp_path):

@@ -15,7 +15,9 @@ import pytest
 from bugloc import code_index, embedding, harness, java_parser
 from bugloc import load_bug_reports
 from bugloc.chat import ScriptedChatProvider
-from bugloc.code_index import Changeset, build_index, load_code_index, save_code_index, update_index
+from bugloc.code_index import (
+    Changeset, build_index, diff_source_trees, load_code_index, save_code_index, update_index,
+)
 from bugloc.embedders import CachedEmbedder, HashingEmbedder, RetriableProviderError
 from bugloc.embedding import build_embedding_index, chunk_text, load_embedding_index
 from bugloc.harness import (
@@ -168,6 +170,100 @@ def test_version_store_update_leaves_out_an_unreadable_file(tmp_path, monkeypatc
     assert locked not in fresh.files
     assert code == fresh
     assert embed.records == build_embedding_index(fresh, provider).records
+
+
+def perfbench_gen():
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(str(PERFBENCH))
+        return importlib.import_module("gen")
+
+
+def dataset_changeset(change) -> Changeset:
+    """A changeset of `gen.Dataset.changesets` as the Changeset a diff gives."""
+    renamed = tuple(map(tuple, change["renamed"]))
+    return Changeset(tuple(change["added"]), tuple(change["modified"]), tuple(change["deleted"]), renamed)
+
+
+def parsed_paths(changeset) -> set[str]:
+    """The paths an update by `changeset` reads: added, modified, renamed to."""
+    return {*changeset.added, *changeset.modified, *(new for _, new in changeset.renamed)}
+
+
+def count_opens(monkeypatch, under: Path) -> Counter:
+    """The number of times each file under `under` is opened from now on."""
+    opened, real_open = Counter(), io.open
+
+    def counting_open(file, *args, **kwargs):  # Path.read_bytes opens through io.open
+        if isinstance(file, (str, Path)) and Path(file).is_relative_to(under):
+            opened[Path(file)] += 1
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", counting_open)
+    monkeypatch.setattr(builtins, "open", counting_open)
+    return opened
+
+
+def record_diffs(monkeypatch) -> list[Changeset]:
+    """The changesets of the diffs the harness makes from now on."""
+    found, diff = [], harness.diff_source_trees
+    monkeypatch.setattr(harness, "diff_source_trees", lambda *args: found.append(diff(*args)) or found[-1])
+    return found
+
+
+def test_version_store_update_opens_no_file_whose_stat_key_is_unchanged(tmp_path, monkeypatch):
+    gen = perfbench_gen()
+    ds = gen.generate(3, 60, 8, 2)
+    repo = gen.write_dataset(ds, tmp_path / "input")["repo"]  # unchanged files are hard links
+    monkeypatch.setattr(code_index, "RACY_WINDOW_NS", 0)
+    store = VersionStore(repo, embedding_provider=HashingEmbedder(16))
+    store.get("v0")
+    diffs, opened = record_diffs(monkeypatch), count_opens(monkeypatch, repo)
+    code, _ = store.get("v1")
+    changeset = dataset_changeset(ds.changesets[0])
+    assert diffs == [changeset]
+    assert set(opened) == {repo / "v1" / rel for rel in parsed_paths(changeset)}
+    assert code == build_index(repo / "v1", "java", "v1")
+
+
+def test_version_store_update_from_an_archive_opens_each_file_of_the_new_tree(tmp_path, monkeypatch):
+    gen = perfbench_gen()
+    ds = gen.generate(3, 60, 8, 2)
+    repo, cache = gen.write_dataset(ds, tmp_path / "input")["repo"], tmp_path / "cache"
+    monkeypatch.setattr(code_index, "RACY_WINDOW_NS", 0)
+    building = VersionStore(repo, cache_dir=cache)
+    building.get("v0")
+    diffs = record_diffs(monkeypatch)
+    building.get("v1")
+    store = VersionStore(repo, cache_dir=cache)
+    assert store.get("v0")[0].stat_keys == {}  # no archive holds a key
+    opened = count_opens(monkeypatch, repo)
+    code, _ = store.build("v1", previous="v0")
+    changed = parsed_paths(diffs[0])
+    # once by the diff, once more by the parse of a changed file
+    assert opened == Counter({repo / "v1" / rel: 1 + (rel in changed) for rel in ds.trees[1]})
+    assert diffs == [dataset_changeset(ds.changesets[0])] * 2
+    assert code == building.get("v1")[0]
+
+
+@pytest.mark.parametrize("seed", [1, 3, 7])
+def test_version_store_chain_updates_by_stat_key_equal_full_diffs_and_builds(tmp_path, monkeypatch, seed):
+    gen = perfbench_gen()
+    ds = gen.generate(seed, 120, 30, 4)
+    repo = gen.write_dataset(ds, tmp_path / "input")["repo"]
+    monkeypatch.setattr(code_index, "RACY_WINDOW_NS", 0)
+    store = VersionStore(repo)
+    store.get(ds.versions[0])
+    diffs, opened = record_diffs(monkeypatch), count_opens(monkeypatch, repo)
+    opens = []
+    for i, version in enumerate(ds.versions[1:]):
+        opened.clear()
+        code, _ = store.get(version)
+        opens.append(sum(opened.values()))
+        full_diff = diff_source_trees(repo / ds.versions[i], repo / version)
+        assert diffs[i] == full_diff == dataset_changeset(ds.changesets[i])
+        assert code == build_index(repo / version, "java", version)
+    # by key, each update opens only the files it parses, twice each
+    assert opens == [2 * len(parsed_paths(d)) for d in diffs] and max(opens) < 120
 
 
 def test_version_store_archives_cached(tmp_path):
