@@ -8,13 +8,16 @@ file whose bytes it read, so that the next diff hashes only the files whose
 keys changed. The lookup tables of an index, its method locator among
 them, are built from its records on first use. A record object is a JSON
 head line (path, parse_ok and each method's name, signature and body
-length), then every body as raw UTF-8 text; code archives of format 5 hold
-such objects, and an archive of an older format is not read.
+length), then every body as raw UTF-8 text. A manifest is full, or a delta
+on the manifest of the version it was built from; code archives of format 6
+hold such manifests and objects, and an archive of an older format is not
+read.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import logging
 import os
@@ -24,18 +27,24 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
 
 from .fuzzy import NameTable
-from .ioutil import ConfigurationError, atomic_write_bytes, atomic_write_text
+from .ioutil import ConfigurationError, atomic_write_bytes
 from .java_parser import Grammar, MethodRecord, get_grammar
 
 logger = logging.getLogger(__name__)
 
 ARCHIVE_MAGIC = "bugloc-code-index"
-ARCHIVE_FORMAT = 5
+ARCHIVE_FORMAT = 6
 OBJECTS_DIR = "objects"  # beside the manifests
 _DIGEST = re.compile("[0-9a-f]{64}")
+_PLAIN_NAME = re.compile(r"(?!\.\.?\Z)[^/\\\x00]+")  # a file name: no separator, not . or ..
+# A delta is written only onto a chain of fewer deltas than this, and only
+# while the deltas of the chain hold no more bytes than a full manifest, as
+# Mercurial's revlog caps its delta chains (Mackall, 2006).
+MAX_DELTA_DEPTH = 8
 # A stat key is kept only for a file last changed longer ago than this when
 # the update that read it started, as git's index treats "racy" entries: a
 # change within one timestamp step (2 s on FAT) could leave the key as it was.
@@ -67,6 +76,10 @@ class Changeset:
     modified: tuple[str, ...] = ()
     deleted: tuple[str, ...] = ()
     renamed: tuple[tuple[str, str], ...] = ()
+    # path -> (stat key before the read, bytes) of each added, modified or
+    # renamed-to file the diff read, which the update parses without reading
+    # it again; neither compared nor shown
+    contents: dict[str, tuple[StatKey, bytes]] = field(default_factory=dict, compare=False, repr=False)
 
     def validate(self) -> None:
         """The four sets must be pairwise disjoint on old paths."""
@@ -205,11 +218,13 @@ def update_index(
     with the grammar that parsed `index`.
 
     The result equals a full rebuild at new_version; untouched records are
-    reused, with their digests and stat keys. A changeset path that cannot be
-    read, missing on disk say, is logged and skipped so the rebuild
-    equivalence still holds. Each file parsed gets the stat key it had just
-    before its read, unless it changed within RACY_WINDOW_NS of the update's
-    start; a file parsed again loses its old key either way.
+    reused, with their digests and stat keys. A file whose bytes the
+    changeset carries (see `diff_source_trees`) is parsed from them; any
+    other is read here. A changeset path that cannot be read, missing on
+    disk say, is logged and skipped so the rebuild equivalence still holds.
+    Each file parsed gets the stat key it had just before its read, unless
+    it changed within RACY_WINDOW_NS of the update's start; a file parsed
+    again loses its old key either way.
     """
     changeset.validate()
     root = Path(repo_root)
@@ -227,16 +242,19 @@ def update_index(
         reparse.append(new)
     for fq_path in reparse:
         keys.pop(fq_path, None)
-        path = root / fq_path
-        try:
-            st = os.stat(path)  # before the read: a change after it leaves a key that differs
-            data = path.read_bytes()
-        except OSError as exc:
-            logger.error("changeset path unreadable, skipped: %s (%s)", fq_path, exc)
-            files.pop(fq_path, None)
-            continue
-        if st.st_mtime_ns < settled and st.st_ctime_ns < settled:
-            keys[fq_path] = _stat_key(st)
+        read = changeset.contents.get(fq_path)
+        if read is None:
+            path = root / fq_path
+            try:
+                st = os.stat(path)  # before the read: a change after it leaves a key that differs
+                read = _stat_key(st), path.read_bytes()
+            except OSError as exc:
+                logger.error("changeset path unreadable, skipped: %s (%s)", fq_path, exc)
+                files.pop(fq_path, None)
+                continue
+        key, data = read
+        if key[3] < settled and key[4] < settled:  # st_mtime_ns, st_ctime_ns
+            keys[fq_path] = key
         digests[fq_path] = hashlib.sha256(data).hexdigest()
         files[fq_path] = _parse_file(data, fq_path, gram)
 
@@ -256,30 +274,41 @@ def diff_source_trees(
     for their path, or that have none: every other file keeps the index's
     digest. A file that cannot be read is logged and counts as absent, as
     `update_index` skips it. A deleted path and an added path with identical
-    content are paired as a rename (greedily, in sorted-path order).
+    content are paired as a rename (greedily, in sorted-path order). The
+    changeset carries the bytes read of each new-tree file whose digest is
+    not the old one at its path, with the stat key taken before the read.
     """
 
-    def digest_tree(root: str, known: CodeIndex | None = None) -> dict[str, str]:
+    def digest_tree(root: str, known: CodeIndex | None = None, old: dict | None = None) -> dict[str, str]:
         digests, prefix = {}, os.path.join(root, "")  # prefix + rel is os.path.join(root, rel)
         keys = known.stat_keys if known is not None else {}
         for rel in source_paths(root, extensions):
             try:
                 key = keys.get(rel)
-                if key is not None and _stat_key(os.stat(prefix + rel)) == key:
-                    digests[rel] = known.digests[rel]
-                    continue
+                if key is not None:
+                    st = os.stat(prefix + rel)
+                    if _stat_key(st) == key:
+                        digests[rel] = known.digests[rel]
+                        continue
                 with open(prefix + rel, "rb", buffering=0) as file:  # no buffer: one read of it all
-                    digests[rel] = hashlib.sha256(file.read()).hexdigest()
+                    if key is None:
+                        st = os.fstat(file.fileno())
+                    data = file.read()
             except OSError as exc:
                 logger.error("unreadable, left out of the diff: %s (%s)", rel, exc)
+                continue
+            digests[rel] = hashlib.sha256(data).hexdigest()
+            if old is not None and old.get(rel) != digests[rel]:  # added, modified or renamed to
+                contents[rel] = _stat_key(st), data
         return digests
 
+    contents: dict[str, tuple[StatKey, bytes]] = {}
     if isinstance(old, CodeIndex):
-        new = digest_tree(os.fspath(new_root), old)
+        new = digest_tree(os.fspath(new_root), old, old.digests)
         old = old.digests
     else:
         old = digest_tree(os.fspath(old))
-        new = digest_tree(os.fspath(new_root))
+        new = digest_tree(os.fspath(new_root), old=old)
     added = sorted(set(new) - set(old))
     deleted = sorted(set(old) - set(new))
     modified = tuple(sorted(p for p in set(old) & set(new) if old[p] != new[p]))
@@ -301,6 +330,7 @@ def diff_source_trees(
         modified=modified,
         deleted=still_deleted,
         renamed=tuple(renamed),
+        contents=contents,
     )
 
 
@@ -315,7 +345,9 @@ class ObjectPool:
     file's content holds the same record, chunks and rows. A pack that is
     missing, fails its digest or holds an object that does not decode is an
     ArchiveFormatError; a damaged pack is unlinked and its objects are
-    forgotten, so that the next save writes them again.
+    forgotten, so that the next save writes them again. A pool also keeps
+    each manifest read or written through it (see `Manifest`), so that a
+    delta on one of them is written, and read, without reading it again.
     """
 
     def __init__(self, directory: str | Path):
@@ -327,6 +359,8 @@ class ObjectPool:
         self._unread: dict[str, bytes] = {}  # key -> bytes read from a pack, not decoded yet
         self._new: dict[str, bytes] = {}  # key -> bytes of an object in no pack yet
         self._made_from: dict[str, str] = {}  # key -> key of the object last interned as made from it
+        self.manifests: dict[Path, Manifest] = {}  # path -> the manifest last read or written there
+        self.last_code: tuple[CodeIndex, Manifest] | None = None  # the index last saved or loaded, its manifest
 
     def read(self, packs) -> None:
         """Make the objects of the packs a manifest names available."""
@@ -480,45 +514,125 @@ def _decode_record(data: bytes) -> SourceFileRecord:
     return SourceFileRecord(fq_path, tuple(decoded), parse_ok)
 
 
+@dataclass(eq=False)
+class Manifest:
+    """A manifest as a pool keeps it once read or written: the sha256 of its
+    bytes, the entries of the version it resolves to, and the deltas below
+    it down to a full manifest."""
+
+    path: Path
+    digest: str
+    entries: list
+    depth: int = 0  # deltas from this manifest down to a full one
+    chain: int = 0  # bytes of those deltas
+    base: Manifest | None = None  # a delta's base
+    lines: list = field(default_factory=list)  # a delta's own lines
+    pair: Manifest | None = None  # the other manifest of its version's archive pair, if known
+
+
+def pair_manifests(a: Manifest, b: Manifest) -> None:
+    a.pair, b.pair = b, a
+
+
 def archive_pool(path: str | Path, pool: ObjectPool | None) -> ObjectPool:
     """`pool`, or a fresh pool of the objects directory beside manifest `path`."""
     return pool if pool is not None else ObjectPool(Path(path).parent / OBJECTS_DIR)
 
 
-def write_manifest(path: str | Path, header: dict, entries: list, pool: ObjectPool, keys: list[str]) -> None:
-    """The objects put into `pool` as a new pack, then the manifest: the
-    header with the packs that hold the objects `keys` names, and one JSON
-    list of strings per entry."""
-    header = dict(header, packs=pool.pack(keys))
+# header field -> its type, or the pattern its string matches, in every
+# code manifest and in every delta; a manifest that fails one is not read
+CODE_FIELDS = {"version_id": str, "grammar": str, "file_count": int, "packs": list}
+DELTA_FIELDS = {"base": _PLAIN_NAME, "base_digest": _DIGEST}
+
+
+def check_header(header: dict, fields: dict, path: Path, magic: str) -> None:
+    """An ArchiveFormatError unless each field of `fields` is in `header`
+    and of its type, or a string its pattern matches whole."""
+    for name, kind in fields.items():
+        value = header.get(name)
+        if isinstance(kind, type) and type(value) is kind:  # not a bool for an int
+            continue
+        if not isinstance(kind, type) and type(value) is str and kind.fullmatch(value):
+            continue
+        label = magic.removeprefix("bugloc-").replace("-", " ")
+        raise ArchiveFormatError(f"unusable {label} archive {path}: its header has no {name!r} of its type")
+
+
+def _manifest_bytes(header: dict, entries: list) -> bytes:
     # json.dumps(entry) of a list of strings, without its per-call set-up
     lines = [json.dumps(header, sort_keys=True)] + [
         "[" + ", ".join(map(encode_basestring_ascii, entry)) + "]" for entry in entries
     ]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    return ("\n".join(lines) + "\n").encode()
 
 
-def read_manifest(
-    path: str | Path, magic: str, fmt: int, width: int, pool: ObjectPool
-) -> tuple[dict, list]:
-    """The header of a manifest and its entries, each a list of `width`
-    strings. The packs the header names are read into `pool`.
+def _full_size(header: dict, entries: list) -> int:
+    """The bytes `_manifest_bytes` gives, without encoding the entries:
+    exact unless a string needs escaping. Each line of k strings adds two
+    brackets, 2k quotes, k - 1 separators of two bytes and a newline."""
+    strings = len(entries) and len(entries) * len(entries[0])
+    text = sum(map(len, chain.from_iterable(entries)))
+    return len(json.dumps(header, sort_keys=True)) + 1 + text + 4 * strings + len(entries)
 
-    Raises ArchiveFormatError unless the header names `magic` and `fmt`, every
-    entry decodes and has that shape, and there are header["file_count"]
-    entries: an old, foreign, corrupt or truncated manifest is never trusted.
+
+def write_manifest(
+    path: str | Path,
+    header: dict,
+    entries: list,
+    pool: ObjectPool,
+    keys: list[str],
+    base: Manifest | None = None,
+    delta: list | None = None,
+    links: dict | None = None,
+) -> Manifest:
+    """The objects put into `pool` as a new pack, then the manifest: the
+    header with the packs that hold the objects `keys` names, and one JSON
+    list of strings per entry. The pool keeps the manifest, which it returns.
+
+    Given `base`, another manifest in the same directory, and `delta`, the
+    lines that turn its entries into `entries`, the manifest is a delta
+    instead: its header also names base's file and digest, and holds
+    `links`. It stays full when base ends a chain of MAX_DELTA_DEPTH deltas,
+    or when the deltas of the chain would hold more bytes than the full
+    manifest.
     """
-    with open(path, encoding="utf-8") as handle:
-        try:
-            header = json.loads(handle.readline())
-        except (ValueError, RecursionError):
-            raise ArchiveFormatError(f"no archive header in {path}") from None
-        if not isinstance(header, dict) or header.get("magic") != magic:
-            raise ArchiveFormatError(f"bad magic header in {path}")
-        if header.get("format") != fmt:
-            raise ArchiveFormatError(
-                f"unsupported archive format {header.get('format')!r} in {path}"
-            )
-        lines = [line for line in handle if line.strip()]
+    path = Path(path)
+    header = dict(header, packs=pool.pack(keys))
+    manifest = Manifest(path, "", entries)
+    beside = delta is not None and base.path != path and base.path.parent == path.parent
+    if beside and base.depth < MAX_DELTA_DEPTH:
+        on_base = dict(header, base=base.path.name, base_digest=base.digest, **(links or {}))
+        data = _manifest_bytes(on_base, delta)
+        if base.chain + len(data) <= _full_size(header, entries):
+            manifest = Manifest(path, "", entries, base.depth + 1, base.chain + len(data), base, delta)
+    if not manifest.depth:
+        data = _manifest_bytes(header, entries)
+    manifest.digest = hashlib.sha256(data).hexdigest()
+    atomic_write_bytes(path, data)
+    pool.manifests[path] = manifest
+    return manifest
+
+
+def _read_file(path: Path, magic: str, fmt: int, width: int, fields: dict) -> tuple[dict, list, bytes]:
+    """The header and entries of one manifest file, and its bytes: entries
+    of `width` strings, as many as its file count, in a full manifest; of
+    one or `width` strings in a delta."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        handle = io.StringIO(data.decode("utf-8"), newline=None)  # lines as a text-mode read splits them
+    except UnicodeDecodeError as exc:
+        raise ArchiveFormatError(f"unreadable manifest {path}: {exc}") from None
+    try:
+        header = json.loads(handle.readline())
+    except (ValueError, RecursionError):
+        raise ArchiveFormatError(f"no archive header in {path}") from None
+    if not isinstance(header, dict) or header.get("magic") != magic:
+        raise ArchiveFormatError(f"bad magic header in {path}")
+    if header.get("format") != fmt:
+        raise ArchiveFormatError(f"unsupported archive format {header.get('format')!r} in {path}")
+    check_header(header, {**fields, **DELTA_FIELDS} if "base" in header else fields, path, magic)
+    lines = [line for line in handle if line.strip()]
     try:
         entries = json.loads("[" + ",".join(lines) + "]")
     except (ValueError, RecursionError) as exc:
@@ -529,22 +643,131 @@ def read_manifest(
     # are lines only if it holds one.
     if len(entries) != len(lines) or not all(line.rstrip().endswith("]") for line in lines):
         raise ArchiveFormatError(f"unreadable entry in {path}: a line that is not one entry")
-    shaped = set(map(type, entries)) <= {list} and set(map(len, entries)) <= {width}
+    widths = {1, width} if "base" in header else {width}
+    shaped = set(map(type, entries)) <= {list} and set(map(len, entries)) <= widths
     if not (shaped and set(map(type, chain.from_iterable(entries))) <= {str}):
         raise ArchiveFormatError(f"malformed entry in {path}: not a list of {width} strings")
-    if len(entries) != header.get("file_count"):
-        raise ArchiveFormatError(
-            f"{path} holds {len(entries)} entries, its header says {header.get('file_count')!r}"
-        )
-    pool.read(header.get("packs"))
-    return header, entries
+    if "base" not in header and len(entries) != header["file_count"]:
+        raise ArchiveFormatError(f"{path} holds {len(entries)} entries, its header says {header['file_count']!r}")
+    return header, entries, data
 
 
-def save_code_index(index: CodeIndex, path: str | Path, pool: ObjectPool | None = None) -> None:
+def _resolve_manifest(
+    path: Path, digest: str | None, magic: str, fmt: int, width: int, pool: ObjectPool, fields: dict, apply,
+    seen: tuple = (),
+) -> tuple[dict | None, Manifest]:
+    """The header and the manifest at `path`, its delta resolved onto its
+    base. Given the `digest` its bytes must have, the manifest the pool
+    keeps at `path` under that digest, with no header; else the file, read.
+
+    `seen` are the paths of the deltas above, of which it is a base; `apply`
+    gives a delta's entries and pair (see `read_manifest`). Raises
+    ArchiveFormatError for a base that is missing, rewritten, a base of
+    itself, or below MAX_DELTA_DEPTH deltas.
+    """
+    known = pool.manifests.get(path)
+    if digest is not None and known is not None and known.digest == digest:
+        return None, known
+    if path in seen:
+        raise ArchiveFormatError(f"{path} is a base of itself")
+    if len(seen) > MAX_DELTA_DEPTH:
+        raise ArchiveFormatError(f"{seen[0]} ends a chain of more than {MAX_DELTA_DEPTH} deltas")
+    try:
+        header, entries, data = _read_file(path, magic, fmt, width, fields)
+    except FileNotFoundError:
+        if digest is None:
+            raise
+        raise ArchiveFormatError(f"{path}, which a delta is made on, is missing") from None
+    got = hashlib.sha256(data).hexdigest()
+    if digest is not None and got != digest:
+        raise ArchiveFormatError(f"{path} was rewritten since a delta was made on it")
+    manifest = Manifest(path, got, entries)
+    if "base" in header:
+        base_path, base_digest = path.parent / header.pop("base"), header.pop("base_digest")
+        _, base = _resolve_manifest(base_path, base_digest, magic, fmt, width, pool, fields, apply, (*seen, path))
+        if base.depth >= MAX_DELTA_DEPTH:
+            raise ArchiveFormatError(f"{path} ends a chain of more than {MAX_DELTA_DEPTH} deltas")
+        resolved, pair = apply(pool, base, header, entries, path)
+        if len(resolved) != header["file_count"]:
+            raise ArchiveFormatError(
+                f"{path} resolves to {len(resolved)} entries, its header says {header['file_count']!r}"
+            )
+        manifest = Manifest(path, got, resolved, base.depth + 1, base.chain + len(data), base, entries)
+        if pair is not None:
+            pair_manifests(manifest, pair)
+    pool.manifests[path] = manifest
+    return header, manifest
+
+
+def read_manifest(
+    path: str | Path, magic: str, fmt: int, width: int, pool: ObjectPool, fields: dict, apply
+) -> tuple[dict, list]:
+    """The header of a manifest and its entries, each a list of `width`
+    strings, as the full manifest of its version holds them: a delta is
+    resolved onto its base, and the header has no base fields. The packs
+    the header names are read into `pool`, which keeps the manifest.
+
+    A delta's base is the manifest the pool keeps at the base's path under
+    the digest the delta records, else that file, read and resolved in turn.
+    `apply(pool, base, header, lines, path)` gives the entries of a delta of
+    `lines` on manifest `base`, and the manifest to pair it with, if any.
+
+    Raises ArchiveFormatError unless the header names `magic` and `fmt` and
+    passes the checks of `fields` (and of DELTA_FIELDS, in a delta), every
+    entry decodes and has its shape, and there are header["file_count"]
+    entries: an old, foreign, corrupt or truncated manifest is never
+    trusted, nor a delta on a base that is missing, rewritten, a base of
+    itself or below MAX_DELTA_DEPTH deltas.
+    """
+    header, _ = _resolve_manifest(Path(path), None, magic, fmt, width, pool, fields, apply)
+    pool.read(header["packs"])
+    return header, pool.manifests[Path(path)].entries
+
+
+def code_manifest(path: Path, digest: str, pool: ObjectPool) -> Manifest:
+    """The code manifest at `path` whose bytes have `digest`, resolved
+    (see `_resolve_manifest`)."""
+    args = ARCHIVE_MAGIC, ARCHIVE_FORMAT, 3, pool, CODE_FIELDS, _apply_code_delta
+    return _resolve_manifest(path, digest, *args)[1]
+
+
+def _apply_code_delta(pool: ObjectPool, base: Manifest, header: dict, lines: list, path: Path):
+    """The entries of code delta `lines` on `base`: a [path, record key,
+    file digest] line adds or replaces its path, a [path] line deletes it."""
+    paths = [line[0] for line in lines]
+    if not all(map(str.__lt__, paths, paths[1:])):
+        raise ArchiveFormatError(f"{path} lists a path out of order or twice")
+    touched = set(paths)
+    entries = [entry for entry in base.entries if entry[0] not in touched]
+    if not {line[0] for line in lines if len(line) == 1} <= {entry[0] for entry in base.entries}:
+        raise ArchiveFormatError(f"{path} deletes a path its base does not hold")
+    entries += [line for line in lines if len(line) > 1]
+    entries.sort(key=itemgetter(0))  # two ascending runs: one merge
+    return entries, None
+
+
+def _code_delta(old: list, new: list) -> list:
+    """The lines that turn code manifest entries `old` into `new`: each
+    entry of `new` that `old` does not hold, and [path] for each path of
+    `old` that `new` does not, in path order."""
+    gone = {entry[0]: entry for entry in old}
+    lines = [entry for entry in new if gone.pop(entry[0], None) != entry]
+    return sorted(lines + [[path] for path in gone], key=itemgetter(0))
+
+
+def save_code_index(
+    index: CodeIndex, path: str | Path, pool: ObjectPool | None = None, base: str | Path | None = None
+) -> None:
     """Write the records not stored yet as a pack, then the manifest: a
     header (magic, format, version, grammar, file count, packs) and one
     `[fq_path, record key, sha256 of the file's bytes]` line per file in
-    path order."""
+    path order.
+
+    Given `base`, the path of a manifest the pool read or wrote, say that
+    of the version `index` was updated from, the manifest is a delta on it
+    (see `write_manifest`): a line as above for each path added or changed,
+    and a `[fq_path]` line for each path deleted, in path order.
+    """
     pool = archive_pool(path, pool)
     header = {
         "magic": ARCHIVE_MAGIC,
@@ -554,7 +777,10 @@ def save_code_index(index: CodeIndex, path: str | Path, pool: ObjectPool | None 
         "file_count": len(index.files),
     }
     entries = [[p, store_record(pool, index.files[p]), index.digests[p]] for p in index.sorted_paths()]
-    write_manifest(path, header, entries, pool, [key for _, key, _ in entries])
+    known = pool.manifests.get(Path(base)) if base is not None else None
+    delta = _code_delta(known.entries, entries) if known is not None else None
+    manifest = write_manifest(path, header, entries, pool, [key for _, key, _ in entries], known, delta)
+    pool.last_code = index, manifest
 
 
 def store_record(pool: ObjectPool, record: SourceFileRecord) -> str:
@@ -573,12 +799,13 @@ def load_record(pool: ObjectPool, fq_path: str, key: str) -> SourceFileRecord:
 def load_code_index(
     path: str | Path, pool: ObjectPool | None = None, base: CodeIndex | None = None
 ) -> CodeIndex:
-    """The index a manifest lists, its records read through `pool`. Given a
-    `base`, say the index of the version before, a file that `base` records
-    with the same digest shares `base`'s digest string. Paths that do not
-    ascend strictly (a path repeated, say) are an ArchiveFormatError."""
+    """The index a manifest lists, full or a delta resolved through `pool`
+    (see `read_manifest`), its records read through `pool`. Given a `base`,
+    say the index of the version before, a file that `base` records with the
+    same digest shares `base`'s digest string. Paths that do not ascend
+    strictly (a path repeated, say) are an ArchiveFormatError."""
     pool = archive_pool(path, pool)
-    header, entries = read_manifest(path, ARCHIVE_MAGIC, ARCHIVE_FORMAT, 3, pool)
+    header, entries = read_manifest(path, ARCHIVE_MAGIC, ARCHIVE_FORMAT, 3, pool, CODE_FIELDS, _apply_code_delta)
     paths = [entry[0] for entry in entries]
     if not all(map(str.__lt__, paths, paths[1:])):
         following = next(b for a, b in zip(paths, paths[1:]) if a >= b)
@@ -586,4 +813,6 @@ def load_code_index(
     files = {fq_path: load_record(pool, fq_path, key) for fq_path, key, _ in entries}
     old = base.digests if base is not None else {}
     digests = {fq_path: old[fq_path] if old.get(fq_path) == d else d for fq_path, _, d in entries}
-    return CodeIndex(header["version_id"], files, header.get("grammar"), digests)
+    index = CodeIndex(header["version_id"], files, header["grammar"], digests)
+    pool.last_code = index, pool.manifests[Path(path)]
+    return index

@@ -9,6 +9,8 @@ propagates. An index and its archive record the chunk limit it was built
 with, and updates and queries chunk at that limit. An archive is written
 and read with the code index of its version, whose records it re-makes
 the chunk text from: one vector key per file, tied to them by one digest.
+A delta lists only the vector keys of the files its code delta adds or
+changes.
 """
 
 from __future__ import annotations
@@ -25,8 +27,9 @@ from types import MappingProxyType
 import numpy as np
 
 from .code_index import (
-    ArchiveFormatError, Changeset, CodeIndex, ObjectPool, SourceFileRecord, archive_pool,
-    file_representation, read_manifest, store_record, write_manifest,
+    DELTA_FIELDS, ArchiveFormatError, Changeset, CodeIndex, Manifest, ObjectPool, SourceFileRecord,
+    archive_pool, check_header, code_manifest, file_representation, pair_manifests, read_manifest,
+    store_record, write_manifest,
 )
 from .embedders import EmbeddingProvider
 from .tokens import MAX_CHUNK_TOKENS, chunk_pattern
@@ -38,7 +41,12 @@ DEFAULT_CHUNK_LIMIT = 300
 DEFAULT_SHORTLIST_K = 50
 
 EMBED_ARCHIVE_MAGIC = "bugloc-embedding-index"
-EMBED_ARCHIVE_FORMAT = 5
+EMBED_ARCHIVE_FORMAT = 6
+EMBED_FIELDS = {
+    "dimension": int, "provider_id": str, "chunk_limit": int, "file_count": int, "digest": str, "packs": list,
+}
+# a delta also names the code manifest whose delta it follows, as it names its base
+LINK_FIELDS = {"code": DELTA_FIELDS["base"], "code_digest": DELTA_FIELDS["base_digest"]}
 
 
 @dataclass(frozen=True)
@@ -279,6 +287,39 @@ def _files_digest(pool: ObjectPool, code: CodeIndex, vector_keys: list[str]) -> 
     return hashlib.sha256("".join(record_keys + vector_keys).encode()).hexdigest()
 
 
+def _vector_entries(code: Manifest, base: Manifest, lines: list) -> list:
+    """The entries of an embedding delta of `lines` on `base`, which follows
+    code delta `code`: each path of `code` takes the next line if `code`
+    adds or changes it, else base's entry at that path. Base lists the files
+    of `code.base`. A KeyError or ValueError if the lines do not fit."""
+    refreshed = [line[0] for line in code.lines if len(line) > 1]
+    if len(lines) != len(refreshed):
+        raise ValueError(f"{len(lines)} lines for {len(refreshed)} files added or changed")
+    if len(base.entries) != len(code.base.entries):
+        raise ValueError(f"a base of {len(base.entries)} lines for {len(code.base.entries)} files")
+    by_path = dict(zip([entry[0] for entry in code.base.entries], base.entries))
+    by_path.update(zip(refreshed, lines))
+    return [by_path[entry[0]] for entry in code.entries]
+
+
+def _apply_vector_delta(pool: ObjectPool, base: Manifest, header: dict, lines: list, path: Path):
+    """The entries of embedding delta `lines` on `base` (see `_vector_entries`),
+    and the code manifest its header names, which base's manifest must
+    pair with the base of."""
+    check_header(header, LINK_FIELDS, path, EMBED_ARCHIVE_MAGIC)
+    code = code_manifest(path.parent / header.pop("code"), header.pop("code_digest"), pool)
+    if code.base is None:
+        raise ArchiveFormatError(f"{path} follows {code.path.name}, which is no delta")
+    if base.pair is None and len(base.entries) == len(code.base.entries):
+        pair_manifests(base, code.base)  # a full manifest read as a base lists the files of its pair
+    if base.pair is None or base.pair.digest != code.base.digest:
+        raise ArchiveFormatError(f"{path} is a delta on {base.path.name}, not made with {code.base.path.name}")
+    try:
+        return _vector_entries(code, base, lines), code
+    except (KeyError, ValueError) as exc:
+        raise ArchiveFormatError(f"{path} does not fit the code delta it follows: {exc!r}") from None
+
+
 def save_embedding_index(
     eindex: EmbeddingIndex, path: str | Path, code: CodeIndex, pool: ObjectPool | None = None
 ) -> None:
@@ -286,7 +327,14 @@ def save_embedding_index(
     the same files), not stored yet as a pack, then the manifest: a header
     (magic, format, provider, dimension, chunk limit, file count, the vector
     objects' packs, `_files_digest`) and a `[vector key]` line per file in
-    path order. A file whose chunks and rows are stored is not encoded again."""
+    path order. A file whose chunks and rows are stored is not encoded again.
+
+    Saved through the pool that last saved or loaded `code`'s manifest, when
+    that manifest is a delta on one the pool keeps with its embedding
+    manifest, the manifest is a delta on that embedding manifest (see
+    `write_manifest`): the lines of the files the code delta adds or
+    changes, in its order, and the code manifest named in the header.
+    """
     if eindex.file_paths != code.sorted_paths():
         raise ValueError("the embedding index and the code index hold other files")
     pool = archive_pool(path, pool)
@@ -304,24 +352,42 @@ def save_embedding_index(
         "file_count": len(eindex.file_paths),
         "digest": _files_digest(pool, code, vector_keys),
     }
-    write_manifest(path, header, [[key] for key in vector_keys], pool, vector_keys)
+    entries = [[key] for key in vector_keys]
+    follows = pool.last_code[1] if pool.last_code is not None and pool.last_code[0] is code else None
+    base = delta = links = None
+    if follows is not None and follows.base is not None and follows.base.pair is not None:
+        refreshed = {line[0] for line in follows.lines if len(line) > 1}
+        lines = [entry for fq_path, entry in zip(eindex.file_paths, entries) if fq_path in refreshed]
+        try:
+            fits = _vector_entries(follows, follows.base.pair, lines) == entries
+        except (KeyError, ValueError):
+            fits = False
+        if fits and follows.path.parent == Path(path).parent:
+            base, delta = follows.base.pair, lines
+            links = {"code": follows.path.name, "code_digest": follows.digest}
+    manifest = write_manifest(path, header, entries, pool, vector_keys, base, delta, links)
+    if follows is not None:
+        pair_manifests(manifest, follows)
 
 
 def load_embedding_index(path: str | Path, code: CodeIndex, pool: ObjectPool | None = None) -> EmbeddingIndex:
-    """The index a manifest lists: its vector objects read through `pool`,
-    their chunks cut from the records of `code`, the rows joined by one
-    concatenation in path order. A manifest whose digest is not the
-    `_files_digest` of `code` and its keys (a save cut short between the two
-    manifests, a line swapped, dropped or added) is an ArchiveFormatError
-    before any vector object is decoded."""
+    """The index a manifest lists, full or a delta resolved through `pool`
+    (see `read_manifest`, and `_vector_entries`): its vector objects read
+    through `pool`, their chunks cut from the records of `code`, the rows
+    joined by one concatenation in path order. A manifest whose digest is
+    not the `_files_digest` of `code` and its keys (a save cut short between
+    the two manifests, a line swapped, dropped or added) is an
+    ArchiveFormatError before any vector object is decoded."""
     pool = archive_pool(path, pool)
-    header, entries = read_manifest(path, EMBED_ARCHIVE_MAGIC, EMBED_ARCHIVE_FORMAT, 1, pool)
-    try:
-        made_by = header["dimension"], header["provider_id"], header["chunk_limit"]
-    except KeyError as exc:
-        raise ArchiveFormatError(f"unusable embedding index archive {path}: {exc}") from None
-    if header.get("digest") != _files_digest(pool, code, [key for (key,) in entries]):
+    header, entries = read_manifest(
+        path, EMBED_ARCHIVE_MAGIC, EMBED_ARCHIVE_FORMAT, 1, pool, EMBED_FIELDS, _apply_vector_delta
+    )
+    made_by = header["dimension"], header["provider_id"], header["chunk_limit"]
+    if header["digest"] != _files_digest(pool, code, [key for (key,) in entries]):
         raise ArchiveFormatError("its embedding archive was made from other files than its code archive")
+    manifest = pool.manifests[Path(path)]
+    if manifest.pair is None and pool.last_code is not None and pool.last_code[0] is code:
+        pair_manifests(manifest, pool.last_code[1])
     chunks: list[Chunk] = []
     blocks = []
     for fq_path, (vector_key,) in zip(code.sorted_paths(), entries):

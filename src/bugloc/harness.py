@@ -151,8 +151,10 @@ class VersionStore:
         `previous`'s code index, so `previous`'s tree is never read and need
         not exist, nor is a file whose stat key still equals the one that
         index recorded (see `diff_source_trees`). With no change, the
-        indexes of `previous` are shared under the new label. A build that
-        raises memoizes nothing and writes no archive.
+        indexes of `previous` are shared under the new label. The archives
+        of an incremental build are deltas on those of `previous` where the
+        chain rule of `write_manifest` allows. A build that raises memoizes
+        nothing and writes no archive.
         """
         tree = self.resolve_tree(version_id)
         prev = self._lookup(previous) if previous else None
@@ -167,15 +169,16 @@ class VersionStore:
             else:
                 code = update_index(prev[0], changeset, tree, version_id)
                 embed = None if provider is None else update_embeddings(prev[1], changeset, code, provider)
-        self._store(version_id, code, embed)
+        self._store(version_id, code, embed, previous if prev is not None else None)
         return code, embed
 
-    def _store(self, version_id, code, embed) -> None:
+    def _store(self, version_id, code, embed, base_version: str | None) -> None:
         self._built[version_id] = (code, embed)
         self._last_version = version_id
         archives = self.archive_paths(version_id)
         if archives:
-            save_code_index(code, archives[0], pool=self.objects)
+            base = self.archive_paths(base_version)[0] if base_version is not None else None
+            save_code_index(code, archives[0], pool=self.objects, base=base)
             if embed is not None:
                 save_embedding_index(embed, archives[1], code, pool=self.objects)
 

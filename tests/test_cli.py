@@ -8,7 +8,7 @@ from bugloc import cli, localizers
 from bugloc.chat import ChatProvider
 from bugloc.cli import main
 from bugloc.config import load_config
-from bugloc.code_index import ConfigurationError, build_index, load_code_index
+from bugloc.code_index import ConfigurationError, ObjectPool, build_index, load_code_index
 from bugloc.dataset import save_bug_reports
 from bugloc.embedders import HashingEmbedder, RetriableProviderError
 from bugloc.embedding import load_embedding_index
@@ -218,10 +218,14 @@ def test_cmd_index_incremental_update(workspace):
     assert ("org/new/Fresh.java", 0) in v2_embed.records
 
 
-def manifest_lines(path):
-    """A manifest's header without its packs, then its entry lines."""
-    header, *entries = path.read_text(encoding="utf-8").splitlines()
-    return [{k: v for k, v in json.loads(header).items() if k != "packs"}, *entries]
+def resolved_archives(cache, version):
+    """The indexes that `version`'s archives in `cache` hold, and the entries
+    of its two manifests, a delta resolved onto its base."""
+    pool = ObjectPool(cache / "objects")
+    code = load_code_index(cache / f"{version}.code.jsonl", pool=pool)
+    embed = load_embedding_index(cache / f"{version}.embed.jsonl", code, pool=pool)
+    made = (embed.provider_id, embed.dimension, embed.chunk_limit, embed.chunks, embed.vectors.tobytes())
+    return code, made, [pool.manifests[cache / f"{version}.{kind}.jsonl"].entries for kind in ("code", "embed")]
 
 
 def assert_index_of(out, version, tree, tmp_path):
@@ -231,10 +235,9 @@ def assert_index_of(out, version, tree, tmp_path):
     assert run_cli(
         "index", "--repo", tree, "--version", version, "--mode", "embedding_only", "--out", scratch
     ) == 0
-    for name in (f"{version}.code.jsonl", f"{version}.embed.jsonl"):
-        got = manifest_lines(out / "index-cache" / name)
-        assert got == manifest_lines(scratch / "index-cache" / name)
-    assert load_code_index(out / "index-cache" / f"{version}.code.jsonl") == build_index(tree, "java", version)
+    got = resolved_archives(out / "index-cache", version)
+    assert got == resolved_archives(scratch / "index-cache", version)
+    assert got[0] == build_index(tree, "java", version)
 
 
 def test_cmd_index_flat_repo_prev_version_picks_up_in_place_edits(workspace, tmp_path):

@@ -344,6 +344,24 @@ def test_diff_source_trees_detects_all_kinds(tmp_path):
     assert diff_source_trees(build_index(old, "java", "old"), new) == changeset
 
 
+@pytest.mark.parametrize("old_as", ["directory", "index"])
+def test_diff_source_trees_carries_the_bytes_of_the_new_files_it_finds_changed_and_no_other(tmp_path, old_as):
+    old = write_tree(tmp_path / "old", {"Same.java": "class Same { }", "Changed.java": "class C { a(); }"})
+    new = write_tree(
+        tmp_path / "new",
+        {"Same.java": "class Same { }", "Changed.java": "class C { b(); }", "Fresh.java": "class F { }"},
+    )
+    before = {rel: os.stat(new / rel) for rel in ("Changed.java", "Fresh.java")}
+    changeset = diff_source_trees(old if old_as == "directory" else build_index(old, "java", "old"), new)
+    assert changeset == Changeset(added=("Fresh.java",), modified=("Changed.java",))
+    assert "contents" not in repr(changeset)
+    assert changeset.contents == {
+        rel: (code_index._stat_key(st), (new / rel).read_bytes()) for rel, st in before.items()
+    }
+    index = update_index(build_index(old, "java", "old"), changeset, tmp_path / "elsewhere", "new")
+    assert index == build_index(new, "java", "new")  # parsed from the bytes carried, not read again
+
+
 def test_source_paths_walk_finds_what_rglob_finds_in_path_order(tmp_path):
     names = [
         "a.java", "a-b/x.java", "a/x.java", "a/b/c.java", "A.java", "aa/x.java", ".java", "..java",

@@ -131,9 +131,8 @@ def test_version_store_update_reads_each_file_of_the_new_tree_and_none_of_the_ol
     monkeypatch.setattr(io, "open", counting_open)
     monkeypatch.setattr(builtins, "open", counting_open)
     store.build("v2", previous="v1")
-    changed = {"org/F0.java", "org/New.java"}
-    # once by the diff, once more by the parse of a changed file
-    assert reads == Counter({root / "v2" / rel: 1 + (rel in changed) for rel in v2})
+    # once, by the diff: the parse of a changed file takes the bytes it read
+    assert reads == Counter({root / "v2" / rel: 1 for rel in v2})
 
 
 @pytest.mark.parametrize("locked", ["org/F1.java", "org/Locked.java"])  # unchanged since v1; new in v2
@@ -238,9 +237,8 @@ def test_version_store_update_from_an_archive_opens_each_file_of_the_new_tree(tm
     assert store.get("v0")[0].stat_keys == {}  # no archive holds a key
     opened = count_opens(monkeypatch, repo)
     code, _ = store.build("v1", previous="v0")
-    changed = parsed_paths(diffs[0])
-    # once by the diff, once more by the parse of a changed file
-    assert opened == Counter({repo / "v1" / rel: 1 + (rel in changed) for rel in ds.trees[1]})
+    # once, by the diff: the parse of a changed file takes the bytes it read
+    assert opened == Counter({repo / "v1" / rel: 1 for rel in ds.trees[1]})
     assert diffs == [dataset_changeset(ds.changesets[0])] * 2
     assert code == building.get("v1")[0]
 
@@ -262,8 +260,8 @@ def test_version_store_chain_updates_by_stat_key_equal_full_diffs_and_builds(tmp
         full_diff = diff_source_trees(repo / ds.versions[i], repo / version)
         assert diffs[i] == full_diff == dataset_changeset(ds.changesets[i])
         assert code == build_index(repo / version, "java", version)
-    # by key, each update opens only the files it parses, twice each
-    assert opens == [2 * len(parsed_paths(d)) for d in diffs] and max(opens) < 120
+    # by key, each update opens only the files it parses, once each
+    assert opens == [len(parsed_paths(d)) for d in diffs] and max(opens) < 120
 
 
 def test_version_store_archives_cached(tmp_path):
@@ -739,7 +737,7 @@ def test_version_store_versions_loaded_from_archives_share_their_files(tmp_path,
     assert all(a is b for a, b in zip(embed0.chunks[-10:], embed1.chunks[-10:]))
     last = store.archive_paths(versions[-1])[1]
     packs = json.loads(last.read_text(encoding="utf-8").splitlines()[0])["packs"]
-    vector_keys = {key for (key,) in manifest_entries(last)}
+    vector_keys = {key for (key,) in store.objects.manifests[last].entries}  # a delta resolved
     held = [vector_keys & {key for key, _ in pack_index(cache / "objects" / name)} for name in packs]
     assert all(held) and set().union(*held) == vector_keys  # only the packs of its vector objects
 
@@ -767,16 +765,16 @@ def test_version_store_versions_loaded_from_archives_share_records_and_digests(t
     assert code2.digests["org/C.java"] != code1.digests["org/C.java"]
 
 
-# Computed with this code (code archive format 5, embedding archive format 5).
+# Computed with this code (code archive format 6, embedding archive format 6).
 # They also depend on the parser, the chunker, the hashing embedder and
 # perfbench/gen.py, so a change to any of them moves them.
 GOLDEN_MANIFESTS = {
-    "v0.code.jsonl": "035247795345b8484518f58252de9fbbad9c69582deb0edb191a599fa67d8c6c",
-    "v0.embed.jsonl": "59e47e751b72bdaf5a5c4b1f8bff2ac287e56be774f51f08c660d8a46ca0a2cf",
-    "v1.code.jsonl": "efad0d8414ce0107ae3ce343592ea86c064ba4fcbb4eeb7771fdfc936332d289",
-    "v1.embed.jsonl": "55339e9d6974d45a7796cb1f9e81275e5c5e1c51d40870dcfa7ccc85633d3e19",
-    "v2.code.jsonl": "7376965fb4742d78879ca64dd4746615e195eb161daffffc591ad7c972da4523",
-    "v2.embed.jsonl": "487a88aa12dcfcae0246312a2581857bb12a0ba2370aa47920f732bf91440a7b",
+    "v0.code.jsonl": "882513b8780566f07820aaee92ab50df800f8cec7033c780dd67cdcfd07853de",
+    "v0.embed.jsonl": "3ea912b8cfffe8203f2be3a77024ffac0b7c19ee9cc163aec1583b35af2a7b3e",
+    "v1.code.jsonl": "7ca97fa7dcb7413498de5c924bff348e7dbdb12ff9a9493b3bbed86cb62196d5",
+    "v1.embed.jsonl": "e9f9f8bbe136c84b7e9d63db0bb71ecc29a7ce343470e6eb85ac172918ac8083",
+    "v2.code.jsonl": "079474e39224e5fdf7191ae5be60866c1cc836c85fbc240c5f65a42f5c7fb3f5",
+    "v2.embed.jsonl": "5ce93bbf75a5dddb84b0e1025068fd9272a96328d655d91ce6adc96eda24ab5f",
 }
 GOLDEN_PACKS = [
     "1b0af99fd55686e22de82c5237a35177f389d782ab9e8309c0eaa703de43329e",
@@ -817,14 +815,14 @@ GOLDEN_CHAIN_FILES = {
         "cache-after-v2": "3a7462dc5502b592325680bd5aacbc96e6d7d2f5e0d2c01ad9e5574700d487cf",
         "cache-after-v3": "a7215537043687b16f8eb415936e976c75cafbb35c41313b888cd4b7778a3ca7",
         "cache-after-queries": "65514dc868454afd55b16fee764ce474111202e29b1e1793d35e1b6c1e5e552f",
-        "v0.code.jsonl": "221c13553a8474695310266467274c4eed5b385723b3e77879b00c6cf0a6260d",
-        "v0.embed.jsonl": "52ff746f35a9fdc479ea132a3784f568e6c14bfbd52de2c3b3de0c024c375f46",
-        "v1.code.jsonl": "d6eb039b21599a8f79b34e87ef9911fdd52b0a99b0ddf6a8d21748a976f5a7b1",
-        "v1.embed.jsonl": "df5537de6548a88c4d0b51c00cdfc2ad18eb3efcf54c871721dad0b16b6540de",
-        "v2.code.jsonl": "a9f9d4acd98372b9e155f1f02183984df0ced4f4532dbf3e90191d30184c39cd",
-        "v2.embed.jsonl": "596fb532a51586ff6149605640c07028b05676dd2473880b04dc552fb26bcc51",
-        "v3.code.jsonl": "29b108218ba289dc42757e848103d5969865242191066cba2e339df265ce1775",
-        "v3.embed.jsonl": "e6f6a72c7100a7e798ee8105dbbffb7b4e810abfede00d0a2e783e8144b86ef9",
+        "v0.code.jsonl": "ad1c63f6671e1f850bcda3a1811850e6e984b6cbdcd82e8048bf1cea614edaa3",
+        "v0.embed.jsonl": "270850a62ac22a97db5ff7621604c17399f72dca093e9e7113c18d0fea4d6e44",
+        "v1.code.jsonl": "15e6cd5e894b7865fd03fd064f53f37823c2dfc843dde18781aa7d7007321d97",
+        "v1.embed.jsonl": "069dff6735b15a6c17028479c187ff1ae1e741b0675fe0f552aa4c5d6b17eb44",
+        "v2.code.jsonl": "bd75c43fdc6d1a9451f887a01ac17d3e33f5a1004e0882062f94d66ca9b44cf8",
+        "v2.embed.jsonl": "33a17b18ad794a1ec68df66d51eac6a9f1e9916284d75cf7b543003b9ce45a6a",
+        "v3.code.jsonl": "28edb53357b37eb8d06107bc01a8b724619dce294572aeefbc0170d9eb780176",
+        "v3.embed.jsonl": "174631924a0f8315bcf8d8fbfd51b9149f8fc11b9ac793a5bd127d65f9c4e26b",
         "objects/135fb04d2edbfd1ea737c7aa8045dbffc450e950bb938239cb02b843edeae279": "135fb04d2edbfd1ea737c7aa8045dbffc450e950bb938239cb02b843edeae279",
         "objects/2aef4f57bf1d3641a4fcf4662cdfdaac4ed39ffedb04c6d4083fb7bbf536c0c7": "2aef4f57bf1d3641a4fcf4662cdfdaac4ed39ffedb04c6d4083fb7bbf536c0c7",
         "objects/31c791d91da5a443a16562cb4d593dcbfd7603a1d1e59a21f6e448b84a2608b0": "31c791d91da5a443a16562cb4d593dcbfd7603a1d1e59a21f6e448b84a2608b0",
@@ -840,14 +838,14 @@ GOLDEN_CHAIN_FILES = {
         "cache-after-v2": "913008cc34f72df91002d37cac960b462f9961861dccf3017bd972b1297677e2",
         "cache-after-v3": "eb51f7e23d9249dfad948c4fe8c2995b5422786f4db9c833fb1c81e04a83b54c",
         "cache-after-queries": "d2918034e1542189aa8007275483230236d7749ff85888db8c79d5be72d73595",
-        "v0.code.jsonl": "035247795345b8484518f58252de9fbbad9c69582deb0edb191a599fa67d8c6c",
-        "v0.embed.jsonl": "dcad12d7b7485edb7941745b38e9eb8ca6970f3ea4837b04912f39504070b151",
-        "v1.code.jsonl": "efad0d8414ce0107ae3ce343592ea86c064ba4fcbb4eeb7771fdfc936332d289",
-        "v1.embed.jsonl": "f85a0aecee3f8fd1aa027f852f809172ee521c573baa78c1cdb165a66aa6202e",
-        "v2.code.jsonl": "7376965fb4742d78879ca64dd4746615e195eb161daffffc591ad7c972da4523",
-        "v2.embed.jsonl": "b06145e40d48b4dc2de9c18fe15987d53494eef8d36d8e3c87d16c15d84f8cdd",
-        "v3.code.jsonl": "99100afc99f20b32de397f62280779cb338d9d47650c572e9ebfc1f59c640434",
-        "v3.embed.jsonl": "5681001929ee641c71b906cb1682b067f94951a07d003ab8790db5d33a433a3e",
+        "v0.code.jsonl": "882513b8780566f07820aaee92ab50df800f8cec7033c780dd67cdcfd07853de",
+        "v0.embed.jsonl": "17c81a5e4e40a47ae42266b1e897e6360115a240ae332718736e8ec4027ae98e",
+        "v1.code.jsonl": "7ca97fa7dcb7413498de5c924bff348e7dbdb12ff9a9493b3bbed86cb62196d5",
+        "v1.embed.jsonl": "42c61b8008a0f3f253e7ce874ca5925a9348cdbc00e3892c4542dd9b91c582b5",
+        "v2.code.jsonl": "079474e39224e5fdf7191ae5be60866c1cc836c85fbc240c5f65a42f5c7fb3f5",
+        "v2.embed.jsonl": "fd0b9a5e08bb48d6a1c1832146df15e935dd69fc601015b38996e4506e62e4c3",
+        "v3.code.jsonl": "d378f25fa9d3a80f029d6eccd3642197c502efd6269194b94e2d27a95a032a15",
+        "v3.embed.jsonl": "25161b8aedc41142c87892912aa6acac377bc64eb2ed3b64f01a979497261ef3",
         "objects/1d7b41c555e70d703cebad534602523e892392566409dc1d2677162779ff465f": "1d7b41c555e70d703cebad534602523e892392566409dc1d2677162779ff465f",
         "objects/4502ee3aeef71264d2acca67ff84cbb0898653f23d020e086abb4ba0234b3fc4": "4502ee3aeef71264d2acca67ff84cbb0898653f23d020e086abb4ba0234b3fc4",
         "objects/47e1723c4d88b4e49f8dc9edb31d2687716b306f55f8e33373b70d53bd11e05a": "47e1723c4d88b4e49f8dc9edb31d2687716b306f55f8e33373b70d53bd11e05a",
@@ -863,14 +861,14 @@ GOLDEN_CHAIN_FILES = {
         "cache-after-v2": "c0c7f56e50efd25bfaba50ee838ef83bb8b1f61346c3a4bcf1947447a32ac668",
         "cache-after-v3": "954e5d059def1b9fd837fafaaa957c22a4e303a7faca8d9a614a8ae371424765",
         "cache-after-queries": "c29afe6c5818d7e502eeac3c83b6a1c00a995f3014a2697da9b7535ce8322262",
-        "v0.code.jsonl": "b9f21a642c218e0898f6c88650200efd81be07edbeb592c8ad8554034dfb1690",
-        "v0.embed.jsonl": "34e8a1995c145d361b0044df61f48fcd267dd410a92875af505c5cbcab1a5498",
-        "v1.code.jsonl": "81fc189a5cf15502d5b48a86265c1ff7e44b4b127d23caa332af4ad774c20c5d",
-        "v1.embed.jsonl": "71eb801c50c9e0a78945b3f1c5ffdb614f863443216bce3c60ce4475f8b7f55b",
-        "v2.code.jsonl": "393e16c012b0a3ceee8dfba07b645ce4fa3e3fe09234d9e35cd38aa0fbc9f849",
-        "v2.embed.jsonl": "362abac2ad265722729ab095fdc7fbd8179ece21497f16df7043f4fb017843d0",
-        "v3.code.jsonl": "0d933d5b658345c4b66de18490c1998e1d06055f9ad94e8555e79b3d59f3c9cd",
-        "v3.embed.jsonl": "2bdc1d6c0390bfe8f005e83707b988df41ce2da09420f851cb98010ae0efde35",
+        "v0.code.jsonl": "e259290cc28a3e3f37799966c3bc970b23516c69461057b438f0b729ed6cd48e",
+        "v0.embed.jsonl": "17872748fe5e24d7e4d7305e4cbfafa68f2955cf5d42a50e866e8570415dc2c7",
+        "v1.code.jsonl": "c5eb948b22f29e31bcf01c67d8bb3fe23989e49d8d28e0b7a6035f9397e5f6d4",
+        "v1.embed.jsonl": "3eac7714e3f93d43a9bcb35a4762043476f68019a034cc6b38717d53e14729ed",
+        "v2.code.jsonl": "16c2489fb92ca43f7ecfaa55f2d6eb596d43b984161874d99405d9828a43b0b0",
+        "v2.embed.jsonl": "a2081bff8191b90ad677e5500e962f8c71089dd66f27c55d821e979557c73fb4",
+        "v3.code.jsonl": "84385a439e60a3b0767d94456400997beb9cdd20a89de2f2cd610823c07da5b1",
+        "v3.embed.jsonl": "602a5e2c07d64923536cb8c85b9503da19424d5feeb9b052ad9b998ab9dcf0a5",
         "objects/386bab5fe2bbb50631598f2d494a4cb09663c18107d5051e79610d650aaeda0a": "386bab5fe2bbb50631598f2d494a4cb09663c18107d5051e79610d650aaeda0a",
         "objects/5e3633ac39a7f171d190e191072ad3dc414e13c2f3d052f84f017f4f67c77307": "5e3633ac39a7f171d190e191072ad3dc414e13c2f3d052f84f017f4f67c77307",
         "objects/6ae61443c2c9cc6be1d4f033cf9cd001193d1cb24c8ddc9fdc4b0de210eab9fe": "6ae61443c2c9cc6be1d4f033cf9cd001193d1cb24c8ddc9fdc4b0de210eab9fe",
