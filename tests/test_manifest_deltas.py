@@ -1,9 +1,7 @@
 """Delta manifests: a version built from another is archived as the lines
 that changed, and every load resolves it to what a full manifest holds."""
 
-import builtins
 import hashlib
-import io
 import json
 import shutil
 from pathlib import Path
@@ -18,7 +16,7 @@ from bugloc.embedding import load_embedding_index, save_embedding_index
 from bugloc.harness import VersionStore
 from conftest import java_class, write_tree
 from test_harness import (
-    assert_old_archives_are_rebuilt, chain_of_versions, get_fresh, perfbench_gen, versioned_repo,
+    assert_old_archives_are_rebuilt, chain_of_versions, count_opens, get_fresh, perfbench_gen, versioned_repo,
 )
 
 SEEDS = [1, 3, 7]
@@ -126,7 +124,7 @@ def test_a_delta_on_a_manifest_the_store_holds_opens_no_other_manifest(chain, tm
     cache = copy_cache(chain, tmp_path)
     store = loading_store(repo, cache, monkeypatch)
     store.get(versions[0])
-    opened = count_bytes_opened(monkeypatch, cache)
+    opened = count_opens(monkeypatch, cache)
     for version in versions[1:]:
         opened.clear()
         store.get(version)
@@ -134,29 +132,16 @@ def test_a_delta_on_a_manifest_the_store_holds_opens_no_other_manifest(chain, tm
         assert manifests == {f"{version}.code.jsonl", f"{version}.embed.jsonl"}
 
 
-def count_bytes_opened(monkeypatch, under: Path) -> dict:
-    """path -> size, of each file under `under` opened from now on."""
-    opened, real_open = {}, io.open
-
-    def counting_open(file, *args, **kwargs):
-        if isinstance(file, (str, Path)) and Path(file).is_relative_to(under):
-            opened[Path(file)] = Path(file).stat().st_size
-        return real_open(file, *args, **kwargs)
-
-    monkeypatch.setattr(io, "open", counting_open)
-    monkeypatch.setattr(builtins, "open", counting_open)
-    return opened
-
-
 def test_a_fresh_store_reads_at_most_two_full_manifest_pairs_to_load_the_last_version(
     chain, tmp_path, monkeypatch
 ):
     repo, cache, versions, _ = chain
     store = loading_store(repo, cache, monkeypatch)
-    opened = count_bytes_opened(monkeypatch, cache)
+    opened = count_opens(monkeypatch, cache)
     store.get(versions[-1])
-    manifests = {p.name: size for p, size in opened.items() if p.suffix == ".jsonl"}
-    full_pair = sum((cache.parent / "full" / f"{versions[-1]}.{k}.jsonl").stat().st_size for k in ("code", "embed"))
+    manifests = {p.name: p.stat().st_size for p in opened if p.suffix == ".jsonl"}
+    full = cache.parent / "full"
+    full_pair = sum((full / f"{versions[-1]}.{kind}.jsonl").stat().st_size for kind in ("code", "embed"))
     # v11 is a delta on v10, on v9, a full manifest pair
     assert sorted(manifests) == sorted(f"{v}.{kind}.jsonl" for v in versions[-3:] for kind in ("code", "embed"))
     assert sum(manifests.values()) <= 2 * full_pair
@@ -221,7 +206,9 @@ def delta_pair(tmp_path):
     return root, cache
 
 
-@pytest.mark.parametrize("name", ["../v0.code.jsonl", "sub/v0.code.jsonl", "/v0.code.jsonl", "..", ".", "", "a\\b", "a\0"])
+@pytest.mark.parametrize(
+    "name", ["../v0.code.jsonl", "sub/v0.code.jsonl", "/v0.code.jsonl", "..", ".", "", "a\\b", "a\0"]
+)
 @pytest.mark.parametrize("field", ["base", "code"])
 def test_a_delta_naming_a_file_that_is_not_a_plain_name_beside_it_is_refused(tmp_path, caplog, name, field):
     root, cache = delta_pair(tmp_path)
