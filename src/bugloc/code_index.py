@@ -347,7 +347,9 @@ class ObjectPool:
     ArchiveFormatError; a damaged pack is unlinked and its objects are
     forgotten, so that the next save writes them again. A pool also keeps
     each manifest read or written through it (see `Manifest`), so that a
-    delta on one of them is written, and read, without reading it again.
+    delta on one of them is written, and read, without reading it again,
+    and the code index it saved last, which the embedding save that follows
+    makes its delta beside.
     """
 
     def __init__(self, directory: str | Path):
@@ -360,12 +362,10 @@ class ObjectPool:
         self._new: dict[str, bytes] = {}  # key -> bytes of an object in no pack yet
         self._made_from: dict[str, str] = {}  # key -> key of the object last interned as made from it
         self.manifests: dict[Path, Manifest] = {}  # path -> the manifest last read or written there
-        self.last_code: tuple[CodeIndex, Manifest] | None = None  # the index last saved or loaded, its manifest
+        self.last_code: tuple[CodeIndex, Manifest] | None = None  # the index last saved, its manifest
 
     def read(self, packs) -> None:
         """Make the objects of the packs a manifest names available."""
-        if not isinstance(packs, list):
-            raise ArchiveFormatError(f"no list of packs: {packs!r}")
         for name in packs:
             if name in self._read:
                 continue
@@ -527,11 +527,6 @@ class Manifest:
     chain: int = 0  # bytes of those deltas
     base: Manifest | None = None  # a delta's base
     lines: list = field(default_factory=list)  # a delta's own lines
-    pair: Manifest | None = None  # the other manifest of its version's archive pair, if known
-
-
-def pair_manifests(a: Manifest, b: Manifest) -> None:
-    a.pair, b.pair = b, a
 
 
 def archive_pool(path: str | Path, pool: ObjectPool | None) -> ObjectPool:
@@ -661,7 +656,7 @@ def _resolve_manifest(
     keeps at `path` under that digest, with no header; else the file, read.
 
     `seen` are the paths of the deltas above, of which it is a base; `apply`
-    gives a delta's entries and pair (see `read_manifest`). Raises
+    gives a delta's entries (see `read_manifest`). Raises
     ArchiveFormatError for a base that is missing, rewritten, a base of
     itself, or below MAX_DELTA_DEPTH deltas.
     """
@@ -687,14 +682,12 @@ def _resolve_manifest(
         _, base = _resolve_manifest(base_path, base_digest, magic, fmt, width, pool, fields, apply, (*seen, path))
         if base.depth >= MAX_DELTA_DEPTH:
             raise ArchiveFormatError(f"{path} ends a chain of more than {MAX_DELTA_DEPTH} deltas")
-        resolved, pair = apply(pool, base, header, entries, path)
+        resolved = apply(pool, base, header, entries, path)
         if len(resolved) != header["file_count"]:
             raise ArchiveFormatError(
                 f"{path} resolves to {len(resolved)} entries, its header says {header['file_count']!r}"
             )
         manifest = Manifest(path, got, resolved, base.depth + 1, base.chain + len(data), base, entries)
-        if pair is not None:
-            pair_manifests(manifest, pair)
     pool.manifests[path] = manifest
     return header, manifest
 
@@ -710,7 +703,7 @@ def read_manifest(
     A delta's base is the manifest the pool keeps at the base's path under
     the digest the delta records, else that file, read and resolved in turn.
     `apply(pool, base, header, lines, path)` gives the entries of a delta of
-    `lines` on manifest `base`, and the manifest to pair it with, if any.
+    `lines` on manifest `base`.
 
     Raises ArchiveFormatError unless the header names `magic` and `fmt` and
     passes the checks of `fields` (and of DELTA_FIELDS, in a delta), every
@@ -743,7 +736,7 @@ def _apply_code_delta(pool: ObjectPool, base: Manifest, header: dict, lines: lis
         raise ArchiveFormatError(f"{path} deletes a path its base does not hold")
     entries += [line for line in lines if len(line) > 1]
     entries.sort(key=itemgetter(0))  # two ascending runs: one merge
-    return entries, None
+    return entries
 
 
 def _code_delta(old: list, new: list) -> list:
@@ -796,14 +789,13 @@ def load_record(pool: ObjectPool, fq_path: str, key: str) -> SourceFileRecord:
     return record
 
 
-def load_code_index(
-    path: str | Path, pool: ObjectPool | None = None, base: CodeIndex | None = None
-) -> CodeIndex:
+def load_code_index(path: str | Path, pool: ObjectPool | None = None) -> CodeIndex:
     """The index a manifest lists, full or a delta resolved through `pool`
-    (see `read_manifest`), its records read through `pool`. Given a `base`,
-    say the index of the version before, a file that `base` records with the
-    same digest shares `base`'s digest string. Paths that do not ascend
-    strictly (a path repeated, say) are an ArchiveFormatError."""
+    (see `read_manifest`), its records read through `pool`. A delta on a
+    manifest the pool keeps shares that manifest's entries, so the files it
+    leaves unchanged share their digest strings with the base's index.
+    Paths that do not ascend strictly (a path repeated, say) are an
+    ArchiveFormatError."""
     pool = archive_pool(path, pool)
     header, entries = read_manifest(path, ARCHIVE_MAGIC, ARCHIVE_FORMAT, 3, pool, CODE_FIELDS, _apply_code_delta)
     paths = [entry[0] for entry in entries]
@@ -811,8 +803,5 @@ def load_code_index(
         following = next(b for a, b in zip(paths, paths[1:]) if a >= b)
         raise ArchiveFormatError(f"{path} lists {following!r} out of order or twice")
     files = {fq_path: load_record(pool, fq_path, key) for fq_path, key, _ in entries}
-    old = base.digests if base is not None else {}
-    digests = {fq_path: old[fq_path] if old.get(fq_path) == d else d for fq_path, _, d in entries}
-    index = CodeIndex(header["version_id"], files, header["grammar"], digests)
-    pool.last_code = index, pool.manifests[Path(path)]
-    return index
+    digests = {fq_path: d for fq_path, _, d in entries}
+    return CodeIndex(header["version_id"], files, header["grammar"], digests)

@@ -28,8 +28,8 @@ import numpy as np
 
 from .code_index import (
     DELTA_FIELDS, ArchiveFormatError, Changeset, CodeIndex, Manifest, ObjectPool, SourceFileRecord,
-    archive_pool, check_header, code_manifest, file_representation, pair_manifests, read_manifest,
-    store_record, write_manifest,
+    archive_pool, check_header, code_manifest, file_representation, read_manifest, store_record,
+    write_manifest,
 )
 from .embedders import EmbeddingProvider
 from .tokens import MAX_CHUNK_TOKENS, chunk_pattern
@@ -303,25 +303,23 @@ def _vector_entries(code: Manifest, base: Manifest, lines: list) -> list:
 
 
 def _apply_vector_delta(pool: ObjectPool, base: Manifest, header: dict, lines: list, path: Path):
-    """The entries of embedding delta `lines` on `base` (see `_vector_entries`),
-    and the code manifest its header names, which base's manifest must
-    pair with the base of."""
+    """The entries of embedding delta `lines` on `base`, which follows the
+    code delta its header names (see `_vector_entries`). Nothing here ties
+    base to that delta's base: on another base the entries get other keys,
+    which `load_embedding_index` refuses by their digest."""
     check_header(header, LINK_FIELDS, path, EMBED_ARCHIVE_MAGIC)
     code = code_manifest(path.parent / header.pop("code"), header.pop("code_digest"), pool)
     if code.base is None:
         raise ArchiveFormatError(f"{path} follows {code.path.name}, which is no delta")
-    if base.pair is None and len(base.entries) == len(code.base.entries):
-        pair_manifests(base, code.base)  # a full manifest read as a base lists the files of its pair
-    if base.pair is None or base.pair.digest != code.base.digest:
-        raise ArchiveFormatError(f"{path} is a delta on {base.path.name}, not made with {code.base.path.name}")
     try:
-        return _vector_entries(code, base, lines), code
+        return _vector_entries(code, base, lines)
     except (KeyError, ValueError) as exc:
         raise ArchiveFormatError(f"{path} does not fit the code delta it follows: {exc!r}") from None
 
 
 def save_embedding_index(
-    eindex: EmbeddingIndex, path: str | Path, code: CodeIndex, pool: ObjectPool | None = None
+    eindex: EmbeddingIndex, path: str | Path, code: CodeIndex, pool: ObjectPool | None = None,
+    base: str | Path | None = None,
 ) -> None:
     """Write the vector objects, and the records of `code` (which must hold
     the same files), not stored yet as a pack, then the manifest: a header
@@ -329,11 +327,12 @@ def save_embedding_index(
     objects' packs, `_files_digest`) and a `[vector key]` line per file in
     path order. A file whose chunks and rows are stored is not encoded again.
 
-    Saved through the pool that last saved or loaded `code`'s manifest, when
-    that manifest is a delta on one the pool keeps with its embedding
-    manifest, the manifest is a delta on that embedding manifest (see
-    `write_manifest`): the lines of the files the code delta adds or
-    changes, in its order, and the code manifest named in the header.
+    Given `base`, the path of an embedding manifest the pool read or wrote,
+    say that of the version `code` was updated from, and saved through the
+    pool that last saved `code` as a delta beside it, the manifest is a
+    delta on base (see `write_manifest`): the lines of the files the code
+    delta adds or changes, in its order, and the code manifest named in the
+    header. It is full unless those lines resolved on base give its entries.
     """
     if eindex.file_paths != code.sorted_paths():
         raise ValueError("the embedding index and the code index hold other files")
@@ -354,20 +353,18 @@ def save_embedding_index(
     }
     entries = [[key] for key in vector_keys]
     follows = pool.last_code[1] if pool.last_code is not None and pool.last_code[0] is code else None
-    base = delta = links = None
-    if follows is not None and follows.base is not None and follows.base.pair is not None:
+    known = pool.manifests.get(Path(base)) if base is not None else None
+    delta = links = None
+    if known is not None and follows is not None and follows.base is not None:
         refreshed = {line[0] for line in follows.lines if len(line) > 1}
         lines = [entry for fq_path, entry in zip(eindex.file_paths, entries) if fq_path in refreshed]
         try:
-            fits = _vector_entries(follows, follows.base.pair, lines) == entries
+            fits = _vector_entries(follows, known, lines) == entries
         except (KeyError, ValueError):
             fits = False
         if fits and follows.path.parent == Path(path).parent:
-            base, delta = follows.base.pair, lines
-            links = {"code": follows.path.name, "code_digest": follows.digest}
-    manifest = write_manifest(path, header, entries, pool, vector_keys, base, delta, links)
-    if follows is not None:
-        pair_manifests(manifest, follows)
+            delta, links = lines, {"code": follows.path.name, "code_digest": follows.digest}
+    write_manifest(path, header, entries, pool, vector_keys, known, delta, links)
 
 
 def load_embedding_index(path: str | Path, code: CodeIndex, pool: ObjectPool | None = None) -> EmbeddingIndex:
@@ -376,8 +373,9 @@ def load_embedding_index(path: str | Path, code: CodeIndex, pool: ObjectPool | N
     through `pool`, their chunks cut from the records of `code`, the rows
     joined by one concatenation in path order. A manifest whose digest is
     not the `_files_digest` of `code` and its keys (a save cut short between
-    the two manifests, a line swapped, dropped or added) is an
-    ArchiveFormatError before any vector object is decoded."""
+    the two manifests, a line swapped, dropped or added, a delta resolved on
+    a base it was not made on) is an ArchiveFormatError before any vector
+    object is decoded."""
     pool = archive_pool(path, pool)
     header, entries = read_manifest(
         path, EMBED_ARCHIVE_MAGIC, EMBED_ARCHIVE_FORMAT, 1, pool, EMBED_FIELDS, _apply_vector_delta
@@ -385,9 +383,6 @@ def load_embedding_index(path: str | Path, code: CodeIndex, pool: ObjectPool | N
     made_by = header["dimension"], header["provider_id"], header["chunk_limit"]
     if header["digest"] != _files_digest(pool, code, [key for (key,) in entries]):
         raise ArchiveFormatError("its embedding archive was made from other files than its code archive")
-    manifest = pool.manifests[Path(path)]
-    if manifest.pair is None and pool.last_code is not None and pool.last_code[0] is code:
-        pair_manifests(manifest, pool.last_code[1])
     chunks: list[Chunk] = []
     blocks = []
     for fq_path, (vector_key,) in zip(code.sorted_paths(), entries):

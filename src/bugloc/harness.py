@@ -105,9 +105,8 @@ class VersionStore:
         provider = self.embedding_provider
         if provider is not None and not archives[1].exists():
             return None
-        last = self._built.get(self._last_version)
         try:
-            code = load_code_index(archives[0], pool=self.objects, base=last and last[0])
+            code = load_code_index(archives[0], pool=self.objects)
             embed = None if provider is None else load_embedding_index(archives[1], code, pool=self.objects)
         except ArchiveFormatError as exc:
             reason = str(exc)
@@ -151,10 +150,12 @@ class VersionStore:
         `previous`'s code index, so `previous`'s tree is never read and need
         not exist, nor is a file whose stat key still equals the one that
         index recorded (see `diff_source_trees`). With no change, the
-        indexes of `previous` are shared under the new label. The archives
-        of an incremental build are deltas on those of `previous` where the
-        chain rule of `write_manifest` allows. A build that raises memoizes
-        nothing and writes no archive.
+        indexes of `previous` are shared under the new label. Both saves of
+        an incremental build are given the manifest of `previous` of their
+        kind as a base, and are deltas on it where the chain rule of
+        `write_manifest` allows and, for the embedding manifest, where its
+        lines resolved on that base give its entries. A build that raises
+        memoizes nothing and writes no archive.
         """
         tree = self.resolve_tree(version_id)
         prev = self._lookup(previous) if previous else None
@@ -177,10 +178,10 @@ class VersionStore:
         self._last_version = version_id
         archives = self.archive_paths(version_id)
         if archives:
-            base = self.archive_paths(base_version)[0] if base_version is not None else None
-            save_code_index(code, archives[0], pool=self.objects, base=base)
+            base_code, base_embed = self.archive_paths(base_version) if base_version is not None else (None, None)
+            save_code_index(code, archives[0], pool=self.objects, base=base_code)
             if embed is not None:
-                save_embedding_index(embed, archives[1], code, pool=self.objects)
+                save_embedding_index(embed, archives[1], code, pool=self.objects, base=base_embed)
 
 
 def fit_localizers(bugs: list[BugReport], make_localizer, store: VersionStore) -> list[BaseLocalizer]:

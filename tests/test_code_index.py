@@ -303,7 +303,7 @@ def test_a_version_reads_no_methods_until_its_locator_or_name_table_is_read(tmp_
     pool = ObjectPool(tmp_path / "objects")
     read.clear()  # the saves encoded every record
     loaded0 = load_code_index(tmp_path / "v0.jsonl", pool=pool)
-    loaded1 = load_code_index(tmp_path / "v1.jsonl", pool=pool, base=loaded0)
+    loaded1 = load_code_index(tmp_path / "v1.jsonl", pool=pool)
     assert not read
 
     tables = ("method_locator", "name_table")

@@ -488,7 +488,7 @@ def test_version_store_rebuilds_archives_of_the_formats_that_stored_derived_fiel
     assert_old_archives_are_rebuilt(tmp_path, caplog, monkeypatch, old, 4, 3, patches)
 
 
-def save_format4_embedding_index(eindex, path, code, pool):
+def save_format4_embedding_index(eindex, path, code, pool, base=None):
     """An embedding archive as format 4 wrote it: the header names the
     version and no digest, the packs of the record objects too, and each
     line is [fq_path, record key, vector key]."""

@@ -9,10 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bugloc import code_index, harness
-from bugloc.code_index import ArchiveFormatError, ObjectPool, load_code_index, save_code_index
+from bugloc import code_index, embedding, harness
+from bugloc.code_index import (
+    ArchiveFormatError, Changeset, ObjectPool, load_code_index, save_code_index, update_index,
+)
 from bugloc.embedders import HashingEmbedder
-from bugloc.embedding import load_embedding_index, save_embedding_index
+from bugloc.embedding import load_embedding_index, save_embedding_index, update_embeddings
 from bugloc.harness import VersionStore
 from conftest import java_class, write_tree
 from test_harness import (
@@ -195,11 +197,12 @@ def test_a_chain_deeper_than_the_depth_cap_is_written_full_and_refused_on_read(t
     assert code == store.get("v2")[0]
 
 
-def delta_pair(tmp_path):
-    """A store's archives of v0 (full) and v1 (a delta on it), 20 files."""
+def delta_pair(tmp_path, n_versions=2):
+    """A store's archives of v0 (full) and v1 (a delta on it), 20 files,
+    then of each later version, a delta on the one before."""
     root, cache = tmp_path / "repo", tmp_path / "cache"
     store = VersionStore(root, embedding_provider=HashingEmbedder(16), cache_dir=cache)
-    for version in chain_of_versions(root, 2, 20):
+    for version in chain_of_versions(root, n_versions, 20):
         store.get(version)
     assert header_of(cache / "v1.code.jsonl")["base"] == "v0.code.jsonl"
     assert header_of(cache / "v1.embed.jsonl")["base"] == "v0.embed.jsonl"
@@ -230,6 +233,79 @@ def test_a_delta_whose_chain_loops_is_refused(tmp_path, caplog):
     code, _ = get_fresh(root, cache, "v1", caplog)
     assert f"ignoring the archive of v1: {v1} is a base of itself" in caplog.text
     assert len(code.files) == 20
+
+
+def packs_of(cache):
+    return {p.name: p.read_bytes() for p in (cache / "objects").iterdir()}
+
+
+def fresh_build(root, version):
+    return VersionStore(root, embedding_provider=HashingEmbedder(16)).get(version)
+
+
+@pytest.mark.parametrize("first", [[], ["v0"]], ids=["v2 alone", "v0 then v2"])
+def test_an_embedding_delta_on_another_versions_base_is_refused_before_any_decode(
+    tmp_path, monkeypatch, caplog, first
+):
+    root, cache = delta_pair(tmp_path, 3)
+    manifest, v0 = cache / "v2.embed.jsonl", cache / "v0.embed.jsonl"
+    base_digest = hashlib.sha256(v0.read_bytes()).hexdigest()
+    write_header(manifest, dict(header_of(manifest), base=v0.name, base_digest=base_digest))
+    packs = packs_of(cache)
+    store = VersionStore(root, embedding_provider=HashingEmbedder(16), cache_dir=cache)
+    for version in first:
+        store.get(version)
+    decoded, decode = [], embedding._decode_vectors
+    monkeypatch.setattr(embedding, "_decode_vectors", lambda *args: decoded.append(args) or decode(*args))
+    with caplog.at_level("WARNING", logger="bugloc.harness"):
+        got = store.get("v2")
+    assert "ignoring the archive of v2" in caplog.text
+    assert decoded == []
+    assert {name: data for name, data in packs_of(cache).items() if name in packs} == packs
+    assert_same_version(got, fresh_build(root, "v2"))
+
+
+def test_an_embedding_delta_that_follows_a_full_code_manifest_is_refused(tmp_path, caplog):
+    root, cache = delta_pair(tmp_path, 3)
+    manifest, v0 = cache / "v2.embed.jsonl", cache / "v0.code.jsonl"
+    code_digest = hashlib.sha256(v0.read_bytes()).hexdigest()
+    write_header(manifest, dict(header_of(manifest), code=v0.name, code_digest=code_digest))
+    packs = packs_of(cache)
+    got = get_fresh(root, cache, "v2", caplog)
+    assert f"ignoring the archive of v2: {manifest} follows {v0.name}, which is no delta" in caplog.text
+    assert {name: data for name, data in packs_of(cache).items() if name in packs} == packs
+    assert_same_version(got, fresh_build(root, "v2"))
+
+
+@pytest.mark.parametrize("wrong", ["another version's", "one of other files"])
+def test_an_embedding_save_on_a_base_its_code_delta_does_not_follow_is_full(tmp_path, wrong):
+    root, cache = delta_pair(tmp_path, 3)
+    store = VersionStore(root, embedding_provider=HashingEmbedder(16))
+    (code0, embed0), (code1, embed1), (code2, embed2) = map(store.get, ("v0", "v1", "v2"))
+    out = tmp_path / "out"
+    pool = ObjectPool(out / "objects")
+
+    def at(version, kind):
+        return out / f"{version}.{kind}.jsonl"
+
+    save_code_index(code0, at("v0", "code"), pool=pool)
+    save_embedding_index(embed0, at("v0", "embed"), code0, pool=pool)
+    save_code_index(code1, at("v1", "code"), pool=pool, base=at("v0", "code"))
+    save_embedding_index(embed1, at("v1", "embed"), code1, pool=pool, base=at("v0", "embed"))
+    wrong_base = at("v0", "embed")
+    if wrong == "one of other files":  # v0 but a file: lines for 20 files do not lie on it
+        gone = Changeset(deleted=(code0.sorted_paths()[0],))
+        small = update_index(code0, gone, root / "v0", "small")
+        wrong_base = at("small", "embed")
+        save_embedding_index(update_embeddings(embed0, gone, small, HashingEmbedder(16)), wrong_base, small, pool)
+    save_code_index(code2, at("v2", "code"), pool=pool, base=at("v1", "code"))
+    save_embedding_index(embed2, at("v2", "embed"), code2, pool=pool, base=wrong_base)
+    assert "base" not in header_of(at("v2", "embed"))
+    fresh = ObjectPool(out / "objects")
+    loaded = load_code_index(at("v2", "code"), pool=fresh)
+    assert_same_version((loaded, load_embedding_index(at("v2", "embed"), loaded, pool=fresh)), (code2, embed2))
+    save_embedding_index(embed2, at("v2", "embed"), code2, pool=pool, base=at("v1", "embed"))
+    assert at("v2", "embed").read_bytes() == (cache / "v2.embed.jsonl").read_bytes()
 
 
 def test_an_unchanged_version_is_an_empty_delta(tmp_path):
