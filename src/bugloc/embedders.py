@@ -7,11 +7,15 @@ wraps any provider with a persistent (provider_id, content-hash) cache of one
 row per text, so re-runs cost zero provider calls. The cache file is one JSON
 object. A provider call that misses writes its new entries, and only those,
 over the closing brace at the file's current end, so the file grows in place,
-as a log does; the first miss creates the file atomically. An append cut
-short leaves the file without its closing brace: a load keeps the entries
-before the damage and warns, and the next miss rewrites the file whole,
-atomically, from the entries in memory. Two processes appending to one cache
-file at the same moment are not supported.
+as a log does; the first miss creates the file atomically. One reader loads
+whole and damaged files alike, one entry at a time, so a load holds at most
+the file's bytes plus the rows it keeps. An append cut short leaves the file
+without its closing brace: a load keeps the entries before the damage and
+warns, and the next miss rewrites the file whole, atomically, from the
+entries in memory. A row whose length is not the provider's dimension is left
+out with one warning, so its text is a miss; a remote provider's id names its
+model but not its dimension, so one file may hold rows of two lengths. Two
+processes appending to one cache file at the same moment are not supported.
 """
 
 from __future__ import annotations
@@ -186,7 +190,7 @@ class CachedEmbedder(EmbeddingProvider):
         self._damaged = False  # the file read was not whole, so the next save rewrites it
         self._lock = threading.Lock()  # guards _cache, _damaged and the cache file
         if self.cache_path and self.cache_path.exists():
-            self._cache, self._damaged = _read_cache(self.cache_path)
+            self._cache, self._damaged = _read_cache(self.cache_path, self.dimension)
 
     def _key(self, text: str) -> str:
         digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -233,11 +237,15 @@ class CachedEmbedder(EmbeddingProvider):
 
 
 _TAIL_BYTES = 4096  # read back from a cache file's end to find its closing brace
-# A cache file's opening brace, one entry (a string key, then a list that
-# holds no list) as its writer spaces it or as any JSON writer may, and a comma.
+# A cache file's opening brace; the key of one entry up to the bracket that
+# opens its row, as its writer spaces them or as any JSON writer may (a row
+# holds no list, so it ends at the next "]"); a comma; and the closing brace
+# that ends a whole file.
 _CACHE_OPEN = re.compile(rb"\s*\{")
-_CACHE_ENTRY = re.compile(rb'\s*("(?:[^"\\]|\\.)*")\s*:\s*(\[[^\]]*\])')
+_CACHE_ENTRY = re.compile(rb'\s*("[^"\\]*(?:\\.[^"\\]*)*")\s*:\s*(?=\[)')
 _CACHE_COMMA = re.compile(rb"\s*,")
+_CACHE_CLOSE = re.compile(rb"\s*\}\s*")
+_decode = json.JSONDecoder().raw_decode  # json.loads of text that holds one value and nothing more
 
 
 def _encode_entries(entries) -> bytes:
@@ -245,25 +253,35 @@ def _encode_entries(entries) -> bytes:
     return ", ".join(f"{json.dumps(key)}: {json.dumps(vec.tolist())}" for key, vec in entries).encode()
 
 
-def _read_cache(path: Path) -> tuple[dict[str, np.ndarray], bool]:
-    """The rows of a cache file by key, and whether the file was damaged. Of
-    a file cut short, as an append that did not finish leaves it, or damaged
-    in one entry, the entries before the first that is not whole are kept,
-    with a warning."""
+def _read_cache(path: Path, dimension: int) -> tuple[dict[str, np.ndarray], bool]:
+    """The rows of a cache file by key, and whether the file was damaged.
+
+    The file is read one entry at a time, so a load holds at most the file's
+    bytes and the rows it keeps. A key written twice keeps its first position
+    and its last row, as `json.loads` would give them. A row whose length is
+    not `dimension` is left out, with one warning, and does not replace a row
+    read before it. Of a file cut short, as an append that did not finish
+    leaves it, or damaged in one entry, the entries before the first that is
+    not whole are kept, with a warning."""
     data = path.read_bytes()
-    try:
-        return {key: np.array(vec, dtype=np.float64) for key, vec in json.loads(data).items()}, False
-    except (AttributeError, TypeError, ValueError, RecursionError):  # AttributeError: not an object
-        pass
-    rows = {}
+    rows, other = {}, 0
     opened = _CACHE_OPEN.match(data)
-    at = opened and opened.end()
-    while at and (entry := _CACHE_ENTRY.match(data, at)):
+    at = end = opened and opened.end()  # where the next entry starts; where the last whole one ends
+    while at and (entry := _CACHE_ENTRY.match(data, at)) and (row_end := data.find(b"]", entry.end()) + 1):
         try:
-            rows[json.loads(entry[1])] = np.array(json.loads(entry[2]), dtype=np.float64)
-        except (TypeError, ValueError):
+            key = _decode(entry[1].decode())[0]
+            row = np.array(_decode(data[entry.end() : row_end].decode())[0], dtype=np.float64)
+        except (TypeError, ValueError, RecursionError):
             break
-        comma = _CACHE_COMMA.match(data, entry.end())
+        if row.shape == (dimension,):
+            rows[key] = row
+        else:
+            other += 1
+        comma = _CACHE_COMMA.match(data, end := row_end)
         at = comma and comma.end()
+    if other:
+        logger.warning("embedding cache %s: %d rows whose length is not %d are left out", path, other, dimension)
+    if end and _CACHE_CLOSE.fullmatch(data, end):
+        return rows, False
     logger.warning("embedding cache %s is damaged; %d entries before the damage are kept", path, len(rows))
     return rows, True

@@ -1,4 +1,5 @@
 import builtins
+import gc
 import hashlib
 import importlib
 import json
@@ -7,6 +8,7 @@ import os
 import random
 import sys
 import threading
+import tracemalloc
 from functools import partial
 from pathlib import Path
 
@@ -695,6 +697,100 @@ def test_cached_embedders_that_share_a_file_keep_each_others_entries(tmp_path, s
     assert list(reopened._cache) == [reopened._key(text) for text in texts]
     for text in texts:
         assert reopened._cache[reopened._key(text)].tolist() == HashingEmbedder(8).embed(text).tolist()
+
+
+class RandomRows:
+    """Dense random rows from a seeded generator, as a model's embeddings
+    are, under one provider id whatever the dimension."""
+
+    provider_id = "random"
+
+    def __init__(self, dimension, seed=0):
+        self.dimension = dimension
+        self.rng = np.random.default_rng(seed)
+        self.calls = 0
+
+    def embed_batch(self, texts):
+        self.calls += 1
+        return self.rng.standard_normal((len(texts), self.dimension))
+
+
+def cache_by_the_embedder(cache_file):
+    CachedEmbedder(RandomRows(8), cache_file).embed_batch(["alpha", "beta gamma", "delta"])
+
+
+def cache_by_json_dumps(cache_file):
+    rows = RandomRows(8).embed_batch(["alpha", "beta"])
+    cache_file.write_text(json.dumps({f"random:{i}": row.tolist() for i, row in enumerate(rows)}, indent=2))
+
+
+def empty_cache(cache_file):
+    cache_file.write_text("{}")
+
+
+def cache_with_a_key_written_twice(cache_file):
+    first, second = CachedEmbedder(RandomRows(8, seed=1), cache_file), CachedEmbedder(RandomRows(8, seed=2), cache_file)
+    first.embed("one")
+    second.embed("two")
+    first.embed_batch(["three", "two"])  # "two" again, with another row
+    assert cache_file.read_text(encoding="utf-8").count(first._key("two")) == 2
+
+
+@pytest.mark.parametrize(
+    "write", [cache_by_the_embedder, cache_by_json_dumps, empty_cache, cache_with_a_key_written_twice]
+)
+def test_cached_embedder_reads_a_whole_file_as_json_loads_does(tmp_path, caplog, write):
+    cache_file = tmp_path / "cache.json"
+    write(cache_file)
+    with caplog.at_level("WARNING", logger="bugloc.embedders"):
+        provider = CachedEmbedder(RandomRows(8), cache_file)
+    assert caplog.text == ""
+    want = json.loads(cache_file.read_bytes())
+    assert list(provider._cache) == list(want)
+    assert [row.tobytes() for row in provider._cache.values()] == [
+        np.array(row, dtype=np.float64).tobytes() for row in want.values()
+    ]
+    assert not provider._damaged
+
+
+def test_cached_embedder_load_holds_at_most_the_files_bytes_and_the_rows_it_keeps(tmp_path):
+    cache_file = tmp_path / "cache.json"
+    CachedEmbedder(RandomRows(128), cache_file).embed_batch([f"text {i}" for i in range(2000)])
+    inner = RandomRows(128)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        provider = CachedEmbedder(inner, cache_file)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(provider._cache) == 2000
+    assert peak < cache_file.stat().st_size + 1.5 * held, (peak, held)
+
+
+def test_cached_rows_of_another_length_are_misses(tmp_path, caplog):
+    cache_file = tmp_path / "cache.json"
+    wide = CachedEmbedder(RandomRows(4), cache_file).embed_batch(["alpha", "beta"])
+    inner = RandomRows(3, seed=1)
+    with caplog.at_level("WARNING", logger="bugloc.embedders"):
+        narrow = CachedEmbedder(inner, cache_file)
+    assert narrow._cache == {}
+    assert "2 rows whose length is not 3 are left out" in caplog.text
+    assert "damaged" not in caplog.text
+    assert narrow.embed_batch(["alpha"]).shape == (1, 3)
+    hit_and_miss = narrow.embed_batch(["alpha", "gamma"])
+    assert hit_and_miss.shape == (2, 3)
+    assert inner.calls == 2
+    # The file now holds alpha and beta at 4, then alpha and gamma at 3.
+    for dimension, texts, want in [(4, ["alpha", "beta"], wide), (3, ["alpha", "gamma"], hit_and_miss)]:
+        caplog.clear()
+        inner = RandomRows(dimension, seed=2)
+        with caplog.at_level("WARNING", logger="bugloc.embedders"):
+            reader = CachedEmbedder(inner, cache_file)
+        assert f"2 rows whose length is not {dimension} are left out" in caplog.text
+        assert list(reader._cache) == [reader._key(text) for text in texts]
+        assert reader.embed_batch(texts).tolist() == want.tolist()
+        assert inner.calls == 0
 
 
 # --- index build / shortlist / update -------------------------------------
