@@ -335,8 +335,10 @@ def diff_source_trees(
 
 
 class ObjectPool:
-    """Content-addressed objects, each named by the sha256 of its bytes, kept
-    in packs: files under `directory`, beside the manifests that list them.
+    """Objects kept in packs: files under `directory`, beside the manifests
+    that list them. A record object is named by the sha256 of its bytes; a
+    vector object by what it was made from (see `embedding._namer`), so
+    that a manifest can derive its names instead of listing them.
 
     A save stores the objects the pool does not hold yet as one new pack,
     itself named by the sha256 of its bytes, so a first save makes one file,
@@ -346,10 +348,8 @@ class ObjectPool:
     missing, fails its digest or holds an object that does not decode is an
     ArchiveFormatError; a damaged pack is unlinked and its objects are
     forgotten, so that the next save writes them again. A pool also keeps
-    each manifest read or written through it (see `Manifest`), so that a
-    delta on one of them is written, and read, without reading it again,
-    and the code index it saved last, which the embedding save that follows
-    makes its delta beside.
+    each code manifest read or written through it (see `Manifest`), so that
+    a delta on one of them is written, and read, without reading it again.
     """
 
     def __init__(self, directory: str | Path):
@@ -360,9 +360,7 @@ class ObjectPool:
         self._pack_of: dict[str, str] = {}  # key -> name of a pack on disk that holds it
         self._unread: dict[str, bytes] = {}  # key -> bytes read from a pack, not decoded yet
         self._new: dict[str, bytes] = {}  # key -> bytes of an object in no pack yet
-        self._made_from: dict[str, str] = {}  # key -> key of the object last interned as made from it
         self.manifests: dict[Path, Manifest] = {}  # path -> the manifest last read or written there
-        self.last_code: tuple[CodeIndex, Manifest] | None = None  # the index last saved, its manifest
 
     def read(self, packs) -> None:
         """Make the objects of the packs a manifest names available."""
@@ -390,14 +388,11 @@ class ObjectPool:
                 if key not in self._values:
                     self._unread[key] = data
 
-    def get(self, key: str, decode, source: str | None = None):
+    def get(self, key: str, decode):
         """The value of object `key`: passed to `decode` on first use, the
-        interned value after. `source` is the key of the object it was made
-        from, if any (see `made_from`)."""
+        interned value after."""
         value = self._values.get(key)
         if value is not None:
-            if source is not None:
-                self._made_from[source] = key
             return value
         data = self._unread.pop(key, None)
         if data is None:
@@ -407,33 +402,26 @@ class ObjectPool:
         except (KeyError, TypeError, ValueError, RecursionError) as exc:
             self._drop(self._pack_of[key])
             raise ArchiveFormatError(f"object {key} is damaged: {exc}") from None
-        return self._intern(key, value, source)
+        return self._intern(key, value)
 
-    def put(self, data: bytes, value=None, source: str | None = None) -> str:
-        """The key of `data`, kept for the next pack unless it is stored; a
-        `value` given is interned as its value, made from object `source`."""
-        key = hashlib.sha256(data).hexdigest()
+    def put(self, data: bytes, value=None, name: str | None = None) -> str:
+        """The key of `data`, `name` or else the sha256 of the bytes, which
+        are kept for the next pack unless the key is stored; a `value` given
+        is interned as its value."""
+        key = name or hashlib.sha256(data).hexdigest()
         if key not in self._pack_of:
             self._new.setdefault(key, data)
         if value is not None:
-            self._intern(key, value, source)
+            self._intern(key, value)
         return key
 
     def key(self, value, encode) -> str:
         """The key of `value`'s object, stored by `put(encode(value))` unless
         `value` is interned and stored already."""
         key = self._keys.get(id(value))
-        if key is None or not self._stored(key):
+        if key is None or not self.stored(key):
             key = self.put(encode(value), value)
         return key
-
-    def made_from(self, source: str):
-        """The key and interned value of the object last read or stored as
-        made from object `source`, if it is stored; else None."""
-        key = self._made_from.get(source)
-        if key is None or not self._stored(key):
-            return None
-        return key, self._values[key]
 
     def pack(self, keys) -> list[str]:
         """Write the objects put since the last pack as one new pack, if there
@@ -449,14 +437,13 @@ class ObjectPool:
             self._new = {}
         return sorted({self._pack_of[key] for key in keys})
 
-    def _stored(self, key: str) -> bool:
+    def stored(self, key: str) -> bool:
+        """Whether object `key` is in a pack on disk, or kept for the next."""
         return key in self._pack_of or key in self._new
 
-    def _intern(self, key: str, value, source: str | None = None):
+    def _intern(self, key: str, value):
         interned = self._values.setdefault(key, value)
         self._keys[id(interned)] = key
-        if source is not None:
-            self._made_from[source] = key
         return interned
 
     def _drop(self, pack: str) -> None:
@@ -516,17 +503,15 @@ def _decode_record(data: bytes) -> SourceFileRecord:
 
 @dataclass(eq=False)
 class Manifest:
-    """A manifest as a pool keeps it once read or written: the sha256 of its
-    bytes, the entries of the version it resolves to, and the deltas below
-    it down to a full manifest."""
+    """A code manifest as a pool keeps it once read or written: the sha256
+    of its bytes, the entries of the version it resolves to, and the size
+    of the chain of deltas below it down to a full manifest."""
 
     path: Path
     digest: str
     entries: list
     depth: int = 0  # deltas from this manifest down to a full one
     chain: int = 0  # bytes of those deltas
-    base: Manifest | None = None  # a delta's base
-    lines: list = field(default_factory=list)  # a delta's own lines
 
 
 def archive_pool(path: str | Path, pool: ObjectPool | None) -> ObjectPool:
@@ -551,6 +536,29 @@ def check_header(header: dict, fields: dict, path: Path, magic: str) -> None:
             continue
         label = magic.removeprefix("bugloc-").replace("-", " ")
         raise ArchiveFormatError(f"unusable {label} archive {path}: its header has no {name!r} of its type")
+
+
+def read_header(path: Path, magic: str, fmt: int, fields: dict) -> tuple[dict, io.StringIO, bytes]:
+    """The header line of the manifest at `path`, the rest of its text, to
+    be read as a text-mode read splits lines, and its bytes. An
+    ArchiveFormatError unless the file is UTF-8 and its header a JSON object
+    that names `magic` and `fmt` and has `fields` (see `check_header`)."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = io.StringIO(data.decode("utf-8"), newline=None)
+    except UnicodeDecodeError as exc:
+        raise ArchiveFormatError(f"unreadable manifest {path}: {exc}") from None
+    try:
+        header = json.loads(text.readline())
+    except (ValueError, RecursionError):
+        raise ArchiveFormatError(f"no archive header in {path}") from None
+    if not isinstance(header, dict) or header.get("magic") != magic:
+        raise ArchiveFormatError(f"bad magic header in {path}")
+    if header.get("format") != fmt:
+        raise ArchiveFormatError(f"unsupported archive format {header.get('format')!r} in {path}")
+    check_header(header, fields, path, magic)
+    return header, text, data
 
 
 def _manifest_bytes(header: dict, entries: list) -> bytes:
@@ -578,55 +586,40 @@ def write_manifest(
     keys: list[str],
     base: Manifest | None = None,
     delta: list | None = None,
-    links: dict | None = None,
-) -> Manifest:
+) -> None:
     """The objects put into `pool` as a new pack, then the manifest: the
     header with the packs that hold the objects `keys` names, and one JSON
-    list of strings per entry. The pool keeps the manifest, which it returns.
+    list of strings per entry. The pool keeps the manifest.
 
     Given `base`, another manifest in the same directory, and `delta`, the
     lines that turn its entries into `entries`, the manifest is a delta
-    instead: its header also names base's file and digest, and holds
-    `links`. It stays full when base ends a chain of MAX_DELTA_DEPTH deltas,
-    or when the deltas of the chain would hold more bytes than the full
-    manifest.
+    instead: its header also names base's file and digest. It stays full
+    when base ends a chain of MAX_DELTA_DEPTH deltas, or when the deltas of
+    the chain would hold more bytes than the full manifest.
     """
     path = Path(path)
     header = dict(header, packs=pool.pack(keys))
     manifest = Manifest(path, "", entries)
     beside = delta is not None and base.path != path and base.path.parent == path.parent
     if beside and base.depth < MAX_DELTA_DEPTH:
-        on_base = dict(header, base=base.path.name, base_digest=base.digest, **(links or {}))
-        data = _manifest_bytes(on_base, delta)
+        data = _manifest_bytes(dict(header, base=base.path.name, base_digest=base.digest), delta)
         if base.chain + len(data) <= _full_size(header, entries):
-            manifest = Manifest(path, "", entries, base.depth + 1, base.chain + len(data), base, delta)
+            manifest = Manifest(path, "", entries, base.depth + 1, base.chain + len(data))
     if not manifest.depth:
         data = _manifest_bytes(header, entries)
     manifest.digest = hashlib.sha256(data).hexdigest()
     atomic_write_bytes(path, data)
     pool.manifests[path] = manifest
-    return manifest
 
 
-def _read_file(path: Path, magic: str, fmt: int, width: int, fields: dict) -> tuple[dict, list, bytes]:
-    """The header and entries of one manifest file, and its bytes: entries
-    of `width` strings, as many as its file count, in a full manifest; of
-    one or `width` strings in a delta."""
-    with open(path, "rb") as handle:
-        data = handle.read()
-    try:
-        handle = io.StringIO(data.decode("utf-8"), newline=None)  # lines as a text-mode read splits them
-    except UnicodeDecodeError as exc:
-        raise ArchiveFormatError(f"unreadable manifest {path}: {exc}") from None
-    try:
-        header = json.loads(handle.readline())
-    except (ValueError, RecursionError):
-        raise ArchiveFormatError(f"no archive header in {path}") from None
-    if not isinstance(header, dict) or header.get("magic") != magic:
-        raise ArchiveFormatError(f"bad magic header in {path}")
-    if header.get("format") != fmt:
-        raise ArchiveFormatError(f"unsupported archive format {header.get('format')!r} in {path}")
-    check_header(header, {**fields, **DELTA_FIELDS} if "base" in header else fields, path, magic)
+def _read_file(path: Path) -> tuple[dict, list, bytes]:
+    """The header and entries of one code manifest file, and its bytes:
+    entries of three strings, as many as its file count, in a full
+    manifest; of one or three strings in a delta."""
+    header, handle, data = read_header(path, ARCHIVE_MAGIC, ARCHIVE_FORMAT, CODE_FIELDS)
+    delta = "base" in header
+    if delta:
+        check_header(header, DELTA_FIELDS, path, ARCHIVE_MAGIC)
     lines = [line for line in handle if line.strip()]
     try:
         entries = json.loads("[" + ",".join(lines) + "]")
@@ -638,25 +631,22 @@ def _read_file(path: Path, magic: str, fmt: int, width: int, fields: dict) -> tu
     # are lines only if it holds one.
     if len(entries) != len(lines) or not all(line.rstrip().endswith("]") for line in lines):
         raise ArchiveFormatError(f"unreadable entry in {path}: a line that is not one entry")
-    widths = {1, width} if "base" in header else {width}
-    shaped = set(map(type, entries)) <= {list} and set(map(len, entries)) <= widths
+    shaped = set(map(type, entries)) <= {list} and set(map(len, entries)) <= ({1, 3} if delta else {3})
     if not (shaped and set(map(type, chain.from_iterable(entries))) <= {str}):
-        raise ArchiveFormatError(f"malformed entry in {path}: not a list of {width} strings")
-    if "base" not in header and len(entries) != header["file_count"]:
+        raise ArchiveFormatError(f"malformed entry in {path}: not a list of 3 strings")
+    if not delta and len(entries) != header["file_count"]:
         raise ArchiveFormatError(f"{path} holds {len(entries)} entries, its header says {header['file_count']!r}")
     return header, entries, data
 
 
 def _resolve_manifest(
-    path: Path, digest: str | None, magic: str, fmt: int, width: int, pool: ObjectPool, fields: dict, apply,
-    seen: tuple = (),
+    path: Path, digest: str | None, pool: ObjectPool, seen: tuple = ()
 ) -> tuple[dict | None, Manifest]:
-    """The header and the manifest at `path`, its delta resolved onto its
-    base. Given the `digest` its bytes must have, the manifest the pool
+    """The header and the code manifest at `path`, its delta resolved onto
+    its base. Given the `digest` its bytes must have, the manifest the pool
     keeps at `path` under that digest, with no header; else the file, read.
 
-    `seen` are the paths of the deltas above, of which it is a base; `apply`
-    gives a delta's entries (see `read_manifest`). Raises
+    `seen` are the paths of the deltas above, of which it is a base. Raises
     ArchiveFormatError for a base that is missing, rewritten, a base of
     itself, or below MAX_DELTA_DEPTH deltas.
     """
@@ -668,7 +658,7 @@ def _resolve_manifest(
     if len(seen) > MAX_DELTA_DEPTH:
         raise ArchiveFormatError(f"{seen[0]} ends a chain of more than {MAX_DELTA_DEPTH} deltas")
     try:
-        header, entries, data = _read_file(path, magic, fmt, width, fields)
+        header, entries, data = _read_file(path)
     except FileNotFoundError:
         if digest is None:
             raise
@@ -679,52 +669,41 @@ def _resolve_manifest(
     manifest = Manifest(path, got, entries)
     if "base" in header:
         base_path, base_digest = path.parent / header.pop("base"), header.pop("base_digest")
-        _, base = _resolve_manifest(base_path, base_digest, magic, fmt, width, pool, fields, apply, (*seen, path))
+        _, base = _resolve_manifest(base_path, base_digest, pool, (*seen, path))
         if base.depth >= MAX_DELTA_DEPTH:
             raise ArchiveFormatError(f"{path} ends a chain of more than {MAX_DELTA_DEPTH} deltas")
-        resolved = apply(pool, base, header, entries, path)
+        resolved = _apply_code_delta(base, entries, path)
         if len(resolved) != header["file_count"]:
             raise ArchiveFormatError(
                 f"{path} resolves to {len(resolved)} entries, its header says {header['file_count']!r}"
             )
-        manifest = Manifest(path, got, resolved, base.depth + 1, base.chain + len(data), base, entries)
+        manifest = Manifest(path, got, resolved, base.depth + 1, base.chain + len(data))
     pool.manifests[path] = manifest
     return header, manifest
 
 
-def read_manifest(
-    path: str | Path, magic: str, fmt: int, width: int, pool: ObjectPool, fields: dict, apply
-) -> tuple[dict, list]:
-    """The header of a manifest and its entries, each a list of `width`
+def read_manifest(path: str | Path, pool: ObjectPool) -> tuple[dict, list]:
+    """The header of a code manifest and its entries, each a list of three
     strings, as the full manifest of its version holds them: a delta is
     resolved onto its base, and the header has no base fields. The packs
     the header names are read into `pool`, which keeps the manifest.
 
     A delta's base is the manifest the pool keeps at the base's path under
     the digest the delta records, else that file, read and resolved in turn.
-    `apply(pool, base, header, lines, path)` gives the entries of a delta of
-    `lines` on manifest `base`.
 
-    Raises ArchiveFormatError unless the header names `magic` and `fmt` and
-    passes the checks of `fields` (and of DELTA_FIELDS, in a delta), every
-    entry decodes and has its shape, and there are header["file_count"]
-    entries: an old, foreign, corrupt or truncated manifest is never
-    trusted, nor a delta on a base that is missing, rewritten, a base of
-    itself or below MAX_DELTA_DEPTH deltas.
+    Raises ArchiveFormatError unless the header passes `read_header` (and
+    the checks of DELTA_FIELDS, in a delta), every entry decodes and has its
+    shape, and there are header["file_count"] entries: an old, foreign,
+    corrupt or truncated manifest is never trusted, nor a delta on a base
+    that is missing, rewritten, a base of itself or below MAX_DELTA_DEPTH
+    deltas.
     """
-    header, _ = _resolve_manifest(Path(path), None, magic, fmt, width, pool, fields, apply)
+    header, manifest = _resolve_manifest(Path(path), None, pool)
     pool.read(header["packs"])
-    return header, pool.manifests[Path(path)].entries
+    return header, manifest.entries
 
 
-def code_manifest(path: Path, digest: str, pool: ObjectPool) -> Manifest:
-    """The code manifest at `path` whose bytes have `digest`, resolved
-    (see `_resolve_manifest`)."""
-    args = ARCHIVE_MAGIC, ARCHIVE_FORMAT, 3, pool, CODE_FIELDS, _apply_code_delta
-    return _resolve_manifest(path, digest, *args)[1]
-
-
-def _apply_code_delta(pool: ObjectPool, base: Manifest, header: dict, lines: list, path: Path):
+def _apply_code_delta(base: Manifest, lines: list, path: Path):
     """The entries of code delta `lines` on `base`: a [path, record key,
     file digest] line adds or replaces its path, a [path] line deletes it."""
     paths = [line[0] for line in lines]
@@ -772,8 +751,7 @@ def save_code_index(
     entries = [[p, store_record(pool, index.files[p]), index.digests[p]] for p in index.sorted_paths()]
     known = pool.manifests.get(Path(base)) if base is not None else None
     delta = _code_delta(known.entries, entries) if known is not None else None
-    manifest = write_manifest(path, header, entries, pool, [key for _, key, _ in entries], known, delta)
-    pool.last_code = index, manifest
+    write_manifest(path, header, entries, pool, [key for _, key, _ in entries], known, delta)
 
 
 def store_record(pool: ObjectPool, record: SourceFileRecord) -> str:
@@ -797,7 +775,7 @@ def load_code_index(path: str | Path, pool: ObjectPool | None = None) -> CodeInd
     Paths that do not ascend strictly (a path repeated, say) are an
     ArchiveFormatError."""
     pool = archive_pool(path, pool)
-    header, entries = read_manifest(path, ARCHIVE_MAGIC, ARCHIVE_FORMAT, 3, pool, CODE_FIELDS, _apply_code_delta)
+    header, entries = read_manifest(path, pool)
     paths = [entry[0] for entry in entries]
     if not all(map(str.__lt__, paths, paths[1:])):
         following = next(b for a, b in zip(paths, paths[1:]) if a >= b)

@@ -8,9 +8,9 @@ chunks of every refreshed file go to the provider in one call, whose error
 propagates. An index and its archive record the chunk limit it was built
 with, and updates and queries chunk at that limit. An archive is written
 and read with the code index of its version, whose records it re-makes
-the chunk text from: one vector key per file, tied to them by one digest.
-A delta lists only the vector keys of the files its code delta adds or
-changes.
+the chunk text from. Its manifest is one header line of the embedding
+settings: each file's vector object is named by those settings and the key
+of the file's record, so no line lists it.
 """
 
 from __future__ import annotations
@@ -27,11 +27,11 @@ from types import MappingProxyType
 import numpy as np
 
 from .code_index import (
-    DELTA_FIELDS, ArchiveFormatError, Changeset, CodeIndex, Manifest, ObjectPool, SourceFileRecord,
-    archive_pool, check_header, code_manifest, file_representation, read_manifest, store_record,
-    write_manifest,
+    ArchiveFormatError, Changeset, CodeIndex, ObjectPool, SourceFileRecord, archive_pool, file_representation,
+    read_header, store_record,
 )
 from .embedders import EmbeddingProvider
+from .ioutil import atomic_write_bytes
 from .tokens import MAX_CHUNK_TOKENS, chunk_pattern
 from .validation import InputValidationError, require_bug_text
 
@@ -41,12 +41,8 @@ DEFAULT_CHUNK_LIMIT = 300
 DEFAULT_SHORTLIST_K = 50
 
 EMBED_ARCHIVE_MAGIC = "bugloc-embedding-index"
-EMBED_ARCHIVE_FORMAT = 6
-EMBED_FIELDS = {
-    "dimension": int, "provider_id": str, "chunk_limit": int, "file_count": int, "digest": str, "packs": list,
-}
-# a delta also names the code manifest whose delta it follows, as it names its base
-LINK_FIELDS = {"code": DELTA_FIELDS["base"], "code_digest": DELTA_FIELDS["base_digest"]}
+EMBED_ARCHIVE_FORMAT = 7
+EMBED_FIELDS = {"dimension": int, "provider_id": str, "chunk_limit": int, "file_count": int, "packs": list}
 
 
 @dataclass(frozen=True)
@@ -263,134 +259,103 @@ def _decode_vectors(data: bytes, record_key: str, record: SourceFileRecord):
     return chunks, rows
 
 
-def _vector_key(pool: ObjectPool, record: SourceFileRecord, chunks: tuple[Chunk, ...], rows: np.ndarray) -> str:
-    """The key of the vector object of one file's chunks and rows. The object
-    the pool last read or stored as made from the same record is reused, not
-    encoded again, when its chunks are equal and its rows equal byte for
-    byte: then it would encode to the same bytes. The rows interned are a
-    view of the index's matrix, which the pool keeps alive."""
-    record_key = store_record(pool, record)
-    stored = pool.made_from(record_key)
-    if stored is not None:
-        key, (stored_chunks, stored_rows) = stored
-        if stored_chunks == chunks and stored_rows.tobytes() == rows.tobytes():
-            return key
-    spans = _chunk_spans(file_representation(record), chunks)
-    return pool.put(_encode_vectors(record_key, spans, rows), (chunks, rows), source=record_key)
+def _namer(dimension: int, provider_id: str, chunk_limit: int):
+    """The function that names the vector object of a record, by the
+    record's key: the sha256 of the JSON list of the archive format,
+    provider id, dimension and chunk limit, then the key. The settings are
+    hashed once, and each name hashes on from a copy. JSON escapes every
+    newline and every record object holds one, so no name is a record's key."""
+    settings = hashlib.sha256(json.dumps([EMBED_ARCHIVE_FORMAT, provider_id, dimension, chunk_limit]).encode())
 
+    def name(record_key: str) -> str:
+        named = settings.copy()
+        named.update(record_key.encode())
+        return named.hexdigest()
 
-def _files_digest(pool: ObjectPool, code: CodeIndex, vector_keys: list[str]) -> str:
-    """The sha256 of `code`'s record keys in path order, then `vector_keys`.
-    No key is both (a record object starts `[`, a vector object `{`), so
-    lists of other lengths never give the same digest."""
-    record_keys = [store_record(pool, code.files[fq_path]) for fq_path in code.sorted_paths()]
-    return hashlib.sha256("".join(record_keys + vector_keys).encode()).hexdigest()
-
-
-def _vector_entries(code: Manifest, base: Manifest, lines: list) -> list:
-    """The entries of an embedding delta of `lines` on `base`, which follows
-    code delta `code`: each path of `code` takes the next line if `code`
-    adds or changes it, else base's entry at that path. Base lists the files
-    of `code.base`. A KeyError or ValueError if the lines do not fit."""
-    refreshed = [line[0] for line in code.lines if len(line) > 1]
-    if len(lines) != len(refreshed):
-        raise ValueError(f"{len(lines)} lines for {len(refreshed)} files added or changed")
-    if len(base.entries) != len(code.base.entries):
-        raise ValueError(f"a base of {len(base.entries)} lines for {len(code.base.entries)} files")
-    by_path = dict(zip([entry[0] for entry in code.base.entries], base.entries))
-    by_path.update(zip(refreshed, lines))
-    return [by_path[entry[0]] for entry in code.entries]
-
-
-def _apply_vector_delta(pool: ObjectPool, base: Manifest, header: dict, lines: list, path: Path):
-    """The entries of embedding delta `lines` on `base`, which follows the
-    code delta its header names (see `_vector_entries`). Nothing here ties
-    base to that delta's base: on another base the entries get other keys,
-    which `load_embedding_index` refuses by their digest."""
-    check_header(header, LINK_FIELDS, path, EMBED_ARCHIVE_MAGIC)
-    code = code_manifest(path.parent / header.pop("code"), header.pop("code_digest"), pool)
-    if code.base is None:
-        raise ArchiveFormatError(f"{path} follows {code.path.name}, which is no delta")
-    try:
-        return _vector_entries(code, base, lines)
-    except (KeyError, ValueError) as exc:
-        raise ArchiveFormatError(f"{path} does not fit the code delta it follows: {exc!r}") from None
+    return name
 
 
 def save_embedding_index(
-    eindex: EmbeddingIndex, path: str | Path, code: CodeIndex, pool: ObjectPool | None = None,
-    base: str | Path | None = None,
-) -> None:
+    eindex: EmbeddingIndex, path: str | Path, code: CodeIndex, pool: ObjectPool | None = None
+) -> EmbeddingIndex:
     """Write the vector objects, and the records of `code` (which must hold
-    the same files), not stored yet as a pack, then the manifest: a header
-    (magic, format, provider, dimension, chunk limit, file count, the vector
-    objects' packs, `_files_digest`) and a `[vector key]` line per file in
-    path order. A file whose chunks and rows are stored is not encoded again.
+    the same files), not stored yet as a pack, then the manifest: one header
+    line (magic, format, provider, dimension, chunk limit, file count, and
+    the packs that hold the vector objects). Each file's vector object is
+    named by `_namer`, and only a file whose name is not stored is encoded.
 
-    Given `base`, the path of an embedding manifest the pool read or wrote,
-    say that of the version `code` was updated from, and saved through the
-    pool that last saved `code` as a delta beside it, the manifest is a
-    delta on base (see `write_manifest`): the lines of the files the code
-    delta adds or changes, in its order, and the code manifest named in the
-    header. It is full unless those lines resolved on base give its entries.
+    A name binds what an object was made from, not its rows: a file whose
+    name is stored keeps the stored chunks and rows, which differ from
+    `eindex`'s only if the provider gave other rows for the same text.
+    Returns the index a load of the manifest gives: `eindex` itself unless
+    such rows differ.
     """
     if eindex.file_paths != code.sorted_paths():
         raise ValueError("the embedding index and the code index hold other files")
     pool = archive_pool(path, pool)
+    name = _namer(eindex.dimension, eindex.provider_id, eindex.chunk_limit)
     bounds = [*eindex.file_starts.tolist(), len(eindex)]
-    vector_keys = [
-        _vector_key(pool, code.files[fq_path], eindex.chunks[start:end], eindex.vectors[start:end])
-        for fq_path, start, end in zip(eindex.file_paths, bounds, bounds[1:])
-    ]
+    names, chunks, blocks, same = [], [], [], True
+    for fq_path, start, end in zip(eindex.file_paths, bounds, bounds[1:]):
+        record = code.files[fq_path]
+        record_key = store_record(pool, record)
+        key = name(record_key)
+        names.append(key)
+        held = eindex.chunks[start:end], eindex.vectors[start:end]
+        try:
+            stored = pool.get(key, lambda data: _decode_vectors(data, record_key, record)) if pool.stored(key) else None
+        except ArchiveFormatError:  # its pack was damaged and is dropped, so it is stored again
+            stored = None
+        if stored is not None:
+            same = same and stored[0] == held[0] and stored[1].tobytes() == held[1].tobytes()
+            held = stored
+        else:  # the rows interned are a view of eindex's matrix, which the pool keeps alive
+            spans = _chunk_spans(file_representation(record), held[0])
+            pool.put(_encode_vectors(record_key, spans, held[1]), held, key)
+        chunks += held[0]
+        blocks.append(held[1])
     header = {
         "magic": EMBED_ARCHIVE_MAGIC,
         "format": EMBED_ARCHIVE_FORMAT,
         "dimension": eindex.dimension,
         "provider_id": eindex.provider_id,
         "chunk_limit": eindex.chunk_limit,
-        "file_count": len(eindex.file_paths),
-        "digest": _files_digest(pool, code, vector_keys),
+        "file_count": len(names),
+        "packs": pool.pack(names),
     }
-    entries = [[key] for key in vector_keys]
-    follows = pool.last_code[1] if pool.last_code is not None and pool.last_code[0] is code else None
-    known = pool.manifests.get(Path(base)) if base is not None else None
-    delta = links = None
-    if known is not None and follows is not None and follows.base is not None:
-        refreshed = {line[0] for line in follows.lines if len(line) > 1}
-        lines = [entry for fq_path, entry in zip(eindex.file_paths, entries) if fq_path in refreshed]
-        try:
-            fits = _vector_entries(follows, known, lines) == entries
-        except (KeyError, ValueError):
-            fits = False
-        if fits and follows.path.parent == Path(path).parent:
-            delta, links = lines, {"code": follows.path.name, "code_digest": follows.digest}
-    write_manifest(path, header, entries, pool, vector_keys, known, delta, links)
+    atomic_write_bytes(path, (json.dumps(header, sort_keys=True) + "\n").encode())
+    if same:
+        return eindex
+    return EmbeddingIndex(eindex.dimension, eindex.provider_id, eindex.chunk_limit, chunks, np.concatenate(blocks))
 
 
 def load_embedding_index(path: str | Path, code: CodeIndex, pool: ObjectPool | None = None) -> EmbeddingIndex:
-    """The index a manifest lists, full or a delta resolved through `pool`
-    (see `read_manifest`, and `_vector_entries`): its vector objects read
-    through `pool`, their chunks cut from the records of `code`, the rows
-    joined by one concatenation in path order. A manifest whose digest is
-    not the `_files_digest` of `code` and its keys (a save cut short between
-    the two manifests, a line swapped, dropped or added, a delta resolved on
-    a base it was not made on) is an ArchiveFormatError before any vector
-    object is decoded."""
+    """The index of the records of `code` in the settings the manifest at
+    `path` names: each file's vector object, named by `_namer` from the
+    header and the record's key, read through `pool` from the packs the
+    header names; its chunks cut from the record; the rows joined by one
+    concatenation in path order.
+
+    An ArchiveFormatError unless the header passes `read_header`, is the
+    whole file, and counts the files of `code`, and unless every name is in
+    a pack read: a manifest left by another save or version fails, or gives
+    the rows of the records of `code`."""
+    path = Path(path)
     pool = archive_pool(path, pool)
-    header, entries = read_manifest(
-        path, EMBED_ARCHIVE_MAGIC, EMBED_ARCHIVE_FORMAT, 1, pool, EMBED_FIELDS, _apply_vector_delta
-    )
+    header, rest, _ = read_header(path, EMBED_ARCHIVE_MAGIC, EMBED_ARCHIVE_FORMAT, EMBED_FIELDS)
+    if rest.read().strip():
+        raise ArchiveFormatError(f"unreadable manifest {path}: it holds lines after its header")
+    if header["file_count"] != len(code.files):
+        raise ArchiveFormatError(f"{path} counts {header['file_count']} files, its code index {len(code.files)}")
+    pool.read(header["packs"])
     made_by = header["dimension"], header["provider_id"], header["chunk_limit"]
-    if header["digest"] != _files_digest(pool, code, [key for (key,) in entries]):
-        raise ArchiveFormatError("its embedding archive was made from other files than its code archive")
+    name = _namer(*made_by)
     chunks: list[Chunk] = []
     blocks = []
-    for fq_path, (vector_key,) in zip(code.sorted_paths(), entries):
+    for fq_path in code.sorted_paths():
         record = code.files[fq_path]
         record_key = store_record(pool, record)
-        file_chunks, rows = pool.get(
-            vector_key, lambda data: _decode_vectors(data, record_key, record), source=record_key
-        )
+        file_chunks, rows = pool.get(name(record_key), lambda data: _decode_vectors(data, record_key, record))
         chunks += file_chunks
         blocks.append(rows)
     try:

@@ -42,10 +42,10 @@ class VersionStore:
     """Builds, caches, and persists (CodeIndex, EmbeddingIndex) per version.
 
     With a cache_dir, each version's archive pair is two manifests over the
-    content-addressed objects in `<cache_dir>/objects`, which one pool reads
-    and writes for the life of the store: a version shares the records,
-    chunks and rows of every other version loaded or built here that holds
-    the same file, and a save writes only the objects not stored yet.
+    objects in `<cache_dir>/objects`, which one pool reads and writes for
+    the life of the store: a version shares the records, chunks and rows of
+    every other version loaded or built here that holds the same file, and a
+    save writes only the objects not stored yet.
     """
 
     def __init__(
@@ -142,7 +142,8 @@ class VersionStore:
         return None
 
     def build(self, version_id: str, previous: str | None = None) -> tuple[CodeIndex, EmbeddingIndex | None]:
-        """Build `version_id`'s indexes, memoize them and save their archives.
+        """Build `version_id`'s indexes, save their archives and memoize the
+        indexes a load of them gives.
 
         The build is incremental from `previous` when that version's indexes
         can be looked up (memo or archive), and from scratch otherwise. The
@@ -150,12 +151,11 @@ class VersionStore:
         `previous`'s code index, so `previous`'s tree is never read and need
         not exist, nor is a file whose stat key still equals the one that
         index recorded (see `diff_source_trees`). With no change, the
-        indexes of `previous` are shared under the new label. Both saves of
-        an incremental build are given the manifest of `previous` of their
-        kind as a base, and are deltas on it where the chain rule of
-        `write_manifest` allows and, for the embedding manifest, where its
-        lines resolved on that base give its entries. A build that raises
-        memoizes nothing and writes no archive.
+        indexes of `previous` are shared under the new label. The code save
+        of an incremental build is given the code manifest of `previous` as
+        a base, and is a delta on it where the chain rule of
+        `write_manifest` allows. A build that raises memoizes nothing and
+        writes no archive; a save that raises memoizes nothing.
         """
         tree = self.resolve_tree(version_id)
         prev = self._lookup(previous) if previous else None
@@ -170,18 +170,15 @@ class VersionStore:
             else:
                 code = update_index(prev[0], changeset, tree, version_id)
                 embed = None if provider is None else update_embeddings(prev[1], changeset, code, provider)
-        self._store(version_id, code, embed, previous if prev is not None else None)
-        return code, embed
-
-    def _store(self, version_id, code, embed, base_version: str | None) -> None:
-        self._built[version_id] = (code, embed)
-        self._last_version = version_id
         archives = self.archive_paths(version_id)
         if archives:
-            base_code, base_embed = self.archive_paths(base_version) if base_version is not None else (None, None)
-            save_code_index(code, archives[0], pool=self.objects, base=base_code)
+            base = self.archive_paths(previous)[0] if prev is not None else None
+            save_code_index(code, archives[0], pool=self.objects, base=base)
             if embed is not None:
-                save_embedding_index(embed, archives[1], code, pool=self.objects, base=base_embed)
+                embed = save_embedding_index(embed, archives[1], code, pool=self.objects)
+        self._built[version_id] = (code, embed)
+        self._last_version = version_id
+        return code, embed
 
 
 def fit_localizers(bugs: list[BugReport], make_localizer, store: VersionStore) -> list[BaseLocalizer]:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 import requests
 
@@ -19,6 +20,12 @@ def write_tree(root: Path, files: dict[str, str]) -> Path:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text, encoding="utf-8")
     return root
+
+
+def same_embeddings(a, b) -> bool:
+    """Whether two embedding indexes hold the same chunks, and rows equal
+    float for float."""
+    return a.chunks == b.chunks and np.array_equal(a.vectors, b.vectors)
 
 
 def java_class(class_name: str, methods: dict[str, str]) -> str:

@@ -25,7 +25,7 @@ from bugloc.resolve import resolve_predictions
 from bugloc.agent import RawPrediction
 from bugloc.tokens import tokenize
 from bugloc.tools import GET_CANDIDATE_FILENAMES, make_tool_registry
-from conftest import final_answer, java_class, make_bug, text_turn, tool_turn, write_tree
+from conftest import final_answer, java_class, make_bug, same_embeddings, text_turn, tool_turn, write_tree
 from oracles import accuracy_oracle, map_oracle, mrr_oracle
 
 
@@ -268,7 +268,7 @@ def test_criterion_4_incremental_equivalence(tmp_path):
         code_rebuilt = build_index(root, "java", version)
         embed_rebuilt = build_embedding_index(code_rebuilt, provider)
         assert code == code_rebuilt
-        assert embed.records == embed_rebuilt.records
+        assert same_embeddings(embed, embed_rebuilt)
         assert embed.dimension == embed_rebuilt.dimension
 
     elapsed = time.perf_counter() - start

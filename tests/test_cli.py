@@ -215,17 +215,21 @@ def test_cmd_index_incremental_update(workspace):
     v2_index = load_code_index(out / "index-cache" / "v2.code.jsonl")
     assert "org/new/Fresh.java" in v2_index.files
     v2_embed = load_embedding_index(out / "index-cache" / "v2.embed.jsonl", v2_index)
-    assert ("org/new/Fresh.java", 0) in v2_embed.records
+    assert "org/new/Fresh.java" in v2_embed.file_paths
 
 
 def resolved_archives(cache, version):
-    """The indexes that `version`'s archives in `cache` hold, and the entries
-    of its two manifests, a delta resolved onto its base."""
+    """The indexes that `version`'s archives in `cache` hold, the entries of
+    its code manifest, a delta resolved onto its base, and the header of its
+    embedding manifest but for the packs, which differ with what was saved
+    before it."""
     pool = ObjectPool(cache / "objects")
     code = load_code_index(cache / f"{version}.code.jsonl", pool=pool)
     embed = load_embedding_index(cache / f"{version}.embed.jsonl", code, pool=pool)
     made = (embed.provider_id, embed.dimension, embed.chunk_limit, embed.chunks, embed.vectors.tobytes())
-    return code, made, [pool.manifests[cache / f"{version}.{kind}.jsonl"].entries for kind in ("code", "embed")]
+    header = json.loads((cache / f"{version}.embed.jsonl").read_text(encoding="utf-8"))
+    del header["packs"]
+    return code, made, pool.manifests[cache / f"{version}.code.jsonl"].entries, header
 
 
 def assert_index_of(out, version, tree, tmp_path):

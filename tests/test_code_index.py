@@ -722,26 +722,28 @@ def test_a_pool_stores_again_the_records_of_a_pack_it_dropped(tmp_path):
     assert load_code_index(tmp_path / "v9.jsonl").files == {"org/A.java": a_record}
 
 
-def test_a_pool_forgets_what_was_made_from_an_object_of_a_pack_it_dropped(tmp_path):
+def test_a_pool_keeps_an_object_under_the_name_it_is_given_until_its_pack_is_dropped(tmp_path):
     writer = ObjectPool(tmp_path / "objects")
-    good = writer.put(b"rows", "rows", source="record")
-    assert writer.made_from("record") == (good, "rows")
+    name = "f" * 64
+    assert writer.put(b"rows", "rows", name) == name
+    assert writer.put(b"other rows", "other", name) == name  # a name stored keeps its first bytes and value
+    assert writer.stored(name) and writer.get(name, bytes.decode) == "rows"
+    assert writer.put(b"rows") == hashlib.sha256(b"rows").hexdigest()  # without a name, its bytes name it
     bad = writer.put(b"damaged")
-    (name,) = writer.pack([good, bad])
+    (pack,) = writer.pack([name, bad])
     pool = ObjectPool(tmp_path / "objects")
-    pool.read([name])
-    assert pool.made_from("record") is None
-    assert pool.get(good, bytes.decode, source="record") == "rows"
-    assert pool.made_from("record") == (good, "rows")
+    assert not pool.stored(name)
+    pool.read([pack])
+    assert pool.stored(name) and pool.get(name, bytes.decode) == "rows"
     with pytest.raises(ArchiveFormatError, match=f"object {bad} is damaged"):
         pool.get(bad, lambda data: json.loads(data))
-    assert pool.made_from("record") is None  # its pack is gone, so it must be stored again
-    assert pool.put(b"rows") == good
-    packs = pool.pack([good])
-    assert packs != [name]
+    assert not pool.stored(name)  # its pack is gone, so a save stores it again
+    pool.put(b"rows", name=name)
+    packs = pool.pack([name])
+    assert packs != [pack]
     reader = ObjectPool(tmp_path / "objects")
     reader.read(packs)
-    assert reader.get(good, bytes.decode) == "rows"
+    assert reader.get(name, bytes.decode) == "rows"
 
 
 ODD_TEXTS = (

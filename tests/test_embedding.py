@@ -15,10 +15,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bugloc import embedding
+from bugloc import code_index, embedding
 from bugloc.chat import RemoteChatProvider
 from bugloc.code_index import (
-    ArchiveFormatError, Changeset, CodeIndex, ObjectPool, build_index, save_code_index, update_index,
+    ArchiveFormatError, Changeset, CodeIndex, ObjectPool, build_index, save_code_index, store_record, update_index,
 )
 from bugloc.embedders import (
     CachedEmbedder,
@@ -39,7 +39,7 @@ from bugloc.embedding import (
 )
 from bugloc.tokens import tokenize
 from bugloc.validation import InputValidationError
-from conftest import html_response, java_class, make_bug, write_tree
+from conftest import html_response, java_class, make_bug, same_embeddings, write_tree
 from oracles import chunk_text_oracle
 
 
@@ -876,7 +876,7 @@ def test_shortlist_insertion_order_irrelevant(tmp_path):
         eindex.dimension, eindex.provider_id, eindex.chunk_limit,
         reversed(eindex.chunks), eindex.vectors[::-1],
     )
-    assert reversed_index.records == eindex.records
+    assert same_embeddings(reversed_index, eindex)
     bug = make_bug(summary="zoomOut meterchart dial")
     assert shortlist_files(bug, eindex, provider).entries == shortlist_files(
         bug, reversed_index, provider
@@ -938,7 +938,7 @@ def test_update_embeddings_empty_changeset_identical(tmp_path):
     provider = HashingEmbedder(dimension=32)
     eindex = build_embedding_index(index, provider)
     updated = update_embeddings(eindex, Changeset(), index, provider)
-    assert updated.records == eindex.records
+    assert same_embeddings(updated, eindex)
 
 
 def test_update_embeddings_delete_all(tmp_path):
@@ -967,12 +967,12 @@ def test_update_embeddings_rename_matches_rebuild(tmp_path):
     new_index = update_index(index, changeset, root, "v1")
     updated = update_embeddings(eindex, changeset, new_index, provider)
     rebuilt = build_embedding_index(new_index, provider)
-    assert updated.records == rebuilt.records
+    assert same_embeddings(updated, rebuilt)
     # The untouched file's row is carried over bit for bit.
-    def row(ei, key):
-        return ei.vectors[ei.chunks.index(ei.records[key].chunk)].tobytes()
+    def row(ei, fq_path):
+        return ei.vectors[[c.fq_path for c in ei.chunks].index(fq_path)].tobytes()
 
-    assert row(updated, ("K.java", 0)) == row(eindex, ("K.java", 0))
+    assert row(updated, "K.java") == row(eindex, "K.java")
 
 
 def test_update_embeddings_keeps_the_index_chunk_limit(tmp_path):
@@ -987,7 +987,7 @@ def test_update_embeddings_keeps_the_index_chunk_limit(tmp_path):
     updated = update_embeddings(eindex, changeset, new_index, provider)
     assert updated.chunk_limit == 50
     assert max(len(tokenize(c.text)) for c in updated.chunks) == 50
-    assert updated.records == build_embedding_index(new_index, provider, chunk_limit=50).records
+    assert same_embeddings(updated, build_embedding_index(new_index, provider, chunk_limit=50))
 
 
 class CountingEmbedder(HashingEmbedder):
@@ -1030,7 +1030,7 @@ def test_update_embeddings_is_one_provider_call_and_one_cache_write(tmp_path, wr
     updated = update_embeddings(eindex, changeset, new_index, provider)
     assert inner.calls == [50]
     assert written == [cache_file]
-    assert updated.records == build_embedding_index(new_index, HashingEmbedder(16)).records
+    assert same_embeddings(updated, build_embedding_index(new_index, HashingEmbedder(16)))
     assert cache_file.read_text(encoding="utf-8") == cache_json(provider)
 
 
@@ -1115,7 +1115,7 @@ def test_embedding_archive_roundtrip(tmp_path):
         save_embedding_index(eindex, archive, CodeIndex("v0"))
     save_embedding_index(eindex, archive, index)
     loaded = load_embedding_index(archive, index)
-    assert loaded.records == eindex.records
+    assert same_embeddings(loaded, eindex)
     assert loaded.dimension == eindex.dimension
     assert loaded.provider_id == eindex.provider_id
 
@@ -1147,7 +1147,7 @@ def test_embedding_archive_rejects_the_code_index_of_another_version_and_keeps_i
         return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in (tmp_path / "objects").iterdir()}
 
     before = objects()
-    with pytest.raises(ArchiveFormatError, match="made from other files than its code archive"):
+    with pytest.raises(ArchiveFormatError, match="is in none of the packs read"):  # File1's new record has no rows
         load_embedding_index(tmp_path / "v0.embed.jsonl", updated)
     assert objects() == before
 
@@ -1190,53 +1190,107 @@ def test_embedding_save_encodes_only_the_vector_object_of_an_updated_file(tmp_pa
     fresh = EmbeddingIndex(16, provider.provider_id, chunks=updated.chunks, vectors=updated.vectors)
     save_embedding_index(fresh, tmp_path / "fresh" / "v1.jsonl", index)  # a pool of its own encodes every file
     assert len(encoded) == 1 + len(index.files)
-    entries = [(path / "v1.jsonl").read_text(encoding="utf-8").splitlines()[1:] for path in (tmp_path, tmp_path / "fresh")]
-    assert entries[0] == entries[1]
+    loaded = load_embedding_index(tmp_path / "fresh" / "v1.jsonl", index)
+    assert loaded.chunks == updated.chunks and loaded.vectors.tobytes() == updated.vectors.tobytes()
 
 
 @pytest.mark.parametrize("change", ["row", "chunk"])
-def test_embedding_save_encodes_a_file_whose_rows_or_chunks_changed(tmp_path, monkeypatch, change):
+def test_embedding_save_of_a_stored_name_keeps_the_stored_chunks_and_rows(tmp_path, monkeypatch, change):
     index = build_index(planted_repo(tmp_path, n_files=3), "java", "v0")
     eindex = build_embedding_index(index, HashingEmbedder(dimension=8))
     pool = ObjectPool(tmp_path / "objects")
-    save_embedding_index(eindex, tmp_path / "v0.jsonl", index, pool=pool)
+    assert save_embedding_index(eindex, tmp_path / "v0.jsonl", index, pool=pool) is eindex
     vectors, chunks = eindex.vectors.copy(), list(eindex.chunks)
     first = eindex.file_starts[1]
-    if change == "row":
+    if change == "row":  # as a provider whose rows vary between calls gives them
         vectors[first, 0] += 1.0
     else:  # the same rows, one chunk's text cut by a character
         chunks[first] = Chunk(chunks[first].fq_path, 0, chunks[first].text[:-1])
     changed = EmbeddingIndex(8, eindex.provider_id, chunks=chunks, vectors=vectors)
     encoded = counted_encodes(monkeypatch)
-    save_embedding_index(changed, tmp_path / "v1.jsonl", index, pool=pool)
-    assert len(encoded) == 1
-    before, after = (
-        [json.loads(line) for line in (tmp_path / name).read_text(encoding="utf-8").splitlines()[1:]]
-        for name in ("v0.jsonl", "v1.jsonl")
-    )
-    assert [a[0] == b[0] for a, b in zip(before, after)] == [i != 1 for i in range(len(before))]
+    saved = save_embedding_index(changed, tmp_path / "v1.jsonl", index, pool=pool)
+    assert encoded == []  # the name binds the record and the settings, not the rows
+    assert (tmp_path / "v1.jsonl").read_bytes() == (tmp_path / "v0.jsonl").read_bytes()
+    assert saved.chunks == eindex.chunks and saved.vectors.tobytes() == eindex.vectors.tobytes()
     loaded = load_embedding_index(tmp_path / "v1.jsonl", index)
-    assert loaded.chunks == tuple(chunks) and np.array_equal(loaded.vectors, vectors)
+    assert loaded.chunks == saved.chunks and loaded.vectors.tobytes() == saved.vectors.tobytes()
+
+
+def record_keys(index):
+    """The record key of each file of `index`, in path order."""
+    pool = ObjectPool(Path("unused"))  # nothing is packed, so nothing is written
+    return [store_record(pool, index.files[fq_path]) for fq_path in index.sorted_paths()]
+
+
+def test_vector_object_names_differ_in_each_of_their_five_inputs(monkeypatch):
+    keys = ["0" * 64, "1" * 64]
+    settings = (16, "remote:model", 300)
+    names = {embedding._namer(*settings)(key) for key in keys}
+    names.add(embedding._namer(8, "remote:model", 300)(keys[0]))  # the provider id does not name its dimension
+    names.add(embedding._namer(16, "remote:other", 300)(keys[0]))
+    names.add(embedding._namer(16, "remote:model", 301)(keys[0]))
+    names.add(embedding._namer(16, "remote:model\n", 300)(keys[0]))
+    monkeypatch.setattr(embedding, "EMBED_ARCHIVE_FORMAT", 6)
+    names.add(embedding._namer(*settings)(keys[0]))
+    assert len(names) == 7 and all(len(name) == 64 for name in names)
+
+
+def test_no_vector_object_name_is_the_key_of_a_record_object(tmp_path):
+    index = build_index(planted_repo(tmp_path, n_files=5), "java", "v0")
+    keys = record_keys(index)
+    provider = HashingEmbedder(dimension=8)
+    name = embedding._namer(provider.dimension, provider.provider_id, 300)
+    assert not {name(key) for key in keys} & set(keys)
+    save_embedding_index(build_embedding_index(index, provider), tmp_path / "v0.embed.jsonl", index)
+    (pack,) = json.loads((tmp_path / "v0.embed.jsonl").read_text(encoding="utf-8"))["packs"]
+    stored = code_index._split_pack((tmp_path / "objects" / pack).read_bytes())
+    assert sorted(stored) == sorted(keys + [name(key) for key in keys])  # each record and its vector object
+
+
+def test_one_pool_keeps_the_vector_objects_of_two_dimensions_of_one_provider_apart(tmp_path):
+    index = build_index(planted_repo(tmp_path, n_files=3), "java", "v0")
+    pool = ObjectPool(tmp_path / "objects")
+    built = {}
+    for dimension in (8, 16):
+        provider = HashingEmbedder(dimension)
+        provider.provider_id = "remote:model"  # as a remote provider's id, which names no dimension
+        built[dimension] = build_embedding_index(index, provider)
+        save_embedding_index(built[dimension], tmp_path / f"d{dimension}.jsonl", index, pool=pool)
+    for dimension in (8, 16):
+        loaded = load_embedding_index(tmp_path / f"d{dimension}.jsonl", index)
+        assert loaded.dimension == dimension and loaded.vectors.tobytes() == built[dimension].vectors.tobytes()
+
+
+def pack_objects(archive):
+    """Name -> bytes of each object in the packs an embedding manifest names."""
+    objects = {}
+    for pack in json.loads(archive.read_text(encoding="utf-8"))["packs"]:
+        objects.update(code_index._split_pack((archive.parent / "objects" / pack).read_bytes()))
+    return objects
+
+
+def repack(archive, objects, **fields):
+    """Make embedding manifest `archive` name one new pack of `objects`
+    alone, with `fields` set in its header."""
+    data = code_index._join_pack(objects)
+    name = hashlib.sha256(data).hexdigest()
+    (archive.parent / "objects" / name).write_bytes(data)
+    header = json.loads(archive.read_text(encoding="utf-8"))
+    archive.write_text(json.dumps(dict(header, packs=[name], **fields)) + "\n", encoding="utf-8")
 
 
 def test_embedding_archive_rejects_vector_objects_of_two_dimensions(tmp_path):
     index = build_index(planted_repo(tmp_path, n_files=2), "java", "v0")
-    lines = {}
-    for dimension in (8, 16):
-        archive = tmp_path / f"embed{dimension}.jsonl"
+    archives = {dimension: tmp_path / f"d{dimension}" / "embed.jsonl" for dimension in (8, 16)}
+    for dimension, archive in archives.items():
         save_embedding_index(build_embedding_index(index, HashingEmbedder(dimension)), archive, index)
-        lines[dimension] = archive.read_text(encoding="utf-8").splitlines()
-    save_code_index(index, tmp_path / "code.jsonl")
-    record_keys = [key for _, key, _ in map(json.loads, (tmp_path / "code.jsonl").read_text().splitlines()[1:])]
-    vector_lines = [lines[16][1], *lines[8][2:]]
-    vector_keys = [key for (key,) in map(json.loads, vector_lines)]
-    header = json.loads(lines[16][0])
-    header["packs"] = sorted(set(header["packs"]) | set(json.loads(lines[8][0])["packs"]))
-    header["digest"] = hashlib.sha256("".join(record_keys + vector_keys).encode()).hexdigest()
-    mixed = tmp_path / "mixed.jsonl"
-    mixed.write_text("\n".join([json.dumps(header), *vector_lines]) + "\n", encoding="utf-8")
+    first = record_keys(index)[0]
+    name8, name16 = (embedding._namer(d, HashingEmbedder(d).provider_id, 300)(first) for d in (8, 16))
+    objects = pack_objects(archives[16])
+    objects[name16] = pack_objects(archives[8])[name8]  # the first file's rows at dimension 8
+    repack(archives[16], objects)
     with pytest.raises(ArchiveFormatError, match="unusable embedding index archive"):
-        load_embedding_index(mixed, index)
+        load_embedding_index(archives[16], index)
 
 
 def test_embedding_archive_rejects_wrong_magic(tmp_path):
@@ -1268,7 +1322,37 @@ def test_embedding_archive_rejects_a_truncated_body(tmp_path, cut):
 
 def test_embedding_archive_rejects_rows_of_another_dimension(tmp_path):
     archive, index = saved_archive(tmp_path)
-    header, rest = archive.read_text(encoding="utf-8").split("\n", 1)
-    archive.write_text(header.replace('"dimension": 16', '"dimension": 8') + "\n" + rest, encoding="utf-8")
+    provider_id = HashingEmbedder(16).provider_id
+    name16, name8 = (embedding._namer(d, provider_id, 300) for d in (16, 8))
+    objects = pack_objects(archive)
+    repack(archive, {name8(key): objects[name16(key)] for key in record_keys(index)}, dimension=8)
     with pytest.raises(ArchiveFormatError, match=r"expected \(\d+, 8\)"):
+        load_embedding_index(archive, index)
+
+
+def test_embedding_save_stores_again_a_stored_vector_object_that_does_not_decode(tmp_path):
+    index = build_index(planted_repo(tmp_path, n_files=3), "java", "v0")
+    eindex = build_embedding_index(index, HashingEmbedder(dimension=16))
+    archive = tmp_path / "v0.jsonl"
+    save_embedding_index(eindex, archive, index)
+    first = embedding._namer(16, eindex.provider_id, 300)(record_keys(index)[0])
+    objects = pack_objects(archive)
+    objects[first] = objects[first][:-8]  # its last row cut short
+    repack(archive, objects)
+    (damaged,) = json.loads(archive.read_text(encoding="utf-8"))["packs"]
+    pool = ObjectPool(tmp_path / "objects")
+    pool.read([damaged])  # as a load of another version would, decoding nothing yet
+    assert save_embedding_index(eindex, tmp_path / "v1.jsonl", index, pool=pool) is eindex
+    assert not (tmp_path / "objects" / damaged).exists()
+    assert same_embeddings(load_embedding_index(tmp_path / "v1.jsonl", index), eindex)
+
+
+def test_embedding_manifest_is_one_header_line(tmp_path):
+    archive, index = saved_archive(tmp_path)
+    header = json.loads(archive.read_text(encoding="utf-8"))
+    assert archive.read_text(encoding="utf-8") == json.dumps(header, sort_keys=True) + "\n"
+    assert set(header) == {"magic", "format", "dimension", "provider_id", "chunk_limit", "file_count", "packs"}
+    assert header["format"] == 7 and header["file_count"] == len(index.files)
+    archive.write_text(archive.read_text(encoding="utf-8") + "[]\n", encoding="utf-8")
+    with pytest.raises(ArchiveFormatError, match="it holds lines after its header"):
         load_embedding_index(archive, index)

@@ -31,7 +31,7 @@ from bugloc.localizers import EmbeddingLocalizer, VsmLocalizer
 from bugloc.metrics import DataError
 from bugloc.tokens import tokenize
 from bugloc.validation import bug_text
-from conftest import java_class, make_bug, text_turn, write_tree
+from conftest import java_class, make_bug, same_embeddings, text_turn, write_tree
 from oracles import locator_oracle
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -109,7 +109,7 @@ def test_version_store_updates_from_an_archive_whose_tree_is_gone(tmp_path):
     code, embed = VersionStore(root, embedding_provider=provider, cache_dir=cache).build("v2", previous="v1")
     fresh = build_index(root / "v2", "java", "v2")
     assert code == fresh  # files, method locator and digests
-    assert embed.records == build_embedding_index(fresh, provider).records
+    assert same_embeddings(embed, build_embedding_index(fresh, provider))
 
 
 def test_version_store_update_reads_each_file_of_the_new_tree_and_none_of_the_old(tmp_path, monkeypatch):
@@ -168,7 +168,7 @@ def test_version_store_update_leaves_out_an_unreadable_file(tmp_path, monkeypatc
     fresh = build_index(root / "v2", "java", "v2")
     assert locked not in fresh.files
     assert code == fresh
-    assert embed.records == build_embedding_index(fresh, provider).records
+    assert same_embeddings(embed, build_embedding_index(fresh, provider))
 
 
 def perfbench_gen():
@@ -287,7 +287,7 @@ def test_version_store_rebuilds_a_version_whose_embedding_archive_is_missing(tmp
     monkeypatch.setattr(harness, "build_index", lambda *args: builds.append(args) or build_index(*args))
     code, embed = VersionStore(root, embedding_provider=HashingEmbedder(16), cache_dir=cache).get("v1")
     assert len(builds) == 1  # the code archive alone is not loaded
-    assert load_embed_archive(cache).records == embed.records
+    assert same_embeddings(load_embed_archive(cache), embed)
     assert load_code_index(cache / "v1.code.jsonl").files == code.files
 
 
@@ -377,6 +377,90 @@ def test_version_store_failed_update_leaves_no_index(tmp_path):
     assert embed.paths() == set(code.files) == {"org/A.java", "org/B.java", "org/C.java"}
 
 
+def test_version_store_save_that_raises_memoizes_nothing(tmp_path, monkeypatch):
+    root = versioned_repo(tmp_path)
+    store = VersionStore(root, embedding_provider=HashingEmbedder(16), cache_dir=tmp_path / "cache")
+
+    def full_disk(*args, **kwargs):
+        raise OSError("no space left on device")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "save_embedding_index", full_disk)
+        with pytest.raises(OSError):
+            store.get("v1")
+    code_manifest, embed_manifest = store.archive_paths("v1")
+    assert code_manifest.exists() and not embed_manifest.exists()
+    written = []
+    replace = os.replace
+    monkeypatch.setattr(os, "replace", lambda src, dst: written.append(Path(dst)) or replace(src, dst))
+    code, embed = store.get("v1")  # not memoized, so built again and saved whole
+    assert {code_manifest, embed_manifest} <= set(written)
+    assert same_embeddings(load_embed_archive(tmp_path / "cache"), embed)
+
+
+class DriftingEmbedder(HashingEmbedder):
+    """Rows that differ on every call, as a remote provider's may."""
+
+    calls = 0
+
+    def embed_batch(self, texts):
+        self.calls += 1
+        return super().embed_batch(texts) + self.calls
+
+
+def test_version_store_keeps_the_stored_rows_of_a_reverted_file_whatever_the_provider_gives(tmp_path):
+    root, cache = tmp_path / "repo", tmp_path / "cache"
+    v0 = {"org/A.java": java_class("A", {"alpha": "alphaword();"}), "org/B.java": java_class("B", {"beta": "b();"})}
+    write_tree(root / "v0", v0)
+    write_tree(root / "v1", dict(v0, **{"org/A.java": java_class("A", {"alpha": "edited();"})}))
+    write_tree(root / "v2", v0)  # A reverted
+    provider = DriftingEmbedder(16)
+    store = VersionStore(root, embedding_provider=provider, cache_dir=cache)
+    embeds = [store.get(version)[1] for version in ("v0", "v1", "v2")]
+    assert provider.calls == 3  # the revert still asks the provider for A's rows
+    fresh = VersionStore(root, embedding_provider=DriftingEmbedder(16), cache_dir=cache)
+    reloaded = fresh.get("v2")[1]
+    assert fresh.embedding_provider.calls == 0
+    assert store.get("v2")[1] is embeds[2]
+    assert embeds[2].chunks == reloaded.chunks and embeds[2].vectors.tobytes() == reloaded.vectors.tobytes()
+
+
+@pytest.mark.parametrize("edit", ["reverted", "edited again"])
+def test_version_store_code_manifest_rewritten_under_an_old_embedding_manifest_is_rebuilt_or_loads_its_own_rows(
+    tmp_path, caplog, monkeypatch, edit
+):
+    root = versioned_repo(tmp_path)
+    cache = tmp_path / "cache"
+    store = VersionStore(root, embedding_provider=HashingEmbedder(16), cache_dir=cache)
+    store.get("v1")
+    original = (root / "v1" / "org/A.java").read_bytes()
+    write_tree(root / "v1", {"org/A.java": java_class("A", {"alpha": "alphaword edited();"})})
+    store.build("v1", previous="v1")  # A's new rows in a pack of their own, beside the pack of A's and B's
+    old_embed = store.archive_paths("v1")[1].read_bytes()
+    if edit == "reverted":
+        (root / "v1" / "org/A.java").write_bytes(original)
+    else:
+        write_tree(root / "v1", {"org/A.java": java_class("A", {"alpha": "alphaword edited again();"})})
+
+    def crash(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "save_embedding_index", crash)
+        with pytest.raises(KeyboardInterrupt):  # after the code manifest, before the other
+            VersionStore(root, embedding_provider=HashingEmbedder(16), cache_dir=cache).build("v1")
+    assert store.archive_paths("v1")[1].read_bytes() == old_embed
+    code, embed = get_fresh(root, cache, "v1", caplog)
+    if edit == "reverted":  # A's original object is in a pack the old manifest names
+        assert "ignoring" not in caplog.text
+    else:
+        assert "ignoring the archive of v1: object " in caplog.text and "is in none of the packs read" in caplog.text
+    fresh = build_index(root / "v1", "java", "v1")
+    fresh_embed = build_embedding_index(fresh, HashingEmbedder(16))
+    assert code == fresh
+    assert embed.chunks == fresh_embed.chunks and embed.vectors.tobytes() == fresh_embed.vectors.tobytes()
+
+
 def long_file_repo(tmp_path):
     body = " ".join(f"call{i}();" for i in range(120))
     write_tree(tmp_path / "repo" / "v1", {"org/Long.java": java_class("Long", {"run": body})})
@@ -387,11 +471,11 @@ def test_version_store_rebuilds_archive_of_another_chunk_limit(tmp_path, caplog)
     root = long_file_repo(tmp_path)
     cache = tmp_path / "cache"
     _, wide = VersionStore(root, embedding_provider=HashingEmbedder(32), cache_dir=cache).get("v1")
-    assert max(len(tokenize(r.chunk.text)) for r in wide.records.values()) > 50
+    assert max(len(tokenize(c.text)) for c in wide.chunks) > 50
     store = VersionStore(root, embedding_provider=HashingEmbedder(32), cache_dir=cache, chunk_limit=50)
     with caplog.at_level("WARNING", logger="bugloc.harness"):
         _, embed = store.get("v1")
-    assert max(len(tokenize(r.chunk.text)) for r in embed.records.values()) <= 50
+    assert max(len(tokenize(c.text)) for c in embed.chunks) <= 50
     assert "chunk limit 300" in caplog.text
     assert load_embed_archive(cache).chunk_limit == 50
 
@@ -422,7 +506,7 @@ def test_version_store_rebuilds_archive_of_another_format(tmp_path, caplog):
         _, embed = VersionStore(root, embedding_provider=HashingEmbedder(16), cache_dir=cache).get("v1")
     assert "ignoring the archive of v1: unsupported archive format 0" in caplog.text
     assert embed.paths() == {"org/A.java", "org/B.java"}
-    assert load_embed_archive(cache).records == embed.records
+    assert same_embeddings(load_embed_archive(cache), embed)
 
 
 def format3_record(record) -> bytes:
@@ -488,20 +572,20 @@ def test_version_store_rebuilds_archives_of_the_formats_that_stored_derived_fiel
     assert_old_archives_are_rebuilt(tmp_path, caplog, monkeypatch, old, 4, 3, patches)
 
 
-def save_format4_embedding_index(eindex, path, code, pool, base=None):
+def save_format4_embedding_index(eindex, path, code, pool):
     """An embedding archive as format 4 wrote it: the header names the
-    version and no digest, the packs of the record objects too, and each
-    line is [fq_path, record key, vector key]."""
-    embedding.save_embedding_index(eindex, path, code, pool)
-    header, *lines = Path(path).read_text(encoding="utf-8").splitlines()
+    version, the packs of the record objects too, and each line is
+    [fq_path, record key, vector key]."""
+    saved = embedding.save_embedding_index(eindex, path, code, pool)
     paths = code.sorted_paths()
     record_keys = [code_index.store_record(pool, code.files[p]) for p in paths]
-    header = dict(json.loads(header), format=4, version_id=code.version_id)
+    name = embedding._namer(eindex.dimension, eindex.provider_id, eindex.chunk_limit)
+    header = dict(json.loads(Path(path).read_text(encoding="utf-8")), format=4, version_id=code.version_id)
     header["packs"] = sorted(set(header.pop("packs")) | set(pool.pack(record_keys)))
-    del header["digest"]
-    entries = [[p, r, *json.loads(line)] for p, r, line in zip(paths, record_keys, lines)]
+    entries = [[p, r, name(r)] for p, r in zip(paths, record_keys)]
     text = "\n".join([json.dumps(header, sort_keys=True), *map(json.dumps, entries)]) + "\n"
     Path(path).write_text(text, encoding="utf-8")
+    return saved
 
 
 def test_version_store_rebuilds_embedding_archives_of_the_format_that_repeated_the_code_manifest(
@@ -527,9 +611,14 @@ def test_version_store_rebuilds_truncated_archive(tmp_path, caplog, archive_name
 
 
 def manifest_entries(path):
-    """The lines of a manifest: [fq_path, record key, file digest] in a
-    code manifest, [vector key] in an embedding manifest."""
+    """The [fq_path, record key, file digest] lines of a code manifest."""
     return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()[1:]]
+
+
+def vector_pack(cache, version="v1"):
+    """The one pack that the embedding manifest of `version` names."""
+    (name,) = json.loads((cache / f"{version}.embed.jsonl").read_text(encoding="utf-8"))["packs"]
+    return cache / "objects" / name
 
 
 def get_fresh(root, cache, version_id, caplog):
@@ -549,53 +638,29 @@ def test_version_store_rebuilds_an_embedding_manifest_of_another_version(tmp_pat
     whole = v1_embed.read_bytes()
     shutil.copyfile(v2_embed, v1_embed)
     code, embed = get_fresh(root, cache, "v1", caplog)
-    assert "ignoring the archive of v1: its embedding archive was made from other files" in caplog.text
+    assert f"ignoring the archive of v1: {v1_embed} counts 3 files, its code index 2" in caplog.text
     assert embed.file_paths == sorted(code.files) == ["org/A.java", "org/B.java"]
     assert v1_embed.read_bytes() == whole
 
 
-@pytest.mark.parametrize("edit", ["two lines swapped", "last line dropped", "a line added"])
-def test_version_store_rebuilds_an_embedding_manifest_whose_lines_moved(tmp_path, caplog, monkeypatch, edit):
-    root = versioned_repo(tmp_path)
-    cache = tmp_path / "cache"
-    VersionStore(root, embedding_provider=HashingEmbedder(16), cache_dir=cache).get("v1")
-    manifest = cache / "v1.embed.jsonl"
-    whole = manifest.read_text(encoding="utf-8")
-    header, *lines = whole.splitlines()
-    if edit == "two lines swapped":
-        lines = [lines[1], lines[0], *lines[2:]]
-    elif edit == "last line dropped":
-        lines = lines[:-1]
-    else:
-        lines = [*lines, lines[0]]
-    header = dict(json.loads(header), file_count=len(lines))
-    manifest.write_text("\n".join([json.dumps(header), *lines]) + "\n", encoding="utf-8")
-    packs = set((cache / "objects").iterdir())
-    decoded = []
-    decode = embedding._decode_vectors
-    monkeypatch.setattr(embedding, "_decode_vectors", lambda *args: decoded.append(args) or decode(*args))
-    code, embed = get_fresh(root, cache, "v1", caplog)
-    assert "ignoring the archive of v1: its embedding archive was made from other files" in caplog.text
-    assert decoded == []  # refused before any vector object was decoded
-    assert packs <= set((cache / "objects").iterdir())  # none unlinked
-    fresh = build_index(root / "v1", "java", "v1")
-    fresh_embed = build_embedding_index(fresh, HashingEmbedder(16))
-    assert code == fresh
-    assert (embed.chunks, embed.vectors.tolist()) == (fresh_embed.chunks, fresh_embed.vectors.tolist())
-    assert manifest.read_text(encoding="utf-8") == whole
-
-
-@pytest.mark.parametrize("which", [0, 1], ids=["code manifest", "embedding manifest"])
-def test_version_store_rebuilds_a_manifest_nested_deeper_than_the_recursion_limit(tmp_path, caplog, which):
+@pytest.mark.parametrize(
+    "which, line, refused",
+    [(0, 1, "unreadable entry in"), (1, 0, "no archive header in"), (1, 1, "unreadable manifest")],
+    ids=["code manifest", "embedding manifest", "embedding manifest line"],
+)
+def test_version_store_rebuilds_a_manifest_nested_deeper_than_the_recursion_limit(
+    tmp_path, caplog, which, line, refused
+):
     root = versioned_repo(tmp_path)
     cache = tmp_path / "cache"
     store = VersionStore(root, embedding_provider=HashingEmbedder(16), cache_dir=cache)
     built = store.get("v1")
     manifest = store.archive_paths("v1")[which]
-    header = manifest.read_text(encoding="utf-8").splitlines()[0]
-    manifest.write_text(header + "\n" + "[" * 100_000 + "]" * 100_000 + "\n", encoding="utf-8")
+    lines = manifest.read_text(encoding="utf-8").splitlines()[:1]
+    lines[line:] = ["[" * 100_000 + "]" * 100_000]
+    manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
     code, embed = get_fresh(root, cache, "v1", caplog)
-    assert f"ignoring the archive of v1: unreadable entry in {manifest}" in caplog.text
+    assert f"ignoring the archive of v1: {refused} {manifest}" in caplog.text
     assert code == built[0]
     assert (embed.chunks, embed.vectors.tolist()) == (built[1].chunks, built[1].vectors.tolist())
 
@@ -614,7 +679,7 @@ def test_version_store_rebuilds_a_save_cut_between_its_two_manifests(tmp_path, c
         VersionStore(root, embedding_provider=HashingEmbedder(16), cache_dir=cache).build("v1")
     monkeypatch.undo()
     code, embed = get_fresh(root, cache, "v1", caplog)
-    assert "its embedding archive was made from other files than its code archive" in caplog.text
+    assert "is in none of the packs read" in caplog.text  # the edited file's rows were never stored
     assert "edited" in code.files["org/A.java"].methods[0].body
     assert embed.file_paths == sorted(code.files)
     assert "edited" in embed.chunks[0].text
@@ -644,14 +709,15 @@ def damage(path, how):
 
 
 @pytest.mark.parametrize("how", ["missing", "cut at 0", "cut at 1", "cut at 40", "flipped"])
-@pytest.mark.parametrize(
-    "manifest, column", [("v1.code.jsonl", 1), ("v1.embed.jsonl", 0)], ids=["record object", "vector object"]
-)
-def test_version_store_rebuilds_a_damaged_pack(tmp_path, caplog, monkeypatch, how, manifest, column):
+@pytest.mark.parametrize("kind", ["record object", "vector object"])
+def test_version_store_rebuilds_a_damaged_pack(tmp_path, caplog, monkeypatch, how, kind):
     root = versioned_repo(tmp_path)
     cache = tmp_path / "cache"
     VersionStore(root, embedding_provider=HashingEmbedder(16), cache_dir=cache).get("v1")
-    path = pack_holding(cache, manifest_entries(cache / manifest)[1][column])
+    if kind == "record object":
+        path = pack_holding(cache, manifest_entries(cache / "v1.code.jsonl")[1][1])
+    else:
+        path = vector_pack(cache)
     whole = path.read_bytes()
     damage(path, how)
     code, embed = get_fresh(root, cache, "v1", caplog)
@@ -669,8 +735,8 @@ def test_version_store_rebuilds_a_vector_object_of_partial_rows(tmp_path, caplog
     VersionStore(root, embedding_provider=HashingEmbedder(16), cache_dir=cache).get("v1")
     manifest = cache / "v1.embed.jsonl"
     text = manifest.read_text(encoding="utf-8")
-    key = manifest_entries(manifest)[0][0]
-    pack = pack_holding(cache, key)
+    pack = vector_pack(cache)
+    key = pack_index(pack)[0][0]  # the pack holds vector objects only: the records are in the code save's
     head, body = pack.read_bytes().split(b"\n", 1)
     objects, offset = {}, 0
     for object_key, length in json.loads(head):
@@ -735,11 +801,12 @@ def test_version_store_versions_loaded_from_archives_share_their_files(tmp_path,
     assert code1.files["org/p2/C2.java"] is code0.files["org/p2/C2.java"]
     assert code1.files["org/p1/C1.java"] != code0.files["org/p1/C1.java"]
     assert all(a is b for a, b in zip(embed0.chunks[-10:], embed1.chunks[-10:]))
-    last = store.archive_paths(versions[-1])[1]
-    packs = json.loads(last.read_text(encoding="utf-8").splitlines()[0])["packs"]
-    vector_keys = {key for (key,) in store.objects.manifests[last].entries}  # a delta resolved
-    held = [vector_keys & {key for key, _ in pack_index(cache / "objects" / name)} for name in packs]
-    assert all(held) and set().union(*held) == vector_keys  # only the packs of its vector objects
+    code, embed = loaded[-1]
+    packs = json.loads(store.archive_paths(versions[-1])[1].read_text(encoding="utf-8"))["packs"]
+    name = embedding._namer(embed.dimension, embed.provider_id, embed.chunk_limit)
+    names = {name(code_index.store_record(store.objects, record)) for record in code.files.values()}
+    held = [names & {key for key, _ in pack_index(cache / "objects" / pack)} for pack in packs]
+    assert all(held) and set().union(*held) == names  # only the packs of its vector objects
 
 
 def test_version_store_versions_loaded_from_archives_share_records_and_digests(tmp_path):
@@ -765,24 +832,24 @@ def test_version_store_versions_loaded_from_archives_share_records_and_digests(t
     assert code2.digests["org/C.java"] != code1.digests["org/C.java"]
 
 
-# Computed with this code (code archive format 6, embedding archive format 6).
+# Computed with this code (code archive format 6, embedding archive format 7).
 # They also depend on the parser, the chunker, the hashing embedder and
 # perfbench/gen.py, so a change to any of them moves them.
 GOLDEN_MANIFESTS = {
     "v0.code.jsonl": "882513b8780566f07820aaee92ab50df800f8cec7033c780dd67cdcfd07853de",
-    "v0.embed.jsonl": "3ea912b8cfffe8203f2be3a77024ffac0b7c19ee9cc163aec1583b35af2a7b3e",
+    "v0.embed.jsonl": "e3d1447b020494c83b79187b0888fc7997479d80cae5cad09d9b97b687a6e672",
     "v1.code.jsonl": "7ca97fa7dcb7413498de5c924bff348e7dbdb12ff9a9493b3bbed86cb62196d5",
-    "v1.embed.jsonl": "e9f9f8bbe136c84b7e9d63db0bb71ecc29a7ce343470e6eb85ac172918ac8083",
+    "v1.embed.jsonl": "184b181beafd02d6ef30bdb3d047d4744737bdcb689a4424e8d58233f3eccdea",
     "v2.code.jsonl": "079474e39224e5fdf7191ae5be60866c1cc836c85fbc240c5f65a42f5c7fb3f5",
-    "v2.embed.jsonl": "5ce93bbf75a5dddb84b0e1025068fd9272a96328d655d91ce6adc96eda24ab5f",
+    "v2.embed.jsonl": "40dbf2ce0d801083ad2c468c6b4c2a4f737b150b10de5dfb8f2fc453b6b8ff7e",
 }
 GOLDEN_PACKS = [
-    "1b0af99fd55686e22de82c5237a35177f389d782ab9e8309c0eaa703de43329e",
+    "096da8fc7c95970303e58f7d9601319e4851681e686fdbf427f1679128267287",
     "1d7b41c555e70d703cebad534602523e892392566409dc1d2677162779ff465f",
+    "207a7a82645350b0f6b2b605755ae3ffedb9fa2ecdf2bac38b73e1d7d9127c94",
     "4502ee3aeef71264d2acca67ff84cbb0898653f23d020e086abb4ba0234b3fc4",
     "47e1723c4d88b4e49f8dc9edb31d2687716b306f55f8e33373b70d53bd11e05a",
-    "95ae1c0ed2bad40e4a3d6a340c1fb916e22e5287b30781133fa150b39f25b60b",
-    "c1aac3c121786be8f86868116396cbe2c09c827de0b0402a540946ac3fdd1ad6",
+    "50049e7979c1acbf78d5c38883b29c6e71f8836f05bb845e1fe719124163d508",
 ]
 
 
@@ -801,6 +868,9 @@ def test_golden_archives_of_the_seed3_corpus_are_unchanged(tmp_path):
     assert manifests == GOLDEN_MANIFESTS
     assert [p.name for p in packs] == GOLDEN_PACKS
     assert [hashlib.sha256(p.read_bytes()).hexdigest() for p in packs] == GOLDEN_PACKS
+    for manifest in cache.glob("*.embed.jsonl"):  # one header line under 1 KB, at 500 files
+        data = manifest.read_bytes()
+        assert data.count(b"\n") == 1 and data.endswith(b"\n") and len(data) < 1024
 
 
 # The sha256 of every file the version-chain set-up writes at seeds 1, 3
@@ -816,21 +886,21 @@ GOLDEN_CHAIN_FILES = {
         "cache-after-v3": "a7215537043687b16f8eb415936e976c75cafbb35c41313b888cd4b7778a3ca7",
         "cache-after-queries": "65514dc868454afd55b16fee764ce474111202e29b1e1793d35e1b6c1e5e552f",
         "v0.code.jsonl": "ad1c63f6671e1f850bcda3a1811850e6e984b6cbdcd82e8048bf1cea614edaa3",
-        "v0.embed.jsonl": "270850a62ac22a97db5ff7621604c17399f72dca093e9e7113c18d0fea4d6e44",
+        "v0.embed.jsonl": "8b75f02cc6e74a33dcffd16612f4170d95d68a34b66d69621a4fad00f1bd9a2f",
         "v1.code.jsonl": "15e6cd5e894b7865fd03fd064f53f37823c2dfc843dde18781aa7d7007321d97",
-        "v1.embed.jsonl": "069dff6735b15a6c17028479c187ff1ae1e741b0675fe0f552aa4c5d6b17eb44",
+        "v1.embed.jsonl": "2ca1d45c3ba1a4fb94e9f0c1b7326b88478ec8fd2b386bb4681354743bff6b59",
         "v2.code.jsonl": "bd75c43fdc6d1a9451f887a01ac17d3e33f5a1004e0882062f94d66ca9b44cf8",
-        "v2.embed.jsonl": "33a17b18ad794a1ec68df66d51eac6a9f1e9916284d75cf7b543003b9ce45a6a",
+        "v2.embed.jsonl": "64e3bfdb94fe1c108683b5a3b237c0023faa33e2079e40ebcb726b06a4c2dccb",
         "v3.code.jsonl": "28edb53357b37eb8d06107bc01a8b724619dce294572aeefbc0170d9eb780176",
-        "v3.embed.jsonl": "174631924a0f8315bcf8d8fbfd51b9149f8fc11b9ac793a5bd127d65f9c4e26b",
+        "v3.embed.jsonl": "2a07657f04767c7f10c5cacfe7fec7f1e24e60dfd650e6fe7a0df1cf6815103f",
         "objects/135fb04d2edbfd1ea737c7aa8045dbffc450e950bb938239cb02b843edeae279": "135fb04d2edbfd1ea737c7aa8045dbffc450e950bb938239cb02b843edeae279",
         "objects/2aef4f57bf1d3641a4fcf4662cdfdaac4ed39ffedb04c6d4083fb7bbf536c0c7": "2aef4f57bf1d3641a4fcf4662cdfdaac4ed39ffedb04c6d4083fb7bbf536c0c7",
-        "objects/31c791d91da5a443a16562cb4d593dcbfd7603a1d1e59a21f6e448b84a2608b0": "31c791d91da5a443a16562cb4d593dcbfd7603a1d1e59a21f6e448b84a2608b0",
         "objects/41a55796f937e4c447f94a626f0077f0027f0f09121384d17c7e2fc80990dc45": "41a55796f937e4c447f94a626f0077f0027f0f09121384d17c7e2fc80990dc45",
-        "objects/66edfa3fe0d95c235773e042811bdfccaebf314c7bdc8764223fd43d188e18f9": "66edfa3fe0d95c235773e042811bdfccaebf314c7bdc8764223fd43d188e18f9",
+        "objects/4e832fb6c36e4a6efdf65d027aa228d072c45ecf0979dc59220a22da41d347f9": "4e832fb6c36e4a6efdf65d027aa228d072c45ecf0979dc59220a22da41d347f9",
         "objects/9419d9e642ce1426a42b00c7cf05d017634d1970fa646ef754b034bf027d2577": "9419d9e642ce1426a42b00c7cf05d017634d1970fa646ef754b034bf027d2577",
-        "objects/a0eb21285b6365934bcad64a8f87ad61083c71fdff0fc019c7af668816b33233": "a0eb21285b6365934bcad64a8f87ad61083c71fdff0fc019c7af668816b33233",
-        "objects/ebe14cf3f08b86954d04656628e1e676a024da37b322b3b5fa1899f465712350": "ebe14cf3f08b86954d04656628e1e676a024da37b322b3b5fa1899f465712350",
+        "objects/eec5f7cb74fce735b2ca786d944f40aad5042d768a62d4cdb5a9cf40d102c6fc": "eec5f7cb74fce735b2ca786d944f40aad5042d768a62d4cdb5a9cf40d102c6fc",
+        "objects/f0d9f2f1ff52f9292188dd1480a0e5d6d7d43fdc808af015402b18841a79b736": "f0d9f2f1ff52f9292188dd1480a0e5d6d7d43fdc808af015402b18841a79b736",
+        "objects/f4544d03851a0cb523e0d645eca04add5655a2d10a22c50c8bd5d4821ccfc844": "f4544d03851a0cb523e0d645eca04add5655a2d10a22c50c8bd5d4821ccfc844",
     },
     3: {
         "cache-after-v0": "de51b42036ba2aac64dec906ce30478776ae9f1897008cb542c269d1e73be1a0",
@@ -839,21 +909,21 @@ GOLDEN_CHAIN_FILES = {
         "cache-after-v3": "eb51f7e23d9249dfad948c4fe8c2995b5422786f4db9c833fb1c81e04a83b54c",
         "cache-after-queries": "d2918034e1542189aa8007275483230236d7749ff85888db8c79d5be72d73595",
         "v0.code.jsonl": "882513b8780566f07820aaee92ab50df800f8cec7033c780dd67cdcfd07853de",
-        "v0.embed.jsonl": "17c81a5e4e40a47ae42266b1e897e6360115a240ae332718736e8ec4027ae98e",
+        "v0.embed.jsonl": "e02f2650ab73211af74c06ef55d8d9bbd39c8000e30e9c551e76190c2577ff9e",
         "v1.code.jsonl": "7ca97fa7dcb7413498de5c924bff348e7dbdb12ff9a9493b3bbed86cb62196d5",
-        "v1.embed.jsonl": "42c61b8008a0f3f253e7ce874ca5925a9348cdbc00e3892c4542dd9b91c582b5",
+        "v1.embed.jsonl": "0ea37fb8104b755212e69e1043783ac6d7b1212b8d698da62c4cc2559414d523",
         "v2.code.jsonl": "079474e39224e5fdf7191ae5be60866c1cc836c85fbc240c5f65a42f5c7fb3f5",
-        "v2.embed.jsonl": "fd0b9a5e08bb48d6a1c1832146df15e935dd69fc601015b38996e4506e62e4c3",
+        "v2.embed.jsonl": "d9e80bc3bfeea65568a4c4f0c3cb6accaad319f9e76c614b449bb39aa47537b6",
         "v3.code.jsonl": "d378f25fa9d3a80f029d6eccd3642197c502efd6269194b94e2d27a95a032a15",
-        "v3.embed.jsonl": "25161b8aedc41142c87892912aa6acac377bc64eb2ed3b64f01a979497261ef3",
+        "v3.embed.jsonl": "fe1400af1c0ea51bd4fc274ab931d20d41b04b4cf9835b5ac7b1eaac9b3e5488",
         "objects/1d7b41c555e70d703cebad534602523e892392566409dc1d2677162779ff465f": "1d7b41c555e70d703cebad534602523e892392566409dc1d2677162779ff465f",
         "objects/4502ee3aeef71264d2acca67ff84cbb0898653f23d020e086abb4ba0234b3fc4": "4502ee3aeef71264d2acca67ff84cbb0898653f23d020e086abb4ba0234b3fc4",
         "objects/47e1723c4d88b4e49f8dc9edb31d2687716b306f55f8e33373b70d53bd11e05a": "47e1723c4d88b4e49f8dc9edb31d2687716b306f55f8e33373b70d53bd11e05a",
+        "objects/5303d8a39ee31d086f569f50d21247a0fde548059920d9950e956d3ee19b7d09": "5303d8a39ee31d086f569f50d21247a0fde548059920d9950e956d3ee19b7d09",
         "objects/55cbb4f55aa4d176d047b2473c23204173cdb5d942eeef37d8b7b27e4b9550df": "55cbb4f55aa4d176d047b2473c23204173cdb5d942eeef37d8b7b27e4b9550df",
-        "objects/87219ae0bcf0b7b36fe30df0edfab6189d451d51068b48b76f5c73ad744ae01d": "87219ae0bcf0b7b36fe30df0edfab6189d451d51068b48b76f5c73ad744ae01d",
-        "objects/95fcc5db1870c6bc8eb0295c387b1b16c50b81114d7c1a9795dc15ac1c770f15": "95fcc5db1870c6bc8eb0295c387b1b16c50b81114d7c1a9795dc15ac1c770f15",
-        "objects/d7ca2ed74de8e4b6fd5687fd7284b6c59493f5a37a7c91e725d347ef838036de": "d7ca2ed74de8e4b6fd5687fd7284b6c59493f5a37a7c91e725d347ef838036de",
-        "objects/e5d16afec9fc657a6708f58f8fc76bdbd72ac84f3aecb0b9588c5e7958b4fdcb": "e5d16afec9fc657a6708f58f8fc76bdbd72ac84f3aecb0b9588c5e7958b4fdcb",
+        "objects/671ac45a8711c3bd0a53248539385314c40e4c6bd49910ab8a555e5aa1fa8c4d": "671ac45a8711c3bd0a53248539385314c40e4c6bd49910ab8a555e5aa1fa8c4d",
+        "objects/7bc6960147ddba48854f139c986f4a6ade2f65cb87f6ad2bf8cea67db8a22418": "7bc6960147ddba48854f139c986f4a6ade2f65cb87f6ad2bf8cea67db8a22418",
+        "objects/ec29984efa8671e47a9084ff8808c42b474599091968dbe8c239bff3a3f0f7b3": "ec29984efa8671e47a9084ff8808c42b474599091968dbe8c239bff3a3f0f7b3",
     },
     7: {
         "cache-after-v0": "b39328bb078ac89d1664af44b23ed8efbb6f62da40d7fe844f1d0a7dbde2cb61",
@@ -862,20 +932,20 @@ GOLDEN_CHAIN_FILES = {
         "cache-after-v3": "954e5d059def1b9fd837fafaaa957c22a4e303a7faca8d9a614a8ae371424765",
         "cache-after-queries": "c29afe6c5818d7e502eeac3c83b6a1c00a995f3014a2697da9b7535ce8322262",
         "v0.code.jsonl": "e259290cc28a3e3f37799966c3bc970b23516c69461057b438f0b729ed6cd48e",
-        "v0.embed.jsonl": "17872748fe5e24d7e4d7305e4cbfafa68f2955cf5d42a50e866e8570415dc2c7",
+        "v0.embed.jsonl": "9058e5ef39497f2ffb8ce11f21220bf67afd1f6a1e3e516776f3d247b55237a1",
         "v1.code.jsonl": "c5eb948b22f29e31bcf01c67d8bb3fe23989e49d8d28e0b7a6035f9397e5f6d4",
-        "v1.embed.jsonl": "3eac7714e3f93d43a9bcb35a4762043476f68019a034cc6b38717d53e14729ed",
+        "v1.embed.jsonl": "be39959e37865b1e88393db345bb36bbb9cbed4ba54d0bba450ae2d1a14bccd2",
         "v2.code.jsonl": "16c2489fb92ca43f7ecfaa55f2d6eb596d43b984161874d99405d9828a43b0b0",
-        "v2.embed.jsonl": "a2081bff8191b90ad677e5500e962f8c71089dd66f27c55d821e979557c73fb4",
+        "v2.embed.jsonl": "e208b427390567fe4831ccafd522d0d0e1343a4b53f4482c43790ffc5d73273c",
         "v3.code.jsonl": "84385a439e60a3b0767d94456400997beb9cdd20a89de2f2cd610823c07da5b1",
-        "v3.embed.jsonl": "602a5e2c07d64923536cb8c85b9503da19424d5feeb9b052ad9b998ab9dcf0a5",
+        "v3.embed.jsonl": "00820623edf7f187d68289e153d638e38e45fda988fe8fb266071dd647a35fcf",
+        "objects/00c38c01e8d20833f0a26a734b74c824750a38830c68981c4d995e25df9f1174": "00c38c01e8d20833f0a26a734b74c824750a38830c68981c4d995e25df9f1174",
+        "objects/00d191f11a08616a2df765de01dbda3aa82ce6f0949147f332ca51ba26ff7670": "00d191f11a08616a2df765de01dbda3aa82ce6f0949147f332ca51ba26ff7670",
         "objects/386bab5fe2bbb50631598f2d494a4cb09663c18107d5051e79610d650aaeda0a": "386bab5fe2bbb50631598f2d494a4cb09663c18107d5051e79610d650aaeda0a",
-        "objects/5e3633ac39a7f171d190e191072ad3dc414e13c2f3d052f84f017f4f67c77307": "5e3633ac39a7f171d190e191072ad3dc414e13c2f3d052f84f017f4f67c77307",
-        "objects/6ae61443c2c9cc6be1d4f033cf9cd001193d1cb24c8ddc9fdc4b0de210eab9fe": "6ae61443c2c9cc6be1d4f033cf9cd001193d1cb24c8ddc9fdc4b0de210eab9fe",
         "objects/76a0d0b041ca9f9128dac99e15bf144660b86736dadc8b0a333b9be00f2a8912": "76a0d0b041ca9f9128dac99e15bf144660b86736dadc8b0a333b9be00f2a8912",
-        "objects/de120ad6787b9bfc79f70a8d63102f3c1186b19961c85c2d04c9fe6c02168705": "de120ad6787b9bfc79f70a8d63102f3c1186b19961c85c2d04c9fe6c02168705",
+        "objects/b2e4b072c4be7fce9a3defe91fafd8f5e7730b3996c9ca32304b7c967ffd33e9": "b2e4b072c4be7fce9a3defe91fafd8f5e7730b3996c9ca32304b7c967ffd33e9",
         "objects/eb88b3fba8a65f3a1c39d46b8c756542ad61dfd3a848e0826c3156e6c4faa47b": "eb88b3fba8a65f3a1c39d46b8c756542ad61dfd3a848e0826c3156e6c4faa47b",
-        "objects/f8c5553169277c9251c385d7a98393f4f3b79a866c4f93ef8b3a22447db4de78": "f8c5553169277c9251c385d7a98393f4f3b79a866c4f93ef8b3a22447db4de78",
+        "objects/ebdc8058ffc0d2e56b82b05c5c690944bdf93a28dd18fbae2976b4f077bbe22b": "ebdc8058ffc0d2e56b82b05c5c690944bdf93a28dd18fbae2976b4f077bbe22b",
         "objects/f91a039fec6c831faf08adaf3b0017209ab921cb3442179233a1b790c2ef2e1e": "f91a039fec6c831faf08adaf3b0017209ab921cb3442179233a1b790c2ef2e1e",
     },
 }
@@ -930,13 +1000,12 @@ def test_version_store_one_file_update_writes_its_objects_and_two_manifests(tmp_
     monkeypatch.setattr(os, "replace", counting)
     store.get(versions[1])
     code_manifest, embed_manifest = store.archive_paths(versions[1])
-    code_entries = manifest_entries(code_manifest)
-    (position,) = [i for i, entry in enumerate(code_entries) if entry[0] == "org/p1/C1.java"]
-    record_key, (vector_key,) = code_entries[position][1], manifest_entries(embed_manifest)[position]
+    (record_key,) = [key for path, key, _ in manifest_entries(code_manifest) if path == "org/p1/C1.java"]
     code_pack, manifest, embed_pack, last = written
     assert (manifest, last) == (code_manifest, embed_manifest)
     assert [key for key, _ in pack_index(code_pack)] == [record_key]
-    assert [key for key, _ in pack_index(embed_pack)] == [vector_key]
+    name = embedding._namer(16, HashingEmbedder(16).provider_id, 300)
+    assert [key for key, _ in pack_index(embed_pack)] == [name(record_key)]
 
 
 class MethodlessGrammar(java_parser.JavaGrammar):
@@ -1010,7 +1079,7 @@ def test_version_store_incremental_build_diffs_the_grammar_files(tmp_path, regis
     fresh = build_index(root / "v2", "kt-as-java", "v2")
     assert sorted(fresh.files) == ["org/A.kt", "org/B.kt"]
     assert code == fresh
-    assert embed.records == build_embedding_index(fresh, provider).records
+    assert same_embeddings(embed, build_embedding_index(fresh, provider))
 
 
 def bugs_for_eval():

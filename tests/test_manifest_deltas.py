@@ -1,5 +1,6 @@
-"""Delta manifests: a version built from another is archived as the lines
-that changed, and every load resolves it to what a full manifest holds."""
+"""Delta manifests: a version built from another is archived as the code
+manifest lines that changed, and every load resolves it to what a full
+manifest holds. An embedding manifest is one header line, delta or not."""
 
 import hashlib
 import json
@@ -10,11 +11,9 @@ import numpy as np
 import pytest
 
 from bugloc import code_index, embedding, harness
-from bugloc.code_index import (
-    ArchiveFormatError, Changeset, ObjectPool, load_code_index, save_code_index, update_index,
-)
+from bugloc.code_index import ArchiveFormatError, ObjectPool, load_code_index, save_code_index
 from bugloc.embedders import HashingEmbedder
-from bugloc.embedding import load_embedding_index, save_embedding_index, update_embeddings
+from bugloc.embedding import load_embedding_index, save_embedding_index
 from bugloc.harness import VersionStore
 from conftest import java_class, write_tree
 from test_harness import (
@@ -82,30 +81,34 @@ def loading_store(repo, cache, monkeypatch):
     return VersionStore(repo, embedding_provider=HashingEmbedder(16), cache_dir=cache)
 
 
-def test_a_chain_is_one_full_manifest_pair_then_deltas_within_the_depth_and_size_caps(chain):
+def test_a_chain_is_one_full_code_manifest_then_deltas_within_the_depth_and_size_caps(chain):
     _, cache, versions, _ = chain
-    for kind in ("code", "embed"):
-        depth = chain_bytes = 0
-        for version in versions:
-            manifest = cache / f"{version}.{kind}.jsonl"
-            full = cache.parent / "full" / manifest.name
-            base = header_of(manifest).get("base")
-            if base is None:
-                depth = chain_bytes = 0
-                assert lines_of(manifest) == lines_of(full)
-                continue
-            assert base == f"{versions[versions.index(version) - 1]}.{kind}.jsonl"
-            depth, chain_bytes = depth + 1, chain_bytes + manifest.stat().st_size
-            # the full manifest it would be: its header with no base, then every line
-            links = ("base", "base_digest", "code", "code_digest")
-            header = {k: v for k, v in header_of(manifest).items() if k not in links}
-            full_size = len(json.dumps(header, sort_keys=True)) + 1 + len(lines_of(full))
-            assert depth <= code_index.MAX_DELTA_DEPTH and chain_bytes <= full_size
-        assert "base" not in header_of(cache / f"{versions[0]}.{kind}.jsonl")
-        assert "base" in header_of(cache / f"{versions[1]}.{kind}.jsonl")
+    depth = chain_bytes = 0
+    for version in versions:
+        manifest = cache / f"{version}.code.jsonl"
+        full = cache.parent / "full" / manifest.name
+        base = header_of(manifest).get("base")
+        if base is None:
+            depth = chain_bytes = 0
+            assert lines_of(manifest) == lines_of(full)
+            continue
+        assert base == f"{versions[versions.index(version) - 1]}.code.jsonl"
+        depth, chain_bytes = depth + 1, chain_bytes + manifest.stat().st_size
+        # the full manifest it would be: its header with no base, then every line
+        header = {k: v for k, v in header_of(manifest).items() if k not in ("base", "base_digest")}
+        full_size = len(json.dumps(header, sort_keys=True)) + 1 + len(lines_of(full))
+        assert depth <= code_index.MAX_DELTA_DEPTH and chain_bytes <= full_size
     # at 60 files the code deltas run into the depth cap: v9 would be a ninth delta on v0
     bases = [header_of(cache / f"{v}.code.jsonl").get("base") for v in versions]
     assert [b is None for b in bases] == [True] + [False] * 8 + [True, False, False]
+
+
+def test_every_embedding_manifest_of_a_chain_is_one_header_line_under_1_kb(chain):
+    _, cache, versions, _ = chain
+    for version in versions:
+        data = (cache / f"{version}.embed.jsonl").read_bytes()
+        assert data.count(b"\n") == 1 and data.endswith(b"\n") and len(data) < 1024
+        assert header_of(cache / f"{version}.embed.jsonl")["format"] == embedding.EMBED_ARCHIVE_FORMAT == 7
 
 
 @pytest.mark.parametrize("order", ["every version in order", "the last version only"])
@@ -134,7 +137,7 @@ def test_a_delta_on_a_manifest_the_store_holds_opens_no_other_manifest(chain, tm
         assert manifests == {f"{version}.code.jsonl", f"{version}.embed.jsonl"}
 
 
-def test_a_fresh_store_reads_at_most_two_full_manifest_pairs_to_load_the_last_version(
+def test_a_fresh_store_reads_at_most_two_full_code_manifests_to_load_the_last_version(
     chain, tmp_path, monkeypatch
 ):
     repo, cache, versions, _ = chain
@@ -142,11 +145,10 @@ def test_a_fresh_store_reads_at_most_two_full_manifest_pairs_to_load_the_last_ve
     opened = count_opens(monkeypatch, cache)
     store.get(versions[-1])
     manifests = {p.name: p.stat().st_size for p in opened if p.suffix == ".jsonl"}
-    full = cache.parent / "full"
-    full_pair = sum((full / f"{versions[-1]}.{kind}.jsonl").stat().st_size for kind in ("code", "embed"))
-    # v11 is a delta on v10, on v9, a full manifest pair
-    assert sorted(manifests) == sorted(f"{v}.{kind}.jsonl" for v in versions[-3:] for kind in ("code", "embed"))
-    assert sum(manifests.values()) <= 2 * full_pair
+    full = (cache.parent / "full" / f"{versions[-1]}.code.jsonl").stat().st_size
+    # v11 is a delta on v10, on v9, a full code manifest; its embedding manifest is its header
+    assert sorted(manifests) == sorted([f"{v}.code.jsonl" for v in versions[-3:]] + [f"{versions[-1]}.embed.jsonl"])
+    assert sum(size for name, size in manifests.items() if name.endswith(".code.jsonl")) <= 2 * full
 
 
 @pytest.mark.parametrize("how", ["deleted", "rewritten"])
@@ -185,9 +187,8 @@ def test_a_chain_deeper_than_the_depth_cap_is_written_full_and_refused_on_read(t
     store = VersionStore(repo, embedding_provider=HashingEmbedder(16), cache_dir=cache)
     for version in ds.versions:
         store.get(version)
-    for kind in ("code", "embed"):
-        fulls = ["base" not in header_of(cache / f"{v}.{kind}.jsonl") for v in ds.versions]
-        assert fulls == [True, False, False, True, False, False]
+    fulls = ["base" not in header_of(cache / f"{v}.code.jsonl") for v in ds.versions]
+    assert fulls == [True, False, False, True, False, False]
     monkeypatch.setattr(code_index, "MAX_DELTA_DEPTH", 1)
     packs = set((cache / "objects").iterdir())
     with caplog.at_level("WARNING", logger="bugloc.harness"):
@@ -205,22 +206,21 @@ def delta_pair(tmp_path, n_versions=2):
     for version in chain_of_versions(root, n_versions, 20):
         store.get(version)
     assert header_of(cache / "v1.code.jsonl")["base"] == "v0.code.jsonl"
-    assert header_of(cache / "v1.embed.jsonl")["base"] == "v0.embed.jsonl"
     return root, cache
 
 
 @pytest.mark.parametrize(
     "name", ["../v0.code.jsonl", "sub/v0.code.jsonl", "/v0.code.jsonl", "..", ".", "", "a\\b", "a\0"]
 )
-@pytest.mark.parametrize("field", ["base", "code"])
+@pytest.mark.parametrize("field", ["base"])
 def test_a_delta_naming_a_file_that_is_not_a_plain_name_beside_it_is_refused(tmp_path, caplog, name, field):
     root, cache = delta_pair(tmp_path)
-    manifest = cache / "v1.embed.jsonl"
+    manifest = cache / "v1.code.jsonl"
     (cache / "sub").mkdir()
     shutil.copyfile(cache / "v0.code.jsonl", cache / "sub" / "v0.code.jsonl")
     write_header(manifest, dict(header_of(manifest), **{field: name}))
     code, embed = get_fresh(root, cache, "v1", caplog)
-    assert f"unusable embedding index archive {manifest}: its header has no {field!r}" in caplog.text
+    assert f"unusable code index archive {manifest}: its header has no {field!r}" in caplog.text
     assert embed.file_paths == sorted(code.files) and len(code.files) == 20
 
 
@@ -235,88 +235,16 @@ def test_a_delta_whose_chain_loops_is_refused(tmp_path, caplog):
     assert len(code.files) == 20
 
 
-def packs_of(cache):
-    return {p.name: p.read_bytes() for p in (cache / "objects").iterdir()}
-
-
-def fresh_build(root, version):
-    return VersionStore(root, embedding_provider=HashingEmbedder(16)).get(version)
-
-
-@pytest.mark.parametrize("first", [[], ["v0"]], ids=["v2 alone", "v0 then v2"])
-def test_an_embedding_delta_on_another_versions_base_is_refused_before_any_decode(
-    tmp_path, monkeypatch, caplog, first
-):
-    root, cache = delta_pair(tmp_path, 3)
-    manifest, v0 = cache / "v2.embed.jsonl", cache / "v0.embed.jsonl"
-    base_digest = hashlib.sha256(v0.read_bytes()).hexdigest()
-    write_header(manifest, dict(header_of(manifest), base=v0.name, base_digest=base_digest))
-    packs = packs_of(cache)
-    store = VersionStore(root, embedding_provider=HashingEmbedder(16), cache_dir=cache)
-    for version in first:
-        store.get(version)
-    decoded, decode = [], embedding._decode_vectors
-    monkeypatch.setattr(embedding, "_decode_vectors", lambda *args: decoded.append(args) or decode(*args))
-    with caplog.at_level("WARNING", logger="bugloc.harness"):
-        got = store.get("v2")
-    assert "ignoring the archive of v2" in caplog.text
-    assert decoded == []
-    assert {name: data for name, data in packs_of(cache).items() if name in packs} == packs
-    assert_same_version(got, fresh_build(root, "v2"))
-
-
-def test_an_embedding_delta_that_follows_a_full_code_manifest_is_refused(tmp_path, caplog):
-    root, cache = delta_pair(tmp_path, 3)
-    manifest, v0 = cache / "v2.embed.jsonl", cache / "v0.code.jsonl"
-    code_digest = hashlib.sha256(v0.read_bytes()).hexdigest()
-    write_header(manifest, dict(header_of(manifest), code=v0.name, code_digest=code_digest))
-    packs = packs_of(cache)
-    got = get_fresh(root, cache, "v2", caplog)
-    assert f"ignoring the archive of v2: {manifest} follows {v0.name}, which is no delta" in caplog.text
-    assert {name: data for name, data in packs_of(cache).items() if name in packs} == packs
-    assert_same_version(got, fresh_build(root, "v2"))
-
-
-@pytest.mark.parametrize("wrong", ["another version's", "one of other files"])
-def test_an_embedding_save_on_a_base_its_code_delta_does_not_follow_is_full(tmp_path, wrong):
-    root, cache = delta_pair(tmp_path, 3)
-    store = VersionStore(root, embedding_provider=HashingEmbedder(16))
-    (code0, embed0), (code1, embed1), (code2, embed2) = map(store.get, ("v0", "v1", "v2"))
-    out = tmp_path / "out"
-    pool = ObjectPool(out / "objects")
-
-    def at(version, kind):
-        return out / f"{version}.{kind}.jsonl"
-
-    save_code_index(code0, at("v0", "code"), pool=pool)
-    save_embedding_index(embed0, at("v0", "embed"), code0, pool=pool)
-    save_code_index(code1, at("v1", "code"), pool=pool, base=at("v0", "code"))
-    save_embedding_index(embed1, at("v1", "embed"), code1, pool=pool, base=at("v0", "embed"))
-    wrong_base = at("v0", "embed")
-    if wrong == "one of other files":  # v0 but a file: lines for 20 files do not lie on it
-        gone = Changeset(deleted=(code0.sorted_paths()[0],))
-        small = update_index(code0, gone, root / "v0", "small")
-        wrong_base = at("small", "embed")
-        save_embedding_index(update_embeddings(embed0, gone, small, HashingEmbedder(16)), wrong_base, small, pool)
-    save_code_index(code2, at("v2", "code"), pool=pool, base=at("v1", "code"))
-    save_embedding_index(embed2, at("v2", "embed"), code2, pool=pool, base=wrong_base)
-    assert "base" not in header_of(at("v2", "embed"))
-    fresh = ObjectPool(out / "objects")
-    loaded = load_code_index(at("v2", "code"), pool=fresh)
-    assert_same_version((loaded, load_embedding_index(at("v2", "embed"), loaded, pool=fresh)), (code2, embed2))
-    save_embedding_index(embed2, at("v2", "embed"), code2, pool=pool, base=at("v1", "embed"))
-    assert at("v2", "embed").read_bytes() == (cache / "v2.embed.jsonl").read_bytes()
-
-
 def test_an_unchanged_version_is_an_empty_delta(tmp_path):
     root = write_tree(tmp_path / "flat", {f"F{i}.java": java_class(f"F{i}", {"m": f"x{i}();"}) for i in range(20)})
     cache = tmp_path / "cache"
     store = VersionStore(root, embedding_provider=HashingEmbedder(16), cache_dir=cache)
     store.get("rev-1")
     store.get("rev-2")
-    for kind in ("code", "embed"):
-        header, *lines = (cache / f"rev-2.{kind}.jsonl").read_text(encoding="utf-8").splitlines()
-        assert json.loads(header)["base"] == f"rev-1.{kind}.jsonl" and lines == []
+    header, *lines = (cache / "rev-2.code.jsonl").read_text(encoding="utf-8").splitlines()
+    assert json.loads(header)["base"] == "rev-1.code.jsonl" and lines == []
+    rev1, rev2 = (header_of(cache / f"rev-{n}.embed.jsonl") for n in (1, 2))
+    assert rev1 == rev2  # the same settings, files and packs
     code = load_code_index(cache / "rev-2.code.jsonl")
     assert code.version_id == "rev-2" and code.files == store.get("rev-1")[0].files
     embed = load_embedding_index(cache / "rev-2.embed.jsonl", code)
@@ -328,13 +256,33 @@ def test_archives_of_format_5_are_rebuilt(tmp_path, caplog, monkeypatch, old):
     assert_old_archives_are_rebuilt(tmp_path, caplog, monkeypatch, old, 5, 5, [])
 
 
+def save_format6_embedding_index(eindex, path, code, pool):
+    """An embedding archive as format 6 wrote it: a `digest` over the
+    record keys and vector keys in the header, then one `[vector key]` line
+    per file, the key the sha256 of the object's bytes."""
+    saved = embedding.save_embedding_index(eindex, path, code, pool)
+    record_keys = [code_index.store_record(pool, code.files[p]) for p in code.sorted_paths()]
+    name = embedding._namer(eindex.dimension, eindex.provider_id, eindex.chunk_limit)
+    header = json.loads(Path(path).read_text(encoding="utf-8"))
+    objects = {}
+    for pack in header["packs"]:
+        objects.update(code_index._split_pack((Path(path).parent / "objects" / pack).read_bytes()))
+    vector_keys = [hashlib.sha256(objects[name(key)]).hexdigest() for key in record_keys]
+    header = dict(header, format=6, digest=hashlib.sha256("".join(record_keys + vector_keys).encode()).hexdigest())
+    lines = [json.dumps(header, sort_keys=True)] + [json.dumps([key]) for key in vector_keys]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return saved
+
+
+def test_embedding_archives_of_format_6_are_rebuilt(tmp_path, caplog, monkeypatch):
+    patches = [(harness, "save_embedding_index", save_format6_embedding_index)]
+    assert_old_archives_are_rebuilt(tmp_path, caplog, monkeypatch, "embedding", 6, 6, patches)
+
+
 CODE_FIELDS = {
     "version_id": 7, "grammar": ["java"], "file_count": "3", "packs": "x", "base": 7, "base_digest": "0" * 63,
 }
-EMBED_FIELDS = {
-    "dimension": True, "provider_id": 16, "chunk_limit": 300.0, "file_count": None, "digest": 7, "packs": {},
-    "base": "a/b", "base_digest": "A" * 64, "code": ".", "code_digest": 7,
-}
+EMBED_FIELDS = {"dimension": True, "provider_id": 16, "chunk_limit": 300.0, "file_count": None, "packs": {}}
 
 
 @pytest.mark.parametrize("edit", ["missing", "mistyped"])
@@ -343,7 +291,7 @@ EMBED_FIELDS = {
 )
 def test_a_header_that_lacks_or_mistypes_a_field_is_rebuilt_with_a_warning(tmp_path, caplog, kind, field, edit):
     root, cache = delta_pair(tmp_path)
-    version = "v1" if field.startswith(("base", "code")) else "v0"
+    version = "v1" if field.startswith("base") else "v0"
     manifest = cache / f"{version}.{kind}.jsonl"
     header = header_of(manifest)
     if edit == "missing":
@@ -393,7 +341,7 @@ def test_a_manifest_line_that_is_not_utf8_is_rebuilt_not_a_crash(tmp_path, caplo
     root, cache = delta_pair(tmp_path)
     manifest = cache / f"v0.{kind}.jsonl"
     data = manifest.read_bytes()
-    end = data.rindex(b'"]')  # in the last entry line, not the header
+    end = data.rindex(b'"]')  # in the last line: an entry, or the embedding manifest's header
     manifest.write_bytes(data[:end] + b"\xff" + data[end:])
     code, embed = get_fresh(root, cache, "v0", caplog)
     assert f"ignoring the archive of v0: unreadable manifest {manifest}" in caplog.text
