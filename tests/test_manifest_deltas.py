@@ -224,6 +224,36 @@ def test_a_delta_naming_a_file_that_is_not_a_plain_name_beside_it_is_refused(tmp
     assert embed.file_paths == sorted(code.files) and len(code.files) == 20
 
 
+PACK_NAMES = {  # what a manifest names instead of pack `d` in the objects directory `o`
+    "parent": lambda o, d: f"../{o.name}/{d}",
+    "dot": lambda o, d: f"./{d}",
+    "absolute": lambda o, d: f"{o}/{d}",
+    "trailing slash": lambda o, d: f"{d}/",
+    "upper case": lambda o, d: d.upper(),
+    "short": lambda o, d: d[:-1],
+    "nul": lambda o, d: f"{d}\0",
+    "empty": lambda o, d: "",
+}
+
+
+@pytest.mark.parametrize("how", PACK_NAMES)
+@pytest.mark.parametrize("kind", ["code", "embed"])
+def test_a_manifest_naming_a_pack_that_is_not_a_digest_is_rebuilt_with_a_warning(tmp_path, caplog, kind, how):
+    """Each name of `packs` becomes a path in the objects directory, so only
+    a digest is read: not even a path that reaches the same pack."""
+    root, cache = delta_pair(tmp_path)
+    manifest = cache / f"v0.{kind}.jsonl"
+    header = header_of(manifest)
+    pack, *others = header["packs"]
+    name = PACK_NAMES[how](cache / "objects", pack)
+    write_header(manifest, dict(header, packs=[name, *others]))
+    code, embed = get_fresh(root, cache, "v0", caplog)
+    assert f"ignoring the archive of v0: {name!r} is not a pack name" in caplog.text
+    assert embed.file_paths == sorted(code.files) and len(code.files) == 20
+    get_fresh(root, cache, "v0", caplog)
+    assert "ignoring" not in caplog.text  # written again, whole
+
+
 def test_a_delta_whose_chain_loops_is_refused(tmp_path, caplog):
     root, cache = delta_pair(tmp_path)
     v0, v1 = cache / "v0.code.jsonl", cache / "v1.code.jsonl"
