@@ -3,13 +3,15 @@
 Uses the optimal-string-alignment variant of Damerau-Levenshtein: inserts,
 deletes, substitutions, and adjacent transpositions, with no substring edited
 twice (so d("ca","abc") is 3, where unrestricted Damerau-Levenshtein gives 2).
+One pair is scored exactly in one pass over the second string by Myers's
+bit-vector algorithm (JACM 1999) with Hyyrö's transposition term (2003).
 
 A global search first filters an index's method names exactly by bag
 distance, max(|A∖B|, |B∖A|) over the two strings' character multisets: an
 insertion, deletion or substitution changes it by at most one and a
 transposition not at all, so it never exceeds the OSA distance (Bartolini,
-Ciaccia & Patella, SPIRE 2002). Only the names within the cap on that bound
-go through the vectorized OSA pass.
+Ciaccia & Patella, SPIRE 2002). The survivors, up to hundreds per query at
+8,000 files, go through one NumPy pass of the DP: faster than one at a time.
 """
 
 from __future__ import annotations
@@ -23,25 +25,28 @@ if TYPE_CHECKING:
 
 
 def damerau_levenshtein(a: str, b: str) -> int:
-    """OSA distance between two strings."""
-    la, lb = len(a), len(b)
-    if la == 0:
-        return lb
-    if lb == 0:
-        return la
-    prev2 = [0] * (lb + 1)
-    prev = list(range(lb + 1))
-    for i in range(1, la + 1):
-        cur = [i] + [0] * lb
-        ca = a[i - 1]
-        for j in range(1, lb + 1):
-            cost = 0 if ca == b[j - 1] else 1
-            best = min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + cost)
-            if i > 1 and j > 1 and ca == b[j - 2] and a[i - 2] == b[j - 1]:
-                best = min(best, prev2[j - 2] + 1)
-            cur[j] = best
-        prev2, prev = prev, cur
-    return prev[lb]
+    """OSA distance by Hyyrö's recurrence. Bit i of vp/vn: row i + 1 of the DP
+    column is one above/below row i. A transposition reads the last d0 and pm."""
+    if not a:
+        return len(b)
+    masks: dict[str, int] = {}
+    for i, char in enumerate(a):
+        masks[char] = masks.get(char, 0) | 1 << i
+    full, last = (1 << len(a)) - 1, 1 << (len(a) - 1)
+    vp, vn, d0, pm, score = full, 0, 0, 0, len(a)
+    for char in b:
+        prev_pm, pm = pm, masks.get(char, 0)
+        d0 = (((pm & vp) + vp) ^ vp) | pm | vn | ((~d0 & pm) << 1 & prev_pm)
+        hp = vn | ~(d0 | vp)
+        hn = vp & d0
+        if hp & last:
+            score += 1
+        elif hn & last:
+            score -= 1
+        hp = hp << 1 | 1
+        vp = (hn << 1 | ~(d0 | hp)) & full
+        vn = hp & d0 & full
+    return score
 
 
 def default_distance_cap(query: str) -> int:

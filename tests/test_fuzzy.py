@@ -54,11 +54,24 @@ def test_matches_oracle_on_short_pairs():
     strings = [
         "".join(p)
         for length in range(0, 5)
-        for p in itertools.product("ab", repeat=length)
+        for p in itertools.product("abc", repeat=length)
     ]
     for a in strings:
         for b in strings:
             assert damerau_levenshtein(a, b) == osa_distance_oracle(a, b), (a, b)
+
+
+def test_matches_oracle_on_random_pairs_across_machine_words():
+    # lengths above 64 take the bit vectors past one machine word
+    rng = random.Random(43)
+    alphabet = ["a", "b", "c", "X", "é", "中", "\ud800"]
+
+    def word():
+        return "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 90)))
+
+    for _ in range(2000):
+        a, b = word(), word()
+        assert damerau_levenshtein(a, b) == osa_distance_oracle(a, b), (a, b)
 
 
 def test_typo_recovery_example():
@@ -111,7 +124,7 @@ def test_candidates_sorted_and_truncated(tmp_path):
     assert candidates[0][0] == "nam0"
 
 
-# --- the vectorized kernel against the scalar DP ----------------------------
+# --- the vectorized kernel against the scalar kernel and the oracle ---------
 
 AB_STRINGS = ["".join(p) for length in range(5) for p in itertools.product("ab", repeat=length)]
 
@@ -120,6 +133,8 @@ def test_kernel_matches_scalar_on_all_short_ab_pairs():
     for query in AB_STRINGS:
         expected = [damerau_levenshtein(query, name) for name in AB_STRINGS]
         assert osa_distances(query, AB_STRINGS).tolist() == expected, query
+        oracle = [osa_distance_oracle(query, name) for name in AB_STRINGS]
+        assert osa_distances(query, AB_STRINGS).tolist() == oracle, query
 
 
 def test_kernel_matches_scalar_on_random_unicode():
@@ -135,6 +150,8 @@ def test_kernel_matches_scalar_on_random_unicode():
         names = [word() for _ in range(rng.randint(1, 8))] + [""]
         expected = [damerau_levenshtein(query, name) for name in names]
         assert osa_distances(query, names).tolist() == expected, (query, names)
+        oracle = [osa_distance_oracle(query, name) for name in names]
+        assert osa_distances(query, names).tolist() == oracle, (query, names)
 
 
 # --- fuzzy_method_candidates against a brute-force reference ---------------
